@@ -1,11 +1,16 @@
-"""``exact-opt``: branch-and-bound exact optima over mixed-size batches.
+"""``exact-opt``: branch-and-bound exact optima of mixed-size instances.
 
-Each repetition solves its own seeded ``cluster_instances`` batches with
-:func:`repro.lp.exact.branch_and_bound_optimal_batch`.  Every batch holds
-one instance of each size in :data:`SIZES`, which straddle
+Each repetition solves the seeded ``cluster_instances`` of its input set
+with :func:`repro.lp.exact.branch_and_bound_optimal_batch`, one call per
+instance.  The sizes cycle through :data:`SIZES`, which straddle
 ``_LOCKSTEP_MAX_TASKS = 8``: leaves with ``n <= 8`` go to the lockstep
 simplex, larger ones to one HiGHS call per LP.  No engine, stream, exec or
 service code runs in the timed phase.
+
+The search handles the rows of a batch one task count at a time, so a
+batch with one instance of each size costs what its three single-instance
+calls cost; timing instances one by one gives shorter units, whose best
+time over the repetitions is steadier.
 
 The cost of one instance is heavy-tailed.  At ``cluster_instances``'
 default ``P = 64`` about one instance in thirty with ``n = 9`` or
@@ -13,8 +18,7 @@ default ``P = 64`` about one instance in thirty with ``n = 9`` or
 and at ``P = 128`` an ``n = 10`` instance still takes seconds now and
 then.  So the platform is ``P = 128`` and the sizes stop at 9, where the
 median instance needs about 15 LPs and a few in a thousand take a
-second or more; a median over repetitions keeps such an instance to one
-sample.
+second or more.
 """
 
 from __future__ import annotations
@@ -37,12 +41,18 @@ _LP_REL = 1e-6
 
 
 class Workload(WorkloadBase):
-    """The ``exact-opt`` workload; each repetition solves its own batches."""
+    """The ``exact-opt`` workload: seeded instances per input set."""
+
+    SETS = 6
+    # One instance in a few hundred needs tens of times the median time
+    # (up to 14% of a run's total).  Over ten seeds, throughput spread 0.17
+    # with every instance and 0.06 without the slowest 5%.
+    TRIM = 0.05
 
     def __init__(self, work_dir: Path, seed: int, seconds: int, reps: int):
         self.seed = seed
         per_rep = INSTANCES_PER_SECOND * seconds // reps
-        self.batches_per_rep = max(1, round(per_rep / len(SIZES)))
+        self.rounds = max(1, round(per_rep / len(SIZES)))
 
     # -- set-up --------------------------------------------------------- #
 
@@ -54,20 +64,23 @@ class Workload(WorkloadBase):
 
         self.exact = exact
 
-    def prepare(self, rep: int) -> None:
-        """Generate this repetition's batches (untimed)."""
+    def prepare(self, input_set: int) -> None:
+        """Generate the instances of ``input_set``, one batch each (untimed)."""
         import numpy as np
 
         from repro.core.batch import InstanceBatch
         from repro.workloads.generators import cluster_instances
 
-        rng = np.random.default_rng([self.seed, rep])
+        rng = np.random.default_rng([self.seed, input_set])
         self.batches = [
-            InstanceBatch.from_instances(
-                [instance for n in SIZES for instance in cluster_instances(n, 1, P=P, rng=rng)]
-            )
-            for _ in range(self.batches_per_rep)
+            InstanceBatch.from_instances(cluster_instances(n, 1, P=P, rng=rng))
+            for _ in range(self.rounds)
+            for n in SIZES
         ]
+        # The first solves in an interpreter are about 45 ms slower than the
+        # rest; warm up on one instance of each size so every timed solve is alike.
+        for batch in self.batches[: len(SIZES)]:
+            self.exact.branch_and_bound_optimal_batch(batch)
 
     # -- timed passes ---------------------------------------------------- #
 

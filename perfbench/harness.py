@@ -173,21 +173,26 @@ class Breakdown:
 # --------------------------------------------------------------------- #
 
 
-def _calibration_loop() -> int:
+def _calibration_loop(iterations: int) -> int:
     total = 0
-    for i in range(100_000):
+    for i in range(iterations):
         total += i * i
     return total
 
 
-def calibration_ms(repeats: int = 9) -> float:
+def calibration_ms(repeats: int = 9, iterations: int = 100_000) -> float:
     """Median wall time of a fixed pure-Python loop, in milliseconds."""
     samples = []
     for _ in range(repeats):
         start = _perf()
-        _calibration_loop()
+        _calibration_loop(iterations)
         samples.append((_perf() - start) * 1e3)
     return statistics.median(samples)
+
+
+def best_calibration_ms(samples: int = 25) -> float:
+    """Least wall time of a short fixed loop over ``samples`` tries, in ms."""
+    return min(calibration_ms(1, 20_000) for _ in range(samples))
 
 
 def _maxrss_mb(who: int) -> float:
@@ -261,6 +266,15 @@ class WorkloadBase:
     ``finish``, ``report`` and ``layer_metrics``.
     """
 
+    #: Seeded input sets; repetition ``r`` runs set ``r % SETS``.  A run
+    #: times every unit of a set ``REPS // SETS`` times.
+    SETS = 1
+    #: Whether a unit keeps its best latency over those repetitions (short
+    #: host stalls left out) or its median.
+    BEST_OF_REPS = True
+    #: Share of the slowest units that ``throughput`` leaves out.
+    TRIM = 0.0
+
     def prepare_shared(self) -> None:
         """Inputs every repetition reads (untimed); none by default."""
 
@@ -276,8 +290,8 @@ class WorkloadBase:
         """Per-layer metrics measured by the parent."""
         return {}
 
-    def prepare(self, rep: int) -> None:
-        """Build repetition ``rep``'s own inputs (untimed); none by default."""
+    def prepare(self, input_set: int) -> None:
+        """Build the inputs of set ``input_set`` (untimed); none by default."""
 
     def report(self, result: Pass) -> "dict[str, Any]":
         """What :meth:`check_report` needs from a repetition, as JSON."""

@@ -12,12 +12,33 @@ built from ``--seed`` before timing starts, and the timed work is fixed:
 ``--seconds`` sets how much work a run does (sized to take about that
 long on a 2-vCPU host), never when it stops.
 
-The work is split into :data:`REPS` repetitions, and each repetition runs
-in a fresh interpreter: it sets the program up (imports, construction,
-pool spawn), builds its inputs, runs the timed phase, checks the outputs
-and reports its set-up time, latencies and peak memory.  Every metric is
-the median over the repetitions, which keeps a short fast or slow phase of
-the host, or one unusually hard input, out of the result.
+A workload has ``SETS`` seeded input sets, and the run makes :data:`REPS`
+repetitions; repetition ``r`` works on set ``r % SETS``, so every set is
+run several times, spread over the whole run.  Each repetition runs in a
+fresh interpreter: it sets the program up (imports, construction, pool
+spawn), builds its inputs, runs the timed phase, checks the outputs and
+reports its set-up time, per-unit latencies (a request, an instance or a
+chunk) and peak memory.
+
+The host's speed changes by up to 2x from one second to the next, and by
+up to 1.5x between phases that last minutes.  Two steps keep both out of
+the timed metrics:
+
+* Host speed.  Each repetition times a fixed pure-Python loop, best of
+  25, right before and right after its timed phase (``calib_ms``), and
+  its latencies are scaled by ``REF_CALIB_MS / calib_ms``: they read as
+  on a host where the loop takes :data:`REF_CALIB_MS`.
+* Short stalls.  Each unit of work keeps its least scaled latency over
+  the repetitions that ran it.  ``trace-sweep`` keeps the median
+  (``BEST_OF_REPS = False``): a chunk's best time depends on how its two
+  pool workers happened to overlap.
+
+``throughput`` is the operations of all units over the sum of their
+latencies; ``exact-opt`` leaves out its slowest ``TRIM`` = 5% of
+instances, whose cost is heavy-tailed.  ``p50_ms`` is the median of all
+the units' latencies.  ``setup_s`` and ``peak_rss_mb`` are medians over
+the repetitions, unscaled.  The diagnostics line holds the unscaled
+figures beside them.
 
 ``--trace 0`` reports the end-to-end metrics; ``--trace 1`` adds one
 traced repetition that wraps the library's public calls in spans and
@@ -44,8 +65,12 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 
-#: Repetitions of the fixed work per run, each in its own interpreter.
-REPS = 11
+#: Repetitions per run, each in its own interpreter; a multiple of every
+#: workload's ``SETS``.
+REPS = 12
+#: Best time of the calibration loop on the reference host, in ms; timed
+#: metrics are scaled to it (a 2-vCPU KVM guest measures 1.0 to 1.7).
+REF_CALIB_MS = 1.0
 #: Seconds one repetition may take before the run is abandoned.
 REP_TIMEOUT = 120
 
@@ -66,19 +91,24 @@ def _workload_class(name: str):
 
 def _repetition(args: argparse.Namespace) -> int:
     """Child mode: set up, build inputs, run one timed repetition, report it."""
-    from harness import Tracer, children_peak_rss_mb, peak_rss_mb
+    from harness import Tracer, best_calibration_ms, children_peak_rss_mb, peak_rss_mb
 
     start = time.perf_counter()
-    workload = _workload_class(args.workload)(args.work_dir, args.seed, args.seconds, REPS)
+    workload_class = _workload_class(args.workload)
+    workload = workload_class(args.work_dir, args.seed, args.seconds, REPS)
     workload.setup()
     setup_s = time.perf_counter() - start
     try:
-        workload.prepare(args.rep)
+        workload.prepare(args.rep % workload_class.SETS)
         tracer = Tracer() if args.traced else None
+        calib_before = best_calibration_ms()
         result = workload.run(args.rep, tracer)
+        calib_ms = min(calib_before, best_calibration_ms())
         checks = workload.finish(result)
         report = {
             "setup_s": setup_s,
+            "calib_ms": calib_ms,
+            "set": args.rep % workload_class.SETS,
             "operations": result.operations,
             "seconds": result.seconds,
             "latencies_s": result.latencies_s,
@@ -111,6 +141,31 @@ def _spawn(args: argparse.Namespace, work_dir: Path, rep: int, traced: bool) -> 
         print(f"error: repetition {rep} exited with {child.returncode}", file=sys.stderr)
         raise SystemExit(2)
     return json.loads(child.stdout.strip().splitlines()[-1])
+
+
+def _unit_latencies(reps: "list[dict]", sets: int, checks, best_of: bool, scaled: bool = True) -> "list[float]":
+    """Each unit's latency over the repetitions that ran it, for all sets.
+
+    A unit keeps its least latency with ``best_of``, its median otherwise.
+    With ``scaled``, every latency is first scaled to the reference host by
+    its repetition's calibration.
+    """
+    combine = min if best_of else statistics.median
+    latencies = []
+    for index in range(sets):
+        group = [rep for rep in reps if rep["set"] == index]
+        units = {len(rep["latencies_s"]) for rep in group}
+        checks.expect(len(units) == 1, f"set {index}: repetitions timed {sorted(units)} units")
+        factors = [REF_CALIB_MS / rep["calib_ms"] if scaled else 1.0 for rep in group]
+        samples = [[t * factor for t in rep["latencies_s"]] for rep, factor in zip(group, factors)]
+        latencies.extend(combine(unit) for unit in zip(*samples))
+    return latencies
+
+
+def _throughput(latencies: "list[float]", operations_per_unit: float, trim: float) -> float:
+    """Operations per second over the units, leaving out the slowest ``trim`` share."""
+    kept = sorted(latencies)[: len(latencies) - round(trim * len(latencies))]
+    return operations_per_unit * len(kept) / sum(kept)
 
 
 def _summary(label: str, metrics: "dict[str, dict[str, float | str]]") -> None:
@@ -155,9 +210,13 @@ def main(argv: "list[str] | None" = None) -> int:
         checks.merge(parent.check_report(rep["report"]))
 
     throughputs = [rep["operations"] / rep["seconds"] for rep in reps]
+    sets, best_of = workload_class.SETS, workload_class.BEST_OF_REPS
+    unit_s = _unit_latencies(reps, sets, checks, best_of)
+    unscaled_unit_s = _unit_latencies(reps, sets, Checks(), best_of, scaled=False)
+    per_unit_ops = reps[0]["operations"] / len(reps[0]["latencies_s"])
     end_to_end = {
-        "throughput": {"value": statistics.median(throughputs), "unit": "1/s"},
-        "p50_ms": {"value": statistics.median(percentile_ms(r["latencies_s"], 50) for r in reps), "unit": "ms"},
+        "throughput": {"value": _throughput(unit_s, per_unit_ops, workload_class.TRIM), "unit": "1/s"},
+        "p50_ms": {"value": percentile_ms(unit_s, 50), "unit": "ms"},
         "peak_rss_mb": {"value": statistics.median(r["peak_rss_mb"] for r in reps), "unit": "MB"},
         "setup_s": {"value": statistics.median(r["setup_s"] for r in reps), "unit": "s"},
     }
@@ -166,26 +225,34 @@ def main(argv: "list[str] | None" = None) -> int:
         "workload": args.workload,
         "seed": args.seed,
         "reps": REPS,
+        "sets": workload_class.SETS,
         "operations_per_rep": reps[0]["operations"],
         "latency_samples_per_rep": len(reps[0]["latencies_s"]),
-        "p99_ms": statistics.median(percentile_ms(r["latencies_s"], 99) for r in reps),
+        "p99_ms": percentile_ms(unit_s, 99),
+        "unscaled_throughput": _throughput(unscaled_unit_s, per_unit_ops, workload_class.TRIM),
+        "unscaled_p50_ms": percentile_ms(unscaled_unit_s, 50),
         "throughput_per_rep": throughputs,
         "peak_rss_mb_per_rep": [r["peak_rss_mb"] for r in reps],
         "setup_s_per_rep": [r["setup_s"] for r in reps],
         "machine.calib_ms": calib,
+        "calib_ms_per_rep": [r["calib_ms"] for r in reps],
         "machine.calib_ms_before_after": [calib_before, calib_after],
     }
-    _summary(f"{args.workload} seed {args.seed}: end-to-end (median of {REPS} reps)", end_to_end)
+    per_unit = f"{'best' if best_of else 'median'} of {REPS // sets} per unit"
+    _summary(f"{args.workload} seed {args.seed}: end-to-end ({per_unit})", end_to_end)
     print(f"  {'p99_ms (not gated)':40s} {diagnostics['p99_ms']:14.6g} ms")
     if traced is not None:
         layers = dict.fromkeys(PER_LAYER_UNITS, 0.0)
         layers.update(traced["layers"])
         layers.update(parent.shared_layers(traced))
         layers["machine.calib_ms"] = calib
-        # The traced repetition replays the inputs of the first untraced one;
-        # against the median it is less exposed to one noisy repetition.
-        traced_throughput = traced["operations"] / traced["seconds"]
-        layers["trace.overhead_pct"] = 100.0 * (statistics.median(throughputs) / traced_throughput - 1.0)
+        # The traced repetition replays set 0; against the median untraced
+        # time of that set it is less exposed to one noisy repetition.
+        def scaled_s(rep: dict) -> float:
+            return rep["seconds"] * REF_CALIB_MS / rep["calib_ms"]
+
+        untraced_s = statistics.median(scaled_s(rep) for rep in reps if rep["set"] == 0)
+        layers["trace.overhead_pct"] = 100.0 * (scaled_s(traced) / untraced_s - 1.0)
         layers["trace.coverage_pct"] = traced["coverage_pct"]
         checks.expect(
             abs(traced["coverage_pct"] - 100.0) <= 10.0,

@@ -128,7 +128,9 @@ def make_stream(seed: "int | list[int]", count: int) -> "tuple[list[object], lis
 
 
 class Workload(WorkloadBase):
-    """The ``serve`` workload: one seeded stream per repetition, one fresh service."""
+    """The ``serve`` workload: one seeded stream per input set, one fresh service per repetition."""
+
+    SETS = 6
 
     def __init__(self, work_dir: Path, seed: int, seconds: int, reps: int):
         self.work_dir = work_dir
@@ -147,9 +149,9 @@ class Workload(WorkloadBase):
         config = server.ServiceConfig(P=P, virtual_time=True, journal_dir=str(journal_dir))
         self.service = server.SchedulerService(config)
 
-    def prepare(self, rep: int) -> None:
-        """Build and pre-encode this repetition's request stream (untimed)."""
-        requests, self.expected = make_stream([self.seed, rep], self.count)
+    def prepare(self, input_set: int) -> None:
+        """Build and pre-encode the request stream of ``input_set`` (untimed)."""
+        requests, self.expected = make_stream([self.seed, input_set], self.count)
         self.lines = [self.protocol.encode_line(request) for request in requests]
 
     # -- timed passes ---------------------------------------------------- #
