@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
@@ -190,9 +191,38 @@ def calibration_ms(repeats: int = 9, iterations: int = 100_000) -> float:
     return statistics.median(samples)
 
 
-def best_calibration_ms(samples: int = 25) -> float:
-    """Least wall time of a short fixed loop over ``samples`` tries, in ms."""
-    return min(calibration_ms(1, 20_000) for _ in range(samples))
+_CALIBRATION_SCRIPT = """
+import time
+def loop():
+    total = 0
+    for i in range(20_000):
+        total += i * i
+best = float("inf")
+for _ in range({samples}):
+    start = time.perf_counter()
+    loop()
+    best = min(best, time.perf_counter() - start)
+print(best * 1e3)
+"""
+
+
+def best_calibration_ms(samples: int = 25, processes: int = 1) -> float:
+    """Least wall time of a short fixed loop over ``samples`` tries, in ms.
+
+    With ``processes`` > 1 the loop runs in that many bare interpreters at
+    once and the slowest one's best time is returned: a pool of that size
+    runs at the pace of its slowest processor.  The interpreters stay
+    smaller than any pool worker, so ``children_peak_rss_mb`` still reads
+    the workers.
+    """
+    if processes == 1:
+        return min(calibration_ms(1, 20_000) for _ in range(samples))
+    script = _CALIBRATION_SCRIPT.format(samples=samples)
+    children = [
+        subprocess.Popen([sys.executable, "-S", "-c", script], stdout=subprocess.PIPE, text=True)
+        for _ in range(processes)
+    ]
+    return max(float(child.communicate()[0]) for child in children)
 
 
 def _maxrss_mb(who: int) -> float:
@@ -272,6 +302,9 @@ class WorkloadBase:
     #: Whether a unit keeps its best latency over those repetitions (short
     #: host stalls left out) or its median.
     BEST_OF_REPS = True
+    #: Processes the timed work keeps busy; the calibration loop runs in as
+    #: many at once.
+    BUSY_PROCESSES = 1
     #: Share of the slowest units that ``throughput`` leaves out.
     TRIM = 0.0
 

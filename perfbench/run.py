@@ -27,7 +27,9 @@ the timed metrics:
 * Host speed.  Each repetition times a fixed pure-Python loop, best of
   25, right before and right after its timed phase (``calib_ms``), and
   its latencies are scaled by ``REF_CALIB_MS / calib_ms``: they read as
-  on a host where the loop takes :data:`REF_CALIB_MS`.
+  on a host where the loop takes :data:`REF_CALIB_MS`.  A workload that
+  keeps ``BUSY_PROCESSES`` processors busy times the loop in that many
+  processes at once and counts the slowest.
 * Short stalls.  Each unit of work keeps its least scaled latency over
   the repetitions that ran it.  ``trace-sweep`` keeps the median
   (``BEST_OF_REPS = False``): a chunk's best time depends on how its two
@@ -101,9 +103,12 @@ def _repetition(args: argparse.Namespace) -> int:
     try:
         workload.prepare(args.rep % workload_class.SETS)
         tracer = Tracer() if args.traced else None
-        calib_before = best_calibration_ms()
+        # The traced repetition is not scaled, and calibrating it in child
+        # processes would put their size into its workers' peak memory.
+        busy = 0 if args.traced else workload_class.BUSY_PROCESSES
+        calib_before = best_calibration_ms(processes=busy) if busy else None
         result = workload.run(args.rep, tracer)
-        calib_ms = min(calib_before, best_calibration_ms())
+        calib_ms = min(calib_before, best_calibration_ms(processes=busy)) if busy else None
         checks = workload.finish(result)
         report = {
             "setup_s": setup_s,
@@ -248,11 +253,8 @@ def main(argv: "list[str] | None" = None) -> int:
         layers["machine.calib_ms"] = calib
         # The traced repetition replays set 0; against the median untraced
         # time of that set it is less exposed to one noisy repetition.
-        def scaled_s(rep: dict) -> float:
-            return rep["seconds"] * REF_CALIB_MS / rep["calib_ms"]
-
-        untraced_s = statistics.median(scaled_s(rep) for rep in reps if rep["set"] == 0)
-        layers["trace.overhead_pct"] = 100.0 * (scaled_s(traced) / untraced_s - 1.0)
+        untraced_s = statistics.median(rep["seconds"] for rep in reps if rep["set"] == 0)
+        layers["trace.overhead_pct"] = 100.0 * (traced["seconds"] / untraced_s - 1.0)
         layers["trace.coverage_pct"] = traced["coverage_pct"]
         checks.expect(
             abs(traced["coverage_pct"] - 100.0) <= 10.0,

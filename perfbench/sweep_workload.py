@@ -59,6 +59,7 @@ class Workload(WorkloadBase):
     # overlap.  Over ten seeds, throughput from best chunk times spread
     # 0.11; from median chunk times, 0.04 and 0.14 in two sets of runs.
     BEST_OF_REPS = False
+    BUSY_PROCESSES = WORKERS
 
     def __init__(self, work_dir: Path, seed: int, seconds: int, reps: int):
         self.seed = seed
