@@ -25,8 +25,7 @@ def best_of(fn: Callable[[], object], repeats: int = 3) -> float:
     """Best-of-``repeats`` wall-clock time of ``fn`` in seconds.
 
     Convention: every measurement starts with one *untimed* warm-up call, so
-    one-time costs — numba JIT compilation of the compiled kernel tier, lazy
-    module imports, allocator warm-up — never land in the recorded best.
+    one-time costs — lazy module imports, allocator warm-up — never land in the recorded best.
     Benchmarks that want cold-start numbers must time it themselves.
     """
     fn()

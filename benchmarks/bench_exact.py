@@ -24,8 +24,7 @@ measures, on the synthetic cluster workload:
 Worst-case caveat recorded here on purpose: branch-and-bound stays
 exponential, and instances whose cap spread makes many orderings near-ties
 (for example one ``delta ~ 0`` task dominating the horizon) can fall back
-towards enumeration-like behaviour — ``dominance=True`` is the documented
-escape hatch for those.
+towards enumeration-like behaviour.
 """
 
 from __future__ import annotations

@@ -223,7 +223,7 @@ def run_recovery_benchmark(
                 journal_dir, fsync="off", snapshot_every=snapshot_every
             )
             try:
-                result = durability.recover(P=P, policy="wdeq", atol=1e-10, kernel="auto")
+                result = durability.recover(P=P, policy="wdeq", atol=1e-10)
             finally:
                 durability.close()
             assert result.last_seq == events

@@ -95,7 +95,7 @@ def measure(mode: str, trace: str, chunk_size: int) -> dict:
         "    from repro.scenarios.stream import _simulate_rows\n"
         "    instances, releases = load_trace(trace, 8.0)\n"
         "    batch = InstanceBatch.from_instances(instances)\n"
-        "    triples = _simulate_rows('WDEQ', 'numpy', 'float64', batch,\n"
+        "    triples = _simulate_rows('WDEQ', batch,\n"
         "                             {'releases': releases} if releases is not None else None)\n"
         "    total = batch.batch_size\n"
         "    per_policy = {'WDEQ': {'mean_ratio': float(np.mean([t[0] for t in triples]))}}\n"
@@ -203,7 +203,7 @@ def test_streamed_matches_inmemory(small_trace):
     instances, releases = load_trace(small_trace, 8.0)
     batch = InstanceBatch.from_instances(instances)
     triples = _simulate_rows(
-        "WDEQ", "numpy", "float64", batch,
+        "WDEQ", batch,
         {"releases": releases} if releases is not None else None,
     )
     assert total == batch.batch_size

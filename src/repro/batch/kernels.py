@@ -366,55 +366,20 @@ def lower_bound_batch(
     batch: PaddedBatch,
     method: str = "combined",
     num_fractions: int = 5,
-    backend: str = "batch",
-    ctx: "object | None" = None,
-    max_exact_tasks: "int | None" = None,
-    exact_method: str = "branch-and-bound",
 ) -> np.ndarray:
     """Per-row lower bounds on the optimal weighted completion time, shape ``(B,)``.
 
-    Two methods are available:
-
-    ``"combined"``
-        The closed-form Lemma 1 bound of
-        :func:`combined_lower_bound_batch` — cheap, valid at any size, and
-        what the empirical-ratio experiments use as the denominator.
-    ``"exact"`` (deprecated alias)
-        The exact optimum ``OPT(I)`` per row.  This spelling is deprecated:
-        exact optima now have one entry point, :func:`repro.lp.optimal`,
-        with ``method="branch-and-bound"`` / ``"enumerate"`` as the
-        vocabulary — call ``repro.lp.optimal(batch, ...).objectives``
-        instead.  The alias forwards there (``exact_method`` maps to
-        ``method``, ``max_exact_tasks`` to ``max_tasks``) and will be
-        removed after one release.
-
-    The exact optimum dominates the combined bound, so
-    ``repro.lp.optimal(batch).objectives >= lower_bound_batch(batch)`` up
-    to tolerance — asserted by the differential tests.
+    The only method is ``"combined"``: the closed-form Lemma 1 bound of
+    :func:`combined_lower_bound_batch` — cheap, valid at any size, and what
+    the empirical-ratio experiments use as the denominator.  Exact optima
+    have their own entry point, :func:`repro.lp.optimal`; they dominate
+    this bound, so ``repro.lp.optimal(batch).objectives >=
+    lower_bound_batch(batch)`` up to tolerance — asserted by the
+    differential tests.
     """
     if method == "combined":
         return combined_lower_bound_batch(batch, num_fractions=num_fractions)
-    if method == "exact":
-        import warnings
-
-        from repro.lp.batch import optimal
-
-        warnings.warn(
-            "lower_bound_batch(method='exact') is deprecated: call "
-            "repro.lp.optimal(batch, method=...).objectives instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return optimal(
-            batch,
-            method=exact_method,
-            backend=backend,  # type: ignore[arg-type]
-            ctx=ctx,  # type: ignore[arg-type]
-            max_tasks=max_exact_tasks,
-        ).objectives
-    raise InvalidInstanceError(
-        f"unknown lower-bound method {method!r}; expected 'combined' or 'exact'"
-    )
+    raise InvalidInstanceError(f"unknown lower-bound method {method!r}; expected 'combined'")
 
 
 def wdeq_ratio_batch(

@@ -46,7 +46,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.batch.compiled import DEFAULT_ATOLS, PRECISIONS, resolve_kernel
 from repro.batch.kernels import _wdeq_allocation_batch, combined_lower_bound_batch
 from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError, SimulationError
@@ -377,7 +376,6 @@ def advance_simulation_state(
     policy: BatchPolicy,
     until: "np.ndarray | float | None" = None,
     max_events: int | None = None,
-    kernel: str = "numpy",
 ) -> BatchSimulationState:
     """Advance every live row of ``state`` under ``policy``, in place.
 
@@ -398,15 +396,6 @@ def advance_simulation_state(
         Safety bound on the number of lockstep iterations *of this call*
         (each iteration is one event of every live row); default
         ``8 n_max + 16``, the scalar per-instance bound.
-    kernel:
-        Which tier runs the event loop, one of
-        :data:`repro.batch.compiled.KERNELS`.  ``compiled`` (or an ``auto``
-        that resolves to it) dispatches to the numba core of
-        :mod:`repro.batch.compiled.sim_loop` when the call is eligible —
-        no trace recording and one of the four built-in policies; anything
-        else silently uses the NumPy loop, which stays the reference
-        implementation.  The trajectories are identical either way (the
-        differential tests run both).
 
     Raises
     ------
@@ -435,14 +424,6 @@ def advance_simulation_state(
         horizon = np.full(B, np.inf)
     else:
         horizon = np.broadcast_to(np.asarray(until, dtype=float), (B,))
-
-    if resolve_kernel(kernel) == "compiled":
-        from repro.batch.compiled.sim_loop import advance_state_compiled
-
-        if advance_state_compiled(
-            state, policy, np.ascontiguousarray(horizon, dtype=float), max_events
-        ):
-            return state
 
     iterations = 0
     while True:
@@ -555,11 +536,9 @@ def simulate_batch(
     batch: InstanceBatch,
     policy: BatchPolicy,
     release_times: np.ndarray | None = None,
-    atol: float | None = None,
+    atol: float = 1e-10,
     max_events: int | None = None,
     record_trace: bool = False,
-    kernel: str = "numpy",
-    precision: str = "float64",
 ) -> BatchSimulationResult:
     """Run an online policy on every instance of the batch in lockstep.
 
@@ -577,10 +556,8 @@ def simulate_batch(
         Optional ``(B, n_max)`` release time per task (default: all zero,
         the setting of the paper).  Padding slots are ignored.
     atol:
-        Numerical tolerance for completion detection.  ``None`` (the
-        default) resolves per precision mode through
-        :data:`repro.batch.compiled.DEFAULT_ATOLS` — ``1e-10`` at float64,
-        matching the scalar engine's default.
+        Numerical tolerance for completion detection; the default matches
+        the scalar engine's.
     max_events:
         Safety bound on the number of lockstep iterations (each iteration is
         one event of every live row); default ``8 n_max + 16``, the scalar
@@ -590,15 +567,6 @@ def simulate_batch(
         :class:`~repro.simulation.events.SimulationTrace` identical to the
         scalar engine's (used by the equivalence tests; costs a Python loop
         over rows per iteration, so leave it off in benchmarks).
-    kernel:
-        The event-loop tier, forwarded to :func:`advance_simulation_state`
-        (``numpy``, ``compiled``, or ``auto``).
-    precision:
-        ``float64`` (conformance mode, the default) or ``float32``: the
-        throughput mode casts the batch's task arrays — and therefore the
-        whole per-event arithmetic — to ``float32`` and widens the default
-        completion tolerance accordingly.  Use it for throughput-bound
-        sweeps where ~7 significant digits of the completion times suffice.
 
     Raises
     ------
@@ -607,16 +575,10 @@ def simulate_batch(
         (an active task set makes no progress with no release pending), or
         the event bound is hit.
     """
-    if precision not in PRECISIONS:
-        raise ValueError(f"unknown precision {precision!r}; expected one of {PRECISIONS}")
-    if atol is None:
-        atol = DEFAULT_ATOLS[precision]
-    if precision == "float32":
-        batch = batch.astype(np.float32)
     state = init_simulation_state(
         batch, release_times=release_times, atol=atol, record_trace=record_trace
     )
-    advance_simulation_state(state, policy, until=None, max_events=max_events, kernel=kernel)
+    advance_simulation_state(state, policy, until=None, max_events=max_events)
     return state.result(policy.name)
 
 

@@ -195,15 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also dump the raw cProfile stats to PATH (for snakeviz etc.)",
     )
-    profile_parser.add_argument(
-        "--compare-kernels",
-        action="store_true",
-        help=(
-            "profile the target twice — once under --kernel numpy and once "
-            "under --kernel compiled — and print the two top-N tables side "
-            "by side (ignores --kernel)"
-        ),
-    )
     _add_execution_arguments(profile_parser)
 
     serve_parser = subparsers.add_parser(
@@ -426,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help=(
-            "fault injection: after this many completed jobs, die with os._exit "
-            "mid-job — no reply, no cleanup (0 disables)"
+            "fault injection: die with os._exit on the N-th job to arrive — "
+            "mid-job, no reply, no cleanup (0 disables)"
         ),
     )
     return parser
@@ -490,27 +481,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--kernel",
-        default="auto",
-        choices=("auto", "numpy", "compiled"),
-        help=(
-            "inner-loop tier for the batched kernels: 'auto' uses the numba-"
-            "compiled event loop / pivot driver when numba is installed and "
-            "the NumPy kernels otherwise; 'compiled' without numba warns once "
-            "and falls back (the resolved tier is part of the cache key)"
-        ),
-    )
-    parser.add_argument(
-        "--precision",
-        default="float64",
-        choices=("float64", "float32"),
-        help=(
-            "floating-point width of the batched kernels; float32 is the "
-            "throughput mode with correspondingly wider conformance "
-            "tolerances (also part of the cache key)"
-        ),
-    )
-    parser.add_argument(
         "--backend",
         default="auto",
         choices=("auto", "serial", "vectorized", "process-pool", "cluster"),
@@ -552,8 +522,6 @@ def context_from_args(args: argparse.Namespace) -> ExecutionContext:
         cache_dir=args.cache_dir,
         lp_backend=getattr(args, "lp_backend", "auto"),
         shm=getattr(args, "shm", False),
-        kernel=getattr(args, "kernel", "auto"),
-        precision=getattr(args, "precision", "float64"),
         backend=getattr(args, "backend", "auto"),
         hosts=getattr(args, "hosts", None),
         cell_timeout=getattr(args, "cell_timeout", 120.0),
@@ -645,8 +613,8 @@ def _run_profile(args: argparse.Namespace) -> int:
     target = args.target
     experiment_ids = set(EXPERIMENTS)
 
-    def _profile_once(ctx) -> cProfile.Profile:
-        profiler = cProfile.Profile()
+    profiler = cProfile.Profile()
+    with context_from_args(args) as ctx:
         if target in experiment_ids:
             spec = get_experiment(target)
             profiler.enable()
@@ -655,18 +623,10 @@ def _run_profile(args: argparse.Namespace) -> int:
         else:
             from repro.scenarios import SweepRunner
 
-            sweep_spec = _resolve_spec(target)
-            runner = SweepRunner(sweep_spec, ctx)
+            runner = SweepRunner(_resolve_spec(target), ctx)
             profiler.enable()
             runner.run()
             profiler.disable()
-        return profiler
-
-    if getattr(args, "compare_kernels", False):
-        return _profile_compare_kernels(args, _profile_once, pstats)
-
-    with context_from_args(args) as ctx:
-        profiler = _profile_once(ctx)
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort)
     print(f"profile of {target!r} (sorted by {args.sort}, top {args.top}):")
@@ -674,57 +634,6 @@ def _run_profile(args: argparse.Namespace) -> int:
     if args.profile_output:
         stats.dump_stats(args.profile_output)
         print(f"wrote raw profile stats to {args.profile_output}")
-    return 0
-
-
-def _profile_compare_kernels(args: argparse.Namespace, profile_once, pstats) -> int:
-    """``profile --compare-kernels``: numpy vs compiled, one merged table.
-
-    Runs the target once per kernel tier, then prints a single top-N table
-    keyed by function with the cumulative/total times of both runs side by
-    side, ranked by the larger cumulative time.  When numba is missing the
-    'compiled' column is the documented fallback (identical NumPy path), and
-    the header says so.
-    """
-    per_kernel: "dict[str, dict]" = {}
-    totals: "dict[str, float]" = {}
-    resolved: "dict[str, str]" = {}
-    for kernel in ("numpy", "compiled"):
-        args.kernel = kernel
-        with context_from_args(args) as ctx:
-            resolved[kernel] = ctx.resolved_kernel()
-            profiler = profile_once(ctx)
-        stats = pstats.Stats(profiler)
-        per_kernel[kernel] = dict(stats.stats)  # func -> (cc, nc, tt, ct, callers)
-        totals[kernel] = stats.total_tt
-
-    def _cum(table: dict, func) -> float:
-        entry = table.get(func)
-        return float(entry[3]) if entry is not None else 0.0
-
-    union = set(per_kernel["numpy"]) | set(per_kernel["compiled"])
-    ranked = sorted(
-        union,
-        key=lambda f: max(_cum(per_kernel["numpy"], f), _cum(per_kernel["compiled"], f)),
-        reverse=True,
-    )[: args.top]
-    rows = []
-    for func in ranked:
-        filename, lineno, name = func
-        where = name if filename == "~" else f"{os.path.basename(filename)}:{lineno}({name})"
-        rows.append(
-            [
-                where,
-                f"{_cum(per_kernel['numpy'], func):.4f}",
-                f"{_cum(per_kernel['compiled'], func):.4f}",
-            ]
-        )
-    note = "" if resolved["compiled"] == "compiled" else " [numba missing: compiled fell back to numpy]"
-    print(
-        f"profile of {args.target!r}: kernel comparison, top {args.top} by cumulative time{note}"
-    )
-    print(f"total time: numpy {totals['numpy']:.4f}s, compiled {totals['compiled']:.4f}s")
-    print(format_table(["function", "numpy cum (s)", "compiled cum (s)"], rows))
     return 0
 
 

@@ -152,27 +152,6 @@ class InstanceBatch:
             mask=mask,
         )
 
-    def astype(self, dtype: "np.dtype | type") -> "InstanceBatch":
-        """A copy of the batch with the numeric arrays cast to ``dtype``.
-
-        The ``float32`` throughput mode of the batched kernels
-        (``precision='float32'``) is implemented as a cast at the batch
-        boundary: every downstream ``(B, n_max)`` operation then runs in the
-        narrower dtype.  The mask and names are shared, not copied; a
-        no-op cast returns ``self``.
-        """
-        dtype = np.dtype(dtype)
-        if self.volumes.dtype == dtype:
-            return self
-        return InstanceBatch(
-            P=self.P.astype(dtype),
-            volumes=self.volumes.astype(dtype),
-            weights=self.weights.astype(dtype),
-            deltas=self.deltas.astype(dtype),
-            mask=self.mask,
-            names=self.names,
-        )
-
     def instance(self, b: int) -> Instance:
         """Rebuild the ``b``-th instance (names restored when recorded)."""
         n = int(self.mask[b].sum())

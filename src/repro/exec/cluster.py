@@ -502,9 +502,11 @@ class WorkerNode:
         before *every* job, simulating a straggler that blows the
         coordinator's per-cell timeout.
     chaos_die_after:
-        Fault injection: after this many completed jobs, the *next* job
-        kills the process with ``os._exit`` mid-cell — no reply, no
-        cleanup, exactly like ``kill -9``.  Only meaningful for worker
+        Fault injection: the N-th job to *arrive* kills the process with
+        ``os._exit`` mid-cell — no reply, no cleanup, exactly like
+        ``kill -9``.  Counting arrivals rather than completions makes the
+        death deterministic: ``1`` dies on the first job of the node's own
+        shard, before any sibling can steal it.  Only meaningful for worker
         subprocesses (an in-process node would take the test down with it).
     """
 
@@ -522,6 +524,7 @@ class WorkerNode:
         self.chaos_delay = float(chaos_delay)
         self.chaos_die_after = int(chaos_die_after)
         self.completed = 0
+        self.received = 0
         self._inflight = 0
         self._listener: "socket.socket | None" = None
         self._accept_thread: "threading.Thread | None" = None
@@ -647,7 +650,10 @@ class WorkerNode:
 
     def _chaos_gate(self) -> None:
         """Fault-injection hooks, applied before every job (see class docs)."""
-        if self.chaos_die_after and self.completed >= self.chaos_die_after:
+        with self._lock:  # jobs arrive on several connection threads
+            self.received += 1
+            received = self.received
+        if self.chaos_die_after and received >= self.chaos_die_after:
             os._exit(17)  # simulate kill -9 mid-cell: no reply, no cleanup
         if self.chaos_delay > 0:
             time.sleep(self.chaos_delay)
@@ -700,15 +706,9 @@ class WorkerNode:
         )
 
     def _run_cell(self, message: RunCell) -> CellDone:
-        from repro.batch.compiled import resolve_kernel
         from repro.scenarios.runner import run_cell
 
-        payload = dict(message.payload)
-        # Nodes resolve the kernel tier against their *own* environment: a
-        # coordinator with numba must not make a numba-free node crash (the
-        # tiers are differentially identical at float64).
-        payload["kernel"] = resolve_kernel(str(payload.get("kernel", "auto")))
-        records = run_cell(payload)
+        records = run_cell(dict(message.payload))
         return CellDone(job_id=message.job_id, records=tuple(records))
 
     def _run_task(self, message: RunTask) -> TaskDone:

@@ -50,10 +50,9 @@ from typing import Any, Callable, Iterable, Mapping
 import numpy as np
 
 from repro.batch.cache import ResultCache, cache_key
-from repro.batch.compiled import KERNELS, PRECISIONS, resolve_kernel
 from repro.batch.runner import BatchRunner
 
-__all__ = ["BACKENDS", "LP_BACKENDS", "KERNELS", "PRECISIONS", "ExecutionContext"]
+__all__ = ["BACKENDS", "LP_BACKENDS", "ExecutionContext"]
 
 #: The recognised execution backends.
 BACKENDS = ("serial", "vectorized", "process-pool", "cluster")
@@ -119,19 +118,6 @@ class ExecutionContext:
         neither switching ``--lp-backend`` nor an ``auto`` that resolves
         differently across backends can return results computed by another
         solver.
-    kernel:
-        Which tier runs the hot numeric loops, one of
-        :data:`repro.batch.compiled.KERNELS`.  The default ``"auto"``
-        resolves to the numba-compiled kernels of
-        :mod:`repro.batch.compiled` when numba is importable and to the
-        NumPy kernels otherwise; ``"compiled"`` pins the compiled tier
-        (falling back to NumPy with a one-time warning when numba is
-        missing).  Like the LP backend, the *resolved* kernel is part of
-        every :meth:`cached` key.
-    precision:
-        ``"float64"`` (default) or ``"float32"`` — the float32 throughput
-        mode of the batched simulation and LP kernels, with widened
-        numerical tolerances.  Also part of every :meth:`cached` key.
     hosts:
         Worker addresses for the ``cluster`` backend:
         ``"host:port,host:port"`` or a sequence of ``host:port`` strings.
@@ -166,8 +152,6 @@ class ExecutionContext:
     cache: ResultCache | None = None
     lp_backend: str = "auto"
     shm: bool = False
-    kernel: str = "auto"
-    precision: str = "float64"
     hosts: Any = ()
     cell_timeout: float = 120.0
     cluster_retries: int = 2
@@ -183,14 +167,6 @@ class ExecutionContext:
         if self.lp_backend not in LP_BACKENDS:
             raise ValueError(
                 f"unknown LP backend {self.lp_backend!r}; expected one of {LP_BACKENDS}"
-            )
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
-            )
-        if self.precision not in PRECISIONS:
-            raise ValueError(
-                f"unknown precision {self.precision!r}; expected one of {PRECISIONS}"
             )
         if self.workers < 0:
             raise ValueError(f"workers must be non-negative, got {self.workers}")
@@ -225,8 +201,6 @@ class ExecutionContext:
         cache_dir: str | os.PathLike | None = None,
         lp_backend: str = "auto",
         shm: bool = False,
-        kernel: str = "auto",
-        precision: str = "float64",
         backend: str = "auto",
         hosts: "str | Iterable[str] | None" = None,
         cell_timeout: float = 120.0,
@@ -245,9 +219,7 @@ class ExecutionContext:
         ``<cache_dir>/results-cache.json`` (created on demand, reloaded on
         the next invocation, saved by :meth:`close`); ``--lp-backend``
         selects the LP solver (see :data:`LP_BACKENDS`); ``--shm`` switches
-        the pool's batch maps onto the shared-memory transport;
-        ``--kernel`` / ``--precision`` select the numeric tier of the hot
-        loops (see :data:`KERNELS` and :data:`PRECISIONS`).
+        the pool's batch maps onto the shared-memory transport.
         """
         if backend and backend != "auto":
             if backend not in BACKENDS:
@@ -275,8 +247,6 @@ class ExecutionContext:
             cache=cache,
             lp_backend=lp_backend,
             shm=shm,
-            kernel=kernel,
-            precision=precision,
             hosts=hosts or (),
             cell_timeout=cell_timeout,
             cluster_retries=cluster_retries,
@@ -319,16 +289,6 @@ class ExecutionContext:
             return "batch" if self.vectorized else "scipy"
         return self.lp_backend
 
-    def resolved_kernel(self) -> str:
-        """The concrete kernel tier this context selects.
-
-        ``"compiled"`` when the selection is ``"compiled"`` or an ``"auto"``
-        with numba importable, else ``"numpy"`` (an unavailable explicit
-        ``"compiled"`` degrades with a one-time warning — see
-        :func:`repro.batch.compiled.resolve_kernel`).
-        """
-        return resolve_kernel(self.kernel)
-
     def ordered_relaxation(
         self,
         batch,
@@ -353,8 +313,6 @@ class ExecutionContext:
             backend=self.resolved_lp_backend(),  # type: ignore[arg-type]
             ctx=self,
             build_schedules=build_schedules,
-            kernel=self.resolved_kernel(),
-            precision=self.precision,
         )
 
     # ------------------------------------------------------------------ #
@@ -535,27 +493,24 @@ class ExecutionContext:
     def cached(
         self, name: str, params: Mapping[str, Any], compute: Callable[[], Any]
     ) -> Any:
-        """Memoize ``compute()`` under ``(name, seed, solver/kernel tier, params)``.
+        """Memoize ``compute()`` under ``(name, seed, LP solver, params)``.
 
         Without a cache this simply calls ``compute()``.  ``params`` must be
         JSON-canonicalisable (see :func:`repro.batch.cache.cache_key`); the
-        context adds its own seed, *resolved* LP solver, *resolved* kernel
-        tier and precision to the key — results computed by one numeric
-        tier must never be served to a run using another from a shared
-        ``--cache-dir``.  Keying on the resolved values (not the raw
-        selections) also separates ``auto`` contexts that resolve
-        differently (a vectorized ``auto`` uses the lockstep LP kernel, an
-        ``auto`` kernel resolves per numba availability); the context's
-        values are merged last so caller-supplied ``params`` entries cannot
-        shadow them (regression-tested in ``tests/test_exec.py``).
+        context adds its own seed and *resolved* LP solver to the key —
+        results computed by one solver must never be served to a run using
+        another from a shared ``--cache-dir``.  Keying on the resolved value
+        (not the raw selection) also separates ``auto`` contexts that
+        resolve differently (a vectorized ``auto`` uses the lockstep LP
+        kernel); the context's values are merged last so caller-supplied
+        ``params`` entries cannot shadow them (regression-tested in
+        ``tests/test_exec.py``).
         """
         if self.cache is None:
             return compute()
         key_params = {
             **dict(params),
             "lp_backend": self.resolved_lp_backend(),
-            "kernel": self.resolved_kernel(),
-            "precision": self.precision,
         }
         return self.cache.get_or_compute(cache_key(name, self.seed, key_params), compute)
 

@@ -24,9 +24,7 @@ This subpackage provides
 
 Exact optima have a single entry point, :func:`repro.lp.optimal`, with
 ``method`` drawn from :data:`repro.lp.OPTIMAL_METHODS`
-(``"branch-and-bound"`` or ``"enumerate"``).  The historical
-``optimal_values_batch`` and ``lower_bound_batch(method='exact')`` spellings
-remain as thin deprecated aliases.
+(``"branch-and-bound"`` or ``"enumerate"``).
 """
 
 from repro.lp.batch import (
@@ -36,7 +34,6 @@ from repro.lp.batch import (
     BatchedOrderedSolution,
     build_ordered_lp_batch,
     optimal,
-    optimal_values_batch,
     smith_orders_batch,
     solve_ordered_relaxation_batch,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "solve_ordered_relaxation_batch",
     "optimal",
     "OPTIMAL_METHODS",
-    "optimal_values_batch",
     "smith_orders_batch",
     "ExactSearchStats",
     "branch_and_bound_optimal_batch",

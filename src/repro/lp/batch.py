@@ -69,7 +69,6 @@ __all__ = [
     "build_ordered_lp_batch",
     "solve_ordered_relaxation_batch",
     "optimal",
-    "optimal_values_batch",
     "OPTIMAL_METHODS",
 ]
 
@@ -80,7 +79,7 @@ BatchBackend = Literal["batch", "scipy", "simplex"]
 BATCH_BACKENDS = ("batch", "scipy", "simplex")
 
 #: Chunk size (LPs per lockstep solve) of the ordering enumeration in
-#: :func:`optimal_values_batch`; bounds tableau memory to a few tens of MB.
+#: :func:`optimal`; bounds tableau memory to a few tens of MB.
 _ENUMERATION_CHUNK = 1024
 
 
@@ -403,8 +402,6 @@ def solve_ordered_relaxation_batch(
     backend: BatchBackend = "batch",
     ctx: "ExecutionContext | None" = None,
     build_schedules: bool = False,
-    kernel: str = "numpy",
-    precision: str = "float64",
 ) -> BatchedOrderedSolution:
     """Solve the Corollary 1 LP of every row of ``batch`` under ``orders``.
 
@@ -427,10 +424,6 @@ def solve_ordered_relaxation_batch(
     build_schedules:
         Materialise the rate tensors so :meth:`BatchedOrderedSolution.schedules`
         works (slightly more work on the scalar dispatch path).
-    kernel, precision:
-        Forwarded to :func:`repro.lp.simplex.solve_linear_program_batch` on
-        the ``"batch"`` backend (the compiled pivot tier and the float32
-        throughput mode); ignored by the scalar dispatch backends.
 
     Raises
     ------
@@ -445,9 +438,7 @@ def solve_ordered_relaxation_batch(
 
     if backend == "batch":
         lp = build_ordered_lp_batch(batch, orders)
-        result = solve_linear_program_batch(
-            lp.c, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq, kernel=kernel, precision=precision
-        )
+        result = solve_linear_program_batch(lp.c, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq)
         if not result.all_optimal:
             bad = int(np.nonzero(result.statuses != "optimal")[0][0])
             raise SolverError(
@@ -558,10 +549,8 @@ def optimal(
 ) -> BatchedOptimalResult:
     """Exact ``OPT(I)`` for every row of a batch — the one entry point.
 
-    This dispatcher unifies the historical pair of exact-OPT spellings
-    (``optimal_values_batch(...)`` and ``lower_bound_batch(method='exact')``,
-    both now thin deprecated aliases) behind one consistent ``method=``
-    vocabulary (:data:`OPTIMAL_METHODS`):
+    One ``method=`` vocabulary (:data:`OPTIMAL_METHODS`) selects the
+    search:
 
     ``"branch-and-bound"`` (default)
         The subset-memoized prefix search of
@@ -645,37 +634,4 @@ def optimal(
             best_orders[sub[improved]] = winners[improved]
     return BatchedOptimalResult(
         objectives=best, orders=best_orders, orderings_evaluated=evaluated
-    )
-
-
-def optimal_values_batch(
-    batch: InstanceBatch,
-    backend: BatchBackend = "batch",
-    ctx: "ExecutionContext | None" = None,
-    max_tasks: "int | None" = None,
-    chunk_size: int = _ENUMERATION_CHUNK,
-    method: str = "branch-and-bound",
-) -> BatchedOptimalResult:
-    """Deprecated alias of :func:`optimal` (parameter order differs).
-
-    .. deprecated::
-        Call :func:`repro.lp.optimal` instead — same semantics, with
-        ``method`` promoted to the second parameter so the exact-OPT entry
-        points share one vocabulary.
-    """
-    import warnings
-
-    warnings.warn(
-        "optimal_values_batch is deprecated: call repro.lp.optimal(batch, "
-        "method=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return optimal(
-        batch,
-        method=method,
-        backend=backend,
-        ctx=ctx,
-        max_tasks=max_tasks,
-        chunk_size=chunk_size,
     )

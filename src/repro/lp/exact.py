@@ -34,21 +34,17 @@ orders of magnitude (a few hundred LPs instead of 3.6M at ``n = 10``) and
 raises the practical exact ceiling from ``n = 7`` to ``n ~ 12-14`` on
 realistic workloads.  Worst-case behaviour is still exponential: instances
 whose cap spread makes many orderings near-ties (for example one task with
-``delta ~ 0`` dominating the horizon) can leave large leaf bands.  The
-``dominance=True`` mode collapses those too, at the documented cost of
-exactness.
+``delta ~ 0`` dominating the horizon) can leave large leaf bands.
 
-Dominance
----------
+No dominance
+------------
 The intuitive rule "same subset, keep only the best value" is **not sound**
 for this LP: tasks completing later may reuse leftover capacity inside the
 earlier columns, so the ordering with the worse partial value can still
 lead to a strictly better completion (randomised search over 5-task
-instances finds violating pairs at the ~5% rate).  Value dominance is
-therefore an explicit opt-in (``dominance=True``) that turns the engine
-into a fast *heuristic upper bound*; the default search prunes only with
-the sound bounds above and is exact by construction — property-tested
-against full enumeration in ``tests/test_exact.py``.
+instances finds violating pairs at the ~5% rate).  The search therefore
+prunes only with the sound bounds above and is exact by construction —
+property-tested against full enumeration in ``tests/test_exact.py``.
 
 Examples
 --------
@@ -133,7 +129,7 @@ def permutation_table(n: int) -> np.ndarray:
     """All permutations of ``0 .. n-1`` as a read-only ``(n!, n)`` array.
 
     Shared by the enumeration fallback of
-    :func:`repro.lp.batch.optimal_values_batch` and the vectorized ordering
+    :func:`repro.lp.batch.optimal` and the vectorized ordering
     analysis of :mod:`repro.analysis.orderings`.  Small tables
     (``n <= 8``) are cached because the experiments re-enumerate the same
     sizes thousands of times; larger ones are built fresh per call so a
@@ -161,8 +157,6 @@ class ExactSearchStats:
         Tail nodes whose children were generated.
     pruned:
         Children discarded by the closed-form bound.
-    pruned_dominated:
-        Children discarded by the opt-in (non-exact) value-dominance rule.
     frontier_peak:
         Largest number of simultaneously live tails at any depth.
     incumbent_updates:
@@ -175,7 +169,6 @@ class ExactSearchStats:
     lps_solved: int = 0
     nodes_expanded: int = 0
     pruned: int = 0
-    pruned_dominated: int = 0
     frontier_peak: int = 0
     incumbent_updates: int = 0
     floors_certified: int = 0
@@ -185,7 +178,6 @@ class ExactSearchStats:
         self.lps_solved += other.lps_solved
         self.nodes_expanded += other.nodes_expanded
         self.pruned += other.pruned
-        self.pruned_dominated += other.pruned_dominated
         self.frontier_peak = max(self.frontier_peak, other.frontier_peak)
         self.incumbent_updates += other.incumbent_updates
         self.floors_certified += other.floors_certified
@@ -555,7 +547,6 @@ def _search_group(
     backend: str,
     ctx: "ExecutionContext | None",
     chunk_size: int,
-    dominance: bool,
 ) -> "tuple[np.ndarray, np.ndarray, ExactSearchStats]":
     """Branch-and-bound over all rows of one equal-task-count group.
 
@@ -723,20 +714,6 @@ def _search_group(
         if child_rows.size == 0:
             break
 
-        if dominance and child_rows.size:
-            # Opt-in heuristic: keep only the best-bound tail per
-            # (row, subset).  NOT exact — see the module docstring.
-            key = (child_rows.astype(np.int64) << n) | child_masks
-            ranking = np.lexsort((bound, key))
-            key_sorted = key[ranking]
-            first = np.ones(ranking.size, dtype=bool)
-            first[1:] = key_sorted[1:] != key_sorted[:-1]
-            winners = np.sort(ranking[first])
-            stats.pruned_dominated += int(child_rows.size - winners.size)
-            child_rows, child_masks, child_tails = (
-                child_rows[winners], child_masks[winners], child_tails[winners],
-            )
-
         frontier_rows, frontier_masks, frontier_tails = child_rows, child_masks, child_tails
 
     return incumbent, incumbent_order, stats
@@ -748,13 +725,12 @@ def branch_and_bound_optimal_batch(
     ctx: "ExecutionContext | None" = None,
     max_tasks: int = MAX_BRANCH_AND_BOUND_TASKS,
     chunk_size: int = _LP_CHUNK,
-    dominance: bool = False,
 ) -> "Any":
     """Exact ``OPT(I)`` for every row of ``batch`` by branch-and-bound.
 
-    The drop-in replacement for the ``n!`` enumeration of
-    :func:`repro.lp.batch.optimal_values_batch` (which now dispatches here
-    by default): identical objectives — property-tested for every ``n <= 7``
+    The default of :func:`repro.lp.batch.optimal` and the drop-in
+    replacement for its ``n!`` enumeration (``method="enumerate"``):
+    identical objectives — property-tested for every ``n <= 7``
     batch Hypothesis finds — at a small fraction of the LP count, raising
     the practical exact ceiling from ``n = 7`` to ``n ~ 14``.
 
@@ -775,9 +751,6 @@ def branch_and_bound_optimal_batch(
         :data:`MAX_BRANCH_AND_BOUND_TASKS`).
     chunk_size:
         Prefix LPs per lockstep solve (memory bound).
-    dominance:
-        Opt in to (non-exact) subset value dominance; the result is then an
-        upper bound on the optimum that matches it on typical instances.
 
     Returns
     -------
@@ -811,7 +784,6 @@ def branch_and_bound_optimal_batch(
             backend,
             ctx,
             chunk_size,
-            dominance,
         )
         stats.merge(group_stats)
         objectives[rows] = group_values

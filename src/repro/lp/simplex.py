@@ -37,20 +37,8 @@ __all__ = [
 ]
 
 _EPS = 1e-9
-
-#: Tolerances of the ``float32`` throughput mode of the batched solver:
-#: float32 resolves ~7 significant digits, so the float64 pivot threshold,
-#: ratio-test tie tolerance and phase-1 infeasibility threshold are pure
-#: noise there and are widened accordingly.  The pivot threshold needs the
-#: extra headroom (1e-3, not ~1e-4): after a few dozen pivots the
-#: accumulated rounding in a float32 tableau can push a truly nonnegative
-#: reduced cost past 1e-4, which phase 1 then misreads as an entering
-#: column with no positive pivot — a spurious "unbounded".
-_EPS32 = 1e-3
 _TIE_TOL = 1e-12
-_TIE_TOL32 = 1e-5
 _INFEAS_TOL = 1e-7
-_INFEAS_TOL32 = 1e-3
 
 #: The incrementally-updated reduced costs of the batched solver are
 #: recomputed from scratch every this-many lockstep pivots (and always before
@@ -268,9 +256,6 @@ def _simplex_core_batch(
     statuses: np.ndarray,
     iterations: np.ndarray,
     max_iterations: int,
-    kernel: str = "numpy",
-    eps: float = _EPS,
-    tie_tol: float = _TIE_TOL,
 ) -> None:
     """Run lockstep Bland pivots on a compacted ``(k, m, v)`` tableau batch.
 
@@ -284,37 +269,7 @@ def _simplex_core_batch(
     problem is declared optimal, so termination decisions always use exact
     values.  Entering/leaving selection is Bland's rule, identical to the
     scalar :func:`_simplex_core`.
-
-    ``kernel='compiled'`` hands the whole drive-to-termination to the numba
-    core of :mod:`repro.batch.compiled.lp_pivot` instead (exact reduced
-    costs every pivot, problems driven independently — same rule, same
-    tolerances, no per-iteration Python); ``eps``/``tie_tol`` widen the
-    pivot and ratio-tie thresholds in the ``float32`` mode.
     """
-    if kernel == "compiled" and T.shape[0]:
-        from repro.batch.compiled import lp_pivot
-
-        status_codes = np.zeros(T.shape[0], dtype=np.int64)
-        pivot_counts = np.zeros(T.shape[0], dtype=np.int64)
-        blocked_arr = (
-            np.zeros(T.shape[2], dtype=bool) if blocked is None else np.ascontiguousarray(blocked)
-        )
-        bad = lp_pivot.pivot_all(
-            T, b, basis, cost, blocked_arr, status_codes, pivot_counts,
-            max_iterations, eps, tie_tol,
-        )
-        if bad >= 0:
-            raise SolverError(f"batched simplex exceeded {max_iterations} pivots")
-        labels = np.empty(status_codes.size, dtype=object)
-        labels[:] = "optimal"
-        labels[status_codes == lp_pivot.STATUS_UNBOUNDED] = "unbounded"
-        statuses[orig] = labels
-        out_T[orig] = T
-        out_b[orig] = b
-        out_basis[orig] = basis
-        iterations[orig] += pivot_counts
-        return
-
     m = T.shape[1]
     lockstep = 0
     reduced = _exact_reduced_costs(cost, T, basis)
@@ -324,7 +279,7 @@ def _simplex_core_batch(
             raise SolverError(f"batched simplex exceeded {max_iterations} pivots")
         if lockstep % _REFRESH_EVERY == 0:
             reduced = _exact_reduced_costs(cost, T, basis)
-        cand = reduced < -eps
+        cand = reduced < -_EPS
         if blocked is not None:
             cand &= ~blocked
         maybe_done = np.nonzero(~cand.any(axis=1))[0]
@@ -333,7 +288,7 @@ def _simplex_core_batch(
             # incremental values may drift slightly below the pivot threshold).
             exact = _exact_reduced_costs(cost[maybe_done], T[maybe_done], basis[maybe_done])
             reduced[maybe_done] = exact
-            exact_cand = exact < -eps
+            exact_cand = exact < -_EPS
             if blocked is not None:
                 exact_cand &= ~blocked
             done = maybe_done[~exact_cand.any(axis=1)]
@@ -354,7 +309,7 @@ def _simplex_core_batch(
         ar = np.arange(k)
         enter = np.argmax(cand, axis=1)  # Bland: smallest candidate index.
         col = T[ar, :, enter]
-        positive = col > eps
+        positive = col > _EPS
         unbounded = ~positive.any(axis=1)
         if unbounded.any():
             ui = np.nonzero(unbounded)[0]
@@ -375,7 +330,7 @@ def _simplex_core_batch(
         best = ratios.min(axis=1)
         # Bland's rule for the leaving variable: among rows attaining the
         # minimum ratio, the one whose basic variable has smallest index.
-        tie = np.abs(ratios - best[:, None]) <= tie_tol
+        tie = np.abs(ratios - best[:, None]) <= _TIE_TOL
         leave = np.argmin(np.where(tie, basis, np.iinfo(np.int64).max), axis=1)
         pivot_val = col[ar, leave]
         pivot_row = T[ar, leave, :] / pivot_val[:, None]
@@ -398,8 +353,6 @@ def solve_linear_program_batch(
     A_eq: np.ndarray | None = None,
     b_eq: np.ndarray | None = None,
     max_iterations: int = 50_000,
-    kernel: str = "numpy",
-    precision: str = "float64",
 ) -> BatchLinearProgramResult:
     """Solve ``B`` independent LPs ``min c x, A_ub x <= b_ub, A_eq x = b_eq, x >= 0`` in lockstep.
 
@@ -413,40 +366,23 @@ def solve_linear_program_batch(
     the per-problem results match ``solve_linear_program`` up to floating-
     point noise (property-tested in ``tests/test_lp_batch.py``).
 
-    ``kernel`` selects the pivot tier (one of
-    :data:`repro.batch.compiled.KERNELS`): ``compiled`` — or an ``auto``
-    resolving to it — drives the pivots through the numba core of
-    :mod:`repro.batch.compiled.lp_pivot` with identical selection rules and
-    tolerances; ``precision='float32'`` builds the tableaux in float32 and
-    widens the pivot/tie/infeasibility tolerances (the throughput mode —
-    results then match the float64 solve only to ~1e-3 relative).
-
     Infeasible and unbounded problems are reported per problem through
     :attr:`BatchLinearProgramResult.statuses`; like the scalar solver, only
     hitting the pivot limit raises :class:`~repro.core.exceptions.SolverError`.
     """
-    from repro.batch.compiled import PRECISIONS, resolve_kernel
-
-    kernel = resolve_kernel(kernel)
-    if precision not in PRECISIONS:
-        raise SolverError(f"unknown precision {precision!r}; expected one of {PRECISIONS}")
-    dtype = np.float32 if precision == "float32" else np.float64
-    eps = _EPS32 if precision == "float32" else _EPS
-    tie_tol = _TIE_TOL32 if precision == "float32" else _TIE_TOL
-    infeas_tol = _INFEAS_TOL32 if precision == "float32" else _INFEAS_TOL
     if A_ub is None and A_eq is None:
         raise SolverError("a batched solve needs at least one constraint block")
     probe = A_ub if A_ub is not None else A_eq
     B = np.asarray(probe).shape[0]
-    c = np.asarray(c, dtype=dtype)
+    c = np.asarray(c, dtype=float)
     if c.ndim == 1:
         c = np.broadcast_to(c, (B, c.size))
-    c = np.ascontiguousarray(c, dtype=dtype)
+    c = np.ascontiguousarray(c, dtype=float)
     nvar = c.shape[1]
-    A_ub = np.zeros((B, 0, nvar), dtype=dtype) if A_ub is None else np.asarray(A_ub, dtype=dtype)
-    b_ub = np.zeros((B, 0), dtype=dtype) if b_ub is None else np.asarray(b_ub, dtype=dtype)
-    A_eq = np.zeros((B, 0, nvar), dtype=dtype) if A_eq is None else np.asarray(A_eq, dtype=dtype)
-    b_eq = np.zeros((B, 0), dtype=dtype) if b_eq is None else np.asarray(b_eq, dtype=dtype)
+    A_ub = np.zeros((B, 0, nvar)) if A_ub is None else np.asarray(A_ub, dtype=float)
+    b_ub = np.zeros((B, 0)) if b_ub is None else np.asarray(b_ub, dtype=float)
+    A_eq = np.zeros((B, 0, nvar)) if A_eq is None else np.asarray(A_eq, dtype=float)
+    b_eq = np.zeros((B, 0)) if b_eq is None else np.asarray(b_eq, dtype=float)
     if A_ub.shape[2] != nvar or A_eq.shape[2] != nvar:
         raise SolverError("constraint tensors do not match the number of variables")
     if A_ub.shape[:2] != b_ub.shape or A_eq.shape[:2] != b_eq.shape:
@@ -477,7 +413,7 @@ def solve_linear_program_batch(
     art_lo = nvar + m_ub
     total = nvar + m_ub + num_art
 
-    T = np.zeros((B, m, total), dtype=dtype)
+    T = np.zeros((B, m, total))
     T[:, :m_ub, :nvar] = A_ub
     T[:, m_ub:, :nvar] = A_eq
     slack_sign = np.where(ub_flip, -1.0, 1.0)
@@ -499,28 +435,27 @@ def solve_linear_program_batch(
     iterations = np.zeros(B, dtype=np.int64)
 
     if num_art:
-        phase1_c = np.zeros((B, total), dtype=dtype)
+        phase1_c = np.zeros((B, total))
         phase1_c[:, art_lo:] = 1.0
         orig = np.arange(B)
         work = (T.copy(), bvec.copy(), basis.copy())
         _simplex_core_batch(
-            *work, phase1_c, None, orig, T, bvec, basis, statuses, iterations, max_iterations,
-            kernel=kernel, eps=eps, tie_tol=tie_tol,
+            *work, phase1_c, None, orig, T, bvec, basis, statuses, iterations, max_iterations
         )
         if not np.all(statuses == "optimal"):  # pragma: no cover - phase 1 is always bounded
             raise SolverError("phase-1 batched simplex failed")
         cb = np.take_along_axis(phase1_c, basis, axis=1)
         phase1_obj = np.einsum("bm,bm->b", cb, bvec)
-        infeasible = phase1_obj > infeas_tol * np.maximum(1.0, np.abs(bvec).max(axis=1, initial=1.0))
+        infeasible = phase1_obj > _INFEAS_TOL * np.maximum(1.0, np.abs(bvec).max(axis=1, initial=1.0))
         statuses[infeasible] = "infeasible"
         # Drive remaining basic artificials out (or neutralise their redundant
         # rows) problem by problem — rare, so the scalar loop is fine.
         art_in_basis = basis >= art_lo
         for p in np.nonzero(art_in_basis.any(axis=1) & ~infeasible)[0]:
             for r in np.nonzero(art_in_basis[p])[0]:
-                if bvec[p, r] > eps:  # pragma: no cover - contradicts phase-1 optimality
+                if bvec[p, r] > _EPS:  # pragma: no cover - contradicts phase-1 optimality
                     continue
-                nonzero = np.nonzero(np.abs(T[p, r, :art_lo]) > eps)[0]
+                nonzero = np.nonzero(np.abs(T[p, r, :art_lo]) > _EPS)[0]
                 if nonzero.size == 0:
                     continue
                 j = int(nonzero[0])
@@ -534,7 +469,7 @@ def solve_linear_program_batch(
                 bvec[p, others] -= factors * bvec[p, r]
                 basis[p, r] = j
 
-    phase2_c = np.zeros((B, total), dtype=dtype)
+    phase2_c = np.zeros((B, total))
     phase2_c[:, :nvar] = c
     blocked = np.zeros(total, dtype=bool)
     blocked[art_lo:] = True
@@ -553,14 +488,11 @@ def solve_linear_program_batch(
             statuses,
             iterations,
             max_iterations,
-            kernel=kernel,
-            eps=eps,
-            tie_tol=tie_tol,
         )
         if np.any(statuses == "running"):  # pragma: no cover - core always resolves
             raise SolverError("phase-2 batched simplex failed")
 
-    x_full = np.zeros((B, total), dtype=dtype)
+    x_full = np.zeros((B, total))
     np.put_along_axis(x_full, basis, bvec, axis=1)
     x = x_full[:, :nvar]
     objectives = np.einsum("bv,bv->b", c, x)

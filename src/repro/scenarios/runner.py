@@ -60,23 +60,14 @@ def _policies_cell(
     spec: ScenarioSpec,
     cell: ScenarioCell,
     backend: str,
-    kernel: str = "numpy",
-    precision: str = "float64",
 ) -> list[dict[str, Any]]:
-    """Evaluate one ``policies`` cell; identical inputs on every backend.
-
-    ``kernel`` and ``precision`` select the tier of the vectorized engine
-    (:func:`repro.batch.sim_kernels.simulate_batch`); the scalar backend
-    ignores both.
-    """
+    """Evaluate one ``policies`` cell; identical inputs on every backend."""
     from repro.core.batch import InstanceBatch
     from repro.scenarios.families import build_cell_workload
 
     gen_kwargs, count, arrival, weight = split_cell_params(spec, cell)
     if spec.generator == "trace_replay" and int(gen_kwargs.get("chunk_size") or 0) > 0:
-        return _streamed_trace_cell(
-            spec, cell, gen_kwargs, count, arrival, weight, kernel, precision
-        )
+        return _streamed_trace_cell(spec, cell, gen_kwargs, count, arrival, weight)
     instances, releases = build_cell_workload(
         spec.generator, gen_kwargs, count, arrival, weight, cell.seed
     )
@@ -93,9 +84,7 @@ def _policies_cell(
         bounds = combined_lower_bound_batch(batch)
         safe = np.where(bounds > 0, bounds, 1.0)
         for policy in policies:
-            result = simulate_batch(
-                batch, policy, release_times=releases, kernel=kernel, precision=precision
-            )
+            result = simulate_batch(batch, policy, release_times=releases)
             objectives = result.weighted_completion_times()
             ratios = np.where(bounds > 0, objectives / safe, 1.0)
             per_policy[policy.name] = {
@@ -146,8 +135,6 @@ def _streamed_trace_cell(
     count: int,
     arrival: Mapping[str, Any],
     weight: Mapping[str, Any],
-    kernel: str,
-    precision: str,
 ) -> list[dict[str, Any]]:
     """Evaluate a ``trace_replay`` cell without materialising the trace.
 
@@ -181,8 +168,6 @@ def _streamed_trace_cell(
         weight=weight or None,
         arrival=arrival or None,
         seed=cell.seed,
-        kernel=kernel,
-        precision=precision,
     )
     return [
         _record(spec, cell, label, total, metrics)
@@ -332,14 +317,6 @@ def run_cell(payload: Mapping[str, Any]) -> list[dict[str, Any]]:
         seed=cell_data["seed"],
     )
     backend = payload.get("backend", "serial")
-    if spec.pipeline == "policies":
-        return _policies_cell(
-            spec,
-            cell,
-            backend,
-            kernel=payload.get("kernel", "numpy"),
-            precision=payload.get("precision", "float64"),
-        )
     return _PIPELINES[spec.pipeline](spec, cell, backend)
 
 
@@ -426,10 +403,6 @@ class SweepRunner:
                     "seed": cell.seed,
                 },
                 "backend": backend,
-                # Resolved here (not in the worker) so pool workers never
-                # re-run the numba availability probe.
-                "kernel": self.ctx.resolved_kernel(),
-                "precision": self.ctx.precision,
             }
             for cell in self.cells()
         ]
@@ -447,12 +420,11 @@ class SweepRunner:
         """The ``ResultCache`` key of every cell, in payload order.
 
         The keys are **backend-invariant**: they cover the spec, the cell,
-        and the numeric tier (resolved LP solver, kernel, precision) — but
-        never *where* the cell ran.  A cache populated by a cluster sweep is
-        served verbatim by a serial or vectorized rerun and vice versa
-        (differential-tested in ``tests/test_cluster.py``); the numeric-tier
-        entries keep the PR-4/PR-7 hygiene: cells computed under one solver
-        or precision are never served to another.
+        and the resolved LP solver — but never *where* the cell ran.  A
+        cache populated by a cluster sweep is served verbatim by a serial or
+        vectorized rerun and vice versa (differential-tested in
+        ``tests/test_cluster.py``); cells computed under one LP solver are
+        never served to another.
         """
         from repro.batch.cache import cache_key
 
@@ -466,8 +438,6 @@ class SweepRunner:
                     "cell": p["cell"],
                     "spec": p["spec"],
                     "lp_backend": self.ctx.resolved_lp_backend(),
-                    "kernel": p["kernel"],
-                    "precision": p["precision"],
                 },
             )
             for p in payloads

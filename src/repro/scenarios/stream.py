@@ -471,8 +471,6 @@ def _redraw_weights_batch(
 
 def _simulate_rows(
     policy_name: str,
-    kernel: str,
-    precision: str,
     batch: InstanceBatch,
     extra: Mapping[str, np.ndarray] | None = None,
 ) -> list[tuple[float, float, float]]:
@@ -494,9 +492,7 @@ def _simulate_rows(
         raise InvalidInstanceError(f"unknown policy {policy_name!r}")
     bounds = combined_lower_bound_batch(batch)
     safe = np.where(bounds > 0, bounds, 1.0)
-    result = simulate_batch(
-        batch, policy, release_times=releases, kernel=kernel, precision=precision
-    )
+    result = simulate_batch(batch, policy, release_times=releases)
     objectives = result.weighted_completion_times()
     ratios = np.where(bounds > 0, objectives / safe, 1.0)
     makespans = result.makespans()
@@ -514,8 +510,6 @@ def replay_stream(
     weight: Mapping[str, Any] | None = None,
     arrival: Mapping[str, Any] | None = None,
     seed: int = 0,
-    kernel: str = "numpy",
-    precision: str = "float64",
     ctx: "ExecutionContext | None" = None,
     on_chunk: Callable[[TraceChunk, dict[str, dict[str, float]]], None] | None = None,
 ) -> tuple[dict[str, dict[str, float]], int]:
@@ -580,7 +574,7 @@ def replay_stream(
         extra = {"releases": chunk.releases} if chunk.releases is not None else None
         chunk_metrics: dict[str, dict[str, float]] = {}
         for name in names:
-            worker = functools.partial(_simulate_rows, name, kernel, precision)
+            worker = functools.partial(_simulate_rows, name)
             if ctx is not None:
                 triples = ctx.map_batch(worker, batch, extra=extra)
             else:

@@ -630,14 +630,12 @@ def recover_state(
     P: float,
     policy: str = "wdeq",
     atol: float = 1e-10,
-    kernel: str = "auto",
 ) -> RecoveryResult:
     """Rebuild the live system: latest valid snapshot + journal-suffix replay.
 
     The snapshot pins the platform (``P``/``policy``/``atol``); a mismatch
     with the requested configuration raises ``ValueError`` — a journal
-    written under one policy cannot be replayed under another.  ``kernel``
-    is a node-local performance choice and is *not* persisted.
+    written under one policy cannot be replayed under another.
     """
     start = time.perf_counter()
     payload = snapshots.load_latest()
@@ -650,12 +648,12 @@ def recover_state(
                     f"snapshot was taken with {name}={have!r}; the service is "
                     f"configured with {name}={want!r} — refusing to replay"
                 )
-        state = LiveSystemState.from_snapshot(snap_state, kernel=kernel)
+        state = LiveSystemState.from_snapshot(snap_state)
         snapshot_seq = int(payload["seq"])
         rejected = int(payload.get("rejected", 0))
         idempotency: "dict[str, Any]" = dict(payload.get("idempotency", {}))
     else:
-        state = LiveSystemState(P=P, policy=policy, atol=atol, kernel=kernel)
+        state = LiveSystemState(P=P, policy=policy, atol=atol)
         snapshot_seq = 0
         rejected = 0
         idempotency = {}
@@ -747,13 +745,9 @@ class ServiceDurability:
         self.snapshots_written = 0
         self.last_recovery: "RecoveryResult | None" = None
 
-    def recover(
-        self, *, P: float, policy: str, atol: float, kernel: str
-    ) -> RecoveryResult:
+    def recover(self, *, P: float, policy: str, atol: float) -> RecoveryResult:
         """Run :func:`recover_state` and remember the result for metrics."""
-        result = recover_state(
-            self.journal, self.snapshots, P=P, policy=policy, atol=atol, kernel=kernel
-        )
+        result = recover_state(self.journal, self.snapshots, P=P, policy=policy, atol=atol)
         self.last_recovery = result
         return result
 

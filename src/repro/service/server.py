@@ -107,7 +107,6 @@ class ServiceConfig:
     virtual_time: bool = False
     atol: float = 1e-10
     drain_grace: float = 5.0
-    kernel: str = "auto"  # event-loop tier; 'auto' uses compiled when numba is installed
     journal_dir: "str | None" = None  # None: in-memory only (no durability)
     fsync: str = "interval"  # 'always' | 'interval' | 'off'
     fsync_interval: float = 0.05
@@ -148,7 +147,6 @@ class SchedulerService:
                 P=self.config.P,
                 policy=self.config.policy,
                 atol=self.config.atol,
-                kernel=self.config.kernel,
             )
             self.state = recovery.state
             self.idempotency.load(recovery.idempotency)
@@ -171,7 +169,6 @@ class SchedulerService:
                 P=self.config.P,
                 policy=self.config.policy,
                 atol=self.config.atol,
-                kernel=self.config.kernel,
             )
         self.limiter = ClientRateLimiter(
             self.config.rate_limit, self.config.rate_burst

@@ -44,7 +44,6 @@ from repro.batch.sim_kernels import (
     WdeqBatchPolicy,
     advance_simulation_state,
 )
-from repro.batch.compiled import resolve_kernel
 from repro.core.batch import InstanceBatch
 
 __all__ = [
@@ -122,21 +121,14 @@ class LiveSystemState:
         ``fair-share``).
     atol:
         Completion-detection tolerance, forwarded to the engine.
-    kernel:
-        Event-loop tier (``auto``/``numpy``/``compiled``), resolved once at
-        construction and forwarded to every engine call.  ``auto`` picks the
-        compiled tier when numba is importable; the service's traces are
-        always off and its policies are built-in, so the compiled core
-        applies whenever it is installed.
     """
 
-    def __init__(self, P: float, policy: str = "wdeq", atol: float = 1e-10, kernel: str = "auto"):
+    def __init__(self, P: float, policy: str = "wdeq", atol: float = 1e-10):
         if P <= 0:
             raise ValueError(f"P must be positive, got {P}")
         self.P = float(P)
         self.policy_name = policy
         self.policy = make_policy(policy)
-        self.kernel = resolve_kernel(kernel)
         self.atol = float(atol)
         self.records: "dict[str, TaskRecord]" = {}
         self._running: "set[str]" = set()
@@ -278,7 +270,7 @@ class LiveSystemState:
         release will pull it forward, which is what prevents phantom work.
         """
         now = max(float(now), float(self.state.t[0]))
-        advance_simulation_state(self.state, self.policy, until=now, kernel=self.kernel)
+        advance_simulation_state(self.state, self.policy, until=now)
         self._sync_completions()
         return now
 
@@ -445,7 +437,7 @@ class LiveSystemState:
             return record.completion_time
         ghost = self.state.clone()
         # Pending releases in the clone fire on their own; run to the end.
-        advance_simulation_state(ghost, self.policy, until=None, kernel=self.kernel)
+        advance_simulation_state(ghost, self.policy, until=None)
         return float(ghost.completion_times[0, record.slot])
 
     def snapshot(self) -> "dict[str, float | int]":
@@ -481,8 +473,7 @@ class LiveSystemState:
         event count.  Floats survive the JSON round trip bit-exactly
         (``repr`` round-trips IEEE doubles), so a restored system is not
         merely tolerance-close but identical; the differential tests in
-        ``tests/test_journal.py`` pin that.  The resolved ``kernel`` is a
-        node-local performance choice and is deliberately not persisted.
+        ``tests/test_journal.py`` pin that.
         """
         used = self.used_slots
         state = self.state
@@ -512,9 +503,7 @@ class LiveSystemState:
         }
 
     @classmethod
-    def from_snapshot(
-        cls, payload: "dict[str, Any]", kernel: str = "auto"
-    ) -> "LiveSystemState":
+    def from_snapshot(cls, payload: "dict[str, Any]") -> "LiveSystemState":
         """Rebuild a live system from :meth:`to_snapshot` output.
 
         The restored system continues exactly where the snapshot was taken:
@@ -525,7 +514,6 @@ class LiveSystemState:
             P=float(payload["P"]),
             policy=str(payload["policy"]),
             atol=float(payload["atol"]),
-            kernel=kernel,
         )
         slot_task = [str(task_id) for task_id in payload["slot_task"]]
         used = len(slot_task)

@@ -4,12 +4,14 @@ Spawns *real* ``malleable-repro workers`` / ``serve`` subprocesses on
 localhost ports, parses the addresses they print, and provides the murder
 weapons the chaos suite needs: ``SIGKILL`` a node mid-sweep, launch a
 straggler that sleeps past the coordinator's cell timeout
-(``chaos_delay``), a node that dies with ``os._exit`` upon receiving
-its N-th job (``chaos_die_after`` — deterministic mid-cell loss, no reply,
-no cleanup), or a durable scheduling server that can be SIGKILLed
-mid-journal-write and restarted on the same port from the same journal
-(:class:`ServerProcess`).  Everything is bounded by timeouts so a
-regression hangs for seconds, not forever.
+(``chaos_delay``), a node that dies with ``os._exit`` on the N-th job
+to arrive (``chaos_die_after`` — counted on arrival, not completion, so
+``1`` dies on the first job of its own shard before a sibling can steal
+it: deterministic mid-cell loss, no reply, no cleanup), or a durable
+scheduling server that can be SIGKILLed mid-journal-write and restarted
+on the same port from the same journal (:class:`ServerProcess`).
+Everything is bounded by timeouts so a regression hangs for seconds, not
+forever.
 
 Usage::
 

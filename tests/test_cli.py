@@ -171,45 +171,3 @@ class TestProfile:
         assert main(["profile", str(spec), "--profile-output", str(dump)]) == 0
         capsys.readouterr()
         pstats.Stats(str(dump))  # loads back as a valid stats file
-
-    def test_profile_compare_kernels_prints_both_columns(self, tmp_path, capsys):
-        spec = tmp_path / "tiny.toml"
-        spec.write_text(
-            "\n".join(
-                [
-                    '[scenario]',
-                    'name = "tiny-profile-compare"',
-                    'generator = "uniform_instances"',
-                    'count = 1',
-                    'policies = ["WDEQ"]',
-                    '[scenario.grid]',
-                    'n = [2]',
-                    "",
-                ]
-            )
-        )
-        assert main(["profile", str(spec), "--compare-kernels", "--top", "5", "--batch"]) == 0
-        out = capsys.readouterr().out
-        assert "kernel comparison" in out
-        assert "numpy cum (s)" in out and "compiled cum (s)" in out
-        assert "total time:" in out
-
-
-class TestKernelFlags:
-    def test_kernel_and_precision_parse_and_reach_the_context(self):
-        args = build_parser().parse_args(
-            ["run", "E1", "--kernel", "numpy", "--precision", "float32"]
-        )
-        assert args.kernel == "numpy" and args.precision == "float32"
-        ctx = context_from_args(args)
-        assert ctx.kernel == "numpy" and ctx.precision == "float32"
-
-    def test_kernel_defaults(self):
-        ctx = context_from_args(build_parser().parse_args(["all"]))
-        assert ctx.kernel == "auto" and ctx.precision == "float64"
-
-    def test_unknown_kernel_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "E1", "--kernel", "cuda"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "E1", "--precision", "float16"])

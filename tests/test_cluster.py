@@ -537,7 +537,7 @@ class TestChaos:
         assert_tables_close(clustered, serial)
 
     def test_worker_killed_mid_sweep_loses_no_work_twice(self):
-        """One node takes a few cells then dies mid-cell without replying
+        """One node dies on the first job of its own shard without replying
         (os._exit on job arrival — the deterministic kill -9).  The sweep
         must finish, match serial, and record every cell exactly once."""
         spec = tiny_spec("chaos-kill", cells=6)

@@ -27,7 +27,7 @@ from repro.algorithms.greedy_homogeneous import (
     homogeneous_greedy_values_batch,
 )
 from repro.algorithms.optimal import optimal_value
-from repro.batch.kernels import combined_lower_bound_batch, lower_bound_batch
+from repro.batch.kernels import combined_lower_bound_batch
 from repro.batch.runner import CHUNKS_PER_WORKER, BatchRunner
 from repro.core.batch import InstanceBatch
 from repro.core.bounds import times_close
@@ -35,7 +35,7 @@ from repro.core.exceptions import InvalidInstanceError, SolverError
 from repro.core.instance import Instance, Task
 from repro.exec import ExecutionContext
 from repro.exec.shm import attach_batch, publish_batch
-from repro.lp.batch import OPTIMAL_METHODS, optimal, optimal_values_batch, solve_ordered_relaxation_batch
+from repro.lp.batch import OPTIMAL_METHODS, optimal, solve_ordered_relaxation_batch
 from repro.lp.exact import (
     MAX_BRANCH_AND_BOUND_TASKS,
     _floors_achievable,
@@ -150,7 +150,6 @@ class TestBranchAndBoundMatchesEnumeration:
         stats = engine.stats
         assert stats.lps_solved == engine.orderings_evaluated > 0
         assert stats.nodes_expanded > 0 and stats.frontier_peak > 0
-        assert stats.pruned_dominated == 0  # exact mode never uses dominance
 
 
 class TestEngineGuardsAndModes:
@@ -180,41 +179,17 @@ class TestEngineGuardsAndModes:
         assert big.shape[0] == 362_880
         assert permutation_table(9) is not big  # large tables are not retained
 
-    def test_dominance_mode_upper_bounds_the_optimum(self):
-        insts = list(uniform_instances(5, 4, rng=np.random.default_rng(17)))
-        batch = InstanceBatch.from_instances(insts)
-        exact = branch_and_bound_optimal_batch(batch)
-        heuristic = branch_and_bound_optimal_batch(batch, dominance=True)
-        # Dominance pruning can only lose optima, never invent better ones.
-        assert np.all(
-            heuristic.objectives >= exact.objectives - 1e-8 * np.maximum(1.0, exact.objectives)
-        )
-        for b, inst in enumerate(insts):
-            order = [int(t) for t in heuristic.orders[b, : inst.n]]
-            achieved = solve_ordered_relaxation(inst, order, build_schedule=False).objective
-            assert achieved == pytest.approx(heuristic.objectives[b], rel=1e-6, abs=1e-8)
-
     def test_optimal_methods_vocabulary(self):
         assert set(OPTIMAL_METHODS) == {"branch-and-bound", "enumerate"}
 
-    def test_lower_bound_batch_exact_is_deprecated_but_routes_to_engine(self):
+    def test_optimal_matches_enumeration_and_dominates_lemma1_bound(self):
         insts = list(uniform_instances(4, 3, rng=np.random.default_rng(23)))
         batch = InstanceBatch.from_instances(insts)
-        with pytest.deprecated_call(match=r"repro\.lp\.optimal"):
-            exact = lower_bound_batch(batch, method="exact")
+        exact = optimal(batch).objectives
         reference = optimal(batch, method="enumerate").objectives
         np.testing.assert_allclose(exact, reference, rtol=1e-6, atol=1e-8)
         combined = combined_lower_bound_batch(batch)
         assert np.all(combined <= exact + 1e-6 * np.maximum(1.0, exact))
-
-    def test_optimal_values_batch_alias_is_deprecated_but_agrees(self):
-        insts = list(uniform_instances(4, 3, rng=np.random.default_rng(29)))
-        batch = InstanceBatch.from_instances(insts)
-        with pytest.deprecated_call(match=r"repro\.lp\.optimal"):
-            alias = optimal_values_batch(batch, method="enumerate")
-        reference = optimal(batch, method="enumerate")
-        np.testing.assert_allclose(alias.objectives, reference.objectives, rtol=1e-12)
-        assert alias.orderings_evaluated == reference.orderings_evaluated
 
 
 # --------------------------------------------------------------------- #

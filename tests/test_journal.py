@@ -367,7 +367,7 @@ class TestStateSnapshot:
         durability.close()
         fresh = ServiceDurability(tmp_path)
         with pytest.raises(ValueError, match="refusing to replay"):
-            fresh.recover(P=16.0, policy="wdeq", atol=1e-10, kernel="auto")
+            fresh.recover(P=16.0, policy="wdeq", atol=1e-10)
 
 
 class TestRecovery:
@@ -386,7 +386,7 @@ class TestRecovery:
 
         state = LiveSystemState(P=8.0)
         resolved = _apply(state, ops, on_op=journal_op)
-        recovered = durability.recover(P=8.0, policy="wdeq", atol=1e-10, kernel="auto")
+        recovered = durability.recover(P=8.0, policy="wdeq", atol=1e-10)
         durability.close()
         assert recovered.state.to_snapshot() == state.to_snapshot()
         assert recovered.state.to_snapshot() == _replay(resolved).to_snapshot()

@@ -39,7 +39,6 @@ from repro.lp.batch import (
 from repro.lp.formulation import ordered_lp_dimensions, position_area_layout
 from repro.lp.interface import solve_ordered_relaxation
 from repro.lp.simplex import solve_linear_program, solve_linear_program_batch
-from repro.batch.compiled import numba_available
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -99,16 +98,11 @@ def assert_matches_scalar(insts, orders, solution, rtol=1e-6, atol=1e-8):
 # --------------------------------------------------------------------- #
 
 
-#: Kernel tiers exercised by the differential suites on this machine; the
-#: compiled pivot driver must match the NumPy path exactly at float64.
-KERNELS = ["numpy"] + (["compiled"] if numba_available() else [])
-
 
 class TestBatchedSimplex:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
-    def test_matches_scalar_on_random_lps(self, kernel, seed, B):
+    def test_matches_scalar_on_random_lps(self, seed, B):
         rng = np.random.default_rng(seed)
         nvar, m_ub, m_eq = 4, 3, 1
         c = rng.normal(size=(B, nvar))
@@ -116,15 +110,14 @@ class TestBatchedSimplex:
         b_ub = rng.uniform(-1.0, 2.0, size=(B, m_ub))  # mixed signs
         A_eq = rng.normal(size=(B, m_eq, nvar))
         b_eq = rng.uniform(-1.0, 1.0, size=(B, m_eq))
-        batch = solve_linear_program_batch(c, A_ub, b_ub, A_eq, b_eq, kernel=kernel)
+        batch = solve_linear_program_batch(c, A_ub, b_ub, A_eq, b_eq)
         for i in range(B):
             ref = solve_linear_program(c[i], A_ub[i], b_ub[i], A_eq[i], b_eq[i])
             assert batch.statuses[i] == ref.status
             if ref.status == "optimal":
                 assert batch.objectives[i] == pytest.approx(ref.objective, rel=1e-6, abs=1e-7)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_mixed_statuses_in_one_batch(self, kernel):
+    def test_mixed_statuses_in_one_batch(self):
         # Problem 0: optimal; problem 1: infeasible; problem 2: unbounded.
         c = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         A_ub = np.array(
@@ -137,7 +130,7 @@ class TestBatchedSimplex:
         b_ub = np.array([[1.0], [-1.0], [1.0]])
         A_eq = np.array([[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 0.0]]])
         b_eq = np.array([[0.0], [5.0], [0.0]])
-        result = solve_linear_program_batch(c, A_ub, b_ub, A_eq, b_eq, kernel=kernel)
+        result = solve_linear_program_batch(c, A_ub, b_ub, A_eq, b_eq)
         assert list(result.statuses) == ["optimal", "infeasible", "unbounded"]
         assert result.objectives[0] == pytest.approx(0.0)
         assert np.isnan(result.objectives[1])
@@ -256,22 +249,20 @@ class TestAssembly:
 
 
 class TestOrderedRelaxationDifferential:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=20, deadline=None)
     @given(instance_batches())
-    def test_kernel_matches_scalar_smith_orders(self, kernel, insts):
+    def test_kernel_matches_scalar_smith_orders(self, insts):
         batch = InstanceBatch.from_instances(insts)
-        solution = solve_ordered_relaxation_batch(batch, kernel=kernel)
+        solution = solve_ordered_relaxation_batch(batch)
         orders = [inst.smith_order() for inst in insts]
         assert_matches_scalar(insts, orders, solution)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=20, deadline=None)
     @given(batches_with_orders())
-    def test_kernel_matches_scalar_on_degenerate_orders(self, kernel, insts_orders):
+    def test_kernel_matches_scalar_on_degenerate_orders(self, insts_orders):
         insts, orders = insts_orders
         batch = InstanceBatch.from_instances(insts)
-        solution = solve_ordered_relaxation_batch(batch, orders, kernel=kernel)
+        solution = solve_ordered_relaxation_batch(batch, orders)
         assert_matches_scalar(insts, orders, solution)
 
     @settings(max_examples=10, deadline=None)
@@ -447,8 +438,7 @@ class TestLowerBoundBatch:
     def test_exact_dominates_combined(self, insts):
         batch = InstanceBatch.from_instances(insts)
         combined = lower_bound_batch(batch, method="combined")
-        with pytest.deprecated_call(match=r"repro\.lp\.optimal"):
-            exact = lower_bound_batch(batch, method="exact")
+        exact = optimal(batch).objectives
         np.testing.assert_allclose(combined, combined_lower_bound_batch(batch))
         assert np.all(time_leq(combined, exact, rtol=1e-6, atol=1e-8))
 

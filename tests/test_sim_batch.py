@@ -16,14 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ratios import policy_ratios
-from repro.batch.compiled import numba_available
 from repro.batch.sim_kernels import (
     BatchPolicy,
     DeqBatchPolicy,
     FairShareNoCapBatchPolicy,
     PriorityBatchPolicy,
     WdeqBatchPolicy,
+    advance_simulation_state,
     default_batch_policies,
+    init_simulation_state,
     policy_ratios_batch,
     simulate_batch,
 )
@@ -39,12 +40,6 @@ from repro.workloads.generators import cluster_instances
 # --------------------------------------------------------------------- #
 
 finite = dict(allow_nan=False, allow_infinity=False)
-
-#: The differential suites run under every kernel tier available on this
-#: machine; the compiled tier must be byte-identical at float64 wherever it
-#: engages (completions-only runs) and falls back to the same NumPy code
-#: everywhere else, so the assertions do not change per kernel.
-KERNELS = ["numpy"] + (["compiled"] if numba_available() else [])
 
 
 @st.composite
@@ -116,13 +111,12 @@ def _assert_traces_match(batch_trace, scalar_trace) -> None:
 
 
 class TestSimulateBatchEquivalence:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=25, deadline=None)
     @given(instance_batches())
-    def test_all_policies_match_scalar_completions_and_traces(self, kernel, insts):
+    def test_all_policies_match_scalar_completions_and_traces(self, insts):
         batch = InstanceBatch.from_instances(insts)
         for batch_policy in default_batch_policies(batch):
-            result = simulate_batch(batch, batch_policy, record_trace=True, kernel=kernel)
+            result = simulate_batch(batch, batch_policy, record_trace=True)
             assert result.completion_times.shape == (batch.batch_size, batch.n_max)
             for b, inst in enumerate(insts):
                 scalar = simulate(inst, _scalar_policy(inst, batch_policy.name))
@@ -135,16 +129,15 @@ class TestSimulateBatchEquivalence:
                 assert np.all(result.completion_times[b, inst.n :] == 0.0)
                 _assert_traces_match(result.traces[b], scalar.trace)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=20, deadline=None)
     @given(batches_with_releases())
-    def test_release_patterns_match_scalar(self, kernel, insts_and_releases):
+    def test_release_patterns_match_scalar(self, insts_and_releases):
         insts, releases = insts_and_releases
         batch = InstanceBatch.from_instances(insts)
         padded = _padded_releases(batch, releases)
         for batch_policy in default_batch_policies(batch):
             result = simulate_batch(
-                batch, batch_policy, release_times=padded, record_trace=True, kernel=kernel
+                batch, batch_policy, release_times=padded, record_trace=True
             )
             for b, inst in enumerate(insts):
                 scalar = simulate(
@@ -158,12 +151,11 @@ class TestSimulateBatchEquivalence:
                 )
                 _assert_traces_match(result.traces[b], scalar.trace)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=15, deadline=None)
     @given(instance_batches(max_batch=4))
-    def test_objective_helpers_match_scalar(self, kernel, insts):
+    def test_objective_helpers_match_scalar(self, insts):
         batch = InstanceBatch.from_instances(insts)
-        result = simulate_batch(batch, WdeqBatchPolicy(), kernel=kernel)
+        result = simulate_batch(batch, WdeqBatchPolicy())
         values = result.weighted_completion_times()
         spans = result.makespans()
         for b, inst in enumerate(insts):
@@ -189,6 +181,16 @@ class TestSimulateBatchEquivalence:
         for b, trace in enumerate(result.traces):
             assert result.num_events[b] >= trace.num_reshares
             assert result.num_events[b] <= 8 * insts[b].n + 16
+
+    def test_pause_resume_matches_one_shot(self):
+        # Pausing at horizons and resuming must land on the one-shot result.
+        insts = list(cluster_instances(5, 6, rng=np.random.default_rng(9)))
+        batch = InstanceBatch.from_instances(insts)
+        one_shot = simulate_batch(batch, WdeqBatchPolicy())
+        state = init_simulation_state(batch)
+        for until in (1.0, 2.5, None):
+            advance_simulation_state(state, WdeqBatchPolicy(), until=until)
+        np.testing.assert_allclose(state.completion_times, one_shot.completion_times, rtol=1e-12)
 
 
 # --------------------------------------------------------------------- #
@@ -242,12 +244,11 @@ class TestSimulateBatchValidation:
                 self._batch(), WdeqBatchPolicy(), release_times=np.full((1, 2), -1.0)
             )
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_zero_weight_rejected_by_wdeq(self, kernel):
+    def test_zero_weight_rejected_by_wdeq(self):
         inst = Instance(P=1.0, tasks=[Task(volume=1.0, weight=0.0, delta=0.5)])
         with pytest.raises(InvalidInstanceError):
             simulate_batch(
-                InstanceBatch.from_instances([inst]), WdeqBatchPolicy(), kernel=kernel
+                InstanceBatch.from_instances([inst]), WdeqBatchPolicy()
             )
 
     def test_priority_policy_tie_break_matches_scalar(self):
@@ -265,13 +266,12 @@ class TestSimulateBatchValidation:
         )
         assert result.traces[0].completion_order() == scalar.trace.completion_order()
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_fair_share_requires_positive_weights(self, kernel):
+    def test_fair_share_requires_positive_weights(self):
         # Weight zero with the fair-share policy: the total weight is zero.
         inst = Instance(P=1.0, tasks=[Task(volume=1.0, weight=0.0, delta=0.5)])
         with pytest.raises(SimulationError, match="positive weights"):
             simulate_batch(
-                InstanceBatch.from_instances([inst]), FairShareNoCapBatchPolicy(), kernel=kernel
+                InstanceBatch.from_instances([inst]), FairShareNoCapBatchPolicy()
             )
 
     def test_released_only_rows_finish_while_others_wait(self):

@@ -86,17 +86,6 @@ PAGES: dict[str, tuple[str, str, list[str]]] = {
         ["repro.core.batch", "repro.batch.kernels", "repro.batch.sim_kernels",
          "repro.batch.runner", "repro.batch.cache"],
     ),
-    "compiled.md": (
-        "repro.batch.compiled — compiled kernel tier",
-        "Optional numba JIT backends for the two hottest inner loops (the "
-        "simulation event loop and the batched simplex pivot driver), the "
-        "kernel selection/fallback machinery, and the `float32` throughput "
-        "mode.  Importable — and differentially testable — without numba: "
-        "the loop bodies are plain scalar Python that numba compiles when "
-        "installed and the interpreter runs otherwise.",
-        ["repro.batch.compiled", "repro.batch.compiled.sim_loop",
-         "repro.batch.compiled.lp_pivot"],
-    ),
     "lp.md": (
         "repro.lp — ordered-relaxation LPs",
         "The Corollary 1 linear-programming layer: the fixed-ordering "
