@@ -54,7 +54,7 @@ def test_solve_ordered_relaxation_batch_64x5(benchmark, lp_batch_64x5):
 def test_optimal_8x4(benchmark):
     instances = list(uniform_instances(4, 8, rng=np.random.default_rng(14)))
     batch = InstanceBatch.from_instances(instances)
-    result = benchmark(optimal, batch)
+    result = benchmark(optimal, batch, method="enumerate")
     assert result.orderings_evaluated == 8 * 24
 
 

@@ -103,6 +103,12 @@ class MessageRegistry:
         self.label = label
         self._tag_by_type = {cls: tag for tag, cls in self.types.items()}
         self._tuple_fields = frozenset(tuple_fields)
+        # Field names per type, computed once: ``dataclasses.fields`` rebuilds
+        # its tuple on every call, and encode/decode run on every request.
+        self._field_names = {
+            cls: tuple(f.name for f in fields(cls)) for cls in self.types.values()
+        }
+        self._known_fields = {cls: frozenset(names) for cls, names in self._field_names.items()}
 
     def __repr__(self) -> str:
         # Stable (no memory address): registry objects appear in generated
@@ -126,11 +132,11 @@ class MessageRegistry:
         """
         tag = self.message_type(message)
         payload: "dict[str, Any]" = {"type": tag}
-        for f in fields(message):  # type: ignore[arg-type]
-            value = getattr(message, f.name)
+        for name in self._field_names[type(message)]:
+            value = getattr(message, name)
             if isinstance(value, tuple):
                 value = list(value)
-            payload[f.name] = value
+            payload[name] = value
         return payload
 
     def decode(self, payload: "Mapping[str, Any]") -> object:
@@ -146,7 +152,7 @@ class MessageRegistry:
         if not isinstance(tag, str) or tag not in self.types:
             raise ProtocolError(f"unknown message type {tag!r}")
         cls = self.types[tag]
-        known = {f.name for f in fields(cls)}
+        known = self._known_fields[cls]
         kwargs: "dict[str, Any]" = {}
         for name, value in payload.items():
             if name == "type":

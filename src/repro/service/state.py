@@ -26,6 +26,18 @@ The task axis is append-only (capacity doubles like a vector) until the
 dead-slot count dominates, at which point :meth:`LiveSystemState.compact`
 drops completed/cancelled columns; dropping inert columns cannot change
 any future allocation, so compaction is invisible to the trajectory.
+
+Hot path.  A request runs the engine once: a submit advances to ``now``,
+inserts its column, and advances a second time only when the system was
+idle and the frozen clock must be pulled forward to fire the release.  The service policy is wrapped in a one-entry memo of its last
+allocation, keyed on the active set (and on the identity of the weight and
+cap arrays, which change whenever the columns are re-homed).  The built-in
+policies are memoryless — a share depends only on the weights and caps of
+the tasks active at that moment, never on ``work_done`` or ``elapsed`` —
+and a slot's weight and cap are written only while it is inactive, so a
+memo hit returns bit-identical rates.  The engine's first step after a
+horizon pause and every :meth:`LiveSystemState.shares` reply at the same
+``now`` are then hits; the engine still validates the rates every step.
 """
 
 from __future__ import annotations
@@ -82,6 +94,40 @@ def make_policy(name: str) -> BatchPolicy:
         ) from None
 
 
+class _LastAllocation(BatchPolicy):
+    """One-entry memo of a memoryless policy's most recent allocation.
+
+    Returns the previous rates when ``weights`` and ``deltas`` are the same
+    array objects as last time and the active set is equal; otherwise asks
+    the wrapped policy and remembers the answer.  Exact only for policies
+    whose shares ignore ``work_done`` and ``elapsed`` (all of
+    :data:`POLICY_NAMES`) and for callers that write a slot's weight and cap
+    only while the slot is inactive, as :class:`LiveSystemState` does.  A hit
+    hands back the same array, so callers must treat the rates as read-only
+    (the engine and :meth:`LiveSystemState.shares` do).
+    """
+
+    def __init__(self, policy: BatchPolicy):
+        self.policy = policy
+        self.name = policy.name
+        self._weights: "np.ndarray | None" = None
+        self._deltas: "np.ndarray | None" = None
+        self._active: "np.ndarray | None" = None
+        self._rates: "np.ndarray | None" = None
+
+    def allocate(self, P, weights, deltas, work_done, elapsed, active):
+        if (
+            weights is self._weights
+            and deltas is self._deltas
+            and np.array_equal(active, self._active)
+        ):
+            return self._rates
+        rates = self.policy.allocate(P, weights, deltas, work_done, elapsed, active)
+        self._weights, self._deltas = weights, deltas
+        self._active, self._rates = active.copy(), rates
+        return rates
+
+
 class UnknownTaskError(KeyError):
     """The referenced task id was never submitted (or pre-dates a restart)."""
 
@@ -128,7 +174,8 @@ class LiveSystemState:
             raise ValueError(f"P must be positive, got {P}")
         self.P = float(P)
         self.policy_name = policy
-        self.policy = make_policy(policy)
+        self._policy = make_policy(policy)
+        self.policy: BatchPolicy = _LastAllocation(self._policy)
         self.atol = float(atol)
         self.records: "dict[str, TaskRecord]" = {}
         self._running: "set[str]" = set()
@@ -363,8 +410,11 @@ class LiveSystemState:
         self._running.add(task_id)
         self._live_slots[slot] = True
         self.submitted += 1
-        # Fire the release (idle systems advance their frozen clock here).
-        self.advance_to(now)
+        # An idle system's frozen clock still trails ``now``: advance again
+        # to fire the release.  A clock already at ``now`` has nothing left
+        # to do, so a busy submit costs one engine call.
+        if state.t[0] < now:
+            self.advance_to(now)
         return record
 
     def cancel(self, task_id: str, now: float = 0.0) -> bool:
@@ -437,7 +487,8 @@ class LiveSystemState:
             return record.completion_time
         ghost = self.state.clone()
         # Pending releases in the clone fire on their own; run to the end.
-        advance_simulation_state(ghost, self.policy, until=None)
+        # The unwrapped policy keeps the what-if run out of the live memo.
+        advance_simulation_state(ghost, self._policy, until=None)
         return float(ghost.completion_times[0, record.slot])
 
     def snapshot(self) -> "dict[str, float | int]":

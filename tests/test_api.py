@@ -33,6 +33,7 @@ from repro.api import (
     encode_message,
     message_type,
 )
+from repro.service.protocol import decode_line, encode_line
 
 #: One representative instance per message type, non-default everywhere.
 _EXAMPLES = [
@@ -100,6 +101,30 @@ class TestRoundTrips:
         # object (tuples becoming lists) must still rebuild the dataclass.
         wire = json.loads(json.dumps(encode_message(message)))
         assert decode_message(wire) == message
+
+    @pytest.mark.parametrize("message", _EXAMPLES, ids=lambda m: type(m).__name__)
+    def test_wire_bytes_are_stable(self, message):
+        # The registry caches each type's field names; the line on the wire
+        # must still be the one a fresh ``dataclasses.fields`` walk yields
+        # (tag first, then fields in declaration order), and decoding it
+        # must re-encode to the very same bytes.
+        reference = {"type": message_type(message)}
+        for f in dataclasses.fields(message):
+            value = getattr(message, f.name)
+            reference[f.name] = list(value) if isinstance(value, tuple) else value
+        line = encode_line(message)
+        assert line == json.dumps(reference, separators=(",", ":")).encode() + b"\n"
+        assert encode_line(decode_line(line)) == line
+
+    def test_wire_bytes_are_pinned(self):
+        assert encode_line(_EXAMPLES[0]) == (
+            b'{"type":"submit_task","volume":4.0,"weight":2.0,"delta":3.0,'
+            b'"task_id":"job-1","client":"c1","now":1.5,"idempotency_key":"sub-1"}\n'
+        )
+        assert encode_line(_EXAMPLES[-2]) == (
+            b'{"type":"simulate_reply","completion_times":[1.0,2.0],'
+            b'"weighted_completion_time":7.0,"makespan":2.0,"num_events":2}\n'
+        )
 
     def test_every_registered_type_is_covered(self):
         assert {type(m) for m in _EXAMPLES} == set(MESSAGE_TYPES.values())

@@ -39,7 +39,7 @@ from repro.api import (
     SubmitReply,
     SubmitTask,
 )
-from repro.batch.sim_kernels import simulate_batch
+from repro.batch.sim_kernels import WdeqBatchPolicy, simulate_batch
 from repro.core.batch import InstanceBatch
 from repro.service import (
     LiveSystemState,
@@ -50,6 +50,7 @@ from repro.service import (
     ServiceError,
     run_loadgen_async,
 )
+from repro.service import state as state_module
 from repro.service.metrics import LatencyHistogram, MetricsRegistry
 from repro.service.ratelimit import ClientRateLimiter, TokenBucket
 from repro.service.state import DuplicateTaskError, UnknownTaskError, make_policy
@@ -265,6 +266,132 @@ class TestIncrementalMatchesFromScratch:
         assert live.records[b.task_id].completion_time == pytest.approx(
             float(oracle.completion_times[0, 1])
         )
+
+
+class TestHotPath:
+    """One engine call per busy request, one allocation per active set.
+
+    The live system memoises its last allocation; these tests pin that the
+    memo is bit-exact against the raw policy and that it actually saves the
+    calls it is there to save.
+    """
+
+    @staticmethod
+    def _drive(live: LiveSystemState, seed: int):
+        """A seeded mix of submits, queries, cancels, projections and idle gaps."""
+        rng = np.random.default_rng(seed)
+        now, ids, replies = 0.0, [], []
+        max_capacity, compactions = 0, 0
+        for _ in range(500):
+            # Mostly dense arrivals, with occasional gaps long enough to drain.
+            now += rng.uniform(5.0, 20.0) if rng.random() < 0.04 else rng.exponential(0.04)
+            op = rng.random()
+            used_before = live.used_slots
+            if op < 0.55 or not ids:
+                record = live.submit(
+                    rng.uniform(0.05, 1.0),
+                    rng.uniform(0.5, 3.0),
+                    rng.uniform(0.5, 4.0),
+                    now=now,
+                )
+                ids.append(record.task_id)
+                replies.append(live.share_of(record.task_id))
+            elif op < 0.8:
+                task_id = ids[rng.integers(len(ids))]
+                replies.append(live.share_of(task_id, now=now + rng.uniform(0.0, 0.02)))
+            elif op < 0.95:
+                replies.append(live.cancel(ids[rng.integers(len(ids))], now=now))
+            else:
+                replies.append(live.project_completion(ids[rng.integers(len(ids))]))
+            max_capacity = max(max_capacity, live.capacity)
+            compactions += live.used_slots < used_before
+        live.advance_to(now + 100.0)
+        return replies, max_capacity, compactions
+
+    @staticmethod
+    def _count(monkeypatch) -> "dict[str, int]":
+        calls = {"advance": 0, "allocate": 0}
+        advance = state_module.advance_simulation_state
+        allocate = WdeqBatchPolicy.allocate
+
+        def counting_advance(*args, **kwargs):
+            calls["advance"] += 1
+            return advance(*args, **kwargs)
+
+        def counting_allocate(self, *args):
+            calls["allocate"] += 1
+            return allocate(self, *args)
+
+        monkeypatch.setattr(state_module, "advance_simulation_state", counting_advance)
+        monkeypatch.setattr(WdeqBatchPolicy, "allocate", counting_allocate)
+        return calls
+
+    @pytest.mark.parametrize("policy", ["wdeq", "deq", "fair-share"])
+    def test_memo_is_bit_exact(self, policy):
+        live = LiveSystemState(P=8.0, policy=policy)
+        twin = LiveSystemState(P=8.0, policy=policy)
+        twin.policy = make_policy(policy)  # no memo: every call allocates
+        replies, max_capacity, compactions = self._drive(live, seed=3)
+        twin_replies, _, _ = self._drive(twin, seed=3)
+        assert max_capacity > 64 and compactions > 0  # growth and compaction ran
+        assert replies == twin_replies
+        assert live.to_snapshot() == twin.to_snapshot()
+        assert live.total_events == twin.total_events
+
+    def test_memo_key_is_array_identity_plus_active_set(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        memo = state_module._LastAllocation(make_policy("wdeq"))
+        P, zeros = np.array([4.0]), np.zeros((1, 3))
+        weights, deltas = np.array([[1.0, 3.0, 2.0]]), np.full((1, 3), 4.0)
+        active = np.array([[True, True, False]])
+        first = memo.allocate(P, weights, deltas, zeros, zeros, active)
+        # Progress and elapsed time are not part of the key.
+        assert memo.allocate(P, weights, deltas, zeros + 1, zeros + 2, active.copy()) is first
+        assert calls["allocate"] == 1
+        # Re-homed columns are new arrays, even when their values are equal.
+        memo.allocate(P, weights.copy(), deltas, zeros, zeros, active)
+        memo.allocate(P, weights, deltas.copy(), zeros, zeros, active)
+        # So is every change of the active set, even one keeping its size.
+        memo.allocate(P, weights, deltas, zeros, zeros, active[:, ::-1].copy())
+        assert calls["allocate"] == 4
+
+    def test_busy_submit_costs_one_advance_and_queries_reuse_it(self, monkeypatch):
+        live = LiveSystemState(P=4.0)
+        a = live.submit(volume=20.0, weight=2.0, delta=3.0, now=0.0)
+        b = live.submit(volume=20.0, weight=1.0, delta=3.0, now=1.0)
+        calls = self._count(monkeypatch)
+        c = live.submit(volume=20.0, weight=1.0, delta=2.0, now=2.0)
+        assert calls["advance"] == 1
+        share_c = live.share_of(c.task_id)  # the submit reply: a new active set
+        allocations = calls["allocate"]
+        shares = [live.share_of(task.task_id, now=2.0) for task in (a, b, c)]
+        assert calls["allocate"] == allocations
+        assert shares[2] == share_c
+        # The engine's first step after the pause reuses the same allocation.
+        live.advance_to(2.5)
+        assert calls["allocate"] == allocations
+
+    def test_idle_submit_pulls_the_clock_forward(self, monkeypatch):
+        live = LiveSystemState(P=2.0)
+        live.submit(volume=2.0, delta=2.0, now=0.0)
+        live.advance_to(5.0)  # done at t=1; the clock stays frozen there
+        calls = self._count(monkeypatch)
+        record = live.submit(volume=2.0, delta=2.0, now=9.0)
+        assert calls["advance"] == 2
+        assert live.now == 9.0
+        assert live.share_of(record.task_id) == 2.0
+
+    def test_projection_stays_out_of_the_memo(self, monkeypatch):
+        live = LiveSystemState(P=4.0)
+        a = live.submit(volume=6.0, weight=2.0, delta=3.0, now=0.0)
+        live.submit(volume=3.0, weight=1.0, delta=3.0, now=0.5)
+        share = live.share_of(a.task_id, now=1.0)
+        calls = self._count(monkeypatch)
+        live.project_completion(a.task_id)
+        allocations = calls["allocate"]
+        assert allocations > 0  # the what-if run allocates on its own
+        assert live.share_of(a.task_id, now=1.0) == share
+        assert calls["allocate"] == allocations
 
 
 # --------------------------------------------------------------------- #
