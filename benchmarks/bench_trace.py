@@ -90,13 +90,16 @@ def measure(mode: str, trace: str, chunk_size: int) -> dict:
         "        trace, 8.0, chunk_size=chunk, policies=('WDEQ',))\n"
         "else:\n"
         "    import numpy as np\n"
+        "    from repro.batch.kernels import combined_lower_bound_batch\n"
         "    from repro.core.batch import InstanceBatch\n"
         "    from repro.scenarios.families import load_trace\n"
         "    from repro.scenarios.stream import _simulate_rows\n"
         "    instances, releases = load_trace(trace, 8.0)\n"
         "    batch = InstanceBatch.from_instances(instances)\n"
-        "    triples = _simulate_rows('WDEQ', batch,\n"
-        "                             {'releases': releases} if releases is not None else None)\n"
+        "    extra = {'bounds': combined_lower_bound_batch(batch)}\n"
+        "    if releases is not None:\n"
+        "        extra['releases'] = releases\n"
+        "    triples = _simulate_rows('WDEQ', batch, extra)\n"
         "    total = batch.batch_size\n"
         "    per_policy = {'WDEQ': {'mean_ratio': float(np.mean([t[0] for t in triples]))}}\n"
         "seconds = time.perf_counter() - start\n"
@@ -195,6 +198,7 @@ def test_streamed_replay(benchmark, small_trace):
 
 
 def test_streamed_matches_inmemory(small_trace):
+    from repro.batch.kernels import combined_lower_bound_batch
     from repro.core.batch import InstanceBatch
     from repro.scenarios.families import load_trace
     from repro.scenarios.stream import _simulate_rows, replay_stream
@@ -202,10 +206,10 @@ def test_streamed_matches_inmemory(small_trace):
     per_policy, total = replay_stream(small_trace, 8.0, chunk_size=100, policies=("WDEQ",))
     instances, releases = load_trace(small_trace, 8.0)
     batch = InstanceBatch.from_instances(instances)
-    triples = _simulate_rows(
-        "WDEQ", batch,
-        {"releases": releases} if releases is not None else None,
-    )
+    extra = {"bounds": combined_lower_bound_batch(batch)}
+    if releases is not None:
+        extra["releases"] = releases
+    triples = _simulate_rows("WDEQ", batch, extra)
     assert total == batch.batch_size
     ratios = np.array([t[0] for t in triples])
     assert per_policy["WDEQ"]["mean_ratio"] == pytest.approx(ratios.mean(), rel=1e-9)

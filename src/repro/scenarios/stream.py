@@ -14,8 +14,11 @@ Two trace formats share one validation path:
 
 ``csv``
     A header row with at least the columns ``instance``, ``volume``,
-    ``weight`` and ``delta``; an optional ``release`` column carries per-task
-    release times.
+    ``weight`` and ``delta``, in any order; an optional ``release`` column
+    carries per-task release times.  Rows are read in a single pass with
+    :func:`csv.reader` and column indices resolved once from the header;
+    blank lines are skipped (and not counted as data rows) and a short row
+    reads its missing cells as empty.
 ``jsonl``
     One JSON object per line with the same keys; the first row decides
     whether the trace carries release times.
@@ -23,16 +26,25 @@ Two trace formats share one validation path:
 Validation is strict — the silent-corruption modes of the original loader
 are errors here: an empty/missing ``release`` cell raises (instead of
 fabricating ``0.0``), a reappearing ``instance`` key raises (instead of
-silently splitting the group), non-positive or non-finite fields raise, and
-a ``delta`` above ``P`` is clamped *loudly* (one warning per file, naming the
-first offending data row).
+silently splitting the group), non-positive or non-finite fields raise, a
+JSON boolean in a numeric field raises (instead of reading as ``1.0``), a
+used CSV column that appears twice in the header raises (instead of
+silently taking one copy), and a ``delta`` above ``P`` is clamped *loudly*
+(one warning per file, naming the first offending data row).  ``P`` itself
+must be positive and finite.
+
+:func:`stream_trace` collects each chunk's rows as flat per-column lists
+plus the task count of each instance, and fills every padded array of the
+chunk with one scatter.
 
 On top of the reader, :func:`replay_stream` runs the whole ``policies``
-pipeline online: per-chunk :func:`repro.batch.sim_kernels.simulate_batch`
-calls feed :class:`StreamingMoments` accumulators (Chan's parallel
-mean/variance update), so the final metrics match the in-memory path up to
-floating-point reassociation without ever holding more than one chunk.
-Chunks can optionally be dispatched through
+pipeline online: it computes each chunk's Lemma 1 lower bounds once, ships
+them to every policy next to the release times, and per-chunk
+:func:`repro.batch.sim_kernels.simulate_batch` calls feed
+:class:`StreamingMoments` accumulators (Chan's parallel mean/variance
+update), so the final metrics match the in-memory path up to floating-point
+reassociation without ever holding more than one chunk.  Chunks can
+optionally be dispatched through
 :meth:`repro.exec.ExecutionContext.map_batch`, riding the process pool and
 the shared-memory transport unchanged.
 
@@ -89,6 +101,9 @@ def _row_error(path: str, row_number: int, message: str) -> InvalidInstanceError
 
 
 def _parse_field(path: str, row_number: int, name: str, value: Any) -> float:
+    # JSON booleans are ints to ``float()``; a trace cell is never a bool.
+    if isinstance(value, bool):
+        raise _row_error(path, row_number, f"column {name!r} is not a number: {value!r}")
     try:
         parsed = float(value)
     except (TypeError, ValueError):
@@ -96,6 +111,15 @@ def _parse_field(path: str, row_number: int, name: str, value: Any) -> float:
     if not math.isfinite(parsed):
         raise _row_error(path, row_number, f"column {name!r} must be finite, got {parsed}")
     return parsed
+
+
+def _check_ranges(path: str, row_number: int, volume: float, weight: float, delta: float) -> None:
+    if volume <= 0:
+        raise _row_error(path, row_number, f"volume must be positive, got {volume}")
+    if weight < 0:
+        raise _row_error(path, row_number, f"weight must be non-negative, got {weight}")
+    if delta <= 0:
+        raise _row_error(path, row_number, f"delta must be positive, got {delta}")
 
 
 def _detect_format(path: str, fmt: str) -> str:
@@ -127,52 +151,79 @@ def iter_trace_rows(
     ``"csv"``, ``"jsonl"`` or ``"auto"`` (decided by the file extension,
     falling back to content sniffing).
 
-    Raises :class:`~repro.core.exceptions.InvalidInstanceError`, always
-    naming the offending data row, for: missing required columns,
-    non-numeric or non-finite fields, ``volume <= 0``, ``weight < 0``,
+    Raises :class:`~repro.core.exceptions.InvalidInstanceError` for missing
+    required columns or a used CSV column repeated in the header, and,
+    naming the offending data row, for: non-numeric (JSON booleans
+    included) or non-finite fields, ``volume <= 0``, ``weight < 0``,
     ``delta <= 0``, and a ``release`` cell that is empty or missing in a
     trace that carries release times (the old loader silently zero-filled
     those — fabricated arrival times corrupt every downstream metric).
+    Blank lines are skipped and do not count as data rows.
     """
     path = os.fspath(path)
     resolved = _detect_format(path, fmt)
-    rows = _iter_csv_rows(path) if resolved == "csv" else _iter_jsonl_rows(path)
-    for row_number, key, volume, weight, delta, release in rows:
-        if volume <= 0:
-            raise _row_error(path, row_number, f"volume must be positive, got {volume}")
-        if weight < 0:
-            raise _row_error(path, row_number, f"weight must be non-negative, got {weight}")
-        if delta <= 0:
-            raise _row_error(path, row_number, f"delta must be positive, got {delta}")
-        yield row_number, key, volume, weight, delta, release
+    yield from _iter_csv_rows(path) if resolved == "csv" else _iter_jsonl_rows(path)
+
+
+def _parse_release(path: str, row_number: int, cell: Any) -> float:
+    if cell is None or cell == "":
+        raise _row_error(
+            path, row_number,
+            "empty 'release' cell in a trace with release times "
+            "(a fabricated 0.0 arrival would corrupt the replay)",
+        )
+    return _parse_field(path, row_number, "release", cell)
 
 
 def _iter_csv_rows(path: str) -> Iterator[tuple[int, str, float, float, float, float | None]]:
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not set(REQUIRED_COLUMNS).issubset(reader.fieldnames):
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or not set(REQUIRED_COLUMNS).issubset(header):
             raise InvalidInstanceError(
-                f"trace {path!r} must have columns {sorted(REQUIRED_COLUMNS)}; "
-                f"got {reader.fieldnames}"
+                f"trace {path!r} must have columns {sorted(REQUIRED_COLUMNS)}; got {header}"
             )
-        has_release = "release" in reader.fieldnames
-        for row_number, row in enumerate(reader, start=1):
-            key = row["instance"]
-            if key is None or key == "":
+        has_release = "release" in header
+        used = (*REQUIRED_COLUMNS, "release") if has_release else REQUIRED_COLUMNS
+        for name in used:
+            if header.count(name) > 1:
+                raise InvalidInstanceError(
+                    f"trace {path!r}: column {name!r} appears more than once in the header"
+                )
+        i_key, i_vol, i_wgt, i_dlt = (header.index(name) for name in REQUIRED_COLUMNS)
+        i_rel = header.index("release") if has_release else -1
+        width = max(i_key, i_vol, i_wgt, i_dlt, i_rel) + 1
+        isfinite = math.isfinite
+        row_number = 0
+        row: list[Any]  # cells are str, or None past the end of a short row
+        for row in reader:
+            if not row:
+                continue  # a blank line is skipped and not counted
+            row_number += 1
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            key = row[i_key]
+            if not key:
                 raise _row_error(path, row_number, "column 'instance' is empty")
-            volume = _parse_field(path, row_number, "volume", row["volume"])
-            weight = _parse_field(path, row_number, "weight", row["weight"])
-            delta = _parse_field(path, row_number, "delta", row["delta"])
-            release: float | None = None
-            if has_release:
-                cell = row.get("release")
-                if cell is None or cell == "":
-                    raise _row_error(
-                        path, row_number,
-                        "empty 'release' cell in a trace with release times "
-                        "(a fabricated 0.0 arrival would corrupt the replay)",
-                    )
-                release = _parse_field(path, row_number, "release", cell)
+            # Fast path: parse every cell at once; on any failure re-parse
+            # cell by cell, in column order, for the error naming the cell.
+            try:
+                volume = float(row[i_vol])
+                weight = float(row[i_wgt])
+                delta = float(row[i_dlt])
+                release = float(row[i_rel]) if has_release else None
+                ok = isfinite(volume) and isfinite(weight) and isfinite(delta) and (
+                    release is None or isfinite(release)
+                )
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                volume = _parse_field(path, row_number, "volume", row[i_vol])
+                weight = _parse_field(path, row_number, "weight", row[i_wgt])
+                delta = _parse_field(path, row_number, "delta", row[i_dlt])
+                release = _parse_release(path, row_number, row[i_rel]) if has_release else None
+            if volume <= 0 or weight < 0 or delta <= 0:
+                _check_ranges(path, row_number, volume, weight, delta)
             yield row_number, key, volume, weight, delta, release
 
 
@@ -217,6 +268,7 @@ def _iter_jsonl_rows(path: str) -> Iterator[tuple[int, str, float, float, float,
                     "unexpected 'release' key (the first row declared a trace "
                     "without release times)",
                 )
+            _check_ranges(path, row_number, volume, weight, delta)
             yield row_number, key, volume, weight, delta, release
 
 
@@ -244,30 +296,45 @@ class TraceChunk:
 
 
 def _build_chunk(
-    groups: list[tuple[list[float], list[float], list[float], list[float]]],
+    volumes: list[float],
+    weights: list[float],
+    deltas: list[float],
+    releases: list[float],
+    sizes: list[int],
     P: float,
     start: int,
-    has_release: bool,
 ) -> TraceChunk:
-    B = len(groups)
-    n_max = max(max(len(g[0]) for g in groups), 1)
-    volumes = np.zeros((B, n_max))
-    weights = np.zeros((B, n_max))
-    deltas = np.ones((B, n_max))
-    mask = np.zeros((B, n_max), dtype=bool)
-    releases = np.zeros((B, n_max)) if has_release else None
-    for b, (vol, wgt, dlt, rel) in enumerate(groups):
-        n = len(vol)
-        volumes[b, :n] = vol
-        weights[b, :n] = wgt
-        deltas[b, :n] = dlt
-        mask[b, :n] = True
-        if releases is not None:
-            releases[b, :n] = rel
+    """Pack flat per-column lists of consecutive groups into one chunk.
+
+    ``releases`` is empty for a trace without release times.  Row ``k`` of
+    the flat lists lands at ``(rows[k], cols[k])``: its group's index, and
+    its offset within that group.  Each array is filled by one scatter
+    instead of a per-instance slice loop.
+    """
+    counts = np.asarray(sizes)
+    B = counts.size
+    n_max = int(counts.max())
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(np.arange(B), counts)
+    cols = np.arange(len(volumes)) - np.repeat(starts, counts)
+
+    def scatter(values: list[float], fill: float) -> np.ndarray:
+        out = np.full((B, n_max), fill)
+        out[rows, cols] = values
+        return out
+
     batch = InstanceBatch.from_arrays(
-        P=np.full(B, float(P)), volumes=volumes, weights=weights, deltas=deltas, mask=mask
+        P=np.full(B, float(P)),
+        volumes=scatter(volumes, 0.0),
+        weights=scatter(weights, 0.0),
+        deltas=scatter(deltas, 1.0),
+        mask=np.arange(n_max) < counts[:, None],
     )
-    return TraceChunk(batch=batch, releases=releases, start=start)
+    return TraceChunk(
+        batch=batch,
+        releases=scatter(releases, 0.0) if releases else None,
+        start=start,
+    )
 
 
 def stream_trace(
@@ -288,24 +355,35 @@ def stream_trace(
     is never parsed — and ``chunk_size=None`` packs everything into one
     chunk (the in-memory :func:`repro.scenarios.families.load_trace` path).
 
+    Raises :class:`~repro.core.exceptions.InvalidInstanceError` for a
+    non-positive or non-finite ``P`` and a non-positive ``chunk_size`` or
+    ``max_instances``.
+
     Peak memory is ``O(chunk_size x n_max_of_chunk)`` plus the set of seen
     instance keys; the full trace is never materialised.
     """
     path = os.fspath(path)
     if chunk_size is not None and chunk_size <= 0:
         raise InvalidInstanceError(f"chunk_size must be positive, got {chunk_size}")
-    if P <= 0:
-        raise InvalidInstanceError(f"P must be positive, got {P}")
+    if max_instances is not None and max_instances <= 0:
+        raise InvalidInstanceError(f"max_instances must be positive, got {max_instances}")
+    if not (P > 0) or not math.isfinite(P):
+        raise InvalidInstanceError(f"platform size P must be positive and finite, got {P!r}")
     seen: set[str] = set()
-    pending: list[tuple[list[float], list[float], list[float], list[float]]] = []
-    current: tuple[list[float], list[float], list[float], list[float]] | None = None
+    # The pending groups, column by column: flat per-row lists plus the size
+    # of each completed group.  The open group's rows sit after
+    # ``group_start``.
+    volumes: list[float] = []
+    weights: list[float] = []
+    deltas: list[float] = []
+    releases: list[float] = []
+    sizes: list[int] = []
+    group_start = 0
     current_key: str | None = None
-    has_release = False
     clamp_warned = False
     emitted = 0
-    done = False
+    cut = False
     for row_number, key, volume, weight, delta, release in iter_trace_rows(path, fmt=fmt):
-        has_release = release is not None
         if delta > P:
             if not clamp_warned:
                 warnings.warn(
@@ -324,36 +402,28 @@ def stream_trace(
                     "(rows of one instance must be consecutive)",
                 )
             seen.add(key)
-            if current is not None:
-                pending.append(current)
-                if max_instances is not None and emitted + len(pending) >= max_instances:
-                    done = True
-                    current = None
+            if current_key is not None:
+                sizes.append(len(volumes) - group_start)
+                group_start = len(volumes)
+                if max_instances is not None and emitted + len(sizes) >= max_instances:
+                    cut = True
                     break
-            current = ([], [], [], [])
+                if len(sizes) == chunk_size:
+                    yield _build_chunk(volumes, weights, deltas, releases, sizes, P, emitted)
+                    emitted += len(sizes)
+                    volumes, weights, deltas, releases, sizes = [], [], [], [], []
+                    group_start = 0
             current_key = key
-        assert current is not None
-        current[0].append(volume)
-        current[1].append(weight)
-        current[2].append(delta)
-        current[3].append(release if release is not None else 0.0)
-        if chunk_size is not None and len(pending) >= chunk_size:
-            yield _build_chunk(pending[:chunk_size], P, emitted, has_release)
-            emitted += chunk_size
-            pending = pending[chunk_size:]
-    if current is not None:
-        pending.append(current)
-        if max_instances is not None and emitted + len(pending) > max_instances:
-            pending = pending[: max_instances - emitted]
-    if done and max_instances is not None:
-        pending = pending[: max_instances - emitted]
-    while chunk_size is not None and len(pending) >= chunk_size:
-        yield _build_chunk(pending[:chunk_size], P, emitted, has_release)
-        emitted += chunk_size
-        pending = pending[chunk_size:]
-    if pending:
-        yield _build_chunk(pending, P, emitted, has_release)
-        emitted += len(pending)
+        volumes.append(volume)
+        weights.append(weight)
+        deltas.append(delta)
+        if release is not None:
+            releases.append(release)
+    if not cut and len(volumes) > group_start:
+        sizes.append(len(volumes) - group_start)
+    if sizes:
+        yield _build_chunk(volumes, weights, deltas, releases, sizes, P, emitted)
+        emitted += len(sizes)
     if emitted == 0:
         raise InvalidInstanceError(f"trace {path!r} contains no tasks")
 
@@ -472,27 +542,30 @@ def _redraw_weights_batch(
 def _simulate_rows(
     policy_name: str,
     batch: InstanceBatch,
-    extra: Mapping[str, np.ndarray] | None = None,
+    extra: Mapping[str, np.ndarray],
 ) -> list[tuple[float, float, float]]:
     """Per-row ``(ratio, objective, makespan)`` triples for one policy.
+
+    ``extra`` carries the per-row Lemma 1 lower bounds under ``"bounds"``
+    (shape ``(B,)``, computed once per chunk by :func:`replay_stream` and
+    shared by every policy) and, for a trace with release times, the
+    ``(B, n_max)`` release matrix under ``"releases"``.
 
     Module-level and row-independent, so
     :meth:`repro.exec.ExecutionContext.map_batch` can pickle a
     ``functools.partial`` of it into pool workers and slice the chunk (and
-    its ``releases`` extra array) over the shared-memory transport.
+    its extra arrays) over the shared-memory transport.
     """
-    from repro.batch.kernels import combined_lower_bound_batch
     from repro.batch.sim_kernels import default_batch_policies, simulate_batch
 
-    releases = extra["releases"] if extra else None
     policy = next(
         (p for p in default_batch_policies(batch) if p.name == policy_name), None
     )
     if policy is None:
         raise InvalidInstanceError(f"unknown policy {policy_name!r}")
-    bounds = combined_lower_bound_batch(batch)
+    bounds = extra["bounds"]
     safe = np.where(bounds > 0, bounds, 1.0)
-    result = simulate_batch(batch, policy, release_times=releases)
+    result = simulate_batch(batch, policy, release_times=extra.get("releases"))
     objectives = result.weighted_completion_times()
     ratios = np.where(bounds > 0, objectives / safe, 1.0)
     makespans = result.makespans()
@@ -529,9 +602,11 @@ def replay_stream(
     come from the trace itself): synthetic arrivals draw from a
     ``(count, n_max)`` matrix whose shape a stream cannot know upfront.
 
-    ``ctx`` dispatches each chunk's rows through
-    :meth:`~repro.exec.ExecutionContext.map_batch` — the process-pool and
-    shared-memory transports apply per chunk, unchanged.  ``on_chunk`` is
+    The Lemma 1 lower bound that scores every policy is computed once per
+    chunk, in the calling process, and shipped to each policy's run as the
+    per-row ``bounds`` extra array.  ``ctx`` dispatches each chunk's rows
+    through :meth:`~repro.exec.ExecutionContext.map_batch` — the
+    process-pool and shared-memory transports apply per chunk, unchanged.  ``on_chunk`` is
     called after each chunk with the chunk and its *chunk-local* metrics
     (what :func:`repro.scenarios.store.merge_records` aggregates back into
     the exact stream totals).
@@ -543,6 +618,11 @@ def replay_stream(
             f"(process {process!r}): release times must come from the trace "
             "itself, or drop params.chunk_size to use the in-memory path"
         )
+    # Looked up per call, not imported at module level, so a patched
+    # ``repro.batch.kernels.combined_lower_bound_batch`` takes effect.
+    from repro.batch.kernels import combined_lower_bound_batch
+    from repro.batch.sim_kernels import default_batch_policies
+
     rng = np.random.default_rng(seed)
     accumulators: dict[str, dict[str, StreamingMoments]] = {}
     total = 0
@@ -564,14 +644,16 @@ def replay_stream(
         batch = chunk.batch
         if weight:
             batch = _redraw_weights_batch(batch, weight, rng)
-        from repro.batch.sim_kernels import default_batch_policies
-
         names = [
             p.name
             for p in default_batch_policies(batch)
             if not policies or p.name in policies
         ]
-        extra = {"releases": chunk.releases} if chunk.releases is not None else None
+        # The bound depends on the instance alone: one per chunk, shared by
+        # every policy (after the weight redraw, which changes it).
+        extra = {"bounds": combined_lower_bound_batch(batch)}
+        if chunk.releases is not None:
+            extra["releases"] = chunk.releases
         chunk_metrics: dict[str, dict[str, float]] = {}
         for name in names:
             worker = functools.partial(_simulate_rows, name)

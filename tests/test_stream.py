@@ -11,9 +11,12 @@ aggregation of :mod:`repro.scenarios.store`.
 
 from __future__ import annotations
 
+import csv
+import importlib.util
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError
+from repro.core.instance import Instance, Task
 from repro.exec import ExecutionContext
 from repro.scenarios import ResultsStore, ScenarioSpec, SweepRunner, merge_records
 from repro.scenarios.families import build_cell_workload, load_trace
@@ -33,7 +37,8 @@ from repro.scenarios.stream import (
     stream_trace,
 )
 
-SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIO_DIR = REPO_ROOT / "scenarios"
 SAMPLE_TRACE = SCENARIO_DIR / "traces" / "sample_trace.csv"
 
 HEADER = "instance,volume,weight,delta,release"
@@ -46,6 +51,17 @@ def write_csv(path, rows, header=HEADER):
 
 def write_jsonl(path, rows):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def ragged_trace(tmp_path_factory):
+    """A ``tools/gen_trace.py`` trace: 120 instances of 1-12 tasks, with releases."""
+    spec = importlib.util.spec_from_file_location("gen_trace", REPO_ROOT / "tools" / "gen_trace.py")
+    gen_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_trace)
+    path = tmp_path_factory.mktemp("ragged") / "trace.csv"
+    gen_trace.generate(str(path), "csv", None, 120, (1, 12), 8.0, 1.0, 5)
     return path
 
 
@@ -223,6 +239,128 @@ class TestValidation:
         assert len(instances) == 1
         with pytest.raises(InvalidInstanceError, match="data row 3"):
             load_trace(trace, P=8.0)
+
+
+# --------------------------------------------------------------------- #
+# The single-pass CSV reader, and the input checks of stream_trace
+# --------------------------------------------------------------------- #
+
+
+class TestReader:
+    def test_blank_lines_do_not_advance_row_numbers(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text(
+            HEADER + "\n\na,1.0,1.0,2.0,0.1\n\n\nb,2.0,1.0,2.0,0.2\n\nc,oops,1.0,2.0,0.3\n",
+            encoding="utf-8",
+        )
+        rows = []
+        with pytest.raises(InvalidInstanceError, match="data row 3: column 'volume' is not a number"):
+            rows.extend(iter_trace_rows(trace))
+        assert rows == [(1, "a", 1.0, 1.0, 2.0, 0.1), (2, "b", 2.0, 1.0, 2.0, 0.2)]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a", "column 'volume' is not a number: None"),
+            ("a,1.0", "column 'weight' is not a number: None"),
+            ("a,1.0,1.0", "column 'delta' is not a number: None"),
+            ("a,1.0,1.0,2.0", "empty 'release' cell in a trace with release times"),
+        ],
+    )
+    def test_short_rows_read_missing_cells_as_none(self, tmp_path, row, message):
+        trace = write_csv(tmp_path / "t.csv", ["ok,1.0,1.0,2.0,0.1", row])
+        with pytest.raises(InvalidInstanceError, match=f"data row 2: {re.escape(message)}"):
+            list(iter_trace_rows(trace))
+
+    def test_reordered_and_extra_columns(self, tmp_path):
+        trace = write_csv(
+            tmp_path / "t.csv",
+            ["2.0,x,0.5,1.5,a,3.0,y", "4.0,,0.7,2.5,a,1.0", "1.0,,0.9,0.5,b,2.0,z,surplus"],
+            header="delta,note,release,weight,instance,volume,other",
+        )
+        assert list(iter_trace_rows(trace)) == [
+            (1, "a", 3.0, 1.5, 2.0, 0.5),
+            (2, "a", 1.0, 2.5, 4.0, 0.7),
+            (3, "b", 2.0, 0.5, 1.0, 0.9),
+        ]
+
+    def test_quoted_cells(self, tmp_path):
+        trace = write_csv(tmp_path / "t.csv", ['"job, ""one""","1.5",2,"3e0",0.25'])
+        assert list(iter_trace_rows(trace)) == [(1, 'job, "one"', 1.5, 2.0, 3.0, 0.25)]
+
+    def test_duplicate_header_column_raises(self, tmp_path):
+        """A repeated column used to resolve silently to its last copy."""
+        trace = write_csv(
+            tmp_path / "t.csv", ["a,1.0,1.0,2.0,3.0"], header="instance,volume,weight,delta,volume"
+        )
+        with pytest.raises(InvalidInstanceError, match="column 'volume' appears more than once"):
+            list(iter_trace_rows(trace))
+        # A repeated column the reader does not use is harmless.
+        trace = write_csv(
+            tmp_path / "t.csv", ["a,1.0,1.0,2.0,x,y"], header="instance,volume,weight,delta,note,note"
+        )
+        assert list(iter_trace_rows(trace)) == [(1, "a", 1.0, 1.0, 2.0, None)]
+
+    @pytest.mark.parametrize("name", ["volume", "weight", "delta", "release"])
+    def test_jsonl_boolean_is_not_a_number(self, tmp_path, name):
+        """``float(True)`` used to turn a JSON boolean into 1.0."""
+        good = {"instance": "a", "volume": 1.0, "weight": 1.0, "delta": 2.0, "release": 0.1}
+        trace = write_jsonl(tmp_path / "t.jsonl", [good, {**good, "instance": "b", name: True}])
+        with pytest.raises(InvalidInstanceError, match=f"data row 2: column '{name}' is not a number: True"):
+            list(iter_trace_rows(trace))
+
+    @pytest.mark.parametrize("P", [0.0, -1.0, float("nan"), float("inf")])
+    def test_stream_trace_rejects_bad_platform_size(self, P):
+        """``P=nan`` used to pass ``P <= 0`` and ``P=inf`` was accepted."""
+        with pytest.raises(InvalidInstanceError, match="platform size P must be positive and finite"):
+            list(stream_trace(SAMPLE_TRACE, P))
+
+    @pytest.mark.parametrize("max_instances", [0, -3])
+    def test_stream_trace_rejects_nonpositive_max_instances(self, max_instances):
+        """``max_instances=0`` used to fail with a misleading "contains no tasks"."""
+        with pytest.raises(InvalidInstanceError, match="max_instances must be positive"):
+            list(stream_trace(SAMPLE_TRACE, 8.0, max_instances=max_instances))
+
+
+def _reference_chunks(path, P, chunk_size, max_instances=None):
+    """``(start, batch, releases)`` per chunk, from ``csv.DictReader`` rows."""
+    groups: dict[str, list[dict]] = {}
+    with open(path, newline="", encoding="utf-8") as handle:
+        for row in csv.DictReader(handle):
+            groups.setdefault(row["instance"], []).append(row)
+    rows = list(groups.values())[:max_instances]
+    for start in range(0, len(rows), chunk_size):
+        part = rows[start : start + chunk_size]
+        batch = InstanceBatch.from_instances(
+            Instance(P, [Task(float(r["volume"]), float(r["weight"]), float(r["delta"])) for r in g])
+            for g in part
+        )
+        releases = np.zeros(batch.volumes.shape)
+        for b, g in enumerate(part):
+            releases[b, : len(g)] = [float(r["release"]) for r in g]
+        yield start, batch, releases
+
+
+class TestChunkBuild:
+    @pytest.mark.parametrize(
+        "chunk_size, max_instances", [(1, None), (7, None), (4096, None), (7, 53)]
+    )
+    def test_chunks_bit_equal_dictreader_reference(self, ragged_trace, chunk_size, max_instances):
+        """P=6 clamps some of the trace's deltas (drawn up to 8)."""
+        with pytest.warns(UserWarning, match="clamping to P"):
+            chunks = list(
+                stream_trace(ragged_trace, 6.0, chunk_size=chunk_size, max_instances=max_instances)
+            )
+        reference = list(_reference_chunks(ragged_trace, 6.0, chunk_size, max_instances))
+        assert len(chunks) == len(reference)
+        for chunk, (start, batch, releases) in zip(chunks, reference):
+            assert chunk.start == start
+            for name in ("P", "volumes", "weights", "deltas", "mask"):
+                got, want = getattr(chunk.batch, name), getattr(batch, name)
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+            assert chunk.releases.shape == releases.shape
+            assert chunk.releases.tobytes() == releases.tobytes()
 
 
 # --------------------------------------------------------------------- #
@@ -434,6 +572,28 @@ class TestReplayStream:
             pooled, total_pooled = replay_stream(SAMPLE_TRACE, 8.0, chunk_size=3, ctx=ctx)
         assert total_direct == total_pooled == 8
         assert direct == pooled  # bit-identical: same kernels, same inputs
+
+    def test_shm_pool_matches_inprocess_on_generated_trace(self, ragged_trace):
+        direct = replay_stream(ragged_trace, 8.0, chunk_size=64)
+        with ExecutionContext(backend="vectorized", workers=2, shm=True) as ctx:
+            pooled = replay_stream(ragged_trace, 8.0, chunk_size=64, ctx=ctx)
+        assert pooled == direct
+
+    def test_one_lower_bound_per_chunk(self, ragged_trace, monkeypatch):
+        """The Lemma 1 bound is computed once per chunk, not once per policy."""
+        from repro.batch import kernels
+
+        sizes = []
+        original = kernels.combined_lower_bound_batch
+
+        def counting(batch, *args, **kwargs):
+            sizes.append(batch.batch_size)
+            return original(batch, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "combined_lower_bound_batch", counting)
+        per_policy, total = replay_stream(ragged_trace, 8.0, chunk_size=50)
+        assert len(per_policy) == 4 and total == 120
+        assert sizes == [50, 50, 20]
 
     def test_on_chunk_sees_every_chunk(self):
         seen = []
