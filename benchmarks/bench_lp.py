@@ -38,7 +38,7 @@ def lp_batch_64x5():
 def test_solve_ordered_relaxation_scipy_n5(benchmark, uniform_instance_n5):
     order = uniform_instance_n5.smith_order()
     result = benchmark(
-        solve_ordered_relaxation, uniform_instance_n5, order, "scipy", False
+        solve_ordered_relaxation, uniform_instance_n5, order, build_schedule=False
     )
     assert result.objective > 0
 
@@ -63,7 +63,7 @@ def test_lp_batch_matches_scalar(lp_batch_64x5):
     solution = solve_ordered_relaxation_batch(batch)
     for b, inst in enumerate(instances[:8]):
         scalar = solve_ordered_relaxation(
-            inst, inst.smith_order(), backend="scipy", build_schedule=False
+            inst, inst.smith_order(), build_schedule=False
         )
         assert solution.objectives[b] == pytest.approx(scalar.objective, rel=1e-6)
 
@@ -85,7 +85,7 @@ def run_lp_benchmark(
     orders = [inst.smith_order() for inst in instances]
     serial_seconds = best_of(
         lambda: [
-            solve_ordered_relaxation(inst, order, backend="scipy", build_schedule=False)
+            solve_ordered_relaxation(inst, order, build_schedule=False)
             for inst, order in zip(instances, orders)
         ],
         repeats,
@@ -102,7 +102,7 @@ def run_lp_benchmark(
     solution = solve_ordered_relaxation_batch(batch, smith_orders_batch(batch))
     scalar_objectives = np.array(
         [
-            solve_ordered_relaxation(inst, order, backend="scipy", build_schedule=False).objective
+            solve_ordered_relaxation(inst, order, build_schedule=False).objective
             for inst, order in zip(instances, orders)
         ]
     )

@@ -24,6 +24,8 @@ from repro.algorithms.makespan import minimal_makespan
 from repro.algorithms.water_filling import water_filling_schedule
 from repro.algorithms.wdeq import wdeq_schedule
 from repro.batch.kernels import PaddedBatch, water_filling_batch, wdeq_batch
+from repro.core.batch import InstanceBatch
+from repro.lp.batch import solve_ordered_relaxation_batch
 from repro.lp.interface import solve_ordered_relaxation
 from repro.experiments import run_experiment
 from repro.workloads.generators import cluster_instances
@@ -73,16 +75,18 @@ def _prefix_instance(instance, n):
 def test_ordered_lp_highs_n20(benchmark, cluster_instance_n200):
     inst = _prefix_instance(cluster_instance_n200, 20)
     order = inst.smith_order()
-    benchmark(solve_ordered_relaxation, inst, order, "scipy", False)
+    benchmark(solve_ordered_relaxation, inst, order, build_schedule=False)
 
 
 @pytest.mark.benchmark(group="lp-backends")
 def test_ordered_lp_simplex_n10(benchmark, cluster_instance_n200):
+    # The in-repo simplex is the lockstep kernel, timed on a batch of one.
     inst = _prefix_instance(cluster_instance_n200, 10)
-    order = inst.smith_order()
+    single = InstanceBatch.from_instances([inst])
     benchmark.pedantic(
-        solve_ordered_relaxation,
-        args=(inst, order, "simplex", False),
+        solve_ordered_relaxation_batch,
+        args=(single, [inst.smith_order()]),
+        kwargs={"backend": "batch"},
         iterations=1,
         rounds=3,
     )

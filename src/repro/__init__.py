@@ -18,8 +18,8 @@ Public API highlights
     WDEQ, DEQ, Water-Filling, greedy scheduling, the brute-force optimal
     solver and ordering heuristics.
 ``repro.lp``
-    The fixed-ordering linear program of Corollary 1 with a SciPy backend and
-    a self-contained simplex fallback.
+    The fixed-ordering linear program of Corollary 1, solved by SciPy/HiGHS
+    or by a self-contained lockstep batched simplex.
 ``repro.simulation``
     Event-driven non-clairvoyant execution of online policies.
 ``repro.workloads``

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.instance import Instance
 from repro.core.schedule import ColumnSchedule
-from repro.lp.interface import Backend, solve_ordered_relaxation
+from repro.lp.interface import solve_ordered_relaxation
 
 __all__ = ["OptimalResult", "optimal_schedule", "optimal_value", "optimal_over_orders"]
 
@@ -56,7 +56,6 @@ class OptimalResult:
 def optimal_over_orders(
     instance: Instance,
     orders: Iterable[Sequence[int]],
-    backend: Backend = "scipy",
     build_schedule: bool = True,
 ) -> OptimalResult:
     """Best LP value over an explicit collection of orderings.
@@ -68,23 +67,19 @@ def optimal_over_orders(
     best_order: tuple[int, ...] | None = None
     evaluated = 0
     for order in orders:
-        solution = solve_ordered_relaxation(
-            instance, order, backend=backend, build_schedule=False
-        )
+        solution = solve_ordered_relaxation(instance, order, build_schedule=False)
         evaluated += 1
         if solution.objective < best_value - 1e-12:
             best_value = solution.objective
             best_order = tuple(int(i) for i in order)
     if best_order is None:
         if instance.n == 0:
-            empty = solve_ordered_relaxation(instance, [], backend=backend)
+            empty = solve_ordered_relaxation(instance, [])
             return OptimalResult(order=(), objective=0.0, schedule=empty.schedule, orderings_evaluated=0)
         raise InvalidInstanceError("no orderings supplied")
     schedule = None
     if build_schedule:
-        schedule = solve_ordered_relaxation(
-            instance, best_order, backend=backend, build_schedule=True
-        ).schedule
+        schedule = solve_ordered_relaxation(instance, best_order, build_schedule=True).schedule
     return OptimalResult(
         order=best_order,
         objective=best_value,
@@ -95,7 +90,6 @@ def optimal_over_orders(
 
 def optimal_schedule(
     instance: Instance,
-    backend: Backend = "scipy",
     build_schedule: bool = True,
     max_tasks: int = MAX_EXHAUSTIVE_TASKS,
 ) -> OptimalResult:
@@ -105,8 +99,6 @@ def optimal_schedule(
     ----------
     instance:
         The scheduling instance; must have at most ``max_tasks`` tasks.
-    backend:
-        LP backend (``"scipy"`` or ``"simplex"``).
     build_schedule:
         Whether to reconstruct the optimal column schedule (and not only its
         value).
@@ -120,19 +112,14 @@ def optimal_schedule(
             "use best_greedy_schedule or WDEQ with lower bounds instead"
         )
     if n == 0:
-        return optimal_over_orders(instance, [[]], backend=backend, build_schedule=build_schedule)
+        return optimal_over_orders(instance, [[]], build_schedule=build_schedule)
     return optimal_over_orders(
         instance,
         itertools.permutations(range(n)),
-        backend=backend,
         build_schedule=build_schedule,
     )
 
 
-def optimal_value(
-    instance: Instance, backend: Backend = "scipy", max_tasks: int = MAX_EXHAUSTIVE_TASKS
-) -> float:
+def optimal_value(instance: Instance, max_tasks: int = MAX_EXHAUSTIVE_TASKS) -> float:
     """The optimal weighted completion time (value only)."""
-    return optimal_schedule(
-        instance, backend=backend, build_schedule=False, max_tasks=max_tasks
-    ).objective
+    return optimal_schedule(instance, build_schedule=False, max_tasks=max_tasks).objective

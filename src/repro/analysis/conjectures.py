@@ -45,9 +45,7 @@ class Conjecture12Check:
     holds: bool
 
 
-def check_conjecture12(
-    instance: Instance, tolerance: float = 1e-6, backend: str = "scipy"
-) -> Conjecture12Check:
+def check_conjecture12(instance: Instance, tolerance: float = 1e-6) -> Conjecture12Check:
     """Compare the best greedy schedule with the exact optimum.
 
     The conjecture "holds" on the instance when the relative gap is below
@@ -56,7 +54,7 @@ def check_conjecture12(
     carry ~1e-9 of noise, so 1e-6 is a comfortable threshold).
     """
     greedy = best_greedy_schedule(instance)
-    opt = optimal_value(instance, backend=backend)
+    opt = optimal_value(instance)
     gap = 0.0 if opt <= 0 else (greedy.objective - opt) / opt
     return Conjecture12Check(
         best_greedy=greedy.objective,

@@ -48,10 +48,10 @@ class GreedyGap:
         return (self.best_greedy - self.optimal) / self.optimal
 
 
-def greedy_vs_optimal(instance: Instance, backend: str = "scipy") -> GreedyGap:
+def greedy_vs_optimal(instance: Instance) -> GreedyGap:
     """Compare the best greedy schedule with the exact optimum (small ``n`` only)."""
     greedy = best_greedy_schedule(instance)
-    opt = optimal_value(instance, backend=backend)
+    opt = optimal_value(instance)
     return GreedyGap(best_greedy=greedy.objective, optimal=opt)
 
 

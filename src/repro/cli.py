@@ -69,7 +69,7 @@ import os
 import sys
 from typing import Sequence
 
-from repro.exec import ExecutionContext
+from repro.exec import BACKENDS, LP_BACKENDS, ExecutionContext
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.experiments.report import render_markdown_report, run_all
 from repro.viz.tables import format_table
@@ -472,18 +472,18 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lp-backend",
         default="auto",
-        choices=("auto", "scipy", "simplex"),
+        choices=LP_BACKENDS,
         help=(
             "LP solver for the Corollary 1 ordered relaxation: 'auto' picks the "
             "batched lockstep kernel under --batch and SciPy/HiGHS otherwise; "
-            "'scipy' / 'simplex' pin one scalar solver (the selection is part of "
-            "the cache key, so cached results never cross solvers)"
+            "'scipy' pins HiGHS (the selection is part of the cache key, so "
+            "cached results never cross solvers)"
         ),
     )
     parser.add_argument(
         "--backend",
         default="auto",
-        choices=("auto", "serial", "vectorized", "process-pool", "cluster"),
+        choices=("auto",) + BACKENDS,
         help=(
             "execution backend; 'auto' (default) infers it from --batch/--workers, "
             "'cluster' shards cells over the worker nodes named by --hosts "

@@ -59,9 +59,9 @@ BACKENDS = ("serial", "vectorized", "process-pool", "cluster")
 
 #: The recognised LP-backend selections.  ``auto`` resolves per execution
 #: backend (the batched lockstep kernel on ``vectorized``, SciPy otherwise);
-#: ``scipy`` / ``simplex`` pin one scalar solver — see
+#: ``scipy`` pins HiGHS everywhere — see
 #: :meth:`ExecutionContext.resolved_lp_backend`.
-LP_BACKENDS = ("auto", "scipy", "simplex")
+LP_BACKENDS = ("auto", "scipy")
 
 #: File name used for the persistent result cache inside ``--cache-dir``.
 CACHE_FILE_NAME = "results-cache.json"
@@ -112,8 +112,8 @@ class ExecutionContext:
         Which solver the LP layer should use, one of :data:`LP_BACKENDS`.
         The default ``"auto"`` picks the batched lockstep kernel of
         :mod:`repro.lp.batch` on the ``vectorized`` backend and SciPy/HiGHS
-        everywhere else; ``"scipy"`` / ``"simplex"`` pin the scalar solver
-        (still sharded over the worker pool on a ``process-pool`` context).
+        everywhere else; ``"scipy"`` pins HiGHS on every backend (still
+        sharded over the worker pool on a ``process-pool`` context).
         The *resolved* solver is part of every :meth:`cached` key, so
         neither switching ``--lp-backend`` nor an ``auto`` that resolves
         differently across backends can return results computed by another
@@ -280,10 +280,9 @@ class ExecutionContext:
         """The concrete LP solver this context selects.
 
         ``"batch"`` (the lockstep kernel of :mod:`repro.lp.batch`) on a
-        ``vectorized`` context with ``lp_backend="auto"``; otherwise the
-        pinned scalar solver, with ``auto`` defaulting to ``"scipy"``.  The
-        scalar solvers still benefit from a worker pool: the batched LP entry
-        point shards them over :meth:`map`.
+        ``vectorized`` context with ``lp_backend="auto"``; ``"scipy"``
+        (HiGHS) otherwise.  HiGHS still benefits from a worker pool: the
+        batched LP entry point shards its solves over :meth:`map`.
         """
         if self.lp_backend == "auto":
             return "batch" if self.vectorized else "scipy"

@@ -1,4 +1,4 @@
-"""Common result container and execution helpers for all experiments.
+"""Common result container for all experiments.
 
 Experiments return an :class:`ExperimentResult` (a small table plus notes
 and a machine-readable summary) and receive their execution options as one
@@ -11,38 +11,11 @@ cycle and was removed from :mod:`repro.experiments.registry`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Sequence
 
 from repro.viz.tables import format_markdown_table, format_table
 
-__all__ = ["ExperimentResult", "map_instances"]
-
-
-def map_instances(
-    fn: Callable[[Any], Any],
-    instances: Iterable[Any],
-    runner: "Any | None" = None,
-) -> list:
-    """Apply ``fn`` to every instance, optionally through a batch runner.
-
-    With ``runner=None`` this is exactly the serial loop; with a
-    :class:`repro.batch.runner.BatchRunner` the instances are distributed
-    across its workers (order-preserving, identical results).  ``fn`` must be
-    picklable (a module-level function or a :func:`functools.partial` of
-    one) when the runner uses a process pool.
-
-    The experiments themselves route their loops through
-    :meth:`repro.exec.ExecutionContext.map`, which delegates to the
-    context's runner; this helper remains for direct library use.
-
-    Examples
-    --------
-    >>> map_instances(lambda x: x * 2, [1, 2, 3])
-    [2, 4, 6]
-    """
-    if runner is None:
-        return [fn(instance) for instance in instances]
-    return runner.map(fn, instances)
+__all__ = ["ExperimentResult"]
 
 
 @dataclass

@@ -38,7 +38,6 @@ def run(
     sizes: Sequence[int] = (2, 3, 4, 5),
     count: int = 30,
     families: Sequence[str] = ("uniform", "constant weight", "constant weight+volume"),
-    backend: str = "scipy",
     tolerance: float = 1e-6,
     ctx: ExecutionContext | None = None,
 ) -> ExperimentResult:
@@ -50,7 +49,7 @@ def run(
     """
     ctx = ctx if ctx is not None else ExecutionContext()
     count = ctx.scale(count, 10_000)
-    check = functools.partial(check_conjecture12, tolerance=tolerance, backend=backend)
+    check = functools.partial(check_conjecture12, tolerance=tolerance)
     rows: list[list[object]] = []
     worst_gap = 0.0
     all_hold = True
@@ -71,7 +70,6 @@ def run(
                     "family": family,
                     "n": n,
                     "count": count,
-                    "backend": backend,
                     "tolerance": tolerance,
                 },
                 sweep,

@@ -23,9 +23,11 @@ import time
 from typing import Callable, Sequence
 
 from repro.algorithms.wdeq import wdeq_schedule
+from repro.core.batch import InstanceBatch
 from repro.core.instance import Instance
 from repro.exec import ExecutionContext
 from repro.experiments.base import ExperimentResult
+from repro.lp.batch import solve_ordered_relaxation_batch
 from repro.lp.interface import solve_ordered_relaxation
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import SweepRunner
@@ -125,12 +127,14 @@ def run(
         inst = instances[n]
         order = inst.smith_order()
         scipy_time = _time_call(
-            lambda: solve_ordered_relaxation(inst, order, backend="scipy", build_schedule=False)
+            lambda: solve_ordered_relaxation(inst, order, build_schedule=False)
         )
         simplex_time = None
         if n in simplex_sizes:
+            # The in-repo simplex is the lockstep kernel; one LP is a batch of one.
+            single = InstanceBatch.from_instances([inst])
             simplex_time = _time_call(
-                lambda: solve_ordered_relaxation(inst, order, backend="simplex", build_schedule=False),
+                lambda: solve_ordered_relaxation_batch(single, [order], backend="batch"),
                 repeats=1,
             )
         rows.append(
@@ -208,7 +212,7 @@ def run(
         )
         summary[f"simulate_batch speedup (B={B})"] = f"{sim_speedup:.1f}x"
 
-        from repro.lp.batch import smith_orders_batch, solve_ordered_relaxation_batch
+        from repro.lp.batch import smith_orders_batch
         from repro.workloads.generators import uniform_instances
 
         lp_rng = ctx.rng(2)
@@ -216,7 +220,7 @@ def run(
         lp_orders = [inst.smith_order() for inst in lp_instances]
         lp_serial_time = _time_call(
             lambda: [
-                solve_ordered_relaxation(inst, order, backend="scipy", build_schedule=False)
+                solve_ordered_relaxation(inst, order, build_schedule=False)
                 for inst, order in zip(lp_instances, lp_orders)
             ],
             repeats=1,

@@ -9,7 +9,6 @@ saturated in its final column, at most one unsaturated task per column).
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 import numpy as np
@@ -54,10 +53,10 @@ def optimal_schedule_structure_ok(schedule, atol: float = 1e-6) -> bool:
     return True
 
 
-def measure_instance(instance, backend: str = "scipy") -> tuple[float, bool]:
+def measure_instance(instance) -> tuple[float, bool]:
     """Gap and Lemma 7/8 structure flag for one instance (picklable worker body)."""
     greedy = best_greedy_schedule(instance)
-    opt = optimal_schedule(instance, backend=backend)
+    opt = optimal_schedule(instance)
     gap = 0.0 if opt.objective <= 0 else (greedy.objective - opt.objective) / opt.objective
     return gap, optimal_schedule_structure_ok(opt.schedule)
 
@@ -65,7 +64,6 @@ def measure_instance(instance, backend: str = "scipy") -> tuple[float, bool]:
 def run(
     sizes: Sequence[int] = (2, 3, 4, 5, 6),
     count: int = 25,
-    backend: str = "scipy",
     tolerance: float = 1e-6,
     ctx: ExecutionContext | None = None,
 ) -> ExperimentResult:
@@ -76,12 +74,11 @@ def run(
     """
     ctx = ctx if ctx is not None else ExecutionContext()
     count = ctx.scale(count, 1_000)
-    measure = functools.partial(measure_instance, backend=backend)
     rows: list[list[object]] = []
     worst_gap = 0.0
     structure_all = True
     for n in sizes:
-        measured = ctx.map(measure, large_delta_instances(n, count, P=1.0, rng=ctx.rng()))
+        measured = ctx.map(measure_instance, large_delta_instances(n, count, P=1.0, rng=ctx.rng()))
         gaps = [gap for gap, _ in measured]
         structure_ok = sum(int(ok) for _, ok in measured)
         gaps_arr = np.array(gaps)

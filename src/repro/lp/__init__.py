@@ -5,22 +5,22 @@ is fixed, the optimal malleable schedule is the solution of a linear program.
 This subpackage provides
 
 * :mod:`repro.lp.formulation` — construction of that LP in matrix form,
-* :mod:`repro.lp.scipy_backend` — a solver backend based on
+* :mod:`repro.lp.scipy_backend` — the scalar solver, based on
   :func:`scipy.optimize.linprog` (HiGHS),
-* :mod:`repro.lp.simplex` — a self-contained dense two-phase simplex solver
-  used as a fallback and as an independent cross-check, plus its lockstep
-  batched counterpart :func:`~repro.lp.simplex.solve_linear_program_batch`,
+* :mod:`repro.lp.simplex` — the in-repo dense two-phase simplex, a lockstep
+  batched kernel (:func:`~repro.lp.simplex.solve_linear_program_batch`)
+  that solves many same-shape LPs at once and is cross-checked against
+  HiGHS,
 * :mod:`repro.lp.interface` — the user-facing
-  :func:`~repro.lp.interface.solve_ordered_relaxation` returning a
+  :func:`~repro.lp.interface.solve_ordered_relaxation` (HiGHS) returning a
   :class:`~repro.core.schedule.ColumnSchedule`,
 * :mod:`repro.lp.batch` — the batched ordered-relaxation solver: one padded
   ``(B, rows, cols)`` assembly plus one lockstep solve for a whole
   :class:`~repro.core.batch.InstanceBatch`, with a SciPy dispatch fallback
   over :meth:`repro.exec.ExecutionContext.map`,
 * :mod:`repro.lp.exact` — the exact-OPT engine: branch-and-bound over
-  completion suffixes with closed-form density floors and
-  feasibility-certified leaves, replacing the ``n!`` ordering enumeration
-  behind :func:`~repro.lp.batch.optimal`.
+  completion suffixes with closed-form density floors, replacing the ``n!``
+  ordering enumeration behind :func:`~repro.lp.batch.optimal`.
 
 Exact optima have a single entry point, :func:`repro.lp.optimal`, with
 ``method`` drawn from :data:`repro.lp.OPTIMAL_METHODS`
@@ -44,12 +44,8 @@ from repro.lp.exact import (
 )
 from repro.lp.formulation import OrderedLP, build_ordered_lp, ordered_lp_dimensions
 from repro.lp.interface import OrderedLPSolution, solve_ordered_relaxation
-from repro.lp.simplex import (
-    BatchLinearProgramResult,
-    LinearProgramResult,
-    solve_linear_program,
-    solve_linear_program_batch,
-)
+from repro.lp.scipy_backend import LinearProgramResult
+from repro.lp.simplex import BatchLinearProgramResult, solve_linear_program_batch
 
 __all__ = [
     "OrderedLP",
@@ -58,7 +54,6 @@ __all__ = [
     "OrderedLPSolution",
     "solve_ordered_relaxation",
     "LinearProgramResult",
-    "solve_linear_program",
     "BatchLinearProgramResult",
     "solve_linear_program_batch",
     "BatchedOrderedLP",

@@ -2,8 +2,8 @@
 
 The scalar path solves one fixed-ordering LP per instance: assemble the
 matrices of :func:`repro.lp.formulation.build_ordered_lp` in Python loops,
-hand them to HiGHS or the bespoke simplex, repeat per instance.  This module
-replaces that loop for a whole :class:`~repro.core.batch.InstanceBatch`:
+hand them to HiGHS, repeat per instance.  This module replaces that loop
+for a whole :class:`~repro.core.batch.InstanceBatch`:
 
 * **Assembly** — the LP is restated in *position space* (the task completing
   column ``p`` is "position ``p``"), where its sparsity pattern depends only
@@ -14,8 +14,8 @@ replaces that loop for a whole :class:`~repro.core.batch.InstanceBatch`:
   shares one exact shape and the padded optimum equals the unpadded one.
 * **Solving** — the tensors go to the lockstep dense simplex kernel
   :func:`repro.lp.simplex.solve_linear_program_batch` (per-problem pivoting
-  masks, converged problems frozen), or, with ``backend="scipy"`` /
-  ``"simplex"``, each instance's scalar solve is dispatched across
+  masks, converged problems frozen), or, with ``backend="scipy"``, each
+  instance's HiGHS solve is dispatched across
   :meth:`repro.exec.ExecutionContext.map` so a process-pool context shards
   the batch over workers.
 
@@ -52,7 +52,7 @@ import numpy as np
 from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError, InvalidScheduleError, SolverError
 from repro.core.schedule import ColumnSchedule
-from repro.lp.exact import permutation_table
+from repro.lp.exact import MAX_BRANCH_AND_BOUND_TASKS, permutation_table
 from repro.lp.formulation import ordered_lp_dimensions, position_area_layout
 from repro.lp.simplex import solve_linear_program_batch
 
@@ -72,11 +72,11 @@ __all__ = [
     "OPTIMAL_METHODS",
 ]
 
-BatchBackend = Literal["batch", "scipy", "simplex"]
+BatchBackend = Literal["batch", "scipy"]
 
 #: The backends :func:`solve_ordered_relaxation_batch` understands:
-#: the lockstep kernel, and the two scalar solvers dispatched per instance.
-BATCH_BACKENDS = ("batch", "scipy", "simplex")
+#: the lockstep kernel, and HiGHS dispatched per instance.
+BATCH_BACKENDS = ("batch", "scipy")
 
 #: Chunk size (LPs per lockstep solve) of the ordering enumeration in
 #: :func:`optimal`; bounds tableau memory to a few tens of MB.
@@ -276,8 +276,8 @@ class BatchedOrderedSolution:
     batch:
         The instance batch that was solved.
     lp:
-        The batched LP tensors (``None`` when a scalar backend was
-        dispatched — the scalar path never materialises them).
+        The batched LP tensors (``None`` when HiGHS was dispatched — the
+        scalar path never materialises them).
     orders:
         ``(B, n_max)`` orderings actually solved.
     objectives:
@@ -354,7 +354,6 @@ class BatchedOrderedSolution:
 def _solve_rows_scalar(
     sub_batch: InstanceBatch,
     extra: "Mapping[str, np.ndarray]",
-    backend: str = "scipy",
     build: bool = False,
 ) -> "list[tuple[float, np.ndarray, np.ndarray | None]]":
     """Scalar solves of a whole row-chunk (the shared-memory dispatch body).
@@ -370,26 +369,26 @@ def _solve_rows_scalar(
     for b in range(sub_batch.batch_size):
         n = int(counts[b])
         order = tuple(int(t) for t in orders[b, :n])
-        results.append(_solve_one_scalar((sub_batch.instance(b), order, backend, build)))
+        results.append(_solve_one_scalar((sub_batch.instance(b), order, build)))
     return results
 
 
 def _solve_one_scalar(
-    payload: "tuple[Any, tuple[int, ...], str, bool]",
+    payload: "tuple[Any, tuple[int, ...], bool]",
 ) -> "tuple[float, np.ndarray, np.ndarray | None]":
-    """Scalar ordered-relaxation solve of one ``(instance, order, backend, build)`` payload.
+    """Scalar (HiGHS) ordered-relaxation solve of one ``(instance, order, build)`` payload.
 
     Returns ``(objective, completion_times, rates)`` — rates only when the
     payload asks for a schedule, and always from the *same* solve as the
     completion times (the ordered LP can have non-unique optima, so mixing
-    vertices from different solvers would break volume conservation).
+    vertices from different solves would break volume conservation).
     Module-level so :meth:`ExecutionContext.map` can pickle it into worker
     processes.
     """
     from repro.lp.interface import solve_ordered_relaxation
 
-    instance, order, backend, build = payload
-    solution = solve_ordered_relaxation(instance, order, backend=backend, build_schedule=build)
+    instance, order, build = payload
+    solution = solve_ordered_relaxation(instance, order, build_schedule=build)
     rates = None
     if build and solution.schedule is not None:
         rates = np.asarray(solution.schedule.rates, dtype=float)
@@ -414,13 +413,12 @@ def solve_ordered_relaxation_batch(
         Smith ordering of every row when omitted.
     backend:
         ``"batch"`` (default) assembles the padded tensors and solves them
-        with the lockstep simplex kernel; ``"scipy"`` / ``"simplex"``
-        dispatch the scalar solver per instance — through ``ctx.map`` when a
-        context is given, so a process-pool context shards the batch over
-        its workers.
+        with the lockstep simplex kernel; ``"scipy"`` dispatches one HiGHS
+        solve per instance — through ``ctx.map`` when a context is given, so
+        a process-pool context shards the batch over its workers.
     ctx:
         Optional :class:`~repro.exec.ExecutionContext` used only by the
-        scalar dispatch backends.
+        HiGHS dispatch backend.
     build_schedules:
         Materialise the rate tensors so :meth:`BatchedOrderedSolution.schedules`
         works (slightly more work on the scalar dispatch path).
@@ -469,12 +467,12 @@ def solve_ordered_relaxation_batch(
     if ctx is not None and ctx.shm and ctx.runner is not None:
         # Zero-copy path: publish the batch once, ship only (handle, range)
         # per chunk; workers rebuild their rows from the shared pages.
-        solver = functools.partial(_solve_rows_scalar, backend=backend, build=build_schedules)
+        solver = functools.partial(_solve_rows_scalar, build=build_schedules)
         solved = ctx.map_batch(solver, batch, extra={"orders": orders})
     else:
         instances = batch.to_instances()
         payloads = [
-            (inst, tuple(int(t) for t in orders[b, : int(counts[b])]), backend, build_schedules)
+            (inst, tuple(int(t) for t in orders[b, : int(counts[b])]), build_schedules)
             for b, inst in enumerate(instances)
         ]
         if ctx is not None:
@@ -532,7 +530,7 @@ class BatchedOptimalResult:
 
 #: Guard defaults per exact method: enumeration is factorial (7 tasks is
 #: already 5 040 LPs per row), branch-and-bound prunes its way to ~14.
-_EXACT_METHOD_GUARDS = {"branch-and-bound": 14, "enumerate": 7}
+_EXACT_METHOD_GUARDS = {"branch-and-bound": MAX_BRANCH_AND_BOUND_TASKS, "enumerate": 7}
 
 #: The methods :func:`optimal` understands — the single ``method=``
 #: vocabulary for exact optima everywhere in the package.
@@ -553,11 +551,13 @@ def optimal(
     search:
 
     ``"branch-and-bound"`` (default)
-        The subset-memoized prefix search of
-        :func:`repro.lp.exact.branch_and_bound_optimal_batch`: identical
-        values (property-tested against enumeration for every ``n <= 7``
-        batch Hypothesis produces) at a small fraction of the LP count,
-        raising the practical ceiling to ``max_tasks = 14``.
+        The suffix-first search of
+        :func:`repro.lp.exact.branch_and_bound_optimal_batch`, pruning with
+        closed-form bounds and no memo (see "No dominance" in
+        :mod:`repro.lp.exact`): identical values (property-tested against
+        enumeration for every ``n <= 7`` batch Hypothesis produces) at a
+        small fraction of the LP count, raising the practical ceiling to
+        ``max_tasks = 14``.
     ``"enumerate"``
         The exhaustive path: rows are grouped by task count, each group's
         ``n!`` orderings are replicated against its rows, and the resulting
@@ -567,7 +567,7 @@ def optimal(
 
     ``backend`` / ``ctx`` are forwarded to the batched LP layer, so a
     vectorized context evaluates orderings in lockstep chunks while a
-    process-pool context shards scalar solves over its workers.
+    process-pool context shards HiGHS solves over its workers.
     ``max_tasks`` guards the exponential blow-up; it defaults to 14 for
     branch-and-bound and 7 for enumeration — raise it deliberately if you
     know what you are asking for.

@@ -19,11 +19,10 @@ from the **end**:
   incumbent are discarded; per-depth incumbent refreshes complete the most
   promising tails heuristically (scored by the feasible greedy values of
   :func:`_greedy_fill_values`) and evaluate one candidate per row exactly.
-* Leaves (complete orderings) mostly resolve without an LP either: when a
-  leaf's completion floors are certified feasible by an earliest-fit pour
-  (:func:`_floors_achievable`), they are pointwise-minimal feasible
-  completion times and therefore *are* the ordered LP optimum.  Only the
-  residual band pays an exact LP solve — the lockstep kernel
+* Leaves (complete orderings) are pruned by the same closed-form floors
+  against incumbents tightened by feasible greedy values
+  (:func:`_greedy_fill_values`).  The surviving band pays an exact LP
+  solve — the lockstep kernel
   (:func:`repro.lp.simplex.solve_linear_program_batch`) in chunks up to
   :data:`_LOCKSTEP_MAX_TASKS` tasks, per-LP HiGHS on the pre-assembled
   tensors above it — in ascending-bound order so each chunk's discoveries
@@ -71,7 +70,7 @@ import numpy as np
 
 from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError, SolverError
-from repro.lp.simplex import solve_linear_program, solve_linear_program_batch
+from repro.lp.simplex import solve_linear_program_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.context import ExecutionContext
@@ -162,8 +161,9 @@ class ExactSearchStats:
     incumbent_updates:
         How often a leaf or refresh completion beat the best known value.
     floors_certified:
-        Leaves whose completion floors were certified feasible — their
-        exact values came for free, no LP solved.
+        Always 0: the search certifies no leaf without an LP.  Kept because
+        the ``exact-opt`` benchmark reports it, until a benchmark change
+        drops that metric.
     """
 
     lps_solved: int = 0
@@ -184,31 +184,26 @@ class ExactSearchStats:
 
 
 # --------------------------------------------------------------------- #
-# LP evaluation of prefix batches
+# LP evaluation of complete orderings
 # --------------------------------------------------------------------- #
 
 
-def _solve_one_generic(payload: "tuple[Any, ...]") -> float:
-    """Solve one generic LP ``(c, A_ub, b_ub, A_eq, b_eq, backend)`` scalar.
+def _solve_one_highs(payload: "tuple[Any, ...]") -> float:
+    """Solve one generic LP ``(c, A_ub, b_ub, A_eq, b_eq)`` with HiGHS.
 
     Module-level so :meth:`ExecutionContext.map` can pickle it into worker
-    processes for the ``scipy`` / ``simplex`` dispatch backends.
+    processes for the ``scipy`` dispatch backend.
     """
-    c, A_ub, b_ub, A_eq, b_eq, backend = payload
-    if backend == "scipy":
-        from scipy.optimize import linprog
+    c, A_ub, b_ub, A_eq, b_eq = payload
+    from scipy.optimize import linprog
 
-        res = linprog(
-            c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-            bounds=[(0, None)] * int(np.asarray(c).size), method="highs",
-        )
-        if not res.success:
-            raise SolverError(f"HiGHS failed on a prefix LP: {res.message}")
-        return float(res.fun)
-    result = solve_linear_program(c, A_ub, b_ub, A_eq, b_eq)
-    if result.status != "optimal":
-        raise SolverError(f"prefix LP unexpectedly {result.status!r}")
-    return float(result.objective)
+    res = linprog(
+        c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+        bounds=[(0, None)] * int(np.asarray(c).size), method="highs",
+    )
+    if not res.success:
+        raise SolverError(f"HiGHS failed on a prefix LP: {res.message}")
+    return float(res.fun)
 
 
 def _ordered_lp_values(
@@ -225,9 +220,8 @@ def _ordered_lp_values(
     completion order**, shape ``(C, k)``.  On the ``batch`` backend small
     problems go through one lockstep solve per call and larger ones through
     per-LP HiGHS on the shared pre-assembled tensors (see
-    :data:`_LOCKSTEP_MAX_TASKS`); the ``scipy`` / ``simplex`` backends
-    dispatch per-LP scalar solves, sharded over ``ctx.map`` when a context
-    is given.
+    :data:`_LOCKSTEP_MAX_TASKS`); the ``scipy`` backend dispatches per-LP
+    HiGHS solves, sharded over ``ctx.map`` when a context is given.
     """
     from repro.lp.batch import build_ordered_lp_batch
 
@@ -247,15 +241,14 @@ def _ordered_lp_values(
                 )
             return result.objectives
         return np.array([
-            _solve_one_generic((c[i], A_ub[i], b_ub[i], A_eq[i], b_eq[i], "scipy"))
-            for i in range(C)
+            _solve_one_highs((c[i], A_ub[i], b_ub[i], A_eq[i], b_eq[i])) for i in range(C)
         ])
 
-    payloads = [(c[i], A_ub[i], b_ub[i], A_eq[i], b_eq[i], backend) for i in range(C)]
+    payloads = [(c[i], A_ub[i], b_ub[i], A_eq[i], b_eq[i]) for i in range(C)]
     if ctx is not None:
-        values = ctx.map(_solve_one_generic, payloads)
+        values = ctx.map(_solve_one_highs, payloads)
     else:
-        values = [_solve_one_generic(p) for p in payloads]
+        values = [_solve_one_highs(p) for p in payloads]
     return np.asarray(values, dtype=float)
 
 
@@ -400,9 +393,9 @@ def _tail_completion_floors(
       contiguous window can.
 
     A running maximum keeps the floors non-decreasing, matching the column
-    ordering constraint.  On leaves (empty front) the floors are frequently
-    *feasible* — certified by :func:`_floors_achievable` — in which case
-    they are the exact LP completion times.
+    ordering constraint.  On leaves (empty front) the weighted floors bound
+    the leaf's ordered LP value from below, which is what prunes leaves
+    before any LP is solved.
     """
     C, m = tail_orders.shape
     v_t = np.take_along_axis(volumes, tail_orders, axis=1)
@@ -430,42 +423,6 @@ def _tail_completion_floors(
         ratio = (cv / np.maximum(cd, 1e-300)).max(axis=1)
         t[:, p - 1] = np.maximum(t[:, p - 1], ratio)
     return np.maximum.accumulate(t, axis=1)
-
-
-def _floors_achievable(
-    P: np.ndarray,
-    volumes: np.ndarray,
-    deltas: np.ndarray,
-    orders: np.ndarray,
-    floors: np.ndarray,
-    rtol: float = 1e-9,
-) -> np.ndarray:
-    """Which rows' completion floors are feasible completion times, ``(F,)`` bool.
-
-    Earliest-fit pour: columns are the floor intervals; each task, in
-    completion order, pours its volume into its usable columns (``j <=``
-    its position) under the per-column cap ``delta * length`` and the
-    remaining capacity.  Pouring every task certifies feasibility — and a
-    feasible schedule achieving the *pointwise lower bounds* is optimal for
-    any positive weights, so the certified rows' exact ordered-LP values
-    are ``sum_p w_p * floor_p``, no LP needed.  A failed pour is merely
-    inconclusive (the row falls back to an exact LP solve).
-    """
-    F, n = orders.shape
-    v = np.take_along_axis(volumes, orders, axis=1)
-    d = np.take_along_axis(deltas, orders, axis=1)
-    lengths = np.diff(floors, axis=1, prepend=0.0)
-    avail = P[:, None] * lengths
-    scale = np.maximum(1.0, volumes.max(axis=1))
-    ok = np.ones(F, dtype=bool)
-    for p in range(n):
-        need = v[:, p].copy()
-        for j in range(p + 1):
-            take = np.minimum(np.minimum(d[:, p] * lengths[:, j], avail[:, j]), need)
-            avail[:, j] -= take
-            need -= take
-        ok &= need <= rtol * scale
-    return ok
 
 
 def _greedy_fill_values(
@@ -656,12 +613,10 @@ def _search_group(
         in_tail = (child_masks[:, None] & task_bits) != 0
 
         if depth == n:
-            # Leaves: complete orderings.  Most resolve without any LP —
-            # their completion floors are certified feasible (hence exact),
-            # or they are pruned by incumbents tightened from the feasible
-            # greedy values.  Only the residual band pays an LP, in
-            # ascending-bound chunks so each chunk's discoveries prune the
-            # next retroactively.
+            # Leaves: complete orderings.  Most are pruned by incumbents
+            # tightened from the feasible greedy values; only the residual
+            # band pays an LP, in ascending-bound chunks so each chunk's
+            # discoveries prune the next retroactively.
             rows_l, tails_l = child_rows, child_tails
             zero = np.zeros(rows_l.size)
             no_front = np.zeros((rows_l.size, n), dtype=bool)
@@ -673,16 +628,11 @@ def _search_group(
             bound = (w_ordered * floors).sum(axis=1)
             keep = bound < allowance(rows_l)
             stats.pruned += int(np.count_nonzero(~keep))
-            rows_l, tails_l, floors, bound = rows_l[keep], tails_l[keep], floors[keep], bound[keep]
+            rows_l, tails_l, bound = rows_l[keep], tails_l[keep], bound[keep]
             if rows_l.size == 0:
                 break
             upper = _greedy_fill_values(P[rows_l], volumes[rows_l], weights[rows_l], deltas[rows_l], tails_l)
             fold_incumbents(rows_l, tails_l, upper)
-            certified = _floors_achievable(P[rows_l], volumes[rows_l], deltas[rows_l], tails_l, floors)
-            stats.floors_certified += int(np.count_nonzero(certified))
-            if certified.any():
-                fold_incumbents(rows_l[certified], tails_l[certified], bound[certified])
-            rows_l, tails_l, bound = rows_l[~certified], tails_l[~certified], bound[~certified]
             ranking = np.argsort(bound, kind="stable")
             rows_l, tails_l, bound = rows_l[ranking], tails_l[ranking], bound[ranking]
             for start in range(0, rows_l.size, chunk_size):
@@ -738,19 +688,20 @@ def branch_and_bound_optimal_batch(
     ----------
     batch:
         The instances, padded into one :class:`InstanceBatch`; rows are
-        grouped by task count so each group's prefixes share an LP shape.
+        grouped by task count so each group's orderings share an LP shape.
     backend:
-        ``"batch"`` (default) evaluates prefixes with the lockstep simplex
-        kernel; ``"scipy"`` / ``"simplex"`` dispatch per-prefix scalar
-        solves, sharded over ``ctx.map`` when a context is given.
+        ``"batch"`` (default) evaluates the seed, refresh and leaf LPs with
+        the lockstep simplex kernel up to :data:`_LOCKSTEP_MAX_TASKS` tasks
+        and with one HiGHS call per LP above; ``"scipy"`` dispatches every
+        LP to HiGHS, sharded over ``ctx.map`` when a context is given.
     ctx:
-        Optional :class:`~repro.exec.ExecutionContext` for the scalar
-        dispatch backends.
+        Optional :class:`~repro.exec.ExecutionContext` for the ``scipy``
+        dispatch backend.
     max_tasks:
         Guard on the exponential worst case (default
         :data:`MAX_BRANCH_AND_BOUND_TASKS`).
     chunk_size:
-        Prefix LPs per lockstep solve (memory bound).
+        LPs per lockstep solve (memory bound).
 
     Returns
     -------

@@ -11,19 +11,17 @@ best result yields the exact optimum — see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.exceptions import InfeasibleScheduleError, SolverError
+from repro.core.exceptions import SolverError
 from repro.core.instance import Instance
 from repro.core.schedule import ColumnSchedule
 from repro.lp.formulation import OrderedLP, build_ordered_lp
-from repro.lp.simplex import LinearProgramResult, solve_linear_program
+from repro.lp.scipy_backend import LinearProgramResult, solve_with_scipy
 
 __all__ = ["OrderedLPSolution", "solve_ordered_relaxation"]
-
-Backend = Literal["scipy", "simplex"]
 
 
 @dataclass
@@ -61,10 +59,9 @@ class OrderedLPSolution:
 def solve_ordered_relaxation(
     instance: Instance,
     order: Sequence[int],
-    backend: Backend = "scipy",
     build_schedule: bool = True,
 ) -> OrderedLPSolution:
-    """Solve the Corollary 1 LP for a fixed completion ordering.
+    """Solve the Corollary 1 LP for a fixed completion ordering with HiGHS.
 
     Parameters
     ----------
@@ -73,9 +70,6 @@ def solve_ordered_relaxation(
     order:
         Permutation of task indices; ``order[j]`` completes at the end of
         column ``j``.
-    backend:
-        ``"scipy"`` (HiGHS, the default) or ``"simplex"`` (the pure-Python
-        fallback of :mod:`repro.lp.simplex`).
     build_schedule:
         When true (default), reconstruct a :class:`ColumnSchedule` from the
         LP solution.  Disable when only the optimal objective value is needed
@@ -85,7 +79,7 @@ def solve_ordered_relaxation(
     Raises
     ------
     SolverError
-        If the backend fails, or if the LP is reported infeasible/unbounded
+        If HiGHS fails, or if the LP is reported infeasible/unbounded
         (which would indicate a formulation bug — the LP always has an
         optimal solution).
     """
@@ -97,15 +91,7 @@ def solve_ordered_relaxation(
             schedule=empty,
         )
     lp = build_ordered_lp(instance, order)
-    if backend == "scipy":
-        from repro.lp.scipy_backend import solve_with_scipy
-
-        result = solve_with_scipy(lp)
-    elif backend == "simplex":
-        result = solve_linear_program(lp.c, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq)
-    else:  # pragma: no cover - guarded by the Literal type hint
-        raise SolverError(f"unknown LP backend {backend!r}")
-
+    result = solve_with_scipy(lp)
     if result.status != "optimal":
         raise SolverError(
             f"the Corollary 1 LP should always be solvable, got status {result.status!r}"

@@ -1,30 +1,62 @@
 """SciPy/HiGHS backend for the fixed-ordering LP.
 
-The HiGHS solver shipped with :func:`scipy.optimize.linprog` is the default
-backend: it is orders of magnitude faster than the pure-Python simplex of
-:mod:`repro.lp.simplex` on the larger LPs used by the scaling experiment
-(E7), while producing the same optimal values (verified by the cross-check
-tests).
+The HiGHS solver shipped with :func:`scipy.optimize.linprog` is the scalar
+solver of the LP layer: every single-LP solve
+(:func:`repro.lp.interface.solve_ordered_relaxation`) goes through it, and it
+is the independent reference the lockstep kernel of :mod:`repro.lp.simplex`
+is cross-checked against.  SciPy is imported on the first solve, so importing
+:mod:`repro.lp` stays cheap.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.exceptions import SolverError
 from repro.lp.formulation import OrderedLP
-from repro.lp.simplex import LinearProgramResult
 
-__all__ = ["solve_with_scipy"]
+__all__ = ["LinearProgramResult", "solve_with_scipy"]
+
+
+@dataclass
+class LinearProgramResult:
+    """Outcome of a single LP solve.
+
+    Attributes
+    ----------
+    x:
+        Optimal values of the original (structural) variables.
+    objective:
+        Optimal objective value ``c @ x``.
+    status:
+        ``"optimal"``, ``"infeasible"`` or ``"unbounded"``.
+    iterations:
+        Iterations reported by the solver.
+    """
+
+    x: np.ndarray
+    objective: float
+    status: str
+    iterations: int
+
+    @property
+    def is_optimal(self) -> bool:
+        """True when an optimal solution was found."""
+        return self.status == "optimal"
 
 
 def solve_with_scipy(lp: OrderedLP) -> LinearProgramResult:
     """Solve an :class:`~repro.lp.formulation.OrderedLP` with HiGHS.
 
-    Returns the same :class:`~repro.lp.simplex.LinearProgramResult` structure
-    as the pure-Python backend so the two are interchangeable.
+    Infeasible and unbounded LPs are reported through
+    :attr:`LinearProgramResult.status` (objective ``nan`` / ``-inf``, the
+    conventions of the lockstep kernel); any other HiGHS failure raises
+    :class:`~repro.core.exceptions.SolverError`.
     """
+    from scipy.optimize import linprog
+
     res = linprog(
         c=lp.c,
         A_ub=lp.A_ub if lp.A_ub.size else None,

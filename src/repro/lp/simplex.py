@@ -1,15 +1,18 @@
-"""A self-contained dense two-phase primal simplex solver.
+"""The in-repo dense two-phase primal simplex: a lockstep batched kernel.
 
-This module provides an independent linear-programming backend with no
+:func:`solve_linear_program_batch` solves ``B`` independent LPs of one shape
+as masked array operations over a stack of dense tableaus, with no
 dependency on SciPy.  It exists for two reasons:
 
-1. **Substrate completeness** — the reproduction should not silently depend
-   on a black-box solver for its central primitive (the Corollary 1 LP);
-2. **Cross-checking** — the SciPy/HiGHS backend and this solver are run
-   against each other in the test suite, which guards against formulation
-   bugs that a single solver would hide.
+1. **Throughput** — the Corollary 1 LPs of a whole batch (every ordering of
+   an enumeration, the small-``n`` leaves of the exact-OPT search) share one
+   shape, so one lockstep solve amortises the interpreter across them;
+2. **Cross-checking** — HiGHS (:mod:`repro.lp.scipy_backend`) and this
+   kernel are run against each other in the test suite, which guards
+   against formulation bugs that a single solver would hide.  A single LP
+   is a batch of one.
 
-The implementation is a textbook two-phase primal simplex on a dense tableau
+The implementation is a textbook two-phase primal simplex on dense tableaus
 with Bland's anti-cycling rule.  It targets the small LPs produced by
 :mod:`repro.lp.formulation` (a few hundred variables at most); it is *not*
 meant to compete with HiGHS on large instances — ``benchmarks/bench_scaling``
@@ -18,7 +21,7 @@ quantifies the gap.
 Problem form
 ------------
 ``minimize c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x = b_eq`` and
-``x >= 0``.
+``x >= 0``, one such problem per leading batch index.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ import numpy as np
 from repro.core.exceptions import SolverError
 
 __all__ = [
-    "LinearProgramResult",
-    "solve_linear_program",
     "BatchLinearProgramResult",
     "solve_linear_program_batch",
 ]
@@ -47,166 +48,6 @@ _REFRESH_EVERY = 24
 
 
 @dataclass
-class LinearProgramResult:
-    """Outcome of a simplex solve.
-
-    Attributes
-    ----------
-    x:
-        Optimal values of the original (structural) variables.
-    objective:
-        Optimal objective value ``c @ x``.
-    status:
-        ``"optimal"``, ``"infeasible"`` or ``"unbounded"``.
-    iterations:
-        Total number of simplex pivots performed (both phases).
-    """
-
-    x: np.ndarray
-    objective: float
-    status: str
-    iterations: int
-
-    @property
-    def is_optimal(self) -> bool:
-        """True when an optimal solution was found."""
-        return self.status == "optimal"
-
-
-def solve_linear_program(
-    c: np.ndarray,
-    A_ub: np.ndarray | None = None,
-    b_ub: np.ndarray | None = None,
-    A_eq: np.ndarray | None = None,
-    b_eq: np.ndarray | None = None,
-    max_iterations: int = 50_000,
-) -> LinearProgramResult:
-    """Solve ``min c @ x`` s.t. ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``x >= 0``.
-
-    Returns a :class:`LinearProgramResult`; never raises for infeasible or
-    unbounded problems (inspect ``status``), but raises
-    :class:`~repro.core.exceptions.SolverError` if the pivot limit is hit.
-    """
-    c = np.asarray(c, dtype=float).ravel()
-    nvar = c.size
-    A_ub = np.zeros((0, nvar)) if A_ub is None else np.asarray(A_ub, dtype=float)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
-    A_eq = np.zeros((0, nvar)) if A_eq is None else np.asarray(A_eq, dtype=float)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
-    if A_ub.shape[1] != nvar or A_eq.shape[1] != nvar:
-        raise SolverError("constraint matrices do not match the number of variables")
-    if A_ub.shape[0] != b_ub.size or A_eq.shape[0] != b_eq.size:
-        raise SolverError("constraint matrices do not match their right-hand sides")
-
-    m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
-    m = m_ub + m_eq
-
-    # Build the phase-1 tableau.  Variable blocks:
-    #   [ structural (nvar) | slack/surplus (m_ub) | artificial (<= m) ]
-    # Inequality row i gets slack +1 when b_ub[i] >= 0, otherwise the row is
-    # negated (becoming >=) and gets surplus -1 plus an artificial.
-    # Equality rows are sign-normalised and always get an artificial.
-    rows = []
-    rhs = []
-    slack_cols = m_ub
-    art_needed: list[bool] = []
-    for i in range(m_ub):
-        row = A_ub[i].copy()
-        b = float(b_ub[i])
-        if b < 0:
-            row = -row
-            b = -b
-            art_needed.append(True)
-            sign = -1.0
-        else:
-            art_needed.append(False)
-            sign = 1.0
-        rows.append((row, sign, i, b))
-        rhs.append(b)
-    for k in range(m_eq):
-        row = A_eq[k].copy()
-        b = float(b_eq[k])
-        if b < 0:
-            row = -row
-            b = -b
-        rows.append((row, 0.0, None, b))
-        rhs.append(b)
-        art_needed.append(True)
-
-    num_art = sum(art_needed)
-    total_vars = nvar + slack_cols + num_art
-    T = np.zeros((m, total_vars))
-    b_vec = np.zeros(m)
-    basis = np.full(m, -1, dtype=int)
-    art_positions: list[int] = []
-    art_col = nvar + slack_cols
-    for r, (row, sign, slack_idx, b) in enumerate(rows):
-        T[r, :nvar] = row
-        b_vec[r] = b
-        if slack_idx is not None:
-            T[r, nvar + slack_idx] = sign
-            if sign > 0:
-                basis[r] = nvar + slack_idx
-        if art_needed[r]:
-            T[r, art_col] = 1.0
-            basis[r] = art_col
-            art_positions.append(art_col)
-            art_col += 1
-
-    iterations = 0
-
-    if num_art:
-        # Phase 1: minimise the sum of artificial variables.
-        phase1_c = np.zeros(total_vars)
-        for col in art_positions:
-            phase1_c[col] = 1.0
-        status, iterations = _simplex_core(T, b_vec, basis, phase1_c, max_iterations, iterations)
-        if status != "optimal":
-            raise SolverError(f"phase-1 simplex failed with status {status}")
-        phase1_obj = float(phase1_c[basis] @ b_vec)
-        if phase1_obj > 1e-7 * max(1.0, np.abs(b_vec).max(initial=1.0)):
-            return LinearProgramResult(
-                x=np.zeros(nvar), objective=np.nan, status="infeasible", iterations=iterations
-            )
-        # Drive any artificial variable still in the basis out of it (or drop
-        # its redundant row by pivoting on any non-artificial column).
-        art_set = set(art_positions)
-        for r in range(m):
-            if basis[r] in art_set and b_vec[r] <= _EPS:
-                pivot_col = -1
-                for col in range(nvar + slack_cols):
-                    if abs(T[r, col]) > _EPS:
-                        pivot_col = col
-                        break
-                if pivot_col >= 0:
-                    _pivot(T, b_vec, basis, r, pivot_col)
-
-    # Phase 2: minimise the true objective, forbidding artificial columns.
-    phase2_c = np.zeros(total_vars)
-    phase2_c[:nvar] = c
-    blocked = np.zeros(total_vars, dtype=bool)
-    blocked[nvar + slack_cols :] = True
-    status, iterations = _simplex_core(
-        T, b_vec, basis, phase2_c, max_iterations, iterations, blocked=blocked
-    )
-    if status == "unbounded":
-        return LinearProgramResult(
-            x=np.zeros(nvar), objective=-np.inf, status="unbounded", iterations=iterations
-        )
-    if status != "optimal":
-        raise SolverError(f"phase-2 simplex failed with status {status}")
-
-    x_full = np.zeros(total_vars)
-    for r in range(m):
-        if basis[r] >= 0:
-            x_full[basis[r]] = b_vec[r]
-    x = x_full[:nvar]
-    return LinearProgramResult(
-        x=x, objective=float(c @ x), status="optimal", iterations=iterations
-    )
-
-
-@dataclass
 class BatchLinearProgramResult:
     """Outcome of a batched lockstep simplex solve.
 
@@ -217,8 +58,8 @@ class BatchLinearProgramResult:
         are not optimal).
     objectives:
         ``(B,)`` objective values; ``nan`` for infeasible problems and
-        ``-inf`` for unbounded ones, matching the scalar
-        :class:`LinearProgramResult` conventions.
+        ``-inf`` for unbounded ones, matching the HiGHS
+        :class:`~repro.lp.scipy_backend.LinearProgramResult` conventions.
     statuses:
         ``(B,)`` object array of ``"optimal"`` / ``"infeasible"`` /
         ``"unbounded"``.
@@ -267,8 +108,7 @@ def _simplex_core_batch(
     update per pivot — the same transform the tableau undergoes) and
     recomputed exactly every :data:`_REFRESH_EVERY` pivots and before any
     problem is declared optimal, so termination decisions always use exact
-    values.  Entering/leaving selection is Bland's rule, identical to the
-    scalar :func:`_simplex_core`.
+    values.  Entering/leaving selection is Bland's rule.
     """
     m = T.shape[1]
     lockstep = 0
@@ -356,19 +196,19 @@ def solve_linear_program_batch(
 ) -> BatchLinearProgramResult:
     """Solve ``B`` independent LPs ``min c x, A_ub x <= b_ub, A_eq x = b_eq, x >= 0`` in lockstep.
 
-    The batched counterpart of :func:`solve_linear_program`: constraint
-    tensors carry a leading batch dimension (``A_ub`` is ``(B, m_ub, nvar)``
-    and so on; ``c`` may be ``(nvar,)`` or ``(B, nvar)``), every problem
-    shares one two-phase dense tableau layout, and pivots run as masked
-    array operations over the whole batch — converged problems are frozen
-    (removed from the working set) while the rest keep pivoting.  Pivot
-    selection is Bland's rule, the same tolerances as the scalar solver, so
-    the per-problem results match ``solve_linear_program`` up to floating-
-    point noise (property-tested in ``tests/test_lp_batch.py``).
+    Constraint tensors carry a leading batch dimension (``A_ub`` is
+    ``(B, m_ub, nvar)`` and so on; ``c`` may be ``(nvar,)`` or ``(B, nvar)``),
+    every problem shares one two-phase dense tableau layout, and pivots run
+    as masked array operations over the whole batch — converged problems are
+    frozen (removed from the working set) while the rest keep pivoting.
+    Pivot selection is Bland's rule; the per-problem verdicts and optimal
+    values match HiGHS up to floating-point noise (property-tested in
+    ``tests/test_lp_batch.py``).  A single LP is solved as ``B = 1``; at
+    least one constraint block is required.
 
     Infeasible and unbounded problems are reported per problem through
-    :attr:`BatchLinearProgramResult.statuses`; like the scalar solver, only
-    hitting the pivot limit raises :class:`~repro.core.exceptions.SolverError`.
+    :attr:`BatchLinearProgramResult.statuses`; only hitting the pivot limit
+    raises :class:`~repro.core.exceptions.SolverError`.
     """
     if A_ub is None and A_eq is None:
         raise SolverError("a batched solve needs at least one constraint block")
@@ -393,9 +233,9 @@ def solve_linear_program_batch(
     m_ub, m_eq = A_ub.shape[1], A_eq.shape[1]
     m = m_ub + m_eq
 
-    # Sign-normalise exactly as the scalar solver: inequality rows with a
-    # negative rhs are negated (their slack becomes a surplus) and need an
-    # artificial; equality rows are sign-normalised and always get one.  To
+    # Sign-normalise: inequality rows with a negative rhs are negated (their
+    # slack becomes a surplus) and need an artificial; equality rows are
+    # sign-normalised and always get one.  To
     # keep every problem on one tableau layout, an artificial *column* exists
     # for an inequality row as soon as any problem of the batch needs it
     # (problems that do not leave that column identically zero, so it can
@@ -503,54 +343,3 @@ def solve_linear_program_batch(
         x=x, objectives=objectives, statuses=statuses, iterations=iterations
     )
 
-
-def _simplex_core(
-    T: np.ndarray,
-    b: np.ndarray,
-    basis: np.ndarray,
-    c: np.ndarray,
-    max_iterations: int,
-    iterations: int,
-    blocked: np.ndarray | None = None,
-) -> tuple[str, int]:
-    """Run primal simplex pivots in place until optimality (Bland's rule)."""
-    m, total = T.shape
-    while True:
-        if iterations >= max_iterations:
-            raise SolverError(f"simplex exceeded {max_iterations} pivots")
-        # Reduced costs: c_j - c_B @ B^{-1} A_j; the tableau is kept in the
-        # basis representation, so the reduced cost is c - c_B @ T.
-        cb = c[basis]
-        reduced = c - cb @ T
-        candidates = np.nonzero(reduced < -_EPS)[0]
-        if blocked is not None and candidates.size:
-            candidates = candidates[~blocked[candidates]]
-        if candidates.size == 0:
-            return "optimal", iterations
-        enter = int(candidates.min())  # Bland's rule: smallest index.
-        col = T[:, enter]
-        positive = col > _EPS
-        if not np.any(positive):
-            return "unbounded", iterations
-        ratios = np.full(m, np.inf)
-        ratios[positive] = b[positive] / col[positive]
-        best = ratios.min()
-        # Bland's rule for the leaving variable: among rows attaining the
-        # minimum ratio, pick the one whose basic variable has smallest index.
-        tie_rows = np.nonzero(np.isclose(ratios, best, rtol=0.0, atol=1e-12))[0]
-        leave = int(min(tie_rows, key=lambda r: basis[r]))
-        _pivot(T, b, basis, leave, enter)
-        iterations += 1
-
-
-def _pivot(T: np.ndarray, b: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    """Perform a single pivot of the dense tableau in place."""
-    pivot_val = T[row, col]
-    T[row, :] /= pivot_val
-    b[row] /= pivot_val
-    for r in range(T.shape[0]):
-        if r != row and abs(T[r, col]) > 0.0:
-            factor = T[r, col]
-            T[r, :] -= factor * T[row, :]
-            b[r] -= factor * b[row]
-    basis[row] = col

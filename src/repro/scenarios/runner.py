@@ -255,7 +255,7 @@ def _solver_timing_cell(
         from repro.lp.interface import solve_ordered_relaxation
 
         solvers["ordered LP (HiGHS)"] = lambda: solve_ordered_relaxation(
-            inst, order, backend="scipy", build_schedule=False
+            inst, order, build_schedule=False
         )
     if 0 < inst.n <= exact_max_n:
         # Exact OPT is NP-hard; the branch-and-bound engine of

@@ -28,7 +28,6 @@ from repro.batch.runner import BatchRunner
 from repro.core.bounds import combined_lower_bound, time_leq, times_close
 from repro.core.exceptions import InfeasibleScheduleError, InvalidInstanceError
 from repro.core.instance import Instance, Task
-from repro.experiments.base import map_instances
 from repro.workloads.generators import cluster_instances, uniform_instances
 
 # --------------------------------------------------------------------- #
@@ -331,12 +330,6 @@ class TestResultCache:
 
 
 class TestExperimentIntegration:
-    def test_map_instances_serial_and_runner(self):
-        insts = list(uniform_instances(2, 4, rng=0))
-        assert map_instances(_task_count, insts) == [2] * 4
-        runner = BatchRunner(workers=2, executor="thread")
-        assert map_instances(_task_count, insts, runner) == [2] * 4
-
     def test_legacy_execution_kwargs_raise_with_ctx_hint(self):
         from repro.experiments.registry import run_experiment
 

@@ -49,6 +49,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_removed_simplex_lp_backend_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "E1", "--lp-backend", "simplex"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--lp-backend" in err and "invalid choice" in err and "simplex" in err
+
 
 class TestContextFromArgs:
     def test_serial_by_default(self):

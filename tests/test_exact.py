@@ -38,7 +38,6 @@ from repro.exec.shm import attach_batch, publish_batch
 from repro.lp.batch import OPTIMAL_METHODS, optimal, solve_ordered_relaxation_batch
 from repro.lp.exact import (
     MAX_BRANCH_AND_BOUND_TASKS,
-    _floors_achievable,
     _greedy_fill_values,
     _tail_completion_floors,
     branch_and_bound_optimal_batch,
@@ -107,7 +106,7 @@ class TestBranchAndBoundMatchesEnumeration:
         np.testing.assert_allclose(engine.objectives, reference.objectives, rtol=1e-6, atol=1e-8)
         assert engine.orderings_evaluated < reference.orderings_evaluated
 
-    @pytest.mark.parametrize("backend", ["batch", "scipy", "simplex"])
+    @pytest.mark.parametrize("backend", ["batch", "scipy"])
     def test_all_backends_agree(self, backend):
         insts = list(uniform_instances(4, 3, rng=np.random.default_rng(7)))
         insts.append(next(uniform_instances(2, 1, rng=np.random.default_rng(8))))
@@ -218,27 +217,6 @@ class TestBoundsBracketTheLP:
         assert np.all(floors[0] <= solution.completion_times + slack)
         upper = _greedy_fill_values(P, volumes, weights, deltas, order[None, :])
         assert upper[0] >= solution.objective - 1e-7 * max(1.0, solution.objective)
-
-    def test_certified_floors_are_the_lp_optimum(self):
-        rng = np.random.default_rng(29)
-        certified_seen = 0
-        for _ in range(20):
-            inst = next(uniform_instances(4, 1, rng=rng))
-            order = rng.permutation(4)
-            batch = InstanceBatch.from_instances([inst])
-            P = np.asarray(batch.P, dtype=float)
-            volumes, weights, deltas = batch.volumes, batch.weights, batch.deltas
-            floors = _tail_completion_floors(
-                P, volumes, volumes / deltas, deltas,
-                np.zeros((1, 4), dtype=bool), order[None, :], np.zeros(1), np.zeros(1),
-            )
-            if not _floors_achievable(P, volumes, deltas, order[None, :], floors)[0]:
-                continue
-            certified_seen += 1
-            value = float((np.take_along_axis(weights, order[None, :], axis=1) * floors).sum())
-            reference = solve_ordered_relaxation(inst, order, build_schedule=False).objective
-            assert value == pytest.approx(reference, rel=1e-7, abs=1e-9)
-        assert certified_seen > 0  # the certificate must fire on easy instances
 
 
 # --------------------------------------------------------------------- #

@@ -166,24 +166,25 @@ class TestExecutionContext:
         # served to a run using another solver from a shared cache — the old
         # keys ignored the selection entirely.
         cache = ResultCache()
-        values = iter(["scipy-result", "simplex-result", "kernel-result", "unused"])
+        values = iter(["scipy-result", "kernel-result", "unused"])
 
         def compute():
             return next(values)
 
         scipy_ctx = ExecutionContext(cache=cache, lp_backend="scipy")
-        simplex_ctx = ExecutionContext(cache=cache, lp_backend="simplex")
+        kernel_ctx = ExecutionContext(cache=cache, backend="vectorized")
+        assert kernel_ctx.resolved_lp_backend() == "batch"
         assert scipy_ctx.cached("sweep", {"n": 1}, compute) == "scipy-result"
-        assert simplex_ctx.cached("sweep", {"n": 1}, compute) == "simplex-result"
+        assert kernel_ctx.cached("sweep", {"n": 1}, compute) == "kernel-result"
         # Each selection keeps hitting its own entry afterwards.
         assert scipy_ctx.cached("sweep", {"n": 1}, compute) == "scipy-result"
-        assert simplex_ctx.cached("sweep", {"n": 1}, compute) == "simplex-result"
+        assert kernel_ctx.cached("sweep", {"n": 1}, compute) == "kernel-result"
         # 'auto' keys on what it resolves to: a serial auto context shares
-        # the scipy entry, a vectorized auto context gets its own (kernel).
+        # the scipy entry, and so does a vectorized context pinned to scipy.
         serial_auto = ExecutionContext(cache=cache)
-        vectorized_auto = ExecutionContext(cache=cache, backend="vectorized")
+        vectorized_scipy = ExecutionContext(cache=cache, backend="vectorized", lp_backend="scipy")
         assert serial_auto.cached("sweep", {"n": 1}, compute) == "scipy-result"
-        assert vectorized_auto.cached("sweep", {"n": 1}, compute) == "kernel-result"
+        assert vectorized_scipy.cached("sweep", {"n": 1}, compute) == "scipy-result"
         # A caller-supplied params entry cannot shadow the context's solver:
         # the bogus 'batch' value is overwritten, so this hits the scipy entry.
         assert (
@@ -192,9 +193,9 @@ class TestExecutionContext:
 
     def test_from_options_lp_backend(self):
         assert ExecutionContext.from_options().lp_backend == "auto"
-        ctx = ExecutionContext.from_options(lp_backend="simplex")
-        assert ctx.lp_backend == "simplex"
-        assert ctx.resolved_lp_backend() == "simplex"
+        ctx = ExecutionContext.from_options(lp_backend="scipy", batch=True)
+        assert ctx.lp_backend == "scipy"
+        assert ctx.resolved_lp_backend() == "scipy"
 
     def test_close_saves_backed_cache(self, tmp_path):
         path = tmp_path / "cache.json"

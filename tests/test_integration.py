@@ -13,11 +13,13 @@ from repro.algorithms.water_filling import water_filling_schedule
 from repro.algorithms.wdeq import wdeq_schedule
 from repro.bandwidth.network import BandwidthScenario
 from repro.bandwidth.transfer import plan_transfers, scenario_to_instance
+from repro.core.batch import InstanceBatch
 from repro.core.bounds import combined_lower_bound
 from repro.core.validation import (
     validate_column_schedule,
     validate_processor_assignment,
 )
+from repro.lp.batch import optimal
 from repro.simulation.nonclairvoyant import run_wdeq_online
 from repro.viz.gantt import render_allocation_chart, render_processor_gantt
 from repro.workloads.generators import cluster_instances, uniform_instances
@@ -103,8 +105,9 @@ class TestCrossSolverAgreement:
         from repro.workloads.generators import large_delta_instances
 
         for instance in large_delta_instances(4, 3, P=1.0, rng=11):
-            opt_scipy = optimal_schedule(instance, backend="scipy").objective
-            opt_simplex = optimal_schedule(instance, backend="simplex").objective
+            opt_scipy = optimal_schedule(instance).objective
+            batch = InstanceBatch.from_instances([instance])
+            opt_simplex = optimal(batch, method="enumerate").objectives[0]
             greedy = best_greedy_schedule(instance).objective
             assert opt_scipy == pytest.approx(opt_simplex, rel=1e-6)
             assert greedy == pytest.approx(opt_scipy, rel=1e-6)

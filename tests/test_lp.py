@@ -1,4 +1,4 @@
-"""Tests for the LP layer: formulation, simplex backend, SciPy backend, interface."""
+"""Tests for the LP layer: formulation, the simplex kernel at B = 1, SciPy backend, interface."""
 
 from __future__ import annotations
 
@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from repro import Instance, Task
+from repro.core.batch import InstanceBatch
 from repro.core.bounds import squashed_area_bound
 from repro.core.exceptions import InvalidScheduleError, SolverError
 from repro.core.validation import validate_column_schedule
+from repro.lp.batch import solve_ordered_relaxation_batch
 from repro.lp.formulation import build_ordered_lp
 from repro.lp.interface import solve_ordered_relaxation
 from repro.lp.scipy_backend import solve_with_scipy
-from repro.lp.simplex import solve_linear_program
+from repro.lp.simplex import solve_linear_program_batch
 from tests.conftest import random_instance
 
 
@@ -49,85 +51,100 @@ class TestFormulation:
         assert rates.shape == (4, 4)
 
 
+def solve_one(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, **kwargs):
+    """One LP through the lockstep kernel as a batch of one: ``(status, objective, x)``."""
+
+    def one(a):
+        return None if a is None else np.asarray(a, dtype=float)[None]
+
+    result = solve_linear_program_batch(one(c), one(A_ub), one(b_ub), one(A_eq), one(b_eq), **kwargs)
+    return result.statuses[0], result.objectives[0], result.x[0]
+
+
 class TestSimplexSolver:
+    """The in-repo simplex (the lockstep kernel) solving single LPs, ``B = 1``."""
+
     def test_simple_minimization(self):
         # min -x - y s.t. x + y <= 1, x, y >= 0 -> optimum -1.
-        result = solve_linear_program(
+        status, objective, _ = solve_one(
             c=np.array([-1.0, -1.0]),
             A_ub=np.array([[1.0, 1.0]]),
             b_ub=np.array([1.0]),
         )
-        assert result.is_optimal
-        assert result.objective == pytest.approx(-1.0)
+        assert status == "optimal"
+        assert objective == pytest.approx(-1.0)
 
     def test_equality_constraints(self):
         # min x + 2y s.t. x + y = 2 -> x = 2, y = 0.
-        result = solve_linear_program(
+        status, objective, x = solve_one(
             c=np.array([1.0, 2.0]),
             A_eq=np.array([[1.0, 1.0]]),
             b_eq=np.array([2.0]),
         )
-        assert result.is_optimal
-        assert result.objective == pytest.approx(2.0)
-        np.testing.assert_allclose(result.x, [2.0, 0.0], atol=1e-9)
+        assert status == "optimal"
+        assert objective == pytest.approx(2.0)
+        np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-9)
 
     def test_infeasible(self):
         # x <= -1 with x >= 0 is infeasible.
-        result = solve_linear_program(
+        status, objective, _ = solve_one(
             c=np.array([1.0]), A_ub=np.array([[1.0]]), b_ub=np.array([-1.0]),
             A_eq=np.array([[1.0]]), b_eq=np.array([5.0]),
         )
-        assert result.status == "infeasible"
+        assert status == "infeasible"
+        assert np.isnan(objective)
 
     def test_unbounded(self):
-        result = solve_linear_program(c=np.array([-1.0]))
-        assert result.status == "unbounded"
+        # min -x s.t. -x <= 1: nothing stops x from growing.
+        status, objective, _ = solve_one(
+            c=np.array([-1.0]), A_ub=np.array([[-1.0]]), b_ub=np.array([1.0])
+        )
+        assert status == "unbounded"
+        assert objective == -np.inf
 
     def test_negative_rhs_inequality(self):
         # -x <= -2  <=>  x >= 2; min x -> 2.
-        result = solve_linear_program(
+        status, objective, _ = solve_one(
             c=np.array([1.0]), A_ub=np.array([[-1.0]]), b_ub=np.array([-2.0])
         )
-        assert result.is_optimal
-        assert result.objective == pytest.approx(2.0)
+        assert status == "optimal"
+        assert objective == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(SolverError):
-            solve_linear_program(c=np.array([1.0, 2.0]), A_ub=np.ones((1, 3)), b_ub=np.ones(1))
+            solve_one(c=np.array([1.0, 2.0]), A_ub=np.ones((1, 3)), b_ub=np.ones(1))
 
     def test_pivot_limit_raises(self, rng):
         c = rng.normal(size=4)
         A = rng.normal(size=(3, 4))
         b = rng.uniform(0.5, 2.0, size=3)
         with pytest.raises(SolverError):
-            solve_linear_program(c, A_ub=A, b_ub=b, max_iterations=1)
+            solve_one(c, A_ub=A, b_ub=b, max_iterations=1)
 
     def test_negative_equality_rhs_is_sign_normalised(self):
         # -x - y = -2 is the same constraint as x + y = 2.
-        result = solve_linear_program(
+        status, objective, _ = solve_one(
             c=np.array([1.0, 2.0]),
             A_eq=np.array([[-1.0, -1.0]]),
             b_eq=np.array([-2.0]),
         )
-        assert result.is_optimal
-        assert result.objective == pytest.approx(2.0)
+        assert status == "optimal"
+        assert objective == pytest.approx(2.0)
 
     def test_redundant_equality_rows(self):
         # Duplicated equality rows leave an artificial in the basis at value
         # zero after phase 1; the drive-out path must still find the optimum.
-        result = solve_linear_program(
+        status, objective, _ = solve_one(
             c=np.array([1.0, 1.0]),
             A_eq=np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]),
             b_eq=np.array([2.0, 2.0, 4.0]),
         )
-        assert result.is_optimal
-        assert result.objective == pytest.approx(2.0)
+        assert status == "optimal"
+        assert objective == pytest.approx(2.0)
 
     def test_rhs_size_mismatch(self):
         with pytest.raises(SolverError):
-            solve_linear_program(
-                c=np.array([1.0]), A_ub=np.ones((2, 1)), b_ub=np.ones(3)
-            )
+            solve_one(c=np.array([1.0]), A_ub=np.ones((2, 1)), b_ub=np.ones(3))
 
     def test_matches_scipy_on_random_lps(self, rng):
         from scipy.optimize import linprog
@@ -137,13 +154,13 @@ class TestSimplexSolver:
             c = rng.normal(size=nvar)
             A = rng.normal(size=(m, nvar))
             b = rng.uniform(0.5, 2.0, size=m)
-            ours = solve_linear_program(c, A_ub=A, b_ub=b)
+            status, objective, _ = solve_one(c, A_ub=A, b_ub=b)
             ref = linprog(c, A_ub=A, b_ub=b, bounds=[(0, None)] * nvar, method="highs")
             if ref.status == 3:
-                assert ours.status == "unbounded"
+                assert status == "unbounded"
             else:
-                assert ours.is_optimal
-                assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+                assert status == "optimal"
+                assert objective == pytest.approx(ref.fun, abs=1e-7)
 
 
 class TestScipyBackendStatuses:
@@ -175,12 +192,14 @@ class TestScipyBackendStatuses:
 
 class TestOrderedRelaxation:
     def test_backends_agree(self, rng):
+        # HiGHS (the scalar interface) against the lockstep kernel.
         for _ in range(5):
             inst = random_instance(rng, n=3)
             order = list(rng.permutation(3))
-            a = solve_ordered_relaxation(inst, order, backend="scipy")
-            b = solve_ordered_relaxation(inst, order, backend="simplex")
-            assert a.objective == pytest.approx(b.objective, rel=1e-6, abs=1e-9)
+            a = solve_ordered_relaxation(inst, order)
+            b = solve_ordered_relaxation_batch(InstanceBatch.from_instances([inst]), [order])
+            assert b.backend == "batch"
+            assert a.objective == pytest.approx(b.objectives[0], rel=1e-6, abs=1e-9)
 
     def test_schedule_is_valid(self, small_instance):
         solution = solve_ordered_relaxation(small_instance, small_instance.smith_order())
@@ -222,7 +241,3 @@ class TestOrderedRelaxation:
         inst = Instance(P=4, tasks=[Task(volume=6, weight=2, delta=3)])
         solution = solve_ordered_relaxation(inst, [0])
         assert solution.objective == pytest.approx(2 * 2.0)
-
-    def test_unknown_backend(self, small_instance):
-        with pytest.raises(SolverError):
-            solve_ordered_relaxation(small_instance, small_instance.smith_order(), backend="bogus")

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro import Instance, Task
+from repro.core.batch import InstanceBatch
 from repro.core.bounds import combined_lower_bound, height_bound, squashed_area_bound
 from repro.core.exceptions import InvalidInstanceError, InvalidScheduleError
 from repro.core.validation import validate_column_schedule
 from repro.algorithms.optimal import optimal_over_orders, optimal_schedule, optimal_value
 from repro.algorithms.ordering import ORDERING_HEURISTICS, order_by
+from repro.lp.batch import optimal
 from tests.conftest import random_instance
 
 
@@ -47,10 +49,10 @@ class TestOptimal:
         assert result.objective == 0.0
 
     def test_backends_agree_on_optimum(self, rng):
+        # HiGHS enumeration against the lockstep kernel's enumeration.
         inst = random_instance(rng, n=3, P=1.0)
-        assert optimal_value(inst, backend="scipy") == pytest.approx(
-            optimal_value(inst, backend="simplex"), rel=1e-6
-        )
+        lockstep = optimal(InstanceBatch.from_instances([inst]), method="enumerate")
+        assert optimal_value(inst) == pytest.approx(lockstep.objectives[0], rel=1e-6)
 
     def test_restricted_order_search(self, small_instance):
         smith = small_instance.smith_order()

@@ -89,9 +89,9 @@ PAGES: dict[str, tuple[str, str, list[str]]] = {
     "lp.md": (
         "repro.lp — ordered-relaxation LPs",
         "The Corollary 1 linear-programming layer: the fixed-ordering "
-        "formulation, the SciPy/HiGHS and bespoke-simplex scalar backends, "
-        "and the batched subsystem that assembles and solves a whole "
-        "`InstanceBatch` of LPs in lockstep.",
+        "formulation, the SciPy/HiGHS scalar backend, and the batched "
+        "subsystem that assembles a whole `InstanceBatch` of LPs and solves "
+        "them with the in-repo lockstep simplex kernel.",
         ["repro.lp.formulation", "repro.lp.interface", "repro.lp.batch",
          "repro.lp.simplex", "repro.lp.scipy_backend"],
     ),
