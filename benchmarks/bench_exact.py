@@ -15,11 +15,11 @@ measures, on the synthetic cluster workload:
   underestimate: its LPs are smaller than the ``n = 10`` ones), and the
   resulting speedup is recorded in ``derived`` and gated at >= 25x for the
   full configuration;
-* a ``B >= 1024`` sweep cell evaluated through the legacy per-instance
-  pickling pool (`ExecutionContext.map` over ``Instance`` objects — the
-  pre-shm dispatch path) against the zero-copy shared-memory transport of
-  :meth:`repro.exec.ExecutionContext.map_batch`, gated at >= 2x with
-  bit-identical results.
+* a ``B >= 1024`` sweep cell evaluated through the per-instance pickling
+  pool (`ExecutionContext.map` over ``Instance`` objects) against the
+  zero-copy shared-memory transport of
+  :meth:`repro.exec.ExecutionContext.map_batch`, on one pool, gated at
+  >= 2x with bit-identical results.
 
 Worst-case caveat recorded here on purpose: branch-and-bound stays
 exponential, and instances whose cap spread makes many orderings near-ties
@@ -129,7 +129,7 @@ def run_exact_benchmark(
 def run_shm_benchmark(
     cell_size: int, cell_tasks: int, workers: int, seed: int = 9
 ) -> "tuple[dict, dict]":
-    """Legacy per-instance pickling pool vs shared-memory batch map."""
+    """Per-instance pickling (`ctx.map`) vs shared-memory batch map (`ctx.map_batch`) on one pool."""
     from _common import best_of
 
     rng = np.random.default_rng(seed)
@@ -144,8 +144,7 @@ def run_shm_benchmark(
         ctx.map(_legacy_cell_item, instances[: 2 * workers])  # warm the pool
         legacy_seconds = best_of(lambda: ctx.map(_legacy_cell_item, instances), 1)
         legacy_values = np.asarray(ctx.map(_legacy_cell_item, instances))
-    with ExecutionContext(backend="process-pool", workers=workers, shm=True) as ctx:
-        ctx.map_batch(_shm_cell_rows, batch)  # warm the pool
+        ctx.map_batch(_shm_cell_rows, batch)  # warm the shm path
         shm_seconds = best_of(lambda: ctx.map_batch(_shm_cell_rows, batch), 1)
         shm_values = np.asarray(ctx.map_batch(_shm_cell_rows, batch))
     disagreement = float(

@@ -15,9 +15,6 @@ scale that per-instance Python overhead dominates.  This package provides
   advances a whole ``(B, n_max)`` batch through release / completion /
   reshare events in lockstep, validated event-for-event against the scalar
   engine;
-* :mod:`repro.batch.runner` — a :class:`BatchRunner` that shards a workload
-  across ``concurrent.futures`` workers with per-shard seeding and
-  order-preserving aggregation;
 * :mod:`repro.batch.cache` — a :class:`ResultCache` keyed on
   ``(generator, seed, params)`` so repeated conjecture sweeps skip
   recomputation.
@@ -26,7 +23,7 @@ The batch substrate operates on :class:`~repro.core.batch.InstanceBatch`
 (struct-of-arrays, exported here under its historical name ``PaddedBatch``)
 and is selected by the experiments through
 :class:`repro.exec.ExecutionContext` — ``--batch`` / ``--workers`` on the
-CLI.
+CLI; the context, not this package, owns the worker pool.
 """
 
 from repro.batch.cache import ResultCache, cache_key
@@ -41,7 +38,6 @@ from repro.batch.kernels import (
     wdeq_ratio_batch,
     wdeq_weighted_completion_batch,
 )
-from repro.batch.runner import BatchRunner
 from repro.batch.sim_kernels import (
     BatchPolicy,
     BatchSimulationResult,
@@ -64,7 +60,6 @@ __all__ = [
     "height_bound_batch",
     "combined_lower_bound_batch",
     "wdeq_ratio_batch",
-    "BatchRunner",
     "ResultCache",
     "cache_key",
     "BatchPolicy",

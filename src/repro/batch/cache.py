@@ -14,7 +14,9 @@ from __future__ import annotations
 import functools
 import json
 import os
+import stat
 import threading
+import uuid
 from collections import OrderedDict
 from typing import Any, Callable, Mapping
 
@@ -156,7 +158,14 @@ class ResultCache:
             self.misses = 0
 
     def save(self, path: str | os.PathLike | None = None) -> str:
-        """Persist the JSON-serialisable entries to ``path`` (or the backing file)."""
+        """Persist the JSON-serialisable entries to ``path`` (or the backing file).
+
+        The entries go to a temporary file in the same directory, which then
+        atomically replaces ``path``: a failed or interrupted save raises and
+        leaves the previous file byte-intact, never a torn one.  The file
+        keeps the permissions a plain overwrite would give it: an existing
+        file's mode, else ``0o666`` narrowed by the umask.
+        """
         target = os.fspath(path) if path is not None else self._path
         if target is None:
             raise ValueError("no path given and the cache has no backing file")
@@ -168,6 +177,18 @@ class ResultCache:
                 except (TypeError, ValueError):
                     continue
                 serialisable[key] = value
-        with open(target, "w", encoding="utf-8") as handle:
-            json.dump(serialisable, handle)
+        directory, name = os.path.split(os.path.abspath(target))
+        temp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                if os.path.exists(target):
+                    os.fchmod(handle.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+                json.dump(serialisable, handle)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp, target)
+        except BaseException:
+            os.unlink(temp)
+            raise
         return target

@@ -461,15 +461,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--shm",
-        action="store_true",
-        help=(
-            "publish batch inputs to the worker pool through zero-copy shared "
-            "memory (repro.exec.shm) instead of pickling them per chunk; only "
-            "meaningful together with --workers"
-        ),
-    )
-    parser.add_argument(
         "--lp-backend",
         default="auto",
         choices=LP_BACKENDS,
@@ -521,7 +512,6 @@ def context_from_args(args: argparse.Namespace) -> ExecutionContext:
         workers=args.workers,
         cache_dir=args.cache_dir,
         lp_backend=getattr(args, "lp_backend", "auto"),
-        shm=getattr(args, "shm", False),
         backend=getattr(args, "backend", "auto"),
         hosts=getattr(args, "hosts", None),
         cell_timeout=getattr(args, "cell_timeout", 120.0),

@@ -4,14 +4,14 @@ This package owns the *how* of running an experiment — seeding, scale,
 vectorization, worker pools, shared-memory transport, result caching — so
 the experiment modules only describe the *what*.  The central public type is
 :class:`~repro.exec.context.ExecutionContext`; every experiment ``run``
-function accepts one (``ctx=None`` meaning "default serial context"), the
-CLI builds one from its flags, and the registry translates the deprecated
-pre-context keyword arguments into one.  :mod:`repro.exec.shm` provides the
-zero-copy shared-memory publication used by
-:meth:`~repro.exec.context.ExecutionContext.map_batch` on ``shm=True``
-contexts, and :mod:`repro.exec.cluster` the multi-node ``cluster`` backend
-(coordinator + socket worker nodes; imported lazily here to keep the
-package import light).
+function accepts one (``ctx=None`` meaning "default serial context") and
+the CLI builds one from its flags.  The context owns its process pool and
+splits pooled maps with :func:`~repro.exec.context.chunk_ranges`.
+:mod:`repro.exec.shm` provides the zero-copy shared-memory publication
+every pooled :meth:`~repro.exec.context.ExecutionContext.map_batch` ships
+its batch through, and :mod:`repro.exec.cluster` the multi-node
+``cluster`` backend (coordinator + socket worker nodes; imported lazily
+here to keep the package import light).
 
 Typical usage::
 
@@ -22,9 +22,15 @@ Typical usage::
         result = run_experiment("E5", ctx=ctx)
 """
 
-from repro.exec.context import BACKENDS, LP_BACKENDS, ExecutionContext
+from repro.exec.context import (
+    BACKENDS,
+    CHUNKS_PER_WORKER,
+    LP_BACKENDS,
+    ExecutionContext,
+    chunk_ranges,
+)
 
-__all__ = ["BACKENDS", "LP_BACKENDS", "ExecutionContext"]
+__all__ = ["BACKENDS", "LP_BACKENDS", "CHUNKS_PER_WORKER", "ExecutionContext", "chunk_ranges"]
 
 
 def __getattr__(name: str):

@@ -85,6 +85,7 @@ import numpy as np
 
 from repro.api import MessageRegistry, ProtocolError
 from repro.core.batch import InstanceBatch
+from repro.exec.context import chunk_ranges
 from repro.service.protocol import encode_line, decode_line
 
 __all__ = [
@@ -1002,7 +1003,6 @@ class ClusterCoordinator:
         fn: "Callable[..., Any]",
         batch: InstanceBatch,
         extra: "Mapping[str, Any] | None" = None,
-        chunks: "int | None" = None,
     ) -> list:
         """Map ``fn`` over row-chunks of a batch, shipping rows once per node.
 
@@ -1012,8 +1012,6 @@ class ClusterCoordinator:
         there; chunk jobs themselves carry only ``(batch_id, lo, hi)``.
         Row order is preserved; results concatenate over chunks.
         """
-        from repro.batch.runner import chunk_ranges
-
         arrays: "dict[str, np.ndarray]" = {
             name: np.ascontiguousarray(getattr(batch, name)) for name in _BATCH_WIRE_FIELDS
         }
@@ -1030,7 +1028,7 @@ class ClusterCoordinator:
         batch_id = batch_fingerprint(arrays)
         push = PushBatch(batch_id=batch_id, arrays=encode_arrays(arrays))
         self.connect()
-        ranges = chunk_ranges(B, max(1, self.live_workers()), chunks)
+        ranges = chunk_ranges(B, max(1, self.live_workers()))
         fn_packed = _pack(fn)
         jobs = [
             _Job(

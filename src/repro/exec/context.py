@@ -7,7 +7,7 @@ inspection.  The context bundles them into a single explicit value that every
 experiment accepts, so "which backend runs this" is a first-class, pluggable
 concept instead of a kwargs-routing convention.
 
-Three backends are supported:
+Four backends are supported:
 
 ``serial``
     The historical in-process loop.  Default, zero dependencies, exactly
@@ -17,10 +17,11 @@ Three backends are supported:
     NumPy kernels of :mod:`repro.batch` (closed-form kernels *and* the
     discrete-event simulation kernel of :mod:`repro.batch.sim_kernels`)
     wherever a kernel exists; everything else falls back to the serial loop
-    (or the runner, when ``workers > 1``).
+    (or the worker pool, when ``workers > 1``).
 ``process-pool``
-    Per-instance work is sharded over a
-    :class:`~repro.batch.runner.BatchRunner` worker pool.
+    Per-instance work is sharded over the context's own
+    :class:`~concurrent.futures.ProcessPoolExecutor`; batch maps reach it
+    through the shared-memory transport of :mod:`repro.exec.shm`.
 ``cluster``
     Work is sharded over socket-connected
     :class:`~repro.exec.cluster.WorkerNode` processes — localhost ports or
@@ -44,15 +45,15 @@ otherwise.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import InitVar, dataclass, field
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.batch.cache import ResultCache, cache_key
-from repro.batch.runner import BatchRunner
 
-__all__ = ["BACKENDS", "LP_BACKENDS", "ExecutionContext"]
+__all__ = ["BACKENDS", "LP_BACKENDS", "CHUNKS_PER_WORKER", "ExecutionContext", "chunk_ranges"]
 
 #: The recognised execution backends.
 BACKENDS = ("serial", "vectorized", "process-pool", "cluster")
@@ -67,16 +68,29 @@ LP_BACKENDS = ("auto", "scipy")
 CACHE_FILE_NAME = "results-cache.json"
 
 
-def _apply_batch_chunk(fn: Callable[..., Any], sub_batch: Any, extra: "Mapping[str, Any] | None") -> list:
-    """Worker body of the pickling (non-shm) :meth:`ExecutionContext.map_batch` path."""
-    if extra:
-        return list(fn(sub_batch, dict(extra)))
-    return list(fn(sub_batch))
+#: Chunks submitted per worker by a pooled map — two keeps the pool busy
+#: when chunk runtimes are uneven without multiplying the round trips.
+CHUNKS_PER_WORKER = 2
+
+
+def chunk_ranges(count: int, workers: int) -> "list[tuple[int, int]]":
+    """Split ``count`` items into at most ``workers * CHUNKS_PER_WORKER``
+    contiguous ``[lo, hi)`` ranges, dropping empty ones.  Shared by the pooled maps of :class:`ExecutionContext` and
+    by :meth:`repro.exec.cluster.ClusterCoordinator.map_batch`, so the
+    adaptive-chunking heuristic lives in exactly one place.
+    """
+    bounds = np.linspace(0, count, min(count, workers * CHUNKS_PER_WORKER) + 1).astype(int)
+    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+
+
+def _apply_chunk(fn: Callable[[Any], Any], chunk: Sequence[Any]) -> list:
+    """Worker body of a pooled :meth:`ExecutionContext.map` (module-level, so it pickles)."""
+    return [fn(item) for item in chunk]
 
 
 @dataclass
 class ExecutionContext:
-    """Bundles seed, scale, backend, runner and cache for one experiment run.
+    """Bundles seed, scale, backend, worker pool and cache for one experiment run.
 
     Parameters
     ----------
@@ -89,25 +103,15 @@ class ExecutionContext:
     workers:
         Worker processes for the ``process-pool`` backend (and for the scalar
         remainder of the ``vectorized`` backend).  ``0``/``1`` means no pool;
-        ``workers > 1`` (or an explicit ``runner``) on the default ``serial``
-        backend promotes the context to ``process-pool`` — a context that
-        reports ``serial`` never shards.
-    runner:
-        Explicit :class:`~repro.batch.runner.BatchRunner`.  Built
-        automatically from ``workers`` when not given; a context that built
-        its own runner also closes it in :meth:`close`.
+        ``workers > 1`` on the default ``serial`` backend promotes the
+        context to ``process-pool`` — a context that reports ``serial``
+        never shards.  The pool is created on first use and shut down by
+        :meth:`close`.
     cache:
         Optional :class:`~repro.batch.cache.ResultCache` consulted by
         :meth:`cached`.  A cache constructed with a backing path is saved by
         :meth:`close`, which is how ``--cache-dir`` persists results across
         CLI invocations.
-    shm:
-        Publish :meth:`map_batch` inputs through the zero-copy
-        shared-memory transport of :mod:`repro.exec.shm` instead of
-        pickling sub-batches into the worker processes.  Only observable
-        on a context with a process pool; results are identical either way
-        (asserted by ``tests/test_exact.py``), the difference is that the
-        per-chunk payload shrinks to a segment name + row range.
     lp_backend:
         Which solver the LP layer should use, one of :data:`LP_BACKENDS`.
         The default ``"auto"`` picks the batched lockstep kernel of
@@ -118,6 +122,10 @@ class ExecutionContext:
         neither switching ``--lp-backend`` nor an ``auto`` that resolves
         differently across backends can return results computed by another
         solver.
+    shm:
+        Deprecated and ignored: pooled :meth:`map_batch` calls always
+        publish through :mod:`repro.exec.shm`.  Still accepted so existing
+        ``shm=True`` call sites keep constructing; it will be removed.
     hosts:
         Worker addresses for the ``cluster`` backend:
         ``"host:port,host:port"`` or a sequence of ``host:port`` strings.
@@ -130,9 +138,9 @@ class ExecutionContext:
         Cluster backend: bound on re-executions per cell (reassignments
         after worker death and remote failures both count).
     coordinator:
-        Explicit :class:`~repro.exec.cluster.ClusterCoordinator` (mirrors
-        ``runner``: built lazily from ``hosts`` when not given; a context
-        that built its own coordinator also closes it in :meth:`close`).
+        Explicit :class:`~repro.exec.cluster.ClusterCoordinator`.  Built
+        lazily from ``hosts`` when not given; a context that built its own
+        coordinator also closes it in :meth:`close`.
 
     Examples
     --------
@@ -148,18 +156,21 @@ class ExecutionContext:
     paper_scale: bool = False
     backend: str = "serial"
     workers: int = 0
-    runner: BatchRunner | None = None
     cache: ResultCache | None = None
     lp_backend: str = "auto"
-    shm: bool = False
+    shm: InitVar[bool] = False
     hosts: Any = ()
     cell_timeout: float = 120.0
     cluster_retries: int = 2
     coordinator: Any = None
-    _owns_runner: bool = field(default=False, repr=False)
     _owns_coordinator: bool = field(default=False, repr=False)
+    #: Futures submitted by the most recent :meth:`map` / :meth:`map_batch`
+    #: call (0 when it ran in-process).
+    last_submission_count: int = field(default=0, init=False, repr=False, compare=False)
+    _pool_workers: int = field(default=0, init=False, repr=False, compare=False)
+    _pool: "ProcessPoolExecutor | None" = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, shm: bool) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown execution backend {self.backend!r}; expected one of {BACKENDS}"
@@ -170,22 +181,19 @@ class ExecutionContext:
             )
         if self.workers < 0:
             raise ValueError(f"workers must be non-negative, got {self.workers}")
-        if self.backend == "serial" and (self.workers > 1 or self.runner is not None):
+        if self.backend == "serial" and self.workers > 1:
             # Asking for workers IS asking for the pool backend; a context
             # reporting "serial" must never shard (serial guarantees the
             # in-process loop, e.g. for non-picklable functions).
             self.backend = "process-pool"
         if self.backend == "cluster" and self.coordinator is None and not self.hosts:
             raise ValueError("the cluster backend requires hosts (or an explicit coordinator)")
-        if self.runner is None and self.backend != "cluster":
+        if self.backend != "cluster":
             pool_workers = self.workers
             if self.backend == "process-pool" and pool_workers <= 1:
                 pool_workers = os.cpu_count() or 1
             if pool_workers > 1:
-                self.runner = BatchRunner(workers=pool_workers, cache=self.cache)
-                self._owns_runner = True
-        if self.cache is None and self.runner is not None:
-            self.cache = self.runner.cache
+                self._pool_workers = pool_workers
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -200,7 +208,6 @@ class ExecutionContext:
         workers: int = 0,
         cache_dir: str | os.PathLike | None = None,
         lp_backend: str = "auto",
-        shm: bool = False,
         backend: str = "auto",
         hosts: "str | Iterable[str] | None" = None,
         cell_timeout: float = 120.0,
@@ -218,8 +225,7 @@ class ExecutionContext:
         ``--cache-dir`` attaches a :class:`ResultCache` persisted to
         ``<cache_dir>/results-cache.json`` (created on demand, reloaded on
         the next invocation, saved by :meth:`close`); ``--lp-backend``
-        selects the LP solver (see :data:`LP_BACKENDS`); ``--shm`` switches
-        the pool's batch maps onto the shared-memory transport.
+        selects the LP solver (see :data:`LP_BACKENDS`).
         """
         if backend and backend != "auto":
             if backend not in BACKENDS:
@@ -246,7 +252,6 @@ class ExecutionContext:
             workers=workers,
             cache=cache,
             lp_backend=lp_backend,
-            shm=shm,
             hosts=hosts or (),
             cell_timeout=cell_timeout,
             cluster_retries=cluster_retries,
@@ -282,7 +287,8 @@ class ExecutionContext:
         ``"batch"`` (the lockstep kernel of :mod:`repro.lp.batch`) on a
         ``vectorized`` context with ``lp_backend="auto"``; ``"scipy"``
         (HiGHS) otherwise.  HiGHS still benefits from a worker pool: the
-        batched LP entry point shards its solves over :meth:`map`.
+        batched LP entry point shards its solves over :meth:`map_batch`,
+        which ships the rows through :mod:`repro.exec.shm`.
         """
         if self.lp_backend == "auto":
             return "batch" if self.vectorized else "scipy"
@@ -321,10 +327,9 @@ class ExecutionContext:
     def cluster(self):
         """The connected coordinator of a ``cluster`` context (built lazily).
 
-        Mirrors how ``runner`` backs the pool backend: an explicit
-        ``coordinator`` is used as-is, otherwise one is constructed from
-        ``hosts`` / ``cell_timeout`` / ``cluster_retries`` on first use and
-        closed by :meth:`close`.  Connecting is idempotent.
+        An explicit ``coordinator`` is used as-is, otherwise one is
+        constructed from ``hosts`` / ``cell_timeout`` / ``cluster_retries``
+        on first use and closed by :meth:`close`.  Connecting is idempotent.
         """
         if self.backend != "cluster":
             raise ValueError(f"cluster() requires backend='cluster', not {self.backend!r}")
@@ -366,29 +371,53 @@ class ExecutionContext:
                 on_result(index, records)
         return results
 
+    def _get_pool(self) -> ProcessPoolExecutor:
+        """The worker pool, created on first use and reused until :meth:`close`.
+
+        One experiment issues many maps (one per family/size combination);
+        reusing the pool avoids paying worker startup and NumPy/SciPy
+        re-imports on every call.
+        """
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self._pool_workers)
+        return self._pool
+
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
         """Apply ``fn`` to every item through the configured backend.
 
-        Serial contexts run the plain in-process loop; contexts with a
-        runner shard the items over its workers (order-preserving, identical
-        results — ``fn`` must then be picklable); ``cluster`` contexts
-        shard them over the worker nodes (``fn`` must be picklable *and*
-        importable on the nodes).  This is the single entry point
-        experiments use for per-instance work, so switching backends never
-        touches experiment logic.
+        Serial contexts run the plain in-process loop; pool contexts shard
+        the items over their workers (order-preserving, identical results —
+        ``fn`` must then be picklable); ``cluster`` contexts shard them over
+        the worker nodes (``fn`` must be picklable *and* importable on the
+        nodes).  This is the single entry point experiments use for
+        per-instance work, so switching backends never touches experiment
+        logic.
+
+        A pool receives **adaptive chunks**: at most ``workers *
+        CHUNKS_PER_WORKER`` futures, each carrying a contiguous slice, so a
+        100k-item map costs O(workers) submissions.  Maps of one item run
+        in-process.  :attr:`last_submission_count` records the futures of
+        the call.
         """
         if self.backend == "cluster":
             return self.cluster().map(fn, list(items))
-        if self.runner is not None:
-            return self.runner.map(fn, items)
-        return [fn(item) for item in items]
+        items = list(items)
+        if self._pool_workers <= 1 or len(items) <= 1:
+            self.last_submission_count = 0
+            return [fn(item) for item in items]
+        pool = self._get_pool()
+        futures = [
+            pool.submit(_apply_chunk, fn, items[lo:hi])
+            for lo, hi in chunk_ranges(len(items), self._pool_workers)
+        ]
+        self.last_submission_count = len(futures)
+        return [result for future in futures for result in future.result()]
 
     def map_batch(
         self,
         fn: Callable[..., Any],
         batch: Any,
         extra: "Mapping[str, Any] | None" = None,
-        chunks: int | None = None,
     ) -> list:
         """Map ``fn`` over row-chunks of an ``InstanceBatch``, row order kept.
 
@@ -400,29 +429,17 @@ class ExecutionContext:
         which is what makes the backends interchangeable:
 
         * without a worker pool the whole batch is one chunk in-process;
-        * a pool context pickles each sub-batch into a worker, one future
-          per chunk (O(workers) submissions);
-        * with ``shm=True`` the batch is published **once** through
+        * a pool context publishes the batch **once** through
           :func:`repro.exec.shm.publish_batch` and each future carries only
-          ``(handle, lo, hi)`` — the zero-copy path for large sweeps.
+          ``(fn, handle, lo, hi)``; the segment is unlinked on return;
+        * a ``cluster`` context ships the rows once per node.
 
-        ``batch`` may also be an already-published
-        :class:`repro.exec.shm.SharedBatch` — the publish step is then
-        skipped (and the published extra arrays are used), which is how a
-        sweep maps several functions over one cell for a single
-        publication.  ``chunks`` defaults to ``2 x`` the pool's worker
-        count.
+        A pool splits the rows into ``CHUNKS_PER_WORKER x`` its worker
+        count chunks.  Pooled row slices are rebuilt from shared pages
+        without task names.
         """
         from repro.core.batch import InstanceBatch  # local: keep import cheap
-        from repro.exec.shm import SharedBatch
 
-        shared_in: SharedBatch | None = None
-        if isinstance(batch, SharedBatch):
-            if extra is not None:
-                raise ValueError("pass extra arrays to publish_batch, not to map_batch, for a SharedBatch")
-            shared_in = batch
-            batch = shared_in.batch
-            extra = shared_in.extra
         if not isinstance(batch, InstanceBatch):
             raise TypeError(f"map_batch expects an InstanceBatch, got {type(batch).__name__}")
         B = batch.batch_size
@@ -435,59 +452,26 @@ class ExecutionContext:
         if self.backend == "cluster":
             # Rows ship once per node (content-fingerprinted PushBatch);
             # chunk jobs carry only (batch_id, lo, hi).
-            return self.cluster().map_batch(fn, batch, extra_arrays or None, chunks)
-        if self.runner is None or self.runner.workers <= 1 or B <= 1:
+            return self.cluster().map_batch(fn, batch, extra_arrays or None)
+        if self._pool_workers <= 1 or B <= 1:
+            self.last_submission_count = 0
             if extra_arrays:
                 return list(fn(batch, extra_arrays))
             return list(fn(batch))
-        from repro.batch.runner import chunk_ranges
+        # Looked up per call, so a patched ``shm.publish_batch`` is the one used.
+        from repro.exec import shm
 
-        ranges = chunk_ranges(B, self.runner.workers, chunks)
-        pool = self.runner._get_pool()
-        if self.shm:
-            from repro.exec.shm import apply_shared_chunk, publish_batch
-
-            shared = shared_in if shared_in is not None else publish_batch(batch, **extra_arrays)
-            try:
-                futures = [
-                    pool.submit(apply_shared_chunk, (fn, shared.handle, lo, hi))
-                    for lo, hi in ranges
-                ]
-                self.runner.last_submission_count = len(futures)
-                results: list = []
-                for future in futures:
-                    results.extend(future.result())
-            finally:
-                if shared_in is None:  # caller-published batches outlive the call
-                    shared.close()
-            return results
-        from repro.exec.shm import slice_batch
-
-        futures = []
-        for lo, hi in ranges:
-            sub = slice_batch(batch, lo, hi)
-            if extra_arrays:
-                sliced = {name: value[lo:hi] for name, value in extra_arrays.items()}
-                futures.append(pool.submit(_apply_batch_chunk, fn, sub, sliced))
-            else:
-                futures.append(pool.submit(_apply_batch_chunk, fn, sub, None))
-        self.runner.last_submission_count = len(futures)
-        results = []
-        for future in futures:
-            results.extend(future.result())
-        return results
-
-    def publish(self, batch: Any, **extra: Any) -> Any:
-        """Publish a batch once for repeated :meth:`map_batch` calls.
-
-        Thin wrapper over :func:`repro.exec.shm.publish_batch`; the
-        returned :class:`~repro.exec.shm.SharedBatch` is a context manager
-        that unlinks its segment on exit and can be passed to
-        :meth:`map_batch` in place of the batch on any backend.
-        """
-        from repro.exec.shm import publish_batch
-
-        return publish_batch(batch, **extra)
+        shared = shm.publish_batch(batch, **extra_arrays)
+        try:
+            pool = self._get_pool()
+            futures = [
+                pool.submit(shm.apply_shared_chunk, (fn, shared.handle, lo, hi))
+                for lo, hi in chunk_ranges(B, self._pool_workers)
+            ]
+            self.last_submission_count = len(futures)
+            return [result for future in futures for result in future.result()]
+        finally:
+            shared.close()
 
     def cached(
         self, name: str, params: Mapping[str, Any], compute: Callable[[], Any]
@@ -514,16 +498,19 @@ class ExecutionContext:
         return self.cache.get_or_compute(cache_key(name, self.seed, key_params), compute)
 
     def close(self) -> None:
-        """Release resources: shut down an owned runner/coordinator, save a backed cache."""
-        if self.runner is not None and self._owns_runner:
-            self.runner.close()
+        """Release resources: shut down the pool and an owned coordinator, save a backed cache.
+
+        A failed cache save raises: the previous cache file is left intact
+        (see :meth:`ResultCache.save`), and the caller learns the new
+        results were not persisted.
+        """
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
         if self.coordinator is not None and self._owns_coordinator:
             self.coordinator.close()
-        if self.cache is not None and getattr(self.cache, "_path", None):
-            try:
-                self.cache.save()
-            except OSError:  # pragma: no cover - disk full / permissions
-                pass
+        if self.cache is not None and self.cache.path:
+            self.cache.save()
 
     def __enter__(self) -> "ExecutionContext":
         return self

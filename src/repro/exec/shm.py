@@ -1,10 +1,8 @@
 """Zero-copy shared-memory publication of instance batches.
 
-The process-pool backend historically re-pickled its inputs into the worker
-processes on every call: mapping a function over the rows of a large
-:class:`~repro.core.batch.InstanceBatch` serialised every instance (or every
-sub-batch) through the pool's pipe, once per task, every time.  This module
-removes that tax:
+A pooled :meth:`repro.exec.ExecutionContext.map_batch` never pickles the
+rows of its :class:`~repro.core.batch.InstanceBatch` into the workers; it
+ships them through this module instead:
 
 * :func:`publish_batch` copies the batch's struct-of-arrays (plus any extra
   per-row arrays, e.g. orderings) into **one**
@@ -14,9 +12,9 @@ removes that tax:
   of batch size).
 * Workers call :func:`attach_batch` on the handle and get NumPy views
   straight into the shared pages — no copy, no pickle, O(1) per call.
-* :meth:`repro.exec.ExecutionContext.map_batch` builds on these to map a
-  function over row-chunks of a batch with O(workers) submissions whose
-  payloads are (handle, lo, hi) triples instead of the data itself.
+* :func:`apply_shared_chunk` is the worker body: each of the O(workers)
+  submissions carries a ``(fn, handle, lo, hi)`` payload instead of the
+  data itself.
 
 The publisher owns the segment: :meth:`SharedBatch.close` both closes and
 unlinks it (``SharedBatch`` is a context manager).  Workers must treat the
@@ -42,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -55,6 +53,8 @@ __all__ = [
     "publish_batch",
     "attach_arrays",
     "attach_batch",
+    "slice_batch",
+    "apply_shared_chunk",
 ]
 
 #: Field names an ``InstanceBatch`` contributes to a published segment.
@@ -99,26 +99,11 @@ class SharedBatch:
     Create through :func:`publish_batch`.  The publisher must keep this
     object alive while workers are attached and call :meth:`close` (or use
     it as a context manager) afterwards — closing unlinks the segment.
-
-    The original :attr:`batch` (and :attr:`extra` arrays) stay reachable on
-    the publisher side, so a ``SharedBatch`` can be passed wherever an
-    ``InstanceBatch`` is mapped: :meth:`repro.exec.ExecutionContext.map_batch`
-    accepts one directly and then skips re-publication — the pattern for
-    sweeps that evaluate several functions over the same cell (publish
-    once, map many times, unlink once).
     """
 
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        handle: SharedBatchHandle,
-        batch: InstanceBatch,
-        extra: "Mapping[str, np.ndarray]",
-    ):
+    def __init__(self, shm: shared_memory.SharedMemory, handle: SharedBatchHandle):
         self._shm = shm
         self.handle = handle
-        self.batch = batch
-        self.extra = dict(extra)
         self._closed = False
 
     def close(self) -> None:
@@ -200,7 +185,7 @@ def publish_batch(
         fields=tuple(f for f in fields if f.name in _BATCH_FIELDS),
         extra=tuple(f for f in fields if f.name not in _BATCH_FIELDS),
     )
-    return SharedBatch(shm, handle, batch, {name: arrays[name] for name in extra})
+    return SharedBatch(shm, handle)
 
 
 def attach_arrays(
@@ -277,7 +262,3 @@ def apply_shared_chunk(payload: "tuple[Any, Any, int, int]") -> list:
         return [item.copy() if isinstance(item, np.ndarray) else item for item in list(result)]
     finally:
         shm.close()
-
-
-__all__.append("slice_batch")
-__all__.append("apply_shared_chunk")

@@ -356,43 +356,30 @@ def _solve_rows_scalar(
     extra: "Mapping[str, np.ndarray]",
     build: bool = False,
 ) -> "list[tuple[float, np.ndarray, np.ndarray | None]]":
-    """Scalar solves of a whole row-chunk (the shared-memory dispatch body).
+    """Scalar (HiGHS) ordered-relaxation solves of a row-chunk under ``extra["orders"]``.
 
-    Receives a zero-copy slice of the published batch plus its sliced
-    ``orders`` array (see :meth:`repro.exec.ExecutionContext.map_batch`),
-    rebuilds each row's instance locally and solves it — the worker never
-    receives pickled instances at all.
+    Returns one ``(objective, completion_times, rates)`` per row — rates
+    only when ``build`` asks for a schedule, and always from the *same*
+    solve as the completion times (the ordered LP can have non-unique
+    optima, so mixing vertices from different solves would break volume
+    conservation).  The :meth:`repro.exec.ExecutionContext.map_batch`
+    body: a pool worker rebuilds each row's instance from shared pages.
     """
+    from repro.lp.interface import solve_ordered_relaxation
+
     orders = extra["orders"]
     counts = sub_batch.counts
     results = []
     for b in range(sub_batch.batch_size):
-        n = int(counts[b])
-        order = tuple(int(t) for t in orders[b, :n])
-        results.append(_solve_one_scalar((sub_batch.instance(b), order, build)))
+        order = tuple(int(t) for t in orders[b, : int(counts[b])])
+        solution = solve_ordered_relaxation(sub_batch.instance(b), order, build_schedule=build)
+        rates = None
+        if build and solution.schedule is not None:
+            rates = np.asarray(solution.schedule.rates, dtype=float)
+        results.append(
+            (float(solution.objective), np.asarray(solution.completion_times, dtype=float), rates)
+        )
     return results
-
-
-def _solve_one_scalar(
-    payload: "tuple[Any, tuple[int, ...], bool]",
-) -> "tuple[float, np.ndarray, np.ndarray | None]":
-    """Scalar (HiGHS) ordered-relaxation solve of one ``(instance, order, build)`` payload.
-
-    Returns ``(objective, completion_times, rates)`` — rates only when the
-    payload asks for a schedule, and always from the *same* solve as the
-    completion times (the ordered LP can have non-unique optima, so mixing
-    vertices from different solves would break volume conservation).
-    Module-level so :meth:`ExecutionContext.map` can pickle it into worker
-    processes.
-    """
-    from repro.lp.interface import solve_ordered_relaxation
-
-    instance, order, build = payload
-    solution = solve_ordered_relaxation(instance, order, build_schedule=build)
-    rates = None
-    if build and solution.schedule is not None:
-        rates = np.asarray(solution.schedule.rates, dtype=float)
-    return float(solution.objective), np.asarray(solution.completion_times, dtype=float), rates
 
 
 def solve_ordered_relaxation_batch(
@@ -414,8 +401,8 @@ def solve_ordered_relaxation_batch(
     backend:
         ``"batch"`` (default) assembles the padded tensors and solves them
         with the lockstep simplex kernel; ``"scipy"`` dispatches one HiGHS
-        solve per instance — through ``ctx.map`` when a context is given, so
-        a process-pool context shards the batch over its workers.
+        solve per instance — through ``ctx.map_batch`` when a context is
+        given, so a process-pool context shards the rows over its workers.
     ctx:
         Optional :class:`~repro.exec.ExecutionContext` used only by the
         HiGHS dispatch backend.
@@ -464,21 +451,11 @@ def solve_ordered_relaxation_batch(
     # have non-unique optima, so pairing one solver's times with another's
     # rates would not form a valid schedule.
     counts = batch.counts
-    if ctx is not None and ctx.shm and ctx.runner is not None:
-        # Zero-copy path: publish the batch once, ship only (handle, range)
-        # per chunk; workers rebuild their rows from the shared pages.
-        solver = functools.partial(_solve_rows_scalar, build=build_schedules)
+    solver = functools.partial(_solve_rows_scalar, build=build_schedules)
+    if ctx is not None:
         solved = ctx.map_batch(solver, batch, extra={"orders": orders})
     else:
-        instances = batch.to_instances()
-        payloads = [
-            (inst, tuple(int(t) for t in orders[b, : int(counts[b])]), build_schedules)
-            for b, inst in enumerate(instances)
-        ]
-        if ctx is not None:
-            solved = ctx.map(_solve_one_scalar, payloads)
-        else:
-            solved = [_solve_one_scalar(p) for p in payloads]
+        solved = solver(batch, {"orders": orders})
     objectives = np.array([obj for obj, _, _ in solved])
     completion = np.zeros((B, N))
     rates = np.zeros((B, N, N)) if build_schedules else None

@@ -24,7 +24,6 @@ from repro.batch.kernels import (
     wdeq_ratio_batch,
     wdeq_weighted_completion_batch,
 )
-from repro.batch.runner import BatchRunner
 from repro.core.bounds import combined_lower_bound, time_leq, times_close
 from repro.core.exceptions import InfeasibleScheduleError, InvalidInstanceError
 from repro.core.instance import Instance, Task
@@ -199,81 +198,6 @@ class TestBatchBounds:
         # Theorem 4: WDEQ is a 2-approximation, and the reference is a lower
         # bound, so the measured ratio can only be *smaller*.
         assert np.all(ratios <= 2.0 + 1e-6)
-
-
-# --------------------------------------------------------------------- #
-# BatchRunner
-# --------------------------------------------------------------------- #
-
-
-def _task_count(instance: Instance) -> int:
-    """Module-level so it pickles into worker processes."""
-    return instance.n
-
-
-class TestBatchRunner:
-    def test_map_serial_matches_loop(self):
-        insts = list(uniform_instances(3, 6, rng=0))
-        runner = BatchRunner(workers=1)
-        assert runner.map(_task_count, insts) == [3] * 6
-
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_map_parallel_matches_serial(self, executor):
-        insts = list(cluster_instances(6, 8, rng=np.random.default_rng(1)))
-        serial = [combined_lower_bound(inst) for inst in insts]
-        runner = BatchRunner(workers=2, executor=executor)
-        np.testing.assert_allclose(runner.map(combined_lower_bound, insts), serial)
-
-    def test_run_suite_deterministic_across_worker_counts(self):
-        kwargs = dict(n=4, count=10, seed=42)
-        serial = BatchRunner(workers=1, batch_size=4).run_suite(
-            uniform_instances, combined_lower_bound, **kwargs
-        )
-        parallel = BatchRunner(workers=2, batch_size=4, executor="thread").run_suite(
-            uniform_instances, combined_lower_bound, **kwargs
-        )
-        assert len(serial) == 10
-        np.testing.assert_allclose(serial, parallel)
-
-    def test_plan_shards_sizes(self):
-        runner = BatchRunner(workers=2, batch_size=8)
-        plan = runner.plan_shards(20, seed=0)
-        assert [size for size, _ in plan] == [8, 8, 4]
-        spawn_keys = [tuple(child.spawn_key) for _, child in plan]
-        assert len(set(spawn_keys)) == 3
-
-    def test_run_suite_uses_cache(self):
-        cache = ResultCache()
-        runner = BatchRunner(workers=1, batch_size=8, cache=cache)
-        first = runner.run_suite(uniform_instances, combined_lower_bound, 3, 6, seed=0)
-        second = runner.run_suite(uniform_instances, combined_lower_bound, 3, 6, seed=0)
-        assert first is second
-        assert cache.stats["hits"] == 1 and cache.stats["misses"] == 1
-
-    def test_run_suite_cache_distinguishes_functions(self):
-        cache = ResultCache()
-        runner = BatchRunner(workers=1, batch_size=8, cache=cache)
-        bounds = runner.run_suite(uniform_instances, combined_lower_bound, 3, 6, seed=0)
-        counts = runner.run_suite(uniform_instances, _task_count, 3, 6, seed=0)
-        # Same workload, different mapped function: must NOT collide.
-        assert counts == [3] * 6
-        assert bounds != counts
-        assert cache.stats["misses"] == 2 and cache.stats["hits"] == 0
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            BatchRunner(executor="fiber")
-        with pytest.raises(ValueError):
-            BatchRunner(batch_size=0)
-
-    def test_pool_reused_across_map_calls_and_closed(self):
-        insts = list(uniform_instances(3, 4, rng=0))
-        with BatchRunner(workers=2, executor="thread") as runner:
-            runner.map(_task_count, insts)
-            pool = runner._pool
-            runner.map(_task_count, insts)
-            assert runner._pool is pool  # same pool, not one per call
-        assert runner._pool is None  # context exit shuts it down
 
 
 # --------------------------------------------------------------------- #

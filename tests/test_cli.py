@@ -62,7 +62,7 @@ class TestContextFromArgs:
         ctx = context_from_args(build_parser().parse_args(["run", "E1", "--seed", "7"]))
         assert ctx.backend == "serial"
         assert ctx.seed == 7
-        assert ctx.runner is None and ctx.cache is None
+        assert ctx._pool_workers == 0 and ctx.cache is None
 
     def test_batch_and_workers_build_vectorized_context_with_pool(self):
         args = build_parser().parse_args(["run", "E5", "--batch", "--workers", "3"])
@@ -70,7 +70,7 @@ class TestContextFromArgs:
         try:
             assert ctx.backend == "vectorized"
             assert ctx.vectorized is True
-            assert ctx.runner is not None and ctx.runner.workers == 3
+            assert ctx._pool_workers == 3
         finally:
             ctx.close()
 
@@ -79,7 +79,7 @@ class TestContextFromArgs:
         ctx = context_from_args(args)
         try:
             assert ctx.backend == "process-pool"
-            assert ctx.runner is not None and ctx.runner.workers == 2
+            assert ctx._pool_workers == 2
         finally:
             ctx.close()
 
@@ -127,13 +127,12 @@ class TestProfile:
         assert args.target == "E7"
         assert args.top == 10 and args.sort == "tottime" and args.batch is True
 
-    def test_shm_flag_parses_and_reaches_the_context(self):
-        args = build_parser().parse_args(["run", "E1", "--workers", "2", "--shm"])
-        ctx = context_from_args(args)
-        try:
-            assert ctx.shm is True and ctx.backend == "process-pool"
-        finally:
-            ctx.close()
+    def test_shm_flag_is_a_usage_error(self, capsys):
+        # Pooled batch maps always use shared memory; the switch is gone.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "E1", "--workers", "2", "--shm"])
+        assert exc.value.code == 2
+        assert "--shm" in capsys.readouterr().err
 
     def test_profile_scenario_prints_table(self, tmp_path, capsys):
         spec = tmp_path / "tiny.toml"

@@ -443,7 +443,7 @@ class TestClusterExecution:
         assert ctx.backend == "cluster"
         assert ctx.cell_timeout == 7.5
         assert ctx.cluster_retries == 5
-        assert ctx.runner is None  # no local pool behind a cluster context
+        assert ctx._pool_workers == 0  # no local pool behind a cluster context
 
     def test_unreachable_hosts_raise_cluster_error(self):
         coordinator = ClusterCoordinator(["127.0.0.1:9"], connect_timeout=0.5)

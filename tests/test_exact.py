@@ -7,9 +7,9 @@ The two tentpoles of this layer are pinned here:
   ragged batch Hypothesis can build, on every backend, and its internal
   bounds must genuinely bracket the ordered-LP values (floors below, greedy
   fill above);
-* ``repro.exec.shm`` — sweeps dispatched through the zero-copy
-  shared-memory pool must return *bit-for-bit* the results of the pickling
-  pool and of the serial path, and large maps must issue O(workers)
+* ``repro.exec.shm`` — batch maps dispatched through the zero-copy
+  shared-memory pool must return *bit-for-bit* the results of the serial
+  path, publish once per call, and large maps must issue O(workers)
   submissions.
 """
 
@@ -28,12 +28,11 @@ from repro.algorithms.greedy_homogeneous import (
 )
 from repro.algorithms.optimal import optimal_value
 from repro.batch.kernels import combined_lower_bound_batch
-from repro.batch.runner import CHUNKS_PER_WORKER, BatchRunner
 from repro.core.batch import InstanceBatch
 from repro.core.bounds import times_close
 from repro.core.exceptions import InvalidInstanceError, SolverError
 from repro.core.instance import Instance, Task
-from repro.exec import ExecutionContext
+from repro.exec import CHUNKS_PER_WORKER, ExecutionContext, chunk_ranges, shm
 from repro.exec.shm import attach_batch, publish_batch
 from repro.lp.batch import OPTIMAL_METHODS, optimal, solve_ordered_relaxation_batch
 from repro.lp.exact import (
@@ -291,28 +290,37 @@ class TestSharedMemoryBackend:
         batch = self._batch()
         with ExecutionContext() as serial_ctx:
             serial = serial_ctx.map_batch(_per_row_bounds, batch)
-        with ExecutionContext(backend="process-pool", workers=2) as pick_ctx:
-            pickled = pick_ctx.map_batch(_per_row_bounds, batch)
-            assert 0 < pick_ctx.runner.last_submission_count <= 2 * CHUNKS_PER_WORKER
-        with ExecutionContext(backend="process-pool", workers=2, shm=True) as shm_ctx:
-            shm = shm_ctx.map_batch(_per_row_bounds, batch)
-            assert 0 < shm_ctx.runner.last_submission_count <= 2 * CHUNKS_PER_WORKER
-        assert np.array_equal(np.asarray(serial), np.asarray(pickled))
-        assert np.array_equal(np.asarray(serial), np.asarray(shm))
+        with ExecutionContext(backend="process-pool", workers=2) as pool_ctx:
+            pooled = pool_ctx.map_batch(_per_row_bounds, batch)
+            assert 0 < pool_ctx.last_submission_count <= 2 * CHUNKS_PER_WORKER
+        assert np.array_equal(np.asarray(serial), np.asarray(pooled))
 
-    def test_map_batch_extra_arrays_and_published_reuse(self):
+    def test_map_batch_extra_arrays(self):
         batch = self._batch(B=16)
         scale = np.full(16, 2.0)
         with ExecutionContext() as serial_ctx:
             reference = serial_ctx.map_batch(_per_row_weighted_volume, batch, extra={"scale": scale})
-        with ExecutionContext(backend="process-pool", workers=2, shm=True) as ctx:
-            direct = ctx.map_batch(_per_row_weighted_volume, batch, extra={"scale": scale})
-            with ctx.publish(batch, scale=scale) as shared:
-                reused_a = ctx.map_batch(_per_row_weighted_volume, shared)
-                reused_b = ctx.map_batch(_per_row_weighted_volume, shared)
-        assert np.array_equal(np.asarray(reference), np.asarray(direct))
-        assert np.array_equal(np.asarray(reference), np.asarray(reused_a))
-        assert np.array_equal(np.asarray(reference), np.asarray(reused_b))
+        with ExecutionContext(backend="process-pool", workers=2) as ctx:
+            pooled = ctx.map_batch(_per_row_weighted_volume, batch, extra={"scale": scale})
+        assert np.array_equal(np.asarray(reference), np.asarray(pooled))
+
+    def test_pooled_map_batch_publishes_once_per_call(self, monkeypatch):
+        published = []
+        original = shm.publish_batch
+
+        def counting(batch, **extra):
+            published.append(batch.batch_size)
+            return original(batch, **extra)
+
+        monkeypatch.setattr(shm, "publish_batch", counting)
+        batch = self._batch(B=16)
+        with ExecutionContext(backend="process-pool", workers=2) as ctx:
+            ctx.map_batch(_per_row_bounds, batch)
+            ctx.map_batch(_per_row_weighted_volume, batch, extra={"scale": np.ones(16)})
+        assert published == [16, 16]
+        with ExecutionContext(backend="vectorized") as serial_ctx:
+            serial_ctx.map_batch(_per_row_bounds, batch)
+        assert published == [16, 16]  # no pool, nothing to publish
 
     def test_map_batch_validates_inputs(self):
         batch = self._batch(B=4)
@@ -326,55 +334,71 @@ class TestSharedMemoryBackend:
         insts = list(uniform_instances(4, 12, rng=np.random.default_rng(2)))
         batch = InstanceBatch.from_instances(insts)
         serial = solve_ordered_relaxation_batch(batch, backend="scipy")
-        with ExecutionContext(backend="process-pool", workers=2, shm=True) as ctx:
-            shm = solve_ordered_relaxation_batch(batch, backend="scipy", ctx=ctx)
-        assert np.array_equal(serial.objectives, shm.objectives)
-        assert np.array_equal(serial.completion_times, shm.completion_times)
+        with ExecutionContext(backend="process-pool", workers=2) as ctx:
+            pooled = solve_ordered_relaxation_batch(batch, backend="scipy", ctx=ctx)
+        assert np.array_equal(serial.objectives, pooled.objectives)
+        assert np.array_equal(serial.completion_times, pooled.completion_times)
 
-    def test_sweep_summaries_identical_shm_vs_pickling(self):
+    def test_sweep_summaries_identical_pool_vs_serial(self):
         from repro.scenarios import ScenarioSpec, SweepRunner
 
         spec = ScenarioSpec(
-            name="shm-equality",
+            name="pool-equality",
             generator="uniform_instances",
             grid={"n": [3, 4]},
             count=3,
             policies=("WDEQ",),
         )
-        with ExecutionContext(seed=5, backend="process-pool", workers=2) as pick_ctx:
-            pickled = SweepRunner(spec, pick_ctx).run()
-        with ExecutionContext(seed=5, backend="process-pool", workers=2, shm=True) as shm_ctx:
-            shm = SweepRunner(spec, shm_ctx).run()
-        assert pickled.records == shm.records
-        assert pickled.rows == shm.rows
+        with ExecutionContext(seed=5) as serial_ctx:
+            serial = SweepRunner(spec, serial_ctx).run()
+        with ExecutionContext(seed=5, backend="process-pool", workers=2) as pool_ctx:
+            pooled = SweepRunner(spec, pool_ctx).run()
+        assert serial.records == pooled.records
+        assert serial.rows == pooled.rows
+
+
+def _triple(x):
+    return x * 3
+
+
+def _increment(x):
+    return x + 1
+
+
+def _boom(x):
+    raise RuntimeError("boom")
+
+
+def _boom_rows(sub_batch):
+    raise RuntimeError("boom")
 
 
 class TestAdaptiveChunking:
+    """Pooled maps on a real 2-process pool: O(workers) futures, inline when tiny."""
+
     def test_large_maps_issue_o_workers_submissions(self):
-        runner = BatchRunner(workers=4, executor="thread")
-        try:
-            items = list(range(10_000))
-            result = runner.map(lambda x: x * 3, items)
-            assert result == [x * 3 for x in items]
-            assert 0 < runner.last_submission_count <= 4 * CHUNKS_PER_WORKER
-        finally:
-            runner.close()
+        items = list(range(10_000))
+        with ExecutionContext(workers=2) as ctx:
+            assert ctx.map(_triple, items) == [x * 3 for x in items]
+            assert 0 < ctx.last_submission_count <= 2 * CHUNKS_PER_WORKER
+            ctx.map_batch(_per_row_bounds, TestSharedMemoryBackend()._batch(B=1000))
+            assert 0 < ctx.last_submission_count <= 2 * CHUNKS_PER_WORKER
 
     def test_small_maps_stay_inline(self):
-        runner = BatchRunner(workers=4, executor="thread")
-        try:
-            assert runner.map(lambda x: x + 1, [41]) == [42]
-            assert runner.last_submission_count == 0
-        finally:
-            runner.close()
+        with ExecutionContext(workers=2) as ctx:
+            assert ctx.map(_increment, [41]) == [42]
+            assert ctx.last_submission_count == 0
+            ctx.map_batch(_per_row_bounds, TestSharedMemoryBackend()._batch(B=1))
+            assert ctx.last_submission_count == 0
+            assert ctx._pool is None  # nothing was big enough to start the pool
 
     def test_exceptions_propagate(self):
-        def boom(x):
-            raise RuntimeError("boom")
-
-        runner = BatchRunner(workers=2, executor="thread")
-        try:
+        with ExecutionContext(workers=2) as ctx:
             with pytest.raises(RuntimeError, match="boom"):
-                runner.map(boom, list(range(100)))
-        finally:
-            runner.close()
+                ctx.map(_boom, list(range(100)))
+            with pytest.raises(RuntimeError, match="boom"):
+                ctx.map_batch(_boom_rows, TestSharedMemoryBackend()._batch(B=8))
+
+    def test_chunk_ranges_split_evenly_up_to_chunks_per_worker(self):
+        assert chunk_ranges(8, 2) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+        assert chunk_ranges(3, 2) == [(0, 1), (1, 2), (2, 3)]

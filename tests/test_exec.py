@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro.batch.cache import ResultCache
-from repro.batch.runner import BatchRunner
 from repro.core.batch import InstanceBatch
+from repro.core.bounds import combined_lower_bound
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.instance import Instance, Task
 from repro.exec import BACKENDS, ExecutionContext
-from repro.workloads.generators import bandwidth_scenario_instances
+from repro.workloads.generators import bandwidth_scenario_instances, cluster_instances
 from repro.workloads.suites import get_suite
 
 # --------------------------------------------------------------------- #
@@ -86,8 +86,9 @@ class TestExecutionContext:
     def test_defaults_are_serial(self):
         ctx = ExecutionContext()
         assert ctx.backend == "serial" and not ctx.vectorized
-        assert ctx.runner is None and ctx.cache is None
+        assert ctx.cache is None
         assert ctx.map(_double, [1, 2]) == [2, 4]
+        assert ctx._pool is None  # a serial context never builds a pool
 
     def test_backend_validation(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
@@ -98,34 +99,36 @@ class TestExecutionContext:
 
     def test_workers_promote_serial_to_process_pool(self):
         # A context that reports "serial" must never shard: asking for
-        # workers (or handing over a runner) selects the pool backend.
+        # workers selects the pool backend.
         with ExecutionContext(workers=2) as ctx:
             assert ctx.backend == "process-pool"
-            assert ctx.runner is not None
-        runner = BatchRunner(workers=2, executor="thread")
-        ctx = ExecutionContext(runner=runner)
-        assert ctx.backend == "process-pool"
-        runner.close()
+            assert ctx.map(_double, [1, 2, 3]) == [2, 4, 6]
+            assert ctx.last_submission_count > 0
         # Serial without workers stays a plain in-process loop, and may map
         # non-picklable functions.
         assert ExecutionContext().map(lambda x: x * 2, [1, 2]) == [2, 4]
 
-    def test_workers_build_a_runner(self):
+    def test_workers_build_a_pool(self):
         with ExecutionContext(backend="vectorized", workers=2) as ctx:
             assert ctx.vectorized
-            assert isinstance(ctx.runner, BatchRunner)
-            assert ctx.runner.workers == 2
+            assert ctx._pool is None  # created on first use
             assert ctx.map(_double, [1, 2, 3]) == [2, 4, 6]
-        # close() shut the owned runner's pool down
-        assert ctx.runner._pool is None
+            pool = ctx._pool
+            assert pool is not None and pool._max_workers == 2
+            assert ctx.map(_double, [4, 5]) == [8, 10]
+            assert ctx._pool is pool  # one pool for every map, not one per call
+        assert ctx._pool is None  # close() shut it down
 
-    def test_explicit_runner_is_not_owned(self):
-        runner = BatchRunner(workers=2, executor="thread")
-        runner.map(_double, [1, 2])  # spin the pool up
-        ctx = ExecutionContext(backend="process-pool", runner=runner)
-        ctx.close()
-        assert runner._pool is not None  # the context must not close it
-        runner.close()
+    def test_pool_map_matches_serial(self):
+        insts = list(cluster_instances(6, 8, rng=np.random.default_rng(1)))
+        serial = [combined_lower_bound(inst) for inst in insts]
+        with ExecutionContext(workers=2) as ctx:
+            assert ctx.map(combined_lower_bound, insts) == serial
+
+    def test_shm_keyword_is_accepted_and_ignored(self):
+        # Deprecated: pooled batch maps always go through shared memory.
+        with ExecutionContext(backend="vectorized", workers=2, shm=True) as ctx:
+            assert ctx == ExecutionContext(backend="vectorized", workers=2)
 
     def test_rng_is_deterministic_and_salted(self):
         ctx = ExecutionContext(seed=5)
@@ -205,13 +208,53 @@ class TestExecutionContext:
         reloaded = ResultCache(path=path)
         assert len(reloaded) == 1
 
+    def test_failed_cache_save_keeps_the_old_file_and_raises(self, tmp_path, monkeypatch):
+        import errno
+        import json
+
+        path = tmp_path / "cache.json"
+        with ExecutionContext(cache=ResultCache(path=path)) as ctx:
+            ctx.cached("sweep", {"n": 1}, lambda: [1.0])
+        before = path.read_bytes()
+        real_dumps = json.dumps
+
+        def torn_dump(obj, handle, **kwargs):
+            handle.write(real_dumps(obj)[:5])  # part of the payload, then the disk fills
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        ctx = ExecutionContext(cache=ResultCache(path=path))
+        ctx.cached("sweep", {"n": 2}, lambda: [2.0])
+        with pytest.raises(OSError, match="No space left on device"):
+            ctx.close()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]  # no temp file left
+
+    def test_cache_save_keeps_the_file_mode(self, tmp_path):
+        import os
+        import stat
+
+        path = tmp_path / "cache.json"
+        old_umask = os.umask(0o022)
+        try:
+            ResultCache(path=path).save()
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644  # a new file follows the umask
+            path.chmod(0o640)
+            cache = ResultCache(path=path)
+            cache.put("k", 1)
+            cache.save()
+            assert stat.S_IMODE(path.stat().st_mode) == 0o640  # an existing file keeps its mode
+        finally:
+            os.umask(old_umask)
+
     def test_from_options_backend_mapping(self):
         assert ExecutionContext.from_options().backend == "serial"
         assert ExecutionContext.from_options(batch=True).backend == "vectorized"
         with ExecutionContext.from_options(workers=2) as ctx:
             assert ctx.backend == "process-pool"
         with ExecutionContext.from_options(batch=True, workers=2) as ctx:
-            assert ctx.backend == "vectorized" and ctx.runner is not None
+            assert ctx.backend == "vectorized" and ctx.map(_double, [1, 2]) == [2, 4]
+            assert ctx.last_submission_count > 0
 
     def test_from_options_cache_dir(self, tmp_path):
         target = tmp_path / "deep" / "cache"

@@ -575,7 +575,7 @@ class TestReplayStream:
 
     def test_shm_pool_matches_inprocess_on_generated_trace(self, ragged_trace):
         direct = replay_stream(ragged_trace, 8.0, chunk_size=64)
-        with ExecutionContext(backend="vectorized", workers=2, shm=True) as ctx:
+        with ExecutionContext(backend="vectorized", workers=2) as ctx:
             pooled = replay_stream(ragged_trace, 8.0, chunk_size=64, ctx=ctx)
         assert pooled == direct
 

@@ -29,8 +29,9 @@ PAGES: dict[str, tuple[str, str, list[str]]] = {
     "exec.md": (
         "repro.exec — execution contexts",
         "The execution layer: one `ExecutionContext` object decides *how* every "
-        "experiment and sweep runs (backend, workers, seed, cache), including "
-        "the zero-copy shared-memory transport of `repro.exec.shm`.",
+        "experiment and sweep runs (backend, workers, seed, cache) and owns its "
+        "process pool, whose batch maps always ship through the zero-copy "
+        "shared-memory transport of `repro.exec.shm`.",
         ["repro.exec.context", "repro.exec.shm"],
     ),
     "cluster.md": (
@@ -84,7 +85,7 @@ PAGES: dict[str, tuple[str, str, list[str]]] = {
         "`vectorized` backend dispatches to, including the batched "
         "discrete-event simulation engine.",
         ["repro.core.batch", "repro.batch.kernels", "repro.batch.sim_kernels",
-         "repro.batch.runner", "repro.batch.cache"],
+         "repro.batch.cache"],
     ),
     "lp.md": (
         "repro.lp — ordered-relaxation LPs",
