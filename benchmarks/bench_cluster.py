@@ -11,8 +11,9 @@ records the per-sweep wall time:
 * ``cluster_sweep_*`` — the :class:`~repro.exec.cluster.ClusterCoordinator`
   sharding the cells over the two workers (socket dispatch, pickled
   records back per cell);
-* ``pool_sweep_*`` — ``backend="process-pool"`` with two local workers
-  (the apples-to-apples comparison: same parallelism, no sockets);
+* ``pool_sweep_*`` — ``backend="process-pool"`` with two forked local
+  nodes driven by the same coordinator (same parallelism, socket pairs
+  instead of TCP, scalar rather than vectorized cells);
 * ``serial_sweep_*`` — the single-process reference.
 
 ``derived`` carries the cluster/pool overhead ratio plus the coordinator's
@@ -190,12 +191,14 @@ def local_cluster():
 
 @pytest.mark.benchmark(group="cluster")
 def test_cluster_map_cells(benchmark, local_cluster):
+    from repro.scenarios.runner import run_cell
+
     spec = sweep_spec(cells=2, count=2)
     with ExecutionContext(
         backend="cluster", coordinator=local_cluster, seed=7, lp_backend="scipy"
     ) as ctx:
         payloads = SweepRunner(spec, ctx).payloads()
-        results = benchmark(local_cluster.map_cells, payloads)
+        results = benchmark(local_cluster.map, run_cell, payloads)
     assert len(results) == len(payloads)
 
 

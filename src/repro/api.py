@@ -34,6 +34,7 @@ SubmitTask(volume=4.0, weight=2.0, delta=2.0, task_id=None, client='', now=None)
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
@@ -166,6 +167,20 @@ class MessageRegistry:
             return cls(**kwargs)
         except TypeError as exc:
             raise ProtocolError(f"invalid {tag!r} message: {exc}") from None
+
+    def encode_line(self, message: object) -> bytes:
+        """:meth:`encode` as one compact newline-terminated JSON line."""
+        return json.dumps(self.encode(message), separators=(",", ":")).encode("utf-8") + b"\n"
+
+    def decode_line(self, line: bytes, max_bytes: int) -> object:
+        """:meth:`decode` one JSON line; oversize and invalid JSON are ProtocolErrors too."""
+        if len(line) > max_bytes:
+            raise ProtocolError(f"message exceeds {max_bytes} bytes")
+        try:
+            payload = json.loads(line)
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise ProtocolError(f"invalid JSON: {exc}") from None
+        return self.decode(payload)
 
 
 # --------------------------------------------------------------------- #

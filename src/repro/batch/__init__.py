@@ -23,7 +23,7 @@ The batch substrate operates on :class:`~repro.core.batch.InstanceBatch`
 (struct-of-arrays, exported here under its historical name ``PaddedBatch``)
 and is selected by the experiments through
 :class:`repro.exec.ExecutionContext` — ``--batch`` / ``--workers`` on the
-CLI; the context, not this package, owns the worker pool.
+CLI; the context, not this package, owns the worker nodes.
 """
 
 from repro.batch.cache import ResultCache, cache_key

@@ -78,10 +78,13 @@ class ResultCache:
     maxsize:
         Maximum number of entries kept in memory (``None`` = unbounded).
     path:
-        Optional JSON file backing the cache.  Entries are loaded lazily on
+        Optional JSON file backing the cache.  Entries are loaded on
         construction and written back by :meth:`save`; only JSON-serialisable
         results survive the round trip, so persistence is best suited to the
         aggregated summaries the experiments store (gap lists, ratio lists).
+        A missing file is an empty cache; one that cannot be read or is not
+        a JSON object raises ``ValueError`` naming the path and is left
+        untouched.
     """
 
     def __init__(self, maxsize: int | None = 1024, path: str | os.PathLike | None = None):
@@ -94,11 +97,15 @@ class ResultCache:
         if self._path and os.path.exists(self._path):
             try:
                 with open(self._path, "r", encoding="utf-8") as handle:
-                    for key, value in json.load(handle).items():
-                        self._entries[key] = value
-            except (OSError, ValueError):
-                # A corrupt or unreadable cache file is not an error: start cold.
-                self._entries.clear()
+                    loaded = json.load(handle)
+                if not isinstance(loaded, dict):
+                    raise ValueError(f"expected a JSON object, got {type(loaded).__name__}")
+            except (OSError, ValueError) as exc:
+                raise ValueError(
+                    f"cannot load the result cache {self._path}: {exc}; "
+                    "delete the file to start with an empty cache"
+                ) from exc
+            self._entries.update(loaded)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -491,15 +491,15 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=120.0,
         help=(
-            "cluster backend: seconds one cell may take on a worker before the "
-            "worker is declared dead and the cell is reassigned"
+            "cluster backend: seconds one job may take on a remote worker before "
+            "the worker is declared dead and the job is reassigned"
         ),
     )
     parser.add_argument(
         "--cluster-retries",
         type=int,
         default=2,
-        help="cluster backend: bound on re-executions per cell before the sweep fails",
+        help="bound on re-executions per job on worker nodes before the run fails",
     )
 
 

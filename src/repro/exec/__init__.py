@@ -1,17 +1,17 @@
 """Pluggable execution backends for the experiment harness.
 
 This package owns the *how* of running an experiment — seeding, scale,
-vectorization, worker pools, shared-memory transport, result caching — so
+vectorization, worker nodes, shared-memory transport, result caching — so
 the experiment modules only describe the *what*.  The central public type is
 :class:`~repro.exec.context.ExecutionContext`; every experiment ``run``
 function accepts one (``ctx=None`` meaning "default serial context") and
-the CLI builds one from its flags.  The context owns its process pool and
-splits pooled maps with :func:`~repro.exec.context.chunk_ranges`.
-:mod:`repro.exec.shm` provides the zero-copy shared-memory publication
-every pooled :meth:`~repro.exec.context.ExecutionContext.map_batch` ships
-its batch through, and :mod:`repro.exec.cluster` the multi-node
-``cluster`` backend (coordinator + socket worker nodes; imported lazily
-here to keep the package import light).
+the CLI builds one from its flags.  Every off-process context runs through
+the :class:`~repro.exec.cluster.ClusterCoordinator` of :mod:`repro.exec.cluster`
+(imported lazily here to keep the package import light) over local nodes
+it forks or remote nodes it dials, and splits maps with
+:func:`~repro.exec.context.chunk_ranges`; local nodes read every batch of
+:meth:`~repro.exec.context.ExecutionContext.map_batch` from the
+shared-memory segments of :mod:`repro.exec.shm`.
 
 Typical usage::
 

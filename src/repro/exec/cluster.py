@@ -1,12 +1,11 @@
-"""Multi-node sharded sweeps: a stdlib coordinator + socket worker nodes.
+"""The off-process execution engine: a stdlib coordinator + worker nodes.
 
-Every execution backend so far tops out at one machine: the process pool
-shards cells over local workers, the shm pool makes that dispatch zero-copy,
-but ``ExecutionContext`` never leaves the box.  This module adds the
-``cluster`` backend: a :class:`ClusterCoordinator` that shards a sweep's
-cells over :class:`WorkerNode` processes reached by TCP — localhost ports or
-remote hosts, stdlib only (``socket`` + ``threading`` + the NDJSON framing
-of :mod:`repro.service.protocol`).
+A :class:`ClusterCoordinator` shards jobs over :class:`WorkerNode`
+processes — remote ones reached by TCP (the ``cluster`` backend,
+``hosts=...``), or ``local_nodes`` it forks itself on a socket pair each
+(``process-pool``, and ``vectorized`` with ``workers > 1``).  Stdlib only:
+``socket`` + ``threading`` + ``multiprocessing`` + the NDJSON framing of
+:meth:`repro.api.MessageRegistry.encode_line`.
 
 Protocol
 --------
@@ -16,41 +15,44 @@ with its own :class:`~repro.api.MessageRegistry`
 connection:
 
 * ``Handshake`` -> ``HelloReply`` — identity + protocol-version check;
-* ``RunCell`` -> ``CellDone`` | ``JobFailed`` — one scenario grid cell
-  (the same JSON payload :func:`repro.scenarios.runner.run_cell` takes);
 * ``RunTask`` -> ``TaskDone`` | ``JobFailed`` — one pickled ``(fn, item)``
-  pair, the generic :meth:`ExecutionContext.map` path;
+  pair: a chunk of ``map`` items or one sweep cell;
 * ``PushBatch`` -> ``BatchAck`` then ``RunChunk`` -> ``TaskDone`` — the
-  batch path: an ``InstanceBatch`` ships **once per node** (arrays encoded
-  with the same name/shape/dtype layout as the shm pool's
-  :class:`~repro.exec.shm.SharedArrayField` descriptors, keyed by a content
-  fingerprint) and every subsequent chunk job carries only
-  ``(batch_id, lo, hi)``;
+  batch path: an ``InstanceBatch`` ships **once per node** in the
+  :func:`repro.exec.shm.batch_arrays` layout — base64 data keyed by a
+  content fingerprint for remote nodes, a shared-memory segment name for
+  local ones — and every chunk job carries only ``(batch_id, lo, hi)``.
+  A node keeps :data:`MAX_NODE_BATCHES` batches and answers a chunk of an
+  evicted one with ``JobFailed(unknown_batch=True)``: the coordinator
+  pushes it again;
 * ``Ping`` -> ``Pong`` — heartbeats while a worker is idle;
-* ``Drain`` -> ``DrainAck`` — graceful remote shutdown (``SIGTERM`` on the
+* ``Drain`` -> ``DrainAck`` — graceful shutdown (``SIGTERM`` on the
   worker process triggers the same drain path).
 
 Failure model
 -------------
-The coordinator assumes workers can die at any moment and stragglers can
-stall forever:
+The coordinator assumes workers can die at any moment and remote
+stragglers can stall forever:
 
-* cells are pre-assigned round-robin (:func:`assign_cells` — a
+* jobs are pre-assigned round-robin (:func:`assign_cells` — a
   deterministic, lossless partition) and idle workers *steal* from the
-  longest remaining queue, so one slow node never serialises the sweep;
-* every job has a **per-cell timeout**; a worker that blows it is declared
-  dead, its connection is closed (a late reply can never land), and its
-  in-flight cell plus queued shard are reassigned to live workers;
-* a worker that drops the connection mid-cell (crash, ``kill -9``) is
+  longest remaining queue, so one slow node never serialises the run;
+* every job on a remote node has a **per-job timeout**; a worker that
+  blows it is declared dead, its connection is closed (a late reply can
+  never land), and its in-flight job plus queued shard are reassigned to
+  live workers.  Local nodes have none: their death is an immediate EOF;
+* a worker that drops the connection mid-job (crash, ``kill -9``) is
   detected the same way; re-executions are **bounded** by ``max_retries``
-  per cell, after which the sweep fails loudly;
-* idle workers are **heartbeated** (``Ping``/``Pong``) so a dead node is
-  discovered before the tail of the sweep is routed to it;
-* results are deduplicated by job id — the first completion wins, so a cell
-  is never recorded twice no matter how reassignment races resolve.
+  per job, after which the run fails loudly;
+* idle remote workers are **heartbeated** (``Ping``/``Pong``) so a dead
+  node is discovered before the tail of the run is routed to it;
+* results are deduplicated by job id — the first completion wins, so a job
+  is never recorded twice no matter how reassignment races resolve;
+* a message over :data:`MAX_CLUSTER_LINE_BYTES` raises
+  :class:`ClusterError` before it is sent, instead of costing a worker.
 
 Determinism is untouched by any of this: cells carry their own seeds, so
-*where* a cell runs never changes *what* it computes — the chaos suite in
+*where* a job runs never changes *what* it computes — the chaos suite in
 ``tests/test_cluster.py`` kills and delays real worker processes and
 asserts the summaries stay tolerance-identical to the serial backend.
 
@@ -70,33 +72,34 @@ Examples
 from __future__ import annotations
 
 import base64
+import dataclasses
 import hashlib
+import multiprocessing
 import os
 import pickle
 import signal
 import socket
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from collections import OrderedDict, deque
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.api import MessageRegistry, ProtocolError
 from repro.core.batch import InstanceBatch
+from repro.exec import shm
 from repro.exec.context import chunk_ranges
-from repro.service.protocol import encode_line, decode_line
 
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_CLUSTER_LINE_BYTES",
+    "MAX_NODE_BATCHES",
     "Handshake",
     "HelloReply",
     "Ping",
     "Pong",
-    "RunCell",
-    "CellDone",
     "RunTask",
     "TaskDone",
     "PushBatch",
@@ -111,8 +114,6 @@ __all__ = [
     "CLUSTER_REGISTRY",
     "encode_cluster_line",
     "decode_cluster_line",
-    "encode_arrays",
-    "decode_arrays",
     "batch_fingerprint",
     "assign_cells",
     "parse_hosts",
@@ -125,13 +126,18 @@ __all__ = [
 ]
 
 #: Version checked in the ``Handshake``/``HelloReply`` exchange; a mismatch
-#: fails the connection instead of corrupting a sweep silently.
-PROTOCOL_VERSION = 1
+#: fails the connection instead of corrupting a sweep silently.  Version 2
+#: dropped the cell-only messages and added shared-memory pushes.
+PROTOCOL_VERSION = 2
 
 #: Line cap for the cluster protocol.  Much larger than the service's cap:
-#: ``PushBatch`` ships whole batch arrays (base64 inside JSON) — once per
-#: node, so the size is paid per host, not per cell.
+#: ``PushBatch`` ships whole batch arrays (base64 inside JSON) to remote
+#: nodes — once per node, so the size is paid per host, not per chunk.
 MAX_CLUSTER_LINE_BYTES = 64 << 20
+
+#: Pushed batches a node keeps; the least recently used one is evicted
+#: (and its shared-memory attachment closed) beyond this.
+MAX_NODE_BATCHES = 4
 
 
 # --------------------------------------------------------------------- #
@@ -174,24 +180,8 @@ class Pong:
 
 
 @dataclass(frozen=True)
-class RunCell:
-    """Execute one scenario grid cell (a :func:`repro.scenarios.runner.run_cell` payload)."""
-
-    job_id: int
-    payload: "Mapping[str, Any]"
-
-
-@dataclass(frozen=True)
-class CellDone:
-    """The records of one completed cell (plain JSON dicts, cache-ready)."""
-
-    job_id: int
-    records: tuple
-
-
-@dataclass(frozen=True)
 class RunTask:
-    """Execute one pickled ``(fn, item)`` pair (the generic ``map`` path)."""
+    """Execute one pickled ``(fn, item)`` pair (``map`` chunks and sweep cells)."""
 
     job_id: int
     task: str
@@ -209,13 +199,16 @@ class TaskDone:
 class PushBatch:
     """Ship a batch's arrays to a node once; later chunks reference ``batch_id``.
 
-    ``arrays`` is a tuple of ``{"name", "shape", "dtype", "data"}`` mappings
-    (base64 payloads) — the wire twin of the shm pool's
-    :class:`~repro.exec.shm.SharedArrayField` layout descriptors.
+    ``arrays`` is the layout, one :class:`~repro.exec.shm.SharedArrayField`
+    mapping per array.  The bytes are either in the shared-memory
+    ``segment`` (local nodes) or, laid out the same way, base64-encoded in
+    ``data`` (remote nodes).
     """
 
     batch_id: str
     arrays: tuple
+    segment: str = ""
+    data: str = ""
 
 
 @dataclass(frozen=True)
@@ -239,11 +232,16 @@ class RunChunk:
 
 @dataclass(frozen=True)
 class JobFailed:
-    """A job raised on the worker; ``retryable`` gates reassignment."""
+    """A job raised on the worker; ``retryable`` gates reassignment.
+
+    ``unknown_batch`` marks a chunk whose batch the node no longer holds;
+    the coordinator pushes the batch again instead of counting a retry.
+    """
 
     job_id: int
     error: str
     retryable: bool = True
+    unknown_batch: bool = False
 
 
 @dataclass(frozen=True)
@@ -267,8 +265,6 @@ CLUSTER_MESSAGE_TYPES: "dict[str, type]" = {
     "hello_reply": HelloReply,
     "ping": Ping,
     "pong": Pong,
-    "run_cell": RunCell,
-    "cell_done": CellDone,
     "run_task": RunTask,
     "task_done": TaskDone,
     "push_batch": PushBatch,
@@ -280,22 +276,22 @@ CLUSTER_MESSAGE_TYPES: "dict[str, type]" = {
 }
 
 #: The coordinator->worker half of the protocol.
-CLUSTER_REQUEST_TYPES = (Handshake, Ping, RunCell, RunTask, PushBatch, RunChunk, Drain)
+CLUSTER_REQUEST_TYPES = (Handshake, Ping, RunTask, PushBatch, RunChunk, Drain)
 
 #: The worker->coordinator half of the protocol.
-CLUSTER_REPLY_TYPES = (HelloReply, Pong, CellDone, TaskDone, BatchAck, JobFailed, DrainAck)
+CLUSTER_REPLY_TYPES = (HelloReply, Pong, TaskDone, BatchAck, JobFailed, DrainAck)
 
 #: Strict tagged codec for the cluster protocol (see repro.api.MessageRegistry).
 CLUSTER_REGISTRY = MessageRegistry(
     CLUSTER_MESSAGE_TYPES,
-    tuple_fields=frozenset({"records", "arrays"}),
+    tuple_fields=frozenset({"arrays"}),
     label="repro.exec.cluster",
 )
 
 
 def encode_cluster_line(message: object) -> bytes:
     """Serialise one cluster message to a compact NDJSON line."""
-    return encode_line(message, CLUSTER_REGISTRY)
+    return CLUSTER_REGISTRY.encode_line(message)
 
 
 def decode_cluster_line(line: bytes, max_bytes: int = MAX_CLUSTER_LINE_BYTES) -> object:
@@ -305,7 +301,7 @@ def decode_cluster_line(line: bytes, max_bytes: int = MAX_CLUSTER_LINE_BYTES) ->
     bytes, unknown tags and schema violations — one failure type, so both
     ends can treat any malformed input as a dead peer or a failed job.
     """
-    return decode_line(line, CLUSTER_REGISTRY, max_bytes=max_bytes)
+    return CLUSTER_REGISTRY.decode_line(line, max_bytes)
 
 
 # --------------------------------------------------------------------- #
@@ -322,34 +318,8 @@ def _unpack(text: str) -> Any:
     return pickle.loads(base64.b64decode(text.encode("ascii")))
 
 
-def encode_arrays(arrays: "Mapping[str, np.ndarray]") -> tuple:
-    """Encode named arrays as wire layout descriptors (name/shape/dtype/data)."""
-    encoded = []
-    for name, array in arrays.items():
-        contiguous = np.ascontiguousarray(array)
-        encoded.append(
-            {
-                "name": str(name),
-                "shape": list(contiguous.shape),
-                "dtype": str(contiguous.dtype),
-                "data": base64.b64encode(contiguous.tobytes()).decode("ascii"),
-            }
-        )
-    return tuple(encoded)
-
-
-def decode_arrays(encoded: "Iterable[Mapping[str, Any]]") -> "dict[str, np.ndarray]":
-    """Rebuild the named arrays a ``PushBatch`` message describes."""
-    arrays: "dict[str, np.ndarray]" = {}
-    for entry in encoded:
-        data = base64.b64decode(str(entry["data"]).encode("ascii"))
-        array = np.frombuffer(data, dtype=np.dtype(str(entry["dtype"])))
-        arrays[str(entry["name"])] = array.reshape(tuple(int(d) for d in entry["shape"])).copy()
-    return arrays
-
-
 def batch_fingerprint(arrays: "Mapping[str, np.ndarray]") -> str:
-    """Content hash of named arrays: the per-node batch cache key.
+    """Content hash of named arrays: the batch id of a remote push.
 
     Two pushes of identical data share one node-side entry, which is what
     makes "rows ship once per host" hold across repeated ``map_batch`` calls
@@ -363,10 +333,6 @@ def batch_fingerprint(arrays: "Mapping[str, np.ndarray]") -> str:
         digest.update(str(array.dtype).encode("ascii"))
         digest.update(array.tobytes())
     return digest.hexdigest()
-
-
-#: Batch fields shipped by ``PushBatch`` (same set the shm pool publishes).
-_BATCH_WIRE_FIELDS = ("P", "volumes", "weights", "deltas", "mask")
 
 
 def assign_cells(num_cells: int, num_workers: int) -> "list[list[int]]":
@@ -432,22 +398,29 @@ class LineChannel:
         self._sock = sock
         self._max_bytes = max_bytes
         self._buffer = bytearray()
+        self._scanned = 0  # buffer prefix known to hold no newline
 
     def send(self, message: object) -> None:
         """Write one message as an NDJSON line (blocking)."""
-        self._sock.sendall(encode_cluster_line(message))
+        self.send_line(encode_cluster_line(message))
+
+    def send_line(self, line: bytes) -> None:
+        """Write one already-encoded NDJSON line (blocking)."""
+        self._sock.sendall(line)
 
     def recv(self, timeout: "float | None" = None) -> "object | None":
         """Read the next message; ``None`` on EOF, ``TimeoutError`` on expiry."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            newline = self._buffer.find(b"\n")
+            newline = self._buffer.find(b"\n", self._scanned)
             if newline >= 0:
                 line = bytes(self._buffer[:newline])
                 del self._buffer[: newline + 1]
+                self._scanned = 0
                 if not line.strip():
                     continue
                 return decode_cluster_line(line, self._max_bytes)
+            self._scanned = len(self._buffer)
             if len(self._buffer) > self._max_bytes:
                 raise ProtocolError(f"message exceeds {self._max_bytes} bytes")
             if deadline is None:
@@ -476,13 +449,14 @@ class LineChannel:
 
 
 class WorkerNode:
-    """One socket-connected worker: executes cells, chunks and pickled tasks.
+    """One socket-connected worker: executes pickled tasks and batch chunks.
 
     Runs a tiny threaded TCP server (one thread per coordinator connection)
-    and keeps a node-local batch store so pushed batches are decoded once
-    per node.  Launch it in-process (``node.start()``; the chaos and unit
-    tests do) or as a process via ``malleable-repro workers`` /
-    :func:`run_worker_node`.
+    and keeps the last :data:`MAX_NODE_BATCHES` pushed batches, so a batch
+    is decoded (or attached) once per node.  Launch it in-process
+    (``node.start()``; the unit tests do), as a process via ``malleable-repro
+    workers`` / :func:`run_worker_node`, or as a forked local node serving
+    one socket pair through :meth:`serve_connection`.
 
     Shutdown is graceful by design: :meth:`drain` (also wired to ``SIGTERM``
     by :meth:`install_signal_handlers`) stops accepting connections, lets
@@ -530,7 +504,8 @@ class WorkerNode:
         self._listener: "socket.socket | None" = None
         self._accept_thread: "threading.Thread | None" = None
         self._threads: "list[threading.Thread]" = []
-        self._batches: "dict[str, dict[str, np.ndarray]]" = {}
+        #: batch id -> (named arrays, shared-memory attachment or None)
+        self._batches: "OrderedDict[str, tuple[dict[str, np.ndarray], Any]]" = OrderedDict()
         self._draining = threading.Event()
         self._stopped = threading.Event()
         self._lock = threading.Lock()
@@ -610,7 +585,7 @@ class WorkerNode:
             except OSError:
                 break
             thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
+                target=self.serve_connection, args=(conn,), daemon=True
             )
             self._threads.append(thread)
             thread.start()
@@ -619,7 +594,8 @@ class WorkerNode:
         except OSError:  # pragma: no cover - already closed
             pass
 
-    def _serve_connection(self, conn: socket.socket) -> None:
+    def serve_connection(self, conn: socket.socket) -> None:
+        """Serve one coordinator connection until it closes or the node drains."""
         channel = LineChannel(conn)
         try:
             while not self._stopped.is_set():
@@ -679,26 +655,23 @@ class WorkerNode:
             self.drain()
             return DrainAck(worker_id=self.worker_id, completed=self.completed)
         if isinstance(message, PushBatch):
-            with self._lock:
-                cached = message.batch_id in self._batches
-                if not cached:
-                    self._batches[message.batch_id] = decode_arrays(message.arrays)
-            return BatchAck(batch_id=message.batch_id, cached=cached)
-        if isinstance(message, (RunCell, RunTask, RunChunk)):
+            return BatchAck(batch_id=message.batch_id, cached=self._store(message))
+        if isinstance(message, (RunTask, RunChunk)):
             self._chaos_gate()
             self._inflight += 1
             try:
-                if isinstance(message, RunCell):
-                    reply: object = self._run_cell(message)
-                elif isinstance(message, RunTask):
-                    reply = self._run_task(message)
+                if isinstance(message, RunTask):
+                    reply: object = self._run_task(message)
                 else:
                     reply = self._run_chunk(message)
                 self.completed += 1
                 return reply
             except Exception as exc:  # noqa: BLE001 - every job error -> JobFailed
                 return JobFailed(
-                    job_id=message.job_id, error=f"{type(exc).__name__}: {exc}", retryable=True
+                    job_id=message.job_id,
+                    error=f"{type(exc).__name__}: {exc}",
+                    retryable=True,
+                    unknown_batch=isinstance(exc, _UnknownBatch),
                 )
             finally:
                 self._inflight -= 1
@@ -706,39 +679,51 @@ class WorkerNode:
             job_id=-1, error=f"unexpected message {type(message).__name__}", retryable=False
         )
 
-    def _run_cell(self, message: RunCell) -> CellDone:
-        from repro.scenarios.runner import run_cell
-
-        records = run_cell(dict(message.payload))
-        return CellDone(job_id=message.job_id, records=tuple(records))
+    def _store(self, message: PushBatch) -> bool:
+        """Hold a pushed batch, evicting the least recently used; True if already held."""
+        with self._lock:
+            if message.batch_id in self._batches:
+                self._batches.move_to_end(message.batch_id)
+                return True
+            fields = [shm.SharedArrayField(**entry) for entry in message.arrays]
+            if message.segment:
+                self._batches[message.batch_id] = shm.attach_arrays(message.segment, fields)
+            else:
+                data = base64.b64decode(message.data.encode("ascii"))
+                self._batches[message.batch_id] = (shm.array_views(data, fields), None)
+            while len(self._batches) > MAX_NODE_BATCHES:
+                _, (arrays, segment) = self._batches.popitem(last=False)
+                arrays.clear()  # drop the views before unmapping their pages
+                if segment is not None:
+                    segment.close()
+            return False
 
     def _run_task(self, message: RunTask) -> TaskDone:
         fn, item = _unpack(message.task)
         return TaskDone(job_id=message.job_id, result=_pack(fn(item)))
 
     def _run_chunk(self, message: RunChunk) -> TaskDone:
-        from repro.exec.shm import slice_batch
-
         with self._lock:
-            arrays = self._batches.get(message.batch_id)
-        if arrays is None:
-            raise KeyError(f"unknown batch {message.batch_id!r} (push it first)")
-        batch = InstanceBatch(
-            P=arrays["P"],
-            volumes=arrays["volumes"],
-            weights=arrays["weights"],
-            deltas=arrays["deltas"],
-            mask=arrays["mask"],
-        )
-        fn = _unpack(message.fn)
-        sub = slice_batch(batch, message.lo, message.hi)
-        extra = {
-            name: value[message.lo : message.hi]
-            for name, value in arrays.items()
-            if name not in _BATCH_WIRE_FIELDS
-        }
-        result = fn(sub, extra) if extra else fn(sub)
-        return TaskDone(job_id=message.job_id, result=_pack(list(result)))
+            entry = self._batches.get(message.batch_id)
+        if entry is None:
+            raise _UnknownBatch(f"unknown batch {message.batch_id!r} (push it first)")
+        rows = shm.apply_rows(_unpack(message.fn), entry[0], message.lo, message.hi)
+        return TaskDone(job_id=message.job_id, result=_pack(rows))
+
+
+class _UnknownBatch(KeyError):
+    """A chunk named a batch the node does not hold (never pushed, or evicted)."""
+
+
+def _serve_local_node(conn: socket.socket, parent_end: socket.socket) -> None:
+    """Body of a forked local node: serve the socket pair until EOF or drain.
+
+    Closing the inherited parent end makes the parent's death an EOF on
+    ``conn``, so an orphaned node exits.  ``SIGINT`` is the parent's to handle.
+    """
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    WorkerNode(worker_id=f"local{os.getpid()}").serve_connection(conn)
 
 
 def run_worker_node(
@@ -782,13 +767,14 @@ class ClusterAborted(ClusterError):
     """Raised by the ``abort_after`` fault-injection hook (simulated coordinator crash)."""
 
 
-class _RemoteWorker:
-    """Coordinator-side view of one connected worker node."""
+class _Worker:
+    """Coordinator-side view of one worker node (``process``: local nodes only)."""
 
-    def __init__(self, name: str, channel: LineChannel, worker_id: str):
+    def __init__(self, name: str, channel: LineChannel, worker_id: str, process: Any = None):
         self.name = name
         self.channel = channel
         self.worker_id = worker_id
+        self.process = process
         self.alive = True
         self.pending: "deque[int]" = deque()
         self.batches: "set[str]" = set()
@@ -797,32 +783,60 @@ class _RemoteWorker:
 
 @dataclass
 class _Job:
-    """One unit of cluster work: the wire message plus retry bookkeeping."""
+    """One unit of cluster work: its encoded request (and, for chunks, the
+    ``(batch_id, encoded PushBatch)`` it needs) plus retry bookkeeping."""
 
     index: int
-    message: object
-    push: "PushBatch | None" = None
+    line: bytes
+    push: "tuple[str, bytes] | None" = None
     attempts: int = 0
     done: bool = False
     result: object = None
 
 
-class ClusterCoordinator:
-    """Shard jobs over socket-connected worker nodes with bounded retries.
+def _result(job: _Job) -> Any:
+    """The unpickled value of a completed job's ``TaskDone``."""
+    assert isinstance(job.result, TaskDone)
+    return _unpack(job.result.result)
 
-    The execution engine of the ``cluster`` backend: :meth:`map_cells` runs
-    scenario grid cells (JSON-native), :meth:`map` arbitrary picklable
-    functions, :meth:`map_batch` row-chunks of an ``InstanceBatch`` with the
-    batch pushed **once per node**.  See the module docstring for the
-    scheduling and failure model.
+
+def _encode_request(message: object) -> bytes:
+    """Encode a job message; one over the cap would cost every worker it met."""
+    line = encode_cluster_line(message)
+    if len(line) > MAX_CLUSTER_LINE_BYTES:
+        raise ClusterError(
+            f"{type(message).__name__} message of {len(line)} bytes exceeds the "
+            f"{MAX_CLUSTER_LINE_BYTES}-byte cluster line cap"
+        )
+    return line
+
+
+def _fork_local_node(index: int) -> "tuple[LineChannel, Any]":
+    """Start one local node on a socket pair, with the default start method."""
+    parent_end, child_end = socket.socketpair()
+    process = multiprocessing.get_context().Process(
+        target=_serve_local_node, args=(child_end, parent_end), name=f"repro-local-node-{index}", daemon=True
+    )
+    process.start()
+    child_end.close()  # the node's end now lives in the node alone
+    return LineChannel(parent_end), process
+
+
+class ClusterCoordinator:
+    """Shard jobs over worker nodes with bounded retries.
+
+    :meth:`map` runs one job per item (the context passes it chunks and
+    cells), :meth:`map_batch` row-chunks of an ``InstanceBatch`` pushed
+    **once per node**.  See the module docstring for the failure model.
 
     Parameters
     ----------
     hosts:
         ``"host:port,host:port"`` or an iterable of ``host:port`` strings.
+        Empty when ``local_nodes`` is given.
     cell_timeout:
-        Seconds a single job may take before its worker is declared dead
-        and the job is reassigned.
+        Seconds a single job may take on a remote node before the node is
+        declared dead and the job is reassigned.  Local nodes have none.
     max_retries:
         Bound on *re*-executions per job (reassignments after worker death
         and ``JobFailed`` retries both count); exceeding it fails the run.
@@ -830,23 +844,29 @@ class ClusterCoordinator:
         Idle workers are pinged at this cadence so dead nodes are noticed
         before new work is routed to them.
     connect_timeout:
-        Seconds allowed for the TCP connect + handshake per worker.
+        Seconds allowed for the connect + handshake per worker, and for a
+        drained local node to exit.
     abort_after:
         Fault injection for the chaos harness: abort the run (raising
         :class:`ClusterAborted`) once this many results were recorded —
         a deterministic stand-in for killing the coordinator mid-sweep.
+    local_nodes:
+        Fork this many local nodes in :meth:`connect` instead of dialling
+        ``hosts``; :meth:`close` drains and joins them.
     """
 
     def __init__(
         self,
-        hosts: "str | Iterable[str]",
+        hosts: "str | Iterable[str]" = (),
         cell_timeout: float = 120.0,
         max_retries: int = 2,
         heartbeat_interval: float = 2.0,
         connect_timeout: float = 5.0,
         abort_after: int = 0,
+        local_nodes: int = 0,
     ):
-        self.addresses = parse_hosts(hosts)
+        self.local_nodes = int(local_nodes)
+        self.addresses = () if self.local_nodes else parse_hosts(hosts)
         self.cell_timeout = float(cell_timeout)
         self.max_retries = int(max_retries)
         self.heartbeat_interval = float(heartbeat_interval)
@@ -862,17 +882,19 @@ class ClusterCoordinator:
             "heartbeats": 0,
             "batches_pushed": 0,
         }
-        self._workers: "list[_RemoteWorker]" = []
+        #: Jobs of the most recent :meth:`map` / :meth:`map_batch` call.
+        self.last_job_count = 0
+        self._workers: "list[_Worker]" = []
         self._connected = False
-        self._closed = False
 
     # -- connection management ----------------------------------------- #
 
     def connect(self) -> int:
-        """Connect + handshake every address (idempotent); returns live count.
+        """Connect + handshake every worker (idempotent); returns live count.
 
-        Unreachable workers are skipped (and counted in
-        ``stats["dead_workers"]``); zero reachable workers is an error.
+        Local nodes are forked here.  Unreachable remote workers are skipped
+        (and counted in ``stats["dead_workers"]``); zero reachable workers
+        is an error.
         """
         if self._connected:
             return self.live_workers()
@@ -881,25 +903,28 @@ class ClusterCoordinator:
             name = f"{host}:{port}"
             try:
                 sock = socket.create_connection((host, port), timeout=self.connect_timeout)
-                channel = LineChannel(sock)
-                channel.send(Handshake(coordinator=f"pid{os.getpid()}", protocol=PROTOCOL_VERSION))
-                reply = channel.recv(timeout=self.connect_timeout)
-                if not isinstance(reply, HelloReply):
-                    raise ClusterError(f"handshake rejected: {reply!r}")
-                if reply.protocol != PROTOCOL_VERSION:
-                    raise ClusterError(
-                        f"protocol version mismatch: worker speaks {reply.protocol}"
-                    )
-                self._workers.append(_RemoteWorker(name, channel, reply.worker_id))
+                self._handshake(name, LineChannel(sock), None)
             except (OSError, ProtocolError, ClusterError) as exc:
                 failures.append(f"{name}: {exc}")
                 self.stats["dead_workers"] += 1
+        forked = [_fork_local_node(index) for index in range(self.local_nodes)]
+        for index, (channel, process) in enumerate(forked):  # all start at once
+            self._handshake(f"local{index}", channel, process)
         if not self._workers:
             raise ClusterError(
                 "no cluster workers reachable: " + "; ".join(failures)
             )
         self._connected = True
         return self.live_workers()
+
+    def _handshake(self, name: str, channel: LineChannel, process: Any) -> None:
+        channel.send(Handshake(coordinator=f"pid{os.getpid()}", protocol=PROTOCOL_VERSION))
+        reply = channel.recv(timeout=self.connect_timeout)
+        if not isinstance(reply, HelloReply):
+            raise ClusterError(f"handshake rejected: {reply!r}")
+        if reply.protocol != PROTOCOL_VERSION:
+            raise ClusterError(f"protocol version mismatch: worker speaks {reply.protocol}")
+        self._workers.append(_Worker(name, channel, reply.worker_id, process))
 
     def live_workers(self) -> int:
         """Number of workers currently believed alive."""
@@ -920,29 +945,34 @@ class ClusterCoordinator:
 
     def drain_workers(self) -> int:
         """Politely shut down every live worker node (best-effort)."""
-        drained = 0
-        for worker in self._workers:
-            if not worker.alive:
-                continue
-            try:
-                worker.channel.send(Drain(reason="coordinator drain"))
-                reply = worker.channel.recv(timeout=self.connect_timeout)
-                if isinstance(reply, DrainAck):
-                    drained += 1
-            except (TimeoutError, OSError, ProtocolError):
-                pass
-            worker.alive = False
-            worker.channel.close()
+        return sum(self._drain(worker) for worker in self._workers if worker.alive)
+
+    def _drain(self, worker: _Worker) -> bool:
+        try:
+            worker.channel.send(Drain(reason="coordinator drain"))
+            drained = isinstance(worker.channel.recv(timeout=self.connect_timeout), DrainAck)
+        except (TimeoutError, OSError, ProtocolError):
+            drained = False
+        worker.alive = False
+        worker.channel.close()
         return drained
 
     def close(self) -> None:
-        """Drop every connection (workers keep running for other sweeps)."""
-        if self._closed:
-            return
-        self._closed = True
+        """Drop every connection; drain and join local nodes (idempotent).
+
+        Remote workers keep running for other sweeps.  A local node that
+        has not exited ``connect_timeout`` after its drain is killed.
+        """
         for worker in self._workers:
+            if worker.alive and worker.process is not None:
+                self._drain(worker)
             worker.alive = False
             worker.channel.close()
+            if worker.process is not None:
+                worker.process.join(self.connect_timeout)
+                if worker.process.is_alive():
+                    worker.process.kill()
+                    worker.process.join()
         self._workers.clear()
         self._connected = False
 
@@ -955,48 +985,22 @@ class ClusterCoordinator:
 
     # -- public mapping API -------------------------------------------- #
 
-    def map_cells(
-        self,
-        payloads: "Sequence[Mapping[str, Any]]",
-        on_result: "Callable[[int, list], None] | None" = None,
-    ) -> "list[list[dict[str, Any]]]":
-        """Run scenario cells across the cluster; records in payload order.
-
-        ``on_result(index, records)`` fires as each cell completes (exactly
-        once per cell, in completion order) — the sweep runner uses it to
-        persist the cell cache incrementally so a killed coordinator can
-        resume from the last completed cell.
-        """
-        jobs = [
-            _Job(index=i, message=RunCell(job_id=i, payload=dict(payload)))
-            for i, payload in enumerate(payloads)
-        ]
-
-        def _records(job: _Job) -> "list[dict[str, Any]]":
-            reply = job.result
-            assert isinstance(reply, CellDone)
-            return [dict(record) for record in reply.records]
-
-        return self._run_jobs(jobs, _records, on_result)
-
     def map(
         self,
         fn: "Callable[[Any], Any]",
         items: "Iterable[Any]",
         on_result: "Callable[[int, Any], None] | None" = None,
     ) -> list:
-        """Apply a picklable function to every item across the cluster."""
+        """Apply a picklable function to every item, one job per item.
+
+        ``on_result(index, value)`` fires once per job, in completion order
+        — the sweep runner persists its cell cache from it.
+        """
         jobs = [
-            _Job(index=i, message=RunTask(job_id=i, task=_pack((fn, item))))
+            _Job(index=i, line=_encode_request(RunTask(job_id=i, task=_pack((fn, item)))))
             for i, item in enumerate(items)
         ]
-
-        def _value(job: _Job) -> Any:
-            reply = job.result
-            assert isinstance(reply, TaskDone)
-            return _unpack(reply.result)
-
-        return self._run_jobs(jobs, _value, on_result)
+        return self._run_jobs(jobs, on_result)
 
     def map_batch(
         self,
@@ -1006,45 +1010,37 @@ class ClusterCoordinator:
     ) -> list:
         """Map ``fn`` over row-chunks of a batch, shipping rows once per node.
 
-        The wire analogue of :meth:`ExecutionContext.map_batch`: the batch
-        (plus ``extra`` per-row arrays) is encoded once, keyed by content
-        fingerprint, and pushed to each node the first time a chunk lands
-        there; chunk jobs themselves carry only ``(batch_id, lo, hi)``.
-        Row order is preserved; results concatenate over chunks.
+        Local nodes read the batch (plus ``extra`` per-row arrays) from one
+        segment published per call through :func:`repro.exec.shm.publish_batch`
+        (looked up at call time, unlinked on return; its name is the batch
+        id).  Remote nodes get it base64-encoded, keyed by a content
+        fingerprint, with the first chunk that lands there.  Chunk jobs
+        carry only ``(batch_id, lo, hi)``; results concatenate in row order.
         """
-        arrays: "dict[str, np.ndarray]" = {
-            name: np.ascontiguousarray(getattr(batch, name)) for name in _BATCH_WIRE_FIELDS
-        }
-        B = batch.batch_size
-        for name, value in (extra or {}).items():
-            if name in arrays:
-                raise ValueError(f"extra array name {name!r} collides with a batch field")
-            value = np.asarray(value)
-            if value.shape[:1] != (B,):
-                raise ValueError(
-                    f"extra array {name!r} must have leading dimension {B}, got {value.shape}"
-                )
-            arrays[name] = np.ascontiguousarray(value)
-        batch_id = batch_fingerprint(arrays)
-        push = PushBatch(batch_id=batch_id, arrays=encode_arrays(arrays))
         self.connect()
-        ranges = chunk_ranges(B, max(1, self.live_workers()))
-        fn_packed = _pack(fn)
-        jobs = [
-            _Job(
-                index=i,
-                message=RunChunk(job_id=i, batch_id=batch_id, fn=fn_packed, lo=lo, hi=hi),
-                push=push,
-            )
-            for i, (lo, hi) in enumerate(ranges)
-        ]
-
-        def _chunk(job: _Job) -> list:
-            reply = job.result
-            assert isinstance(reply, TaskDone)
-            return _unpack(reply.result)
-
-        chunked = self._run_jobs(jobs, _chunk, None)
+        shared = shm.publish_batch(batch, **(extra or {})) if self.local_nodes else None
+        if shared is not None:
+            batch_id = segment = shared.handle.segment
+            fields, data = [*shared.handle.fields, *shared.handle.extra], ""
+        else:
+            arrays = shm.batch_arrays(batch, extra)
+            fields, buffer = shm.pack_arrays(arrays)
+            batch_id, segment, data = batch_fingerprint(arrays), "", base64.b64encode(buffer).decode("ascii")
+        try:
+            layout = tuple(dataclasses.asdict(f) for f in fields)
+            push = (batch_id, _encode_request(PushBatch(batch_id, layout, segment, data)))
+            fn_packed = _pack(fn)
+            ranges = chunk_ranges(batch.batch_size, max(1, self.live_workers()))
+            jobs = [
+                _Job(i, _encode_request(RunChunk(i, batch_id, fn_packed, lo, hi)), push)
+                for i, (lo, hi) in enumerate(ranges)
+            ]
+            chunked = self._run_jobs(jobs, None)
+        finally:
+            if shared is not None:
+                shared.close()
+                for worker in self._workers:
+                    worker.batches.discard(batch_id)  # the segment is gone
         return [item for chunk in chunked for item in chunk]
 
     # -- the job engine ------------------------------------------------- #
@@ -1052,9 +1048,9 @@ class ClusterCoordinator:
     def _run_jobs(
         self,
         jobs: "list[_Job]",
-        extract: "Callable[[_Job], Any]",
         on_result: "Callable[[int, Any], None] | None",
     ) -> list:
+        self.last_job_count = len(jobs)
         if not jobs:
             return []
         self.connect()
@@ -1067,7 +1063,7 @@ class ClusterCoordinator:
         for worker, shard in zip(live, assign_cells(len(jobs), len(live))):
             worker.pending = deque(shard)
 
-        def _next_job(worker: _RemoteWorker) -> "_Job | None":
+        def _next_job(worker: _Worker) -> "_Job | None":
             # Own shard first, then steal from the back of the longest
             # remaining queue (classic work stealing: the victim keeps the
             # front it is about to run).
@@ -1088,7 +1084,7 @@ class ClusterCoordinator:
                 state["error"] = error
             cond.notify_all()
 
-        def _retire_locked(worker: _RemoteWorker, inflight: "_Job | None") -> None:
+        def _retire_locked(worker: _Worker, inflight: "_Job | None") -> None:
             if not worker.alive:
                 return
             worker.alive = False
@@ -1120,7 +1116,7 @@ class ClusterCoordinator:
                 survivors[offset % len(survivors)].pending.append(index)
             cond.notify_all()
 
-        def _record(worker: _RemoteWorker, job: _Job, reply: object) -> None:
+        def _record(worker: _Worker, job: _Job, reply: object) -> None:
             if isinstance(reply, JobFailed):
                 job.attempts += 1
                 self.stats["retries"] += 1
@@ -1147,7 +1143,7 @@ class ClusterCoordinator:
                 # A raising callback aborts the run: this is exactly how the
                 # chaos harness simulates a coordinator crash mid-sweep.
                 try:
-                    on_result(job.index, extract(job))
+                    on_result(job.index, _result(job))
                 except Exception as exc:  # noqa: BLE001
                     _fail(exc)
                     return
@@ -1156,7 +1152,7 @@ class ClusterCoordinator:
                 return
             cond.notify_all()
 
-        def _worker_loop(worker: _RemoteWorker) -> None:
+        def _worker_loop(worker: _Worker) -> None:
             while True:
                 job: "_Job | None" = None
                 with cond:
@@ -1172,7 +1168,9 @@ class ClusterCoordinator:
                         if not cond.wait(timeout=self.heartbeat_interval):
                             break
                 if job is None:
-                    if not self._heartbeat(worker):
+                    # A local node's death is an EOF on its next job; a
+                    # missed Pong from a busy host must not retire it.
+                    if worker.process is None and not self._heartbeat(worker):
                         with cond:
                             _retire_locked(worker, None)
                         return
@@ -1196,37 +1194,50 @@ class ClusterCoordinator:
             raise state["error"]
         if state["remaining"] > 0:  # pragma: no cover - defensive
             raise ClusterError(f"{state['remaining']} job(s) never completed")
-        return [extract(job) for job in jobs]
+        return [_result(job) for job in jobs]
 
-    def _execute(self, worker: _RemoteWorker, job: _Job) -> "tuple[bool, object]":
-        """Send one job and wait for its reply; False means the worker is lost."""
+    def _execute(self, worker: _Worker, job: _Job) -> "tuple[bool, object]":
+        """Send one job and wait for its reply; False means the worker is lost.
+
+        A chunk of a batch the node evicted is re-pushed once.
+        """
+        timeout = None if worker.process is not None else self.cell_timeout
         try:
-            if job.push is not None and job.push.batch_id not in worker.batches:
-                worker.channel.send(job.push)
-                ack = worker.channel.recv(timeout=self.cell_timeout)
-                if not isinstance(ack, BatchAck) or ack.batch_id != job.push.batch_id:
-                    return False, None
-                worker.batches.add(job.push.batch_id)
-                self.stats["batches_pushed"] += 1
-            worker.channel.send(job.message)
-            self.stats["dispatched"] += 1
-            deadline = time.monotonic() + self.cell_timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False, None
-                reply = worker.channel.recv(timeout=remaining)
+            for _ in range(2):
+                if job.push is not None and job.push[0] not in worker.batches:
+                    worker.channel.send_line(job.push[1])
+                    ack = worker.channel.recv(timeout=timeout)
+                    if not isinstance(ack, BatchAck) or ack.batch_id != job.push[0]:
+                        return False, None
+                    worker.batches.add(job.push[0])
+                    self.stats["batches_pushed"] += 1
+                worker.channel.send_line(job.line)
+                self.stats["dispatched"] += 1
+                reply = self._await_reply(worker, job.index, timeout)
                 if reply is None:
                     return False, None
-                if isinstance(reply, Pong):  # stale heartbeat answer
-                    continue
-                if isinstance(reply, (CellDone, TaskDone, JobFailed)) and reply.job_id == job.index:
-                    return True, reply
-                return False, None  # protocol confusion: drop the worker
+                if not (isinstance(reply, JobFailed) and reply.unknown_batch and job.push):
+                    break
+                worker.batches.discard(job.push[0])
+            return True, reply
         except (TimeoutError, OSError, ProtocolError):
             return False, None
 
-    def _heartbeat(self, worker: _RemoteWorker) -> bool:
+    def _await_reply(self, worker: _Worker, job_id: int, timeout: "float | None") -> "object | None":
+        """The reply to ``job_id``; ``None`` on EOF, timeout or protocol confusion."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                return None
+            reply = worker.channel.recv(timeout=remaining)
+            if isinstance(reply, Pong):  # stale heartbeat answer
+                continue
+            if isinstance(reply, (TaskDone, JobFailed)) and reply.job_id == job_id:
+                return reply
+            return None  # EOF or protocol confusion: drop the worker
+
+    def _heartbeat(self, worker: _Worker) -> bool:
         """One Ping/Pong exchange; False marks the worker dead."""
         try:
             worker.seq += 1
@@ -1245,7 +1256,7 @@ class ClusterCoordinator:
         except (TimeoutError, OSError, ProtocolError):
             return False
 
-    def _retire(self, worker: _RemoteWorker) -> None:
+    def _retire(self, worker: _Worker) -> None:
         """Mark a worker dead outside a job run (connect/ping paths)."""
         if worker.alive:
             worker.alive = False

@@ -17,20 +17,22 @@ Four backends are supported:
     NumPy kernels of :mod:`repro.batch` (closed-form kernels *and* the
     discrete-event simulation kernel of :mod:`repro.batch.sim_kernels`)
     wherever a kernel exists; everything else falls back to the serial loop
-    (or the worker pool, when ``workers > 1``).
+    (or the local worker nodes, when ``workers > 1``).
 ``process-pool``
-    Per-instance work is sharded over the context's own
-    :class:`~concurrent.futures.ProcessPoolExecutor`; batch maps reach it
-    through the shared-memory transport of :mod:`repro.exec.shm`.
+    Per-instance work is sharded over ``workers`` local worker nodes that
+    the context forks on first use and joins in :meth:`close`; batch maps
+    reach them through the shared-memory segments of :mod:`repro.exec.shm`.
 ``cluster``
-    Work is sharded over socket-connected
-    :class:`~repro.exec.cluster.WorkerNode` processes — localhost ports or
-    remote hosts — through a :class:`~repro.exec.cluster.ClusterCoordinator`
-    (``hosts=...`` names them).  Cells run vectorized on each node; see
-    :mod:`repro.exec.cluster` for the protocol and failure model.
+    Work is sharded over long-lived
+    :class:`~repro.exec.cluster.WorkerNode` processes reached over TCP —
+    localhost ports or remote hosts (``hosts=...`` names them).  Cells run
+    vectorized on each node.
+
+Both run through one engine, a :class:`~repro.exec.cluster.ClusterCoordinator`
+over local or remote nodes, with one failure model (:mod:`repro.exec.cluster`).
 
 A context with ``backend="vectorized"`` and ``workers > 1`` combines both
-levers: vectorized kernels where they exist, the pool for the remaining
+levers: vectorized kernels where they exist, local nodes for the remaining
 scalar work — this is what ``malleable-repro all --batch --workers N``
 builds.
 
@@ -38,14 +40,14 @@ The LP layer follows the same pattern: :meth:`ExecutionContext.ordered_relaxatio
 solves the Corollary 1 LPs of a whole batch through the backend the context's
 ``lp_backend`` selection resolves to — the lockstep kernel of
 :mod:`repro.lp.batch` on a ``vectorized`` context, per-instance SciPy solves
-sharded over the worker pool on ``process-pool``, a serial SciPy loop
+sharded over the local nodes on ``process-pool``, a serial SciPy loop
 otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import InitVar, dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -68,15 +70,16 @@ LP_BACKENDS = ("auto", "scipy")
 CACHE_FILE_NAME = "results-cache.json"
 
 
-#: Chunks submitted per worker by a pooled map — two keeps the pool busy
+#: Chunk jobs per worker of an off-process map — two keeps the nodes busy
 #: when chunk runtimes are uneven without multiplying the round trips.
 CHUNKS_PER_WORKER = 2
 
 
 def chunk_ranges(count: int, workers: int) -> "list[tuple[int, int]]":
     """Split ``count`` items into at most ``workers * CHUNKS_PER_WORKER``
-    contiguous ``[lo, hi)`` ranges, dropping empty ones.  Shared by the pooled maps of :class:`ExecutionContext` and
-    by :meth:`repro.exec.cluster.ClusterCoordinator.map_batch`, so the
+    contiguous ``[lo, hi)`` ranges, dropping empty ones.  Shared by
+    :meth:`ExecutionContext.map` and
+    :meth:`repro.exec.cluster.ClusterCoordinator.map_batch`, so the
     adaptive-chunking heuristic lives in exactly one place.
     """
     bounds = np.linspace(0, count, min(count, workers * CHUNKS_PER_WORKER) + 1).astype(int)
@@ -84,13 +87,13 @@ def chunk_ranges(count: int, workers: int) -> "list[tuple[int, int]]":
 
 
 def _apply_chunk(fn: Callable[[Any], Any], chunk: Sequence[Any]) -> list:
-    """Worker body of a pooled :meth:`ExecutionContext.map` (module-level, so it pickles)."""
+    """Node body of one :meth:`ExecutionContext.map` chunk job (module-level, so it pickles)."""
     return [fn(item) for item in chunk]
 
 
 @dataclass
 class ExecutionContext:
-    """Bundles seed, scale, backend, worker pool and cache for one experiment run.
+    """Bundles seed, scale, backend, worker nodes and cache for one experiment run.
 
     Parameters
     ----------
@@ -101,11 +104,12 @@ class ExecutionContext:
     backend:
         One of :data:`BACKENDS`; see the module docstring.
     workers:
-        Worker processes for the ``process-pool`` backend (and for the scalar
-        remainder of the ``vectorized`` backend).  ``0``/``1`` means no pool;
-        ``workers > 1`` on the default ``serial`` backend promotes the
-        context to ``process-pool`` — a context that reports ``serial``
-        never shards.  The pool is created on first use and shut down by
+        Local worker nodes for the ``process-pool`` backend (and for the
+        scalar remainder of the ``vectorized`` backend).  ``0``/``1`` means
+        none (``process-pool`` then uses one per CPU); ``workers > 1`` on
+        the default ``serial`` backend promotes the context to
+        ``process-pool`` — a context that reports ``serial`` never shards.
+        The nodes are forked on first use and drained and joined by
         :meth:`close`.
     cache:
         Optional :class:`~repro.batch.cache.ResultCache` consulted by
@@ -117,14 +121,14 @@ class ExecutionContext:
         The default ``"auto"`` picks the batched lockstep kernel of
         :mod:`repro.lp.batch` on the ``vectorized`` backend and SciPy/HiGHS
         everywhere else; ``"scipy"`` pins HiGHS on every backend (still
-        sharded over the worker pool on a ``process-pool`` context).
+        sharded over the local nodes on a ``process-pool`` context).
         The *resolved* solver is part of every :meth:`cached` key, so
         neither switching ``--lp-backend`` nor an ``auto`` that resolves
         differently across backends can return results computed by another
         solver.
     shm:
-        Deprecated and ignored: pooled :meth:`map_batch` calls always
-        publish through :mod:`repro.exec.shm`.  Still accepted so existing
+        Deprecated and ignored: :meth:`map_batch` on local nodes always
+        publishes through :mod:`repro.exec.shm`.  Still accepted so existing
         ``shm=True`` call sites keep constructing; it will be removed.
     hosts:
         Worker addresses for the ``cluster`` backend:
@@ -132,15 +136,17 @@ class ExecutionContext:
         Required (unless an explicit ``coordinator`` is supplied) when
         ``backend="cluster"``, ignored otherwise.
     cell_timeout:
-        Cluster backend: seconds one cell may take on a worker before the
-        worker is declared dead and the cell is reassigned.
+        Cluster backend: seconds one job may take on a remote worker before
+        the worker is declared dead and the job is reassigned.  Local nodes
+        have no job timeout.
     cluster_retries:
-        Cluster backend: bound on re-executions per cell (reassignments
-        after worker death and remote failures both count).
+        Bound on re-executions per job on any off-process context
+        (reassignments after worker death and remote failures both count).
     coordinator:
         Explicit :class:`~repro.exec.cluster.ClusterCoordinator`.  Built
-        lazily from ``hosts`` when not given; a context that built its own
-        coordinator also closes it in :meth:`close`.
+        lazily when not given — from ``hosts`` on ``cluster``, over forked
+        local nodes otherwise; a context that built its own coordinator
+        also closes it in :meth:`close`.
 
     Examples
     --------
@@ -164,11 +170,10 @@ class ExecutionContext:
     cluster_retries: int = 2
     coordinator: Any = None
     _owns_coordinator: bool = field(default=False, repr=False)
-    #: Futures submitted by the most recent :meth:`map` / :meth:`map_batch`
-    #: call (0 when it ran in-process).
+    #: Jobs dispatched by the most recent :meth:`map` / :meth:`map_batch` /
+    #: :meth:`map_cells` call (0 when it ran in-process).
     last_submission_count: int = field(default=0, init=False, repr=False, compare=False)
-    _pool_workers: int = field(default=0, init=False, repr=False, compare=False)
-    _pool: "ProcessPoolExecutor | None" = field(default=None, init=False, repr=False, compare=False)
+    _local_nodes: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self, shm: bool) -> None:
         if self.backend not in BACKENDS:
@@ -182,18 +187,18 @@ class ExecutionContext:
         if self.workers < 0:
             raise ValueError(f"workers must be non-negative, got {self.workers}")
         if self.backend == "serial" and self.workers > 1:
-            # Asking for workers IS asking for the pool backend; a context
+            # Asking for workers IS asking for the process-pool backend; a context
             # reporting "serial" must never shard (serial guarantees the
             # in-process loop, e.g. for non-picklable functions).
             self.backend = "process-pool"
         if self.backend == "cluster" and self.coordinator is None and not self.hosts:
             raise ValueError("the cluster backend requires hosts (or an explicit coordinator)")
         if self.backend != "cluster":
-            pool_workers = self.workers
-            if self.backend == "process-pool" and pool_workers <= 1:
-                pool_workers = os.cpu_count() or 1
-            if pool_workers > 1:
-                self._pool_workers = pool_workers
+            nodes = self.workers
+            if self.backend == "process-pool" and nodes <= 1:
+                nodes = os.cpu_count() or 1
+            if nodes > 1:
+                self._local_nodes = nodes
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -219,7 +224,7 @@ class ExecutionContext:
         the historical flag inference: ``--batch`` selects the
         ``vectorized`` backend, ``--workers N`` (for ``N > 1``) the
         ``process-pool`` backend, and both together a vectorized context
-        with a worker pool for the scalar remainder.  ``--backend cluster``
+        with local worker nodes for the scalar remainder.  ``--backend cluster``
         additionally requires ``--hosts host:port,host:port`` naming the
         worker nodes (launch them with ``malleable-repro workers``).
         ``--cache-dir`` attaches a :class:`ResultCache` persisted to
@@ -286,9 +291,9 @@ class ExecutionContext:
 
         ``"batch"`` (the lockstep kernel of :mod:`repro.lp.batch`) on a
         ``vectorized`` context with ``lp_backend="auto"``; ``"scipy"``
-        (HiGHS) otherwise.  HiGHS still benefits from a worker pool: the
+        (HiGHS) otherwise.  HiGHS still benefits from worker nodes: the
         batched LP entry point shards its solves over :meth:`map_batch`,
-        which ships the rows through :mod:`repro.exec.shm`.
+        which ships the rows to local nodes through :mod:`repro.exec.shm`.
         """
         if self.lp_backend == "auto":
             return "batch" if self.vectorized else "scipy"
@@ -306,7 +311,7 @@ class ExecutionContext:
         context's LP backend (:meth:`resolved_lp_backend`) and forwards to
         :func:`repro.lp.batch.solve_ordered_relaxation_batch` — the lockstep
         kernel on a ``vectorized`` context, scalar solves sharded over the
-        worker pool on a ``process-pool`` context, a plain serial loop
+        local nodes on a ``process-pool`` context, a plain serial loop
         otherwise.  Returns a
         :class:`~repro.lp.batch.BatchedOrderedSolution`.
         """
@@ -324,15 +329,20 @@ class ExecutionContext:
     # Execution
     # ------------------------------------------------------------------ #
 
-    def cluster(self):
-        """The connected coordinator of a ``cluster`` context (built lazily).
+    @property
+    def off_process(self) -> bool:
+        """True when :meth:`map` and friends ship work to worker nodes."""
+        return self.backend == "cluster" or self._local_nodes > 1
 
-        An explicit ``coordinator`` is used as-is, otherwise one is
-        constructed from ``hosts`` / ``cell_timeout`` / ``cluster_retries``
-        on first use and closed by :meth:`close`.  Connecting is idempotent.
+    def cluster(self):
+        """The connected coordinator of an off-process context (built lazily).
+
+        An explicit ``coordinator`` is used as-is, otherwise one over
+        ``hosts`` or the forked local nodes is built on first use and
+        closed by :meth:`close`.  Connecting is idempotent.
         """
-        if self.backend != "cluster":
-            raise ValueError(f"cluster() requires backend='cluster', not {self.backend!r}")
+        if not self.off_process:
+            raise ValueError(f"backend {self.backend!r} with workers={self.workers} runs in-process")
         if self.coordinator is None:
             from repro.exec.cluster import ClusterCoordinator
 
@@ -340,6 +350,7 @@ class ExecutionContext:
                 self.hosts,
                 cell_timeout=self.cell_timeout,
                 max_retries=self.cluster_retries,
+                local_nodes=self._local_nodes,
             )
             self._owns_coordinator = True
         self.coordinator.connect()
@@ -353,65 +364,52 @@ class ExecutionContext:
         """Run scenario cell payloads through the backend, results in order.
 
         The cell-level dispatch point of :class:`~repro.scenarios.runner.SweepRunner`:
-        on a ``cluster`` context the payloads shard over the worker nodes;
-        every other backend routes them through :meth:`map` with the
-        module-level :func:`repro.scenarios.runner.run_cell`.  ``on_result``
+        an off-process context sends one job per cell of the module-level
+        :func:`repro.scenarios.runner.run_cell` to its worker nodes; an
+        in-process one runs the cells in a loop.  ``on_result``
         (``index, records``) fires once per completed cell — the sweep
         runner uses it to persist the cell cache incrementally so an
         interrupted cluster sweep resumes from the last completed cell.
         """
-        payloads = list(payloads)
-        if self.backend == "cluster":
-            return self.cluster().map_cells(payloads, on_result=on_result)
         from repro.scenarios.runner import run_cell
 
+        payloads = list(payloads)
+        if self.off_process and payloads:
+            coordinator = self.cluster()
+            results = coordinator.map(run_cell, payloads, on_result=on_result)
+            self.last_submission_count = coordinator.last_job_count
+            return results
         results = self.map(run_cell, payloads)
         if on_result is not None:
             for index, records in enumerate(results):
                 on_result(index, records)
         return results
 
-    def _get_pool(self) -> ProcessPoolExecutor:
-        """The worker pool, created on first use and reused until :meth:`close`.
-
-        One experiment issues many maps (one per family/size combination);
-        reusing the pool avoids paying worker startup and NumPy/SciPy
-        re-imports on every call.
-        """
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self._pool_workers)
-        return self._pool
-
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
         """Apply ``fn`` to every item through the configured backend.
 
-        Serial contexts run the plain in-process loop; pool contexts shard
-        the items over their workers (order-preserving, identical results —
-        ``fn`` must then be picklable); ``cluster`` contexts shard them over
-        the worker nodes (``fn`` must be picklable *and* importable on the
+        In-process contexts run the plain loop; off-process contexts shard
+        the items over their worker nodes (order-preserving, identical
+        results — ``fn`` must then be picklable, and importable on remote
         nodes).  This is the single entry point experiments use for
         per-instance work, so switching backends never touches experiment
         logic.
 
-        A pool receives **adaptive chunks**: at most ``workers *
-        CHUNKS_PER_WORKER`` futures, each carrying a contiguous slice, so a
-        100k-item map costs O(workers) submissions.  Maps of one item run
-        in-process.  :attr:`last_submission_count` records the futures of
+        The nodes receive **adaptive chunks**: at most ``workers *
+        CHUNKS_PER_WORKER`` jobs, each carrying a contiguous slice, so a
+        100k-item map costs O(workers) round trips.  Maps of one item run
+        in-process.  :attr:`last_submission_count` records the jobs of
         the call.
         """
-        if self.backend == "cluster":
-            return self.cluster().map(fn, list(items))
         items = list(items)
-        if self._pool_workers <= 1 or len(items) <= 1:
+        if not self.off_process or len(items) <= 1:
             self.last_submission_count = 0
             return [fn(item) for item in items]
-        pool = self._get_pool()
-        futures = [
-            pool.submit(_apply_chunk, fn, items[lo:hi])
-            for lo, hi in chunk_ranges(len(items), self._pool_workers)
-        ]
-        self.last_submission_count = len(futures)
-        return [result for future in futures for result in future.result()]
+        coordinator = self.cluster()
+        ranges = chunk_ranges(len(items), coordinator.live_workers())
+        chunks = coordinator.map(functools.partial(_apply_chunk, fn), [items[lo:hi] for lo, hi in ranges])
+        self.last_submission_count = coordinator.last_job_count
+        return [result for chunk in chunks for result in chunk]
 
     def map_batch(
         self,
@@ -428,50 +426,31 @@ class ExecutionContext:
         must be row-independent — chunk boundaries must not change values —
         which is what makes the backends interchangeable:
 
-        * without a worker pool the whole batch is one chunk in-process;
-        * a pool context publishes the batch **once** through
-          :func:`repro.exec.shm.publish_batch` and each future carries only
-          ``(fn, handle, lo, hi)``; the segment is unlinked on return;
-        * a ``cluster`` context ships the rows once per node.
-
-        A pool splits the rows into ``CHUNKS_PER_WORKER x`` its worker
-        count chunks.  Pooled row slices are rebuilt from shared pages
-        without task names.
+        * an in-process context applies ``fn`` to the whole batch at once;
+        * an off-process context splits the rows into ``CHUNKS_PER_WORKER
+          x`` its node count chunk jobs through
+          :meth:`~repro.exec.cluster.ClusterCoordinator.map_batch`: local
+          nodes read the rows from **one** segment published per call by
+          :func:`repro.exec.shm.publish_batch` (unlinked on return), remote
+          nodes receive them once per node.  Off-process row slices are
+          rebuilt without task names.
         """
         from repro.core.batch import InstanceBatch  # local: keep import cheap
 
         if not isinstance(batch, InstanceBatch):
             raise TypeError(f"map_batch expects an InstanceBatch, got {type(batch).__name__}")
-        B = batch.batch_size
-        extra_arrays = {name: np.asarray(value) for name, value in (extra or {}).items()}
-        for name, value in extra_arrays.items():
-            if value.shape[:1] != (B,):
-                raise ValueError(
-                    f"extra array {name!r} must have leading dimension {B}, got {value.shape}"
-                )
-        if self.backend == "cluster":
-            # Rows ship once per node (content-fingerprinted PushBatch);
-            # chunk jobs carry only (batch_id, lo, hi).
-            return self.cluster().map_batch(fn, batch, extra_arrays or None)
-        if self._pool_workers <= 1 or B <= 1:
-            self.last_submission_count = 0
-            if extra_arrays:
-                return list(fn(batch, extra_arrays))
+        if self.off_process and batch.batch_size > 1:
+            coordinator = self.cluster()
+            results = coordinator.map_batch(fn, batch, extra)
+            self.last_submission_count = coordinator.last_job_count
+            return results
+        self.last_submission_count = 0
+        if not extra:
             return list(fn(batch))
-        # Looked up per call, so a patched ``shm.publish_batch`` is the one used.
-        from repro.exec import shm
+        from repro.exec.shm import batch_arrays
 
-        shared = shm.publish_batch(batch, **extra_arrays)
-        try:
-            pool = self._get_pool()
-            futures = [
-                pool.submit(shm.apply_shared_chunk, (fn, shared.handle, lo, hi))
-                for lo, hi in chunk_ranges(B, self._pool_workers)
-            ]
-            self.last_submission_count = len(futures)
-            return [result for future in futures for result in future.result()]
-        finally:
-            shared.close()
+        arrays = batch_arrays(batch, extra)
+        return list(fn(batch, {name: arrays[name] for name in extra}))
 
     def cached(
         self, name: str, params: Mapping[str, Any], compute: Callable[[], Any]
@@ -498,17 +477,17 @@ class ExecutionContext:
         return self.cache.get_or_compute(cache_key(name, self.seed, key_params), compute)
 
     def close(self) -> None:
-        """Release resources: shut down the pool and an owned coordinator, save a backed cache.
+        """Release resources: close an owned coordinator, save a backed cache.
 
+        Closing the coordinator drains and joins the local nodes it forked.
         A failed cache save raises: the previous cache file is left intact
         (see :meth:`ResultCache.save`), and the caller learns the new
         results were not persisted.
         """
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
         if self.coordinator is not None and self._owns_coordinator:
             self.coordinator.close()
+            self.coordinator = None
+            self._owns_coordinator = False
         if self.cache is not None and self.cache.path:
             self.cache.save()
 

@@ -1,46 +1,48 @@
 """Zero-copy shared-memory publication of instance batches.
 
-A pooled :meth:`repro.exec.ExecutionContext.map_batch` never pickles the
-rows of its :class:`~repro.core.batch.InstanceBatch` into the workers; it
-ships them through this module instead:
+An off-process :meth:`repro.exec.ExecutionContext.map_batch` on local
+worker nodes never encodes the rows of its
+:class:`~repro.core.batch.InstanceBatch` onto the wire; it ships them
+through this module instead:
 
 * :func:`publish_batch` copies the batch's struct-of-arrays (plus any extra
   per-row arrays, e.g. orderings) into **one**
   :class:`multiprocessing.shared_memory.SharedMemory` segment and returns a
-  :class:`SharedBatch` whose :attr:`~SharedBatch.handle` is a tiny picklable
+  :class:`SharedBatch` whose :attr:`~SharedBatch.handle` is a tiny
   descriptor (segment name + array layout — a few hundred bytes regardless
-  of batch size).
-* Workers call :func:`attach_batch` on the handle and get NumPy views
-  straight into the shared pages — no copy, no pickle, O(1) per call.
-* :func:`apply_shared_chunk` is the worker body: each of the O(workers)
-  submissions carries a ``(fn, handle, lo, hi)`` payload instead of the
-  data itself.
+  of batch size).  The coordinator of :mod:`repro.exec.cluster` sends that
+  layout in its ``PushBatch`` message.
+* Nodes call :func:`attach_arrays` on the layout and get read-only NumPy
+  views straight into the shared pages — no copy, no pickle — and run
+  :func:`apply_rows`, the one chunk body of every transport.
 
 The publisher owns the segment: :meth:`SharedBatch.close` both closes and
-unlinks it (``SharedBatch`` is a context manager).  Workers must treat the
-attached arrays as read-only inputs and return fresh arrays — results
-travel back through the ordinary pickle channel, which is fine because they
-are small (a few floats per row) compared to the inputs.
+unlinks it (``SharedBatch`` is a context manager).  Nodes must treat the
+attached arrays as read-only inputs; results travel back through the
+ordinary reply channel, which is fine because they are small (a few floats
+per row) compared to the inputs.
 
 Examples
 --------
 >>> import numpy as np
 >>> from repro.core.batch import InstanceBatch
->>> from repro.exec.shm import publish_batch, attach_batch
+>>> from repro.exec.shm import apply_rows, attach_arrays, publish_batch
 >>> batch = InstanceBatch.from_arrays(P=[2.0], volumes=np.ones((1, 3)),
 ...                                   weights=np.ones((1, 3)), deltas=np.ones((1, 3)))
 >>> with publish_batch(batch, marker=np.arange(1.0)) as shared:
-...     attached, extra, keep_alive = attach_batch(shared.handle)
-...     bool(np.array_equal(attached.volumes, batch.volumes)), sorted(extra)
-...     keep_alive.close()
-(True, ['marker'])
+...     handle = shared.handle
+...     arrays, segment = attach_arrays(handle.segment, (*handle.fields, *handle.extra))
+...     apply_rows(lambda sub, extra: [float(sub.volumes.sum() + extra["marker"][0])],
+...                arrays, 0, 1)
+...     arrays.clear(); segment.close()
+[3.0]
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -50,14 +52,16 @@ __all__ = [
     "SharedArrayField",
     "SharedBatchHandle",
     "SharedBatch",
+    "batch_arrays",
+    "pack_arrays",
+    "array_views",
     "publish_batch",
     "attach_arrays",
-    "attach_batch",
-    "slice_batch",
-    "apply_shared_chunk",
+    "apply_rows",
 ]
 
-#: Field names an ``InstanceBatch`` contributes to a published segment.
+#: Field names an ``InstanceBatch`` contributes to a shipped batch — the
+#: same set for a shared segment and for a wire push.
 _BATCH_FIELDS = ("P", "volumes", "weights", "deltas", "mask")
 
 
@@ -83,14 +87,6 @@ class SharedBatchHandle:
     segment: str
     fields: tuple
     extra: tuple
-
-    @property
-    def batch_size(self) -> int:
-        """Number of rows of the published batch."""
-        for field in self.fields:
-            if field.name == "volumes":
-                return int(field.shape[0])
-        raise KeyError("handle does not describe an InstanceBatch")
 
 
 class SharedBatch:
@@ -151,6 +147,59 @@ def _attach_untracked(segment: str) -> shared_memory.SharedMemory:
             resource_tracker.register = original  # type: ignore[assignment]
 
 
+def batch_arrays(batch: InstanceBatch, extra: "Mapping[str, Any] | None" = None) -> "dict[str, np.ndarray]":
+    """The batch's struct-of-arrays plus the extra per-row arrays, validated.
+
+    C-contiguous and keyed by name: what every transport ships.  An extra
+    array must not reuse a batch field name and needs one entry per row.
+    """
+    arrays: dict[str, np.ndarray] = {
+        name: np.ascontiguousarray(getattr(batch, name)) for name in _BATCH_FIELDS
+    }
+    for name, value in (extra or {}).items():
+        if name in arrays:
+            raise ValueError(f"extra array name {name!r} collides with a batch field")
+        value = np.ascontiguousarray(value)
+        if value.shape[:1] != (batch.batch_size,):
+            raise ValueError(
+                f"extra array {name!r} must have leading dimension {batch.batch_size}, got {value.shape}"
+            )
+        arrays[name] = value
+    return arrays
+
+
+def _layout(arrays: "Mapping[str, np.ndarray]") -> "tuple[list[SharedArrayField], int]":
+    """Aligned byte offsets of named arrays in one buffer, and its size."""
+    offset, fields = 0, []
+    for name, array in arrays.items():
+        fields.append(SharedArrayField(name, offset, tuple(array.shape), str(array.dtype)))
+        offset = _aligned(offset + array.nbytes)
+    return fields, max(offset, 1)
+
+
+def _fill(buffer: Any, fields: "list[SharedArrayField]", arrays: "Mapping[str, np.ndarray]") -> None:
+    for field, array in zip(fields, arrays.values()):
+        np.ndarray(array.shape, dtype=array.dtype, buffer=buffer, offset=field.offset)[...] = array
+
+
+def pack_arrays(arrays: "Mapping[str, np.ndarray]") -> "tuple[list[SharedArrayField], bytearray]":
+    """Named arrays in one private buffer, laid out exactly like a segment."""
+    fields, size = _layout(arrays)
+    buffer = bytearray(size)
+    _fill(buffer, fields, arrays)
+    return fields, buffer
+
+
+def array_views(buffer: Any, fields: "Iterable[SharedArrayField]") -> "dict[str, np.ndarray]":
+    """Read-only zero-copy views of the laid-out arrays in ``buffer``, keyed by name."""
+    arrays = {}
+    for field in fields:
+        array = np.ndarray(tuple(field.shape), dtype=np.dtype(field.dtype), buffer=buffer, offset=field.offset)
+        array.setflags(write=False)
+        arrays[field.name] = array
+    return arrays
+
+
 def publish_batch(
     batch: InstanceBatch, **extra: "np.ndarray | Any"
 ) -> SharedBatch:
@@ -159,27 +208,13 @@ def publish_batch(
     ``extra`` arrays are published verbatim under their keyword names —
     callers use this for per-row data that travels with the batch, e.g. the
     completion orderings of an LP dispatch.  Task names are not published
-    (they are Python objects); :func:`attach_batch` therefore rebuilds
+    (they are Python objects); :func:`apply_rows` therefore rebuilds
     name-less instances, which is what the numeric kernels consume anyway.
     """
-    arrays: dict[str, np.ndarray] = {
-        name: np.ascontiguousarray(getattr(batch, name)) for name in _BATCH_FIELDS
-    }
-    for name, value in extra.items():
-        if name in arrays:
-            raise ValueError(f"extra array name {name!r} collides with a batch field")
-        arrays[name] = np.ascontiguousarray(value)
-    offset = 0
-    fields = []
-    for name, array in arrays.items():
-        fields.append(
-            SharedArrayField(name=name, offset=offset, shape=tuple(array.shape), dtype=str(array.dtype))
-        )
-        offset = _aligned(offset + array.nbytes)
-    shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-    for field, array in zip(fields, arrays.values()):
-        target = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf, offset=field.offset)
-        target[...] = array
+    arrays = batch_arrays(batch, extra)
+    fields, size = _layout(arrays)
+    shm = shared_memory.SharedMemory(create=True, size=size)
+    _fill(shm.buf, fields, arrays)
     handle = SharedBatchHandle(
         segment=shm.name,
         fields=tuple(f for f in fields if f.name in _BATCH_FIELDS),
@@ -189,76 +224,26 @@ def publish_batch(
 
 
 def attach_arrays(
-    handle: SharedBatchHandle,
+    segment: str, fields: "Iterable[SharedArrayField]"
 ) -> "tuple[dict[str, np.ndarray], shared_memory.SharedMemory]":
-    """Attach to a published segment; zero-copy views keyed by field name.
+    """Attach to a published segment: :func:`array_views` of its pages.
 
     Returns ``(arrays, segment)`` — the caller must keep ``segment`` alive
-    while using the views and ``close()`` it afterwards (never ``unlink()``:
-    the publisher owns the segment).
+    while using the views, drop them, and ``close()`` it afterwards (never
+    ``unlink()``: the publisher owns the segment).
     """
-    shm = _attach_untracked(handle.segment)
-    arrays = {
-        field.name: np.ndarray(field.shape, dtype=np.dtype(field.dtype), buffer=shm.buf, offset=field.offset)
-        for field in (*handle.fields, *handle.extra)
-    }
-    return arrays, shm
+    shm = _attach_untracked(segment)
+    return array_views(shm.buf, fields), shm
 
 
-def attach_batch(
-    handle: SharedBatchHandle,
-) -> "tuple[InstanceBatch, dict[str, np.ndarray], shared_memory.SharedMemory]":
-    """Rebuild the published :class:`InstanceBatch` from shared pages.
+def apply_rows(fn: "Callable[..., Any]", arrays: "Mapping[str, np.ndarray]", lo: int, hi: int) -> list:
+    """The chunk body of every off-process ``map_batch``.
 
-    Returns ``(batch, extra_arrays, segment)``; the batch's arrays are
-    zero-copy read-only views into the segment, which must be kept alive
-    while they are used (see :func:`attach_arrays`).
+    Applies ``fn`` to rows ``[lo, hi)`` of the batch laid out in ``arrays``
+    (:func:`array_views` of a segment or of a pushed buffer) — with the
+    matching slices of the extra arrays as a second argument when there
+    are any — and returns the results as a list.
     """
-    arrays, shm = attach_arrays(handle)
-    for array in arrays.values():
-        array.setflags(write=False)
-    batch = InstanceBatch(
-        P=arrays["P"],
-        volumes=arrays["volumes"],
-        weights=arrays["weights"],
-        deltas=arrays["deltas"],
-        mask=arrays["mask"],
-    )
-    extra = {field.name: arrays[field.name] for field in handle.extra}
-    return batch, extra, shm
-
-
-def slice_batch(batch: InstanceBatch, lo: int, hi: int) -> InstanceBatch:
-    """A zero-copy row slice ``[lo, hi)`` of a batch (shares the arrays)."""
-    return InstanceBatch(
-        P=batch.P[lo:hi],
-        volumes=batch.volumes[lo:hi],
-        weights=batch.weights[lo:hi],
-        deltas=batch.deltas[lo:hi],
-        mask=batch.mask[lo:hi],
-        names=batch.names[lo:hi] if batch.names else (),
-    )
-
-
-def apply_shared_chunk(payload: "tuple[Any, Any, int, int]") -> list:
-    """Worker body of :meth:`ExecutionContext.map_batch` (shared-memory path).
-
-    ``payload`` is ``(fn, handle, lo, hi)``: attach to the published
-    segment, apply ``fn`` to the row slice (and the sliced extra arrays,
-    when any were published), detach, and return the chunk's results as a
-    list.  Module-level so it pickles into worker processes; the pickled
-    payload is O(1) in the batch size.
-    """
-    fn, handle, lo, hi = payload
-    batch, extra, shm = attach_batch(handle)
-    try:
-        sub = slice_batch(batch, lo, hi)
-        if extra:
-            result = fn(sub, {name: array[lo:hi] for name, array in extra.items()})
-        else:
-            result = fn(sub)
-        # Materialise before detaching: results must not alias the shared
-        # pages, which become invalid once the segment is closed.
-        return [item.copy() if isinstance(item, np.ndarray) else item for item in list(result)]
-    finally:
-        shm.close()
+    sub = InstanceBatch(**{name: arrays[name][lo:hi] for name in _BATCH_FIELDS})
+    extra = {name: array[lo:hi] for name, array in arrays.items() if name not in _BATCH_FIELDS}
+    return list(fn(sub, extra) if extra else fn(sub))

@@ -363,7 +363,7 @@ def _solve_rows_scalar(
     solve as the completion times (the ordered LP can have non-unique
     optima, so mixing vertices from different solves would break volume
     conservation).  The :meth:`repro.exec.ExecutionContext.map_batch`
-    body: a pool worker rebuilds each row's instance from shared pages.
+    body: a worker node rebuilds each row's instance from shared pages.
     """
     from repro.lp.interface import solve_ordered_relaxation
 

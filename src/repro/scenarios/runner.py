@@ -2,9 +2,9 @@
 
 :class:`SweepRunner` turns a :class:`~repro.scenarios.spec.ScenarioSpec` into
 grid cells (:mod:`repro.scenarios.grid`), shards the cells through
-:meth:`repro.exec.ExecutionContext.map` — so ``--workers`` distributes whole
-cells over a process pool — and evaluates each cell with the pipeline the
-spec names:
+:meth:`repro.exec.ExecutionContext.map_cells` — so ``--workers`` distributes
+whole cells over local worker nodes — and evaluates each cell with the
+pipeline the spec names:
 
 ``policies``
     Materialise the cell's instances / release times once
@@ -447,8 +447,8 @@ class SweepRunner:
         """Execute every cell; optionally persist records + summary to ``store``.
 
         Cells run through :meth:`ExecutionContext.map_cells`, so a
-        process-pool context shards whole cells over its workers and a
-        ``cluster`` context shards them over its worker nodes.  On every
+        process-pool context shards whole cells over its local nodes and a
+        ``cluster`` context over its remote ones, one job per cell.  On every
         backend the deterministic pipelines consult the context's cache
         first (keyed per :meth:`cell_cache_keys`) and only the missing cells
         are executed, so re-running an identical sweep with a persistent

@@ -45,8 +45,8 @@ them to every policy next to the release times, and per-chunk
 update), so the final metrics match the in-memory path up to floating-point
 reassociation without ever holding more than one chunk.  Chunks can
 optionally be dispatched through
-:meth:`repro.exec.ExecutionContext.map_batch`, riding the process pool and
-the shared-memory transport unchanged.
+:meth:`repro.exec.ExecutionContext.map_batch`, riding the local worker
+nodes and the shared-memory transport unchanged.
 
 Examples
 --------
@@ -553,7 +553,7 @@ def _simulate_rows(
 
     Module-level and row-independent, so
     :meth:`repro.exec.ExecutionContext.map_batch` can pickle a
-    ``functools.partial`` of it into pool workers and slice the chunk (and
+    ``functools.partial`` of it into worker nodes and slice the chunk (and
     its extra arrays) over the shared-memory transport.
     """
     from repro.batch.sim_kernels import default_batch_policies, simulate_batch

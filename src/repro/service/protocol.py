@@ -6,12 +6,13 @@ terminated by ``\\n``.  The same TCP port also answers plain HTTP
 sniffs the first line of a connection and, when it looks like an HTTP
 request line, answers one minimal HTTP/1.0 response and closes.
 
-The framing is shared by every socket protocol in the project:
-:func:`encode_line` / :func:`decode_line` default to the
-:mod:`repro.api` service messages but accept any
-:class:`~repro.api.MessageRegistry` — the cluster coordinator/worker
-protocol of :mod:`repro.exec.cluster` reuses them with its own registry
-(and a larger line cap, since batch pushes ship array payloads).
+The framing is shared by every socket protocol in the project: it is
+:meth:`repro.api.MessageRegistry.encode_line` / ``decode_line``, which
+:func:`encode_line` / :func:`decode_line` apply to the :mod:`repro.api`
+service messages by default — the cluster coordinator/worker protocol of
+:mod:`repro.exec.cluster` uses it with its own registry (and a larger line
+cap, since batch pushes ship array payloads) without importing the
+service.
 
 Everything here is transport-only; message semantics live in
 :mod:`repro.api`, :mod:`repro.service.server` and
@@ -24,7 +25,7 @@ import json
 import zlib
 from typing import Any
 
-from repro.api import REGISTRY, MessageRegistry, ProtocolError
+from repro.api import REGISTRY, MessageRegistry
 
 __all__ = [
     "MAX_LINE_BYTES",
@@ -46,10 +47,7 @@ _HTTP_STATUS = {200: "OK", 404: "Not Found", 503: "Service Unavailable"}
 
 def encode_line(message: object, registry: MessageRegistry = REGISTRY) -> bytes:
     """Serialise one message dataclass to a compact NDJSON line."""
-    return (
-        json.dumps(registry.encode(message), separators=(",", ":")).encode("utf-8")
-        + b"\n"
-    )
+    return registry.encode_line(message)
 
 
 def decode_line(
@@ -63,13 +61,7 @@ def decode_line(
     invalid JSON as well as on schema violations, so the server has a single
     failure type to map to an ``ErrorReply``.
     """
-    if len(line) > max_bytes:
-        raise ProtocolError(f"message exceeds {max_bytes} bytes")
-    try:
-        payload = json.loads(line)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"invalid JSON: {exc}") from None
-    return registry.decode(payload)
+    return registry.decode_line(line, max_bytes)
 
 
 def crc_frame(body: bytes) -> bytes:

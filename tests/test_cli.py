@@ -62,7 +62,7 @@ class TestContextFromArgs:
         ctx = context_from_args(build_parser().parse_args(["run", "E1", "--seed", "7"]))
         assert ctx.backend == "serial"
         assert ctx.seed == 7
-        assert ctx._pool_workers == 0 and ctx.cache is None
+        assert ctx._local_nodes == 0 and ctx.cache is None
 
     def test_batch_and_workers_build_vectorized_context_with_pool(self):
         args = build_parser().parse_args(["run", "E5", "--batch", "--workers", "3"])
@@ -70,7 +70,7 @@ class TestContextFromArgs:
         try:
             assert ctx.backend == "vectorized"
             assert ctx.vectorized is True
-            assert ctx._pool_workers == 3
+            assert ctx._local_nodes == 3
         finally:
             ctx.close()
 
@@ -79,7 +79,7 @@ class TestContextFromArgs:
         ctx = context_from_args(args)
         try:
             assert ctx.backend == "process-pool"
-            assert ctx._pool_workers == 2
+            assert ctx._local_nodes == 2
         finally:
             ctx.close()
 

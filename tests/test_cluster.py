@@ -21,6 +21,7 @@ Four layers, mirroring how the backend can fail:
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -41,8 +42,9 @@ from repro.exec.cluster import (
     CLUSTER_REPLY_TYPES,
     CLUSTER_REQUEST_TYPES,
     MAX_CLUSTER_LINE_BYTES,
+    MAX_NODE_BATCHES,
+    PROTOCOL_VERSION,
     BatchAck,
-    CellDone,
     ClusterAborted,
     ClusterCoordinator,
     ClusterError,
@@ -54,20 +56,19 @@ from repro.exec.cluster import (
     Ping,
     Pong,
     PushBatch,
-    RunCell,
     RunChunk,
     RunTask,
     TaskDone,
     WorkerNode,
     assign_cells,
     batch_fingerprint,
-    decode_arrays,
     decode_cluster_line,
-    encode_arrays,
     encode_cluster_line,
     parse_hosts,
 )
+from repro.exec import cluster, shm
 from repro.scenarios import ScenarioSpec, SweepRunner
+from repro.scenarios.runner import run_cell
 from repro.workloads import uniform_instances
 
 from tests.chaos import WorkerFleet
@@ -143,17 +144,16 @@ _EXAMPLES = [
     HelloReply(worker_id="w0", pid=42, protocol=1, draining=True),
     Ping(seq=7),
     Pong(seq=7, inflight=1, completed=12),
-    RunCell(job_id=3, payload={"spec": {"name": "s"}, "cell": {"index": 3}}),
-    CellDone(job_id=3, records=({"label": "WDEQ", "metrics": {"mean_ratio": 1.5}},)),
     RunTask(job_id=4, task="cGlja2xl"),
     TaskDone(job_id=4, result="cmVzdWx0"),
     PushBatch(
         batch_id="abc123",
-        arrays=({"name": "P", "shape": [2], "dtype": "float64", "data": "AAA="},),
+        arrays=({"name": "P", "offset": 0, "shape": [2], "dtype": "float64"},),
+        data="AAA=",
     ),
     BatchAck(batch_id="abc123", cached=True),
     RunChunk(job_id=5, batch_id="abc123", fn="Zm4=", lo=0, hi=4),
-    JobFailed(job_id=6, error="ValueError: boom", retryable=False),
+    JobFailed(job_id=6, error="ValueError: boom", retryable=False, unknown_batch=True),
     Drain(reason="shutdown"),
     DrainAck(worker_id="w0", completed=12),
 ]
@@ -185,10 +185,23 @@ class TestClusterProtocol:
         assert decode_cluster_line(line.rstrip(b"\n")) == example
 
     def test_tuple_fields_decode_back_to_tuples(self):
-        done = CLUSTER_REGISTRY.decode(
-            {"type": "cell_done", "job_id": 1, "records": [{"a": 1}, {"b": 2}]}
+        push = CLUSTER_REGISTRY.decode(
+            {"type": "push_batch", "batch_id": "b", "arrays": [{"name": "P"}, {"name": "mask"}]}
         )
-        assert isinstance(done.records, tuple)
+        assert isinstance(push.arrays, tuple)
+
+    def test_shared_memory_push_round_trips(self):
+        push = PushBatch(
+            batch_id="psm_1",
+            arrays=({"name": "P", "offset": 0, "shape": [2], "dtype": "float64"},),
+            segment="psm_1",
+        )
+        assert decode_cluster_line(encode_cluster_line(push).rstrip(b"\n")) == push
+
+    def test_cell_messages_are_gone(self):
+        for tag in ("run_cell", "cell_done"):
+            with pytest.raises(ProtocolError, match="unknown message type"):
+                CLUSTER_REGISTRY.decode({"type": tag, "job_id": 1})
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ProtocolError, match="unknown message type"):
@@ -199,8 +212,8 @@ class TestClusterProtocol:
             CLUSTER_REGISTRY.decode({"type": "ping", "seq": 1, "evil": True})
 
     def test_missing_required_field_rejected(self):
-        with pytest.raises(ProtocolError, match="invalid 'run_cell' message"):
-            CLUSTER_REGISTRY.decode({"type": "run_cell", "job_id": 1})
+        with pytest.raises(ProtocolError, match="invalid 'run_task' message"):
+            CLUSTER_REGISTRY.decode({"type": "run_task", "job_id": 1})
 
     def test_foreign_message_rejected_with_registry_label(self):
         from repro.api import SubmitTask
@@ -244,7 +257,17 @@ class TestClusterProtocol:
             "P": np.array([2.0, 4.0]),
             "mask": np.array([[True, False], [True, True]]),
         }
-        decoded = decode_arrays(encode_arrays(arrays))
+        fields, buffer = shm.pack_arrays(arrays)
+        # The wire form of a remote push: layout mappings + base64 bytes.
+        push = PushBatch(
+            batch_id="b",
+            arrays=tuple(dataclasses.asdict(f) for f in fields),
+            data=base64.b64encode(buffer).decode("ascii"),
+        )
+        push = decode_cluster_line(encode_cluster_line(push).rstrip(b"\n"))
+        decoded = shm.array_views(
+            base64.b64decode(push.data), [shm.SharedArrayField(**e) for e in push.arrays]
+        )
         assert set(decoded) == {"P", "mask"}
         for name in arrays:
             assert decoded[name].dtype == arrays[name].dtype
@@ -443,7 +466,7 @@ class TestClusterExecution:
         assert ctx.backend == "cluster"
         assert ctx.cell_timeout == 7.5
         assert ctx.cluster_retries == 5
-        assert ctx._pool_workers == 0  # no local pool behind a cluster context
+        assert ctx._local_nodes == 0  # no local nodes behind a cluster context
 
     def test_unreachable_hosts_raise_cluster_error(self):
         coordinator = ClusterCoordinator(["127.0.0.1:9"], connect_timeout=0.5)
@@ -461,7 +484,7 @@ class TestClusterExecution:
         payloads = runner.payloads()
         with LocalNodes(count=3) as local:
             with ClusterCoordinator(local.hosts, cell_timeout=60.0) as coordinator:
-                results = coordinator.map_cells(payloads)
+                results = coordinator.map(run_cell, payloads)
         assert [records[0]["cell"] for records in results] == [
             p["cell"]["index"] for p in payloads
         ]
@@ -480,6 +503,46 @@ class TestClusterExecution:
         assert np.allclose(first, serial)
         assert np.allclose(second, serial)
         assert pushes_after_first <= 2  # once per node, never once per chunk
+
+    def test_node_keeps_a_bounded_batch_store(self):
+        batches = [
+            InstanceBatch.from_instances(list(uniform_instances(n=4, count=8, rng=seed)))
+            for seed in range(3 * MAX_NODE_BATCHES)
+        ]
+        with LocalNodes(count=1) as local:
+            with ClusterCoordinator(local.hosts) as coordinator:
+                ctx = ExecutionContext(backend="cluster", coordinator=coordinator)
+                for batch in batches:
+                    assert ctx.map_batch(_row_volume, batch) == _row_volume(batch)
+                assert len(local.nodes[0]._batches) == MAX_NODE_BATCHES
+                # The first batch was evicted on the node but the coordinator
+                # still believes it is there: the node reports the unknown
+                # batch and gets it pushed again, without burning a retry.
+                pushed = coordinator.stats["batches_pushed"]
+                assert ctx.map_batch(_row_volume, batches[0]) == _row_volume(batches[0])
+                assert coordinator.stats["batches_pushed"] == pushed + 1
+                assert coordinator.stats["retries"] == 0
+
+    def test_oversized_push_is_refused_before_sending(self, monkeypatch):
+        batch = InstanceBatch.from_instances(list(uniform_instances(n=8, count=64, rng=0)))
+        with LocalNodes(count=2) as local:
+            with ClusterCoordinator(local.hosts) as coordinator:
+                monkeypatch.setattr(cluster, "MAX_CLUSTER_LINE_BYTES", 4096)
+                with pytest.raises(ClusterError, match=r"PushBatch message of \d+ bytes exceeds the 4096-byte"):
+                    coordinator.map_batch(_row_volume, batch)
+                assert coordinator.stats["dispatched"] == 0
+                assert coordinator.live_workers() == 2  # nobody was retired
+                assert coordinator.map(str.upper, ["a", "b"]) == ["A", "B"]
+
+    def test_previous_protocol_version_fails_the_handshake(self):
+        """A coordinator of the previous protocol (with cell messages) is refused."""
+        with LocalNodes(count=1) as local:
+            host, port = parse_hosts(local.hosts)[0]
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                sock.sendall(encode_cluster_line(Handshake(protocol=PROTOCOL_VERSION - 1)))
+                reply = decode_cluster_line(sock.makefile("rb").readline().rstrip(b"\n"))
+        assert isinstance(reply, JobFailed) and not reply.retryable
+        assert "protocol version mismatch" in reply.error
 
     def test_remote_exception_becomes_cluster_error(self):
         with LocalNodes(count=1) as local:
@@ -514,7 +577,7 @@ class TestClusterExecution:
                 local.hosts, cell_timeout=60.0, abort_after=2
             )
             with pytest.raises(ClusterAborted):
-                coordinator.map_cells(payloads)
+                coordinator.map(run_cell, payloads)
             assert coordinator.stats["completed"] >= 2
             coordinator.close()
 

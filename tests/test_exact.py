@@ -33,7 +33,7 @@ from repro.core.bounds import times_close
 from repro.core.exceptions import InvalidInstanceError, SolverError
 from repro.core.instance import Instance, Task
 from repro.exec import CHUNKS_PER_WORKER, ExecutionContext, chunk_ranges, shm
-from repro.exec.shm import attach_batch, publish_batch
+from repro.exec.shm import apply_rows, attach_arrays, publish_batch
 from repro.lp.batch import OPTIMAL_METHODS, optimal, solve_ordered_relaxation_batch
 from repro.lp.exact import (
     MAX_BRANCH_AND_BOUND_TASKS,
@@ -268,16 +268,20 @@ class TestSharedMemoryBackend:
     def test_publish_attach_roundtrip(self):
         batch = self._batch(B=5)
         with publish_batch(batch, marker=np.arange(5.0)) as shared:
-            attached, extra, segment = attach_batch(shared.handle)
+            handle = shared.handle
+            assert [f.name for f in handle.extra] == ["marker"]
+            arrays, segment = attach_arrays(handle.segment, (*handle.fields, *handle.extra))
             try:
-                np.testing.assert_array_equal(attached.volumes, batch.volumes)
-                np.testing.assert_array_equal(attached.P, batch.P)
-                np.testing.assert_array_equal(attached.mask, batch.mask)
-                np.testing.assert_array_equal(extra["marker"], np.arange(5.0))
-                assert shared.handle.batch_size == 5
+                for name in ("P", "volumes", "weights", "deltas", "mask"):
+                    np.testing.assert_array_equal(arrays[name], getattr(batch, name))
+                np.testing.assert_array_equal(arrays["marker"], np.arange(5.0))
                 with pytest.raises(ValueError):
-                    attached.volumes[0, 0] = 1.0  # read-only views
+                    arrays["volumes"][0, 0] = 1.0  # read-only views
+                # The chunk body slices rows [lo, hi) of the batch and the extras.
+                rows = apply_rows(lambda sub, extra: list(zip(sub.P, extra["marker"])), arrays, 1, 4)
+                assert rows == list(zip(batch.P[1:4], np.arange(1.0, 4.0)))
             finally:
+                arrays.clear()
                 segment.close()
         shared.close()  # idempotent
 
@@ -390,7 +394,7 @@ class TestAdaptiveChunking:
             assert ctx.last_submission_count == 0
             ctx.map_batch(_per_row_bounds, TestSharedMemoryBackend()._batch(B=1))
             assert ctx.last_submission_count == 0
-            assert ctx._pool is None  # nothing was big enough to start the pool
+            assert ctx.coordinator is None  # nothing was big enough to fork the nodes
 
     def test_exceptions_propagate(self):
         with ExecutionContext(workers=2) as ctx:

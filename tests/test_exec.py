@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -82,13 +86,30 @@ def _double(x):
     return 2 * x
 
 
+def _row_sum_and_mapped_segments(sub):
+    """Per row: the volume sum, and how many shared segments this node maps."""
+    with open("/proc/self/maps") as maps:
+        segments = {line.split()[5] for line in maps if "/dev/shm/" in line}
+    return [(float(total), len(segments)) for total in sub.volumes.sum(axis=1)]
+
+
+def _die_once(marker, x):
+    """Double ``x``; the first node to reach item 3 SIGKILLs itself instead."""
+    if x == 3 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return 2 * x
+
+
 class TestExecutionContext:
     def test_defaults_are_serial(self):
         ctx = ExecutionContext()
         assert ctx.backend == "serial" and not ctx.vectorized
         assert ctx.cache is None
         assert ctx.map(_double, [1, 2]) == [2, 4]
-        assert ctx._pool is None  # a serial context never builds a pool
+        assert not ctx.off_process and ctx.coordinator is None  # never forks nodes
+        with pytest.raises(ValueError, match="in-process"):
+            ctx.cluster()
 
     def test_backend_validation(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
@@ -110,14 +131,54 @@ class TestExecutionContext:
 
     def test_workers_build_a_pool(self):
         with ExecutionContext(backend="vectorized", workers=2) as ctx:
-            assert ctx.vectorized
-            assert ctx._pool is None  # created on first use
+            assert ctx.vectorized and ctx.off_process
+            assert ctx.coordinator is None  # local nodes are forked on first use
             assert ctx.map(_double, [1, 2, 3]) == [2, 4, 6]
-            pool = ctx._pool
-            assert pool is not None and pool._max_workers == 2
+            nodes = ctx.coordinator
+            assert nodes is not None and nodes.local_nodes == 2 and nodes.live_workers() == 2
             assert ctx.map(_double, [4, 5]) == [8, 10]
-            assert ctx._pool is pool  # one pool for every map, not one per call
-        assert ctx._pool is None  # close() shut it down
+            assert ctx.coordinator is nodes  # one set of nodes for every map
+        assert ctx.coordinator is None  # close() drained and joined them
+
+    def test_close_leaves_no_live_child_process(self):
+        import multiprocessing
+
+        with ExecutionContext(workers=2) as ctx:
+            assert ctx.map(_double, [1, 2, 3]) == [2, 4, 6]
+            processes = [worker.process for worker in ctx.coordinator._workers]
+            assert all(process.is_alive() for process in processes)
+        assert not any(process.is_alive() for process in processes)
+        assert all(process.exitcode == 0 for process in processes)  # drained, not killed
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+    def test_local_nodes_keep_a_bounded_number_of_segments_mapped(self):
+        from repro.exec.cluster import MAX_NODE_BATCHES
+
+        rng = np.random.default_rng(4)
+        with ExecutionContext(workers=2) as ctx:
+            for _ in range(5 * MAX_NODE_BATCHES):
+                batch = InstanceBatch.from_arrays(
+                    P=rng.uniform(1.0, 4.0, 8),
+                    volumes=rng.uniform(0.1, 1.0, (8, 3)),
+                    weights=np.ones((8, 3)),
+                    deltas=np.ones((8, 3)),
+                )
+                rows = ctx.map_batch(_row_sum_and_mapped_segments, batch)
+                assert [total for total, _ in rows] == list(batch.volumes.sum(axis=1))
+                assert max(mapped for _, mapped in rows) <= MAX_NODE_BATCHES
+
+    def test_local_node_killed_mid_map_is_reassigned(self, tmp_path):
+        """SIGKILL one local node during a map: the result still equals the
+        serial one, and the lost chunk is re-run on the survivor."""
+        items = list(range(8))
+        marker = tmp_path / "killed"
+        fn = functools.partial(_die_once, str(marker))
+        with ExecutionContext(workers=2) as ctx:
+            assert ctx.map(fn, items) == [2 * x for x in items]
+            stats = dict(ctx.coordinator.stats)
+        assert marker.exists()
+        assert stats["reassigned"] >= 1 and stats["dead_workers"] == 1
 
     def test_pool_map_matches_serial(self):
         insts = list(cluster_instances(6, 8, rng=np.random.default_rng(1)))
@@ -199,6 +260,17 @@ class TestExecutionContext:
         ctx = ExecutionContext.from_options(lp_backend="scipy", batch=True)
         assert ctx.lp_backend == "scipy"
         assert ctx.resolved_lp_backend() == "scipy"
+
+    @pytest.mark.parametrize("content", [b'{"a": [1, 2', b"[1, 2]"], ids=["truncated", "not-an-object"])
+    def test_unloadable_cache_file_raises_and_is_left_intact(self, tmp_path, content):
+        path = tmp_path / "results-cache.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=r"results-cache\.json.*delete the file"):
+            ResultCache(path=path)
+        with pytest.raises(ValueError, match="delete the file"):
+            ExecutionContext.from_options(cache_dir=tmp_path)
+        assert path.read_bytes() == content
+        assert len(ResultCache(path=tmp_path / "missing.json")) == 0  # absent means empty
 
     def test_close_saves_backed_cache(self, tmp_path):
         path = tmp_path / "cache.json"
