@@ -5,6 +5,10 @@ from __future__ import annotations
 import functools
 import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from repro.core.instance import Instance, Task
 from repro.exec import BACKENDS, ExecutionContext
 from repro.workloads.generators import bandwidth_scenario_instances, cluster_instances
 from repro.workloads.suites import get_suite
+
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 # --------------------------------------------------------------------- #
 # InstanceBatch
@@ -179,6 +185,39 @@ class TestExecutionContext:
             stats = dict(ctx.coordinator.stats)
         assert marker.exists()
         assert stats["reassigned"] >= 1 and stats["dead_workers"] == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_local_nodes_exit_when_their_parent_dies(self):
+        """A SIGKILLed parent never reaches close(): its nodes see EOF and exit."""
+        script = (
+            "import time\n"
+            "from repro.exec import ExecutionContext\n"
+            "ctx = ExecutionContext(workers=2)\n"
+            "ctx.map(abs, [1, -2, 3])\n"
+            "print(*(w.process.pid for w in ctx.coordinator._workers), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+        parent = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+        assert len(pids) == 2
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10.0
+        while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(running(pid) for pid in pids)
 
     def test_pool_map_matches_serial(self):
         insts = list(cluster_instances(6, 8, rng=np.random.default_rng(1)))

@@ -29,19 +29,19 @@ PAGES: dict[str, tuple[str, str, list[str]]] = {
     "exec.md": (
         "repro.exec — execution contexts",
         "The execution layer: one `ExecutionContext` object decides *how* every "
-        "experiment and sweep runs (backend, workers, seed, cache) and owns its "
-        "process pool, whose batch maps always ship through the zero-copy "
-        "shared-memory transport of `repro.exec.shm`.",
+        "experiment and sweep runs (backend, workers, seed, cache) and owns the "
+        "worker nodes it forks, whose batch maps always ship through the "
+        "zero-copy shared-memory transport of `repro.exec.shm`.",
         ["repro.exec.context", "repro.exec.shm"],
     ),
     "cluster.md": (
-        "repro.exec.cluster — multi-node sharded sweeps",
-        "The stdlib-only distributed backend behind "
-        "`ExecutionContext(backend='cluster')`: a coordinator shards sweep "
-        "cells over socket-connected worker processes "
-        "(`malleable-repro workers`), ships batch rows once per host, and "
-        "survives killed workers, stragglers and coordinator restarts "
-        "without recomputing cached cells.",
+        "repro.exec.cluster — the off-process engine",
+        "The stdlib-only engine behind every off-process `ExecutionContext`: "
+        "a coordinator shards jobs over worker processes — forked local nodes "
+        "for `process-pool`, TCP nodes (`malleable-repro workers`) for "
+        "`cluster` — ships batch rows once per node, and survives killed "
+        "workers, stragglers and coordinator restarts without recomputing "
+        "cached cells.",
         ["repro.exec.cluster"],
     ),
     "exact.md": (
