@@ -12,8 +12,8 @@ records the per-sweep wall time:
   sharding the cells over the two workers (socket dispatch, pickled
   records back per cell);
 * ``pool_sweep_*`` — ``backend="process-pool"`` with two forked local
-  nodes driven by the same coordinator (same parallelism, socket pairs
-  instead of TCP, scalar rather than vectorized cells);
+  nodes driven by the same coordinator (same parallelism and the same
+  cell pipeline, socket pairs instead of TCP);
 * ``serial_sweep_*`` — the single-process reference.
 
 ``derived`` carries the cluster/pool overhead ratio plus the coordinator's
@@ -106,9 +106,7 @@ def run_sweep_benchmark(
 
     process, hosts = spawn_workers(workers)
     try:
-        with ExecutionContext(
-            backend="cluster", hosts=hosts, seed=seed, lp_backend="scipy"
-        ) as cluster_ctx:
+        with ExecutionContext(backend="cluster", hosts=hosts, seed=seed) as cluster_ctx:
             payloads = SweepRunner(spec, cluster_ctx).payloads()
             cluster_ctx.cluster()  # connect outside the timed region
             benchmarks[f"cluster_sweep_{tag}"] = best_of(
@@ -143,15 +141,13 @@ def run_sweep_benchmark(
         if process.stdout is not None:
             process.stdout.close()
 
-    with ExecutionContext(
-        backend="process-pool", workers=workers, seed=seed, lp_backend="scipy"
-    ) as pool_ctx:
+    with ExecutionContext(backend="process-pool", workers=workers, seed=seed) as pool_ctx:
         payloads = SweepRunner(spec, pool_ctx).payloads()
         benchmarks[f"pool_sweep_{tag}"] = best_of(
             lambda: pool_ctx.map_cells(payloads), repeats
         )
 
-    with ExecutionContext(seed=seed, lp_backend="scipy") as serial_ctx:
+    with ExecutionContext(seed=seed) as serial_ctx:
         payloads = SweepRunner(spec, serial_ctx).payloads()
         benchmarks[f"serial_sweep_{tag}"] = best_of(
             lambda: serial_ctx.map_cells(payloads), repeats
@@ -194,9 +190,7 @@ def test_cluster_map_cells(benchmark, local_cluster):
     from repro.scenarios.runner import run_cell
 
     spec = sweep_spec(cells=2, count=2)
-    with ExecutionContext(
-        backend="cluster", coordinator=local_cluster, seed=7, lp_backend="scipy"
-    ) as ctx:
+    with ExecutionContext(backend="cluster", coordinator=local_cluster, seed=7) as ctx:
         payloads = SweepRunner(spec, ctx).payloads()
         results = benchmark(local_cluster.map, run_cell, payloads)
     assert len(results) == len(payloads)
@@ -205,7 +199,7 @@ def test_cluster_map_cells(benchmark, local_cluster):
 @pytest.mark.benchmark(group="cluster")
 def test_serial_map_cells(benchmark):
     spec = sweep_spec(cells=2, count=2)
-    with ExecutionContext(seed=7, lp_backend="scipy") as ctx:
+    with ExecutionContext(seed=7) as ctx:
         payloads = SweepRunner(spec, ctx).payloads()
         results = benchmark(ctx.map_cells, payloads)
     assert len(results) == len(payloads)

@@ -69,7 +69,7 @@ import os
 import sys
 from typing import Sequence
 
-from repro.exec import BACKENDS, LP_BACKENDS, ExecutionContext
+from repro.exec import BACKENDS, ExecutionContext
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.experiments.report import render_markdown_report, run_all
 from repro.viz.tables import format_table
@@ -441,7 +441,10 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--batch",
         action="store_true",
-        help="vectorized backend: padded-batch NumPy kernels where they exist",
+        help=(
+            "vectorized backend: solve the Corollary 1 LPs with the lockstep "
+            "kernel instead of one SciPy/HiGHS solve per instance"
+        ),
     )
     parser.add_argument(
         "--workers",
@@ -458,17 +461,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "persist the result cache to this directory so repeated runs with "
             "identical parameters skip recomputation across invocations"
-        ),
-    )
-    parser.add_argument(
-        "--lp-backend",
-        default="auto",
-        choices=LP_BACKENDS,
-        help=(
-            "LP solver for the Corollary 1 ordered relaxation: 'auto' picks the "
-            "batched lockstep kernel under --batch and SciPy/HiGHS otherwise; "
-            "'scipy' pins HiGHS (the selection is part of the cache key, so "
-            "cached results never cross solvers)"
         ),
     )
     parser.add_argument(
@@ -504,19 +496,26 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def context_from_args(args: argparse.Namespace) -> ExecutionContext:
-    """Build the ExecutionContext the parsed execution flags describe."""
-    return ExecutionContext.from_options(
-        seed=args.seed,
-        paper_scale=args.paper_scale,
-        batch=args.batch,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        lp_backend=getattr(args, "lp_backend", "auto"),
-        backend=getattr(args, "backend", "auto"),
-        hosts=getattr(args, "hosts", None),
-        cell_timeout=getattr(args, "cell_timeout", 120.0),
-        cluster_retries=getattr(args, "cluster_retries", 2),
-    )
+    """Build the ExecutionContext the parsed execution flags describe.
+
+    Flags the context rejects are a usage error, as argparse reports one:
+    one line on stderr and exit status 2, no traceback.
+    """
+    try:
+        return ExecutionContext.from_options(
+            seed=args.seed,
+            paper_scale=args.paper_scale,
+            batch=args.batch,
+            workers=args.workers,
+            cache_dir=args.cache_dir,
+            backend=getattr(args, "backend", "auto"),
+            hosts=getattr(args, "hosts", None),
+            cell_timeout=getattr(args, "cell_timeout", 120.0),
+            cluster_retries=getattr(args, "cluster_retries", 2),
+        )
+    except ValueError as exc:
+        print(f"malleable-repro {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _resolve_spec(reference: str):

@@ -1,7 +1,7 @@
 """Pluggable execution backends for the experiment harness.
 
 This package owns the *how* of running an experiment — seeding, scale,
-vectorization, worker nodes, shared-memory transport, result caching — so
+LP solver, worker nodes, shared-memory transport, result caching — so
 the experiment modules only describe the *what*.  The central public type is
 :class:`~repro.exec.context.ExecutionContext`; every experiment ``run``
 function accepts one (``ctx=None`` meaning "default serial context") and
@@ -22,15 +22,9 @@ Typical usage::
         result = run_experiment("E5", ctx=ctx)
 """
 
-from repro.exec.context import (
-    BACKENDS,
-    CHUNKS_PER_WORKER,
-    LP_BACKENDS,
-    ExecutionContext,
-    chunk_ranges,
-)
+from repro.exec.context import BACKENDS, CHUNKS_PER_WORKER, ExecutionContext, chunk_ranges
 
-__all__ = ["BACKENDS", "LP_BACKENDS", "CHUNKS_PER_WORKER", "ExecutionContext", "chunk_ranges"]
+__all__ = ["BACKENDS", "CHUNKS_PER_WORKER", "ExecutionContext", "chunk_ranges"]
 
 
 def __getattr__(name: str):

@@ -44,6 +44,8 @@ stragglers can stall forever:
 * a worker that drops the connection mid-job (crash, ``kill -9``) is
   detected the same way; re-executions are **bounded** by ``max_retries``
   per job, after which the run fails loudly;
+* an exception raised by the mapped function is not a lost worker: the
+  run fails on first sight with the node's ``Type: message`` text;
 * idle remote workers are **heartbeated** (``Ping``/``Pong``) so a dead
   node is discovered before the tail of the run is routed to it;
 * results are deduplicated by job id — the first completion wins, so a job
@@ -234,8 +236,10 @@ class RunChunk:
 class JobFailed:
     """A job raised on the worker; ``retryable`` gates reassignment.
 
-    ``unknown_batch`` marks a chunk whose batch the node no longer holds;
-    the coordinator pushes the batch again instead of counting a retry.
+    An exception raised by the mapped function is not retryable: running
+    it again would raise again.  ``unknown_batch`` marks a chunk whose batch
+    the node no longer holds; the coordinator pushes the batch again
+    instead of counting a retry.
     """
 
     job_id: int
@@ -667,11 +671,12 @@ class WorkerNode:
                 self.completed += 1
                 return reply
             except Exception as exc:  # noqa: BLE001 - every job error -> JobFailed
+                unknown_batch = isinstance(exc, _UnknownBatch)
                 return JobFailed(
                     job_id=message.job_id,
                     error=f"{type(exc).__name__}: {exc}",
-                    retryable=True,
-                    unknown_batch=isinstance(exc, _UnknownBatch),
+                    retryable=unknown_batch,
+                    unknown_batch=unknown_batch,
                 )
             finally:
                 self._inflight -= 1
@@ -838,8 +843,9 @@ class ClusterCoordinator:
         Seconds a single job may take on a remote node before the node is
         declared dead and the job is reassigned.  Local nodes have none.
     max_retries:
-        Bound on *re*-executions per job (reassignments after worker death
-        and ``JobFailed`` retries both count); exceeding it fails the run.
+        Bound on *re*-executions per job after its worker was lost (or
+        evicted its batch twice); exceeding it fails the run.  A job whose
+        function raised fails the run at once.
     heartbeat_interval:
         Idle workers are pinged at this cadence so dead nodes are noticed
         before new work is routed to them.
@@ -1118,9 +1124,12 @@ class ClusterCoordinator:
 
         def _record(worker: _Worker, job: _Job, reply: object) -> None:
             if isinstance(reply, JobFailed):
+                if not reply.retryable:
+                    _fail(ClusterError(f"job {job.index} failed: {reply.error}"))
+                    return
                 job.attempts += 1
                 self.stats["retries"] += 1
-                if not reply.retryable or job.attempts > self.max_retries:
+                if job.attempts > self.max_retries:
                     _fail(
                         ClusterError(
                             f"job {job.index} failed after {job.attempts} attempt(s): {reply.error}"

@@ -7,17 +7,18 @@ inspection.  The context bundles them into a single explicit value that every
 experiment accepts, so "which backend runs this" is a first-class, pluggable
 concept instead of a kwargs-routing convention.
 
-Four backends are supported:
+A backend says *where* work runs; the one thing it chooses about *what*
+computes is the LP solver (``vectorized`` selects the lockstep kernel), so a
+sweep writes the same records on every backend.  Four backends are
+supported:
 
 ``serial``
-    The historical in-process loop.  Default, zero dependencies, exactly
-    reproduces the scalar code paths.
+    The in-process loop.  Default, zero dependencies.
 ``vectorized``
-    Experiments route their per-instance sweeps through the padded-batch
-    NumPy kernels of :mod:`repro.batch` (closed-form kernels *and* the
-    discrete-event simulation kernel of :mod:`repro.batch.sim_kernels`)
-    wherever a kernel exists; everything else falls back to the serial loop
-    (or the local worker nodes, when ``workers > 1``).
+    The lockstep LP kernel: the Corollary 1 LPs of a batch are solved by
+    :mod:`repro.lp.batch` in lockstep instead of one SciPy/HiGHS solve per
+    instance (:meth:`ExecutionContext.resolved_lp_backend`).  Everything
+    else runs in-process, or on local worker nodes when ``workers > 1``.
 ``process-pool``
     Per-instance work is sharded over ``workers`` local worker nodes that
     the context forks on first use and joins in :meth:`close`; batch maps
@@ -25,20 +26,17 @@ Four backends are supported:
 ``cluster``
     Work is sharded over long-lived
     :class:`~repro.exec.cluster.WorkerNode` processes reached over TCP —
-    localhost ports or remote hosts (``hosts=...`` names them).  Cells run
-    vectorized on each node.
+    localhost ports or remote hosts (``hosts=...`` names them).
 
 Both run through one engine, a :class:`~repro.exec.cluster.ClusterCoordinator`
 over local or remote nodes, with one failure model (:mod:`repro.exec.cluster`).
 
 A context with ``backend="vectorized"`` and ``workers > 1`` combines both
-levers: vectorized kernels where they exist, local nodes for the remaining
-scalar work — this is what ``malleable-repro all --batch --workers N``
-builds.
+levers: the lockstep LP kernel, and local nodes for per-instance work —
+this is what ``malleable-repro all --batch --workers N`` builds.
 
-The LP layer follows the same pattern: :meth:`ExecutionContext.ordered_relaxation`
-solves the Corollary 1 LPs of a whole batch through the backend the context's
-``lp_backend`` selection resolves to — the lockstep kernel of
+:meth:`ExecutionContext.ordered_relaxation` solves the Corollary 1 LPs of a
+whole batch with the solver the backend selects — the lockstep kernel of
 :mod:`repro.lp.batch` on a ``vectorized`` context, per-instance SciPy solves
 sharded over the local nodes on ``process-pool``, a serial SciPy loop
 otherwise.
@@ -55,16 +53,10 @@ import numpy as np
 
 from repro.batch.cache import ResultCache, cache_key
 
-__all__ = ["BACKENDS", "LP_BACKENDS", "CHUNKS_PER_WORKER", "ExecutionContext", "chunk_ranges"]
+__all__ = ["BACKENDS", "CHUNKS_PER_WORKER", "ExecutionContext", "chunk_ranges"]
 
 #: The recognised execution backends.
 BACKENDS = ("serial", "vectorized", "process-pool", "cluster")
-
-#: The recognised LP-backend selections.  ``auto`` resolves per execution
-#: backend (the batched lockstep kernel on ``vectorized``, SciPy otherwise);
-#: ``scipy`` pins HiGHS everywhere — see
-#: :meth:`ExecutionContext.resolved_lp_backend`.
-LP_BACKENDS = ("auto", "scipy")
 
 #: File name used for the persistent result cache inside ``--cache-dir``.
 CACHE_FILE_NAME = "results-cache.json"
@@ -105,7 +97,7 @@ class ExecutionContext:
         One of :data:`BACKENDS`; see the module docstring.
     workers:
         Local worker nodes for the ``process-pool`` backend (and for the
-        scalar remainder of the ``vectorized`` backend).  ``0``/``1`` means
+        per-instance work of the ``vectorized`` backend).  ``0``/``1`` means
         none (``process-pool`` then uses one per CPU); ``workers > 1`` on
         the default ``serial`` backend promotes the context to
         ``process-pool`` — a context that reports ``serial`` never shards.
@@ -116,16 +108,6 @@ class ExecutionContext:
         :meth:`cached`.  A cache constructed with a backing path is saved by
         :meth:`close`, which is how ``--cache-dir`` persists results across
         CLI invocations.
-    lp_backend:
-        Which solver the LP layer should use, one of :data:`LP_BACKENDS`.
-        The default ``"auto"`` picks the batched lockstep kernel of
-        :mod:`repro.lp.batch` on the ``vectorized`` backend and SciPy/HiGHS
-        everywhere else; ``"scipy"`` pins HiGHS on every backend (still
-        sharded over the local nodes on a ``process-pool`` context).
-        The *resolved* solver is part of every :meth:`cached` key, so
-        neither switching ``--lp-backend`` nor an ``auto`` that resolves
-        differently across backends can return results computed by another
-        solver.
     shm:
         Deprecated and ignored: :meth:`map_batch` on local nodes always
         publishes through :mod:`repro.exec.shm`.  Still accepted so existing
@@ -136,12 +118,13 @@ class ExecutionContext:
         Required (unless an explicit ``coordinator`` is supplied) when
         ``backend="cluster"``, ignored otherwise.
     cell_timeout:
-        Cluster backend: seconds one job may take on a remote worker before
-        the worker is declared dead and the job is reassigned.  Local nodes
-        have no job timeout.
+        Cluster backend: seconds (> 0) one job may take on a remote worker
+        before the worker is declared dead and the job is reassigned.  Local
+        nodes have no job timeout.
     cluster_retries:
-        Bound on re-executions per job on any off-process context
-        (reassignments after worker death and remote failures both count).
+        Bound (>= 0) on re-executions per job on any off-process context
+        after its worker was lost.  An exception raised by the mapped
+        function fails the map at once.
     coordinator:
         Explicit :class:`~repro.exec.cluster.ClusterCoordinator`.  Built
         lazily when not given — from ``hosts`` on ``cluster``, over forked
@@ -163,7 +146,6 @@ class ExecutionContext:
     backend: str = "serial"
     workers: int = 0
     cache: ResultCache | None = None
-    lp_backend: str = "auto"
     shm: InitVar[bool] = False
     hosts: Any = ()
     cell_timeout: float = 120.0
@@ -180,12 +162,12 @@ class ExecutionContext:
             raise ValueError(
                 f"unknown execution backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        if self.lp_backend not in LP_BACKENDS:
-            raise ValueError(
-                f"unknown LP backend {self.lp_backend!r}; expected one of {LP_BACKENDS}"
-            )
         if self.workers < 0:
             raise ValueError(f"workers must be non-negative, got {self.workers}")
+        if not self.cell_timeout > 0:
+            raise ValueError(f"cell_timeout must be positive, got {self.cell_timeout}")
+        if self.cluster_retries < 0:
+            raise ValueError(f"cluster_retries must be non-negative, got {self.cluster_retries}")
         if self.backend == "serial" and self.workers > 1:
             # Asking for workers IS asking for the process-pool backend; a context
             # reporting "serial" must never shard (serial guarantees the
@@ -212,7 +194,6 @@ class ExecutionContext:
         batch: bool = False,
         workers: int = 0,
         cache_dir: str | os.PathLike | None = None,
-        lp_backend: str = "auto",
         backend: str = "auto",
         hosts: "str | Iterable[str] | None" = None,
         cell_timeout: float = 120.0,
@@ -229,8 +210,7 @@ class ExecutionContext:
         worker nodes (launch them with ``malleable-repro workers``).
         ``--cache-dir`` attaches a :class:`ResultCache` persisted to
         ``<cache_dir>/results-cache.json`` (created on demand, reloaded on
-        the next invocation, saved by :meth:`close`); ``--lp-backend``
-        selects the LP solver (see :data:`LP_BACKENDS`).
+        the next invocation, saved by :meth:`close`).
         """
         if backend and backend != "auto":
             if backend not in BACKENDS:
@@ -256,7 +236,6 @@ class ExecutionContext:
             backend=chosen,
             workers=workers,
             cache=cache,
-            lp_backend=lp_backend,
             hosts=hosts or (),
             cell_timeout=cell_timeout,
             cluster_retries=cluster_retries,
@@ -268,7 +247,7 @@ class ExecutionContext:
 
     @property
     def vectorized(self) -> bool:
-        """True when experiments should prefer the padded-batch kernels."""
+        """True when the LP layer should use the lockstep kernel."""
         return self.backend == "vectorized"
 
     def rng(self, salt: int = 0) -> np.random.Generator:
@@ -290,14 +269,12 @@ class ExecutionContext:
         """The concrete LP solver this context selects.
 
         ``"batch"`` (the lockstep kernel of :mod:`repro.lp.batch`) on a
-        ``vectorized`` context with ``lp_backend="auto"``; ``"scipy"``
-        (HiGHS) otherwise.  HiGHS still benefits from worker nodes: the
-        batched LP entry point shards its solves over :meth:`map_batch`,
-        which ships the rows to local nodes through :mod:`repro.exec.shm`.
+        ``vectorized`` context, ``"scipy"`` (HiGHS) otherwise.  HiGHS still
+        benefits from worker nodes: the batched LP entry point shards its
+        solves over :meth:`map_batch`, which ships the rows to local nodes
+        through :mod:`repro.exec.shm`.
         """
-        if self.lp_backend == "auto":
-            return "batch" if self.vectorized else "scipy"
-        return self.lp_backend
+        return "batch" if self.vectorized else "scipy"
 
     def ordered_relaxation(
         self,
@@ -308,7 +285,7 @@ class ExecutionContext:
         """Solve the Corollary 1 LP for every row of an ``InstanceBatch``.
 
         The execution-layer entry point to the LP subsystem: resolves the
-        context's LP backend (:meth:`resolved_lp_backend`) and forwards to
+        context's LP solver (:meth:`resolved_lp_backend`) and forwards to
         :func:`repro.lp.batch.solve_ordered_relaxation_batch` — the lockstep
         kernel on a ``vectorized`` context, scalar solves sharded over the
         local nodes on a ``process-pool`` context, a plain serial loop
@@ -459,14 +436,11 @@ class ExecutionContext:
 
         Without a cache this simply calls ``compute()``.  ``params`` must be
         JSON-canonicalisable (see :func:`repro.batch.cache.cache_key`); the
-        context adds its own seed and *resolved* LP solver to the key —
+        context adds its own seed and resolved LP solver to the key —
         results computed by one solver must never be served to a run using
-        another from a shared ``--cache-dir``.  Keying on the resolved value
-        (not the raw selection) also separates ``auto`` contexts that
-        resolve differently (a vectorized ``auto`` uses the lockstep LP
-        kernel); the context's values are merged last so caller-supplied
-        ``params`` entries cannot shadow them (regression-tested in
-        ``tests/test_exec.py``).
+        another from a shared ``--cache-dir``.  The context's values are
+        merged last so caller-supplied ``params`` entries cannot shadow them
+        (regression-tested in ``tests/test_exec.py``).
         """
         if self.cache is None:
             return compute()

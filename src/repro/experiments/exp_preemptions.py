@@ -7,10 +7,10 @@ the counts are compared to the paper's bounds: at most ``n`` changes of the
 fractional allocation and at most ``3n`` preemptions of the integer
 schedule.
 
-On a vectorized :class:`repro.exec.ExecutionContext` the WDEQ completion
-times of all instances of a size are computed by one
-:func:`repro.batch.kernels.wdeq_batch` sweep; the per-instance preemption
-analysis (inherently schedule-structural) then runs through ``ctx.map``.
+The WDEQ completion times of all instances of a size are computed by one
+:func:`repro.batch.kernels.wdeq_batch` sweep on every backend; the
+per-instance preemption analysis (inherently schedule-structural) then runs
+through ``ctx.map``.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.wdeq import wdeq_schedule
 from repro.analysis.preemptions import preemption_report
-from repro.core.instance import Instance
 from repro.exec import ExecutionContext
 from repro.experiments.base import ExperimentResult
 from repro.workloads.generators import cluster_instances
@@ -29,14 +27,8 @@ from repro.workloads.generators import cluster_instances
 __all__ = ["run"]
 
 
-def _report_from_wdeq(instance: Instance):
-    """Scalar path: WDEQ completion times then the preemption analysis."""
-    completion_times = wdeq_schedule(instance).completion_times_by_task()
-    return preemption_report(instance, completion_times)
-
-
 def _report_from_times(pair):
-    """Vectorized path: the batched kernel already produced the times."""
+    """The preemption analysis of one instance, given its WDEQ completion times."""
     instance, completion_times = pair
     return preemption_report(instance, completion_times)
 
@@ -47,22 +39,19 @@ def run(
     ctx: ExecutionContext | None = None,
 ) -> ExperimentResult:
     """Measure preemption counts against the n and 3n bounds."""
+    from repro.batch.kernels import PaddedBatch, wdeq_batch
+
     ctx = ctx if ctx is not None else ExecutionContext()
     count = ctx.scale(count, 100)
     rows: list[list[object]] = []
     all_within = True
     for n in sizes:
         instances = list(cluster_instances(n, count, rng=ctx.rng()))
-        if ctx.vectorized:
-            from repro.batch.kernels import PaddedBatch, wdeq_batch
-
-            completions = wdeq_batch(PaddedBatch.from_instances(instances))
-            reports = ctx.map(
-                _report_from_times,
-                [(inst, completions[b, : inst.n]) for b, inst in enumerate(instances)],
-            )
-        else:
-            reports = ctx.map(_report_from_wdeq, instances)
+        completions = wdeq_batch(PaddedBatch.from_instances(instances))
+        reports = ctx.map(
+            _report_from_times,
+            [(inst, completions[b, : inst.n]) for b, inst in enumerate(instances)],
+        )
         frac_ratios = [r.fractional_changes / max(r.fractional_bound, 1) for r in reports]
         frac_raw_ratios = [r.fractional_changes_raw / max(r.fractional_bound, 1) for r in reports]
         preempt_per_task = [r.preemptions / max(r.n, 1) for r in reports]

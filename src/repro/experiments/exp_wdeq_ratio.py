@@ -13,12 +13,10 @@ The large-instance section is a *scenario sweep*: its grid lives in the
 scenario registry as ``e5-policy-comparison`` (see
 :mod:`repro.scenarios.registry`) and this module merely narrows the grid to
 the requested sizes and runs it through
-:class:`repro.scenarios.runner.SweepRunner` — on a vectorized
-:class:`repro.exec.ExecutionContext` every cell is one
-:func:`repro.batch.sim_kernels.simulate_batch` call per policy, on the other
-backends the scalar per-instance engine; both paths produce the same numbers
-up to floating-point noise (asserted by the test suite), so the rows remain
-comparable across backends.
+:class:`repro.scenarios.runner.SweepRunner`, where every cell is one
+:func:`repro.batch.sim_kernels.simulate_batch` call per policy on every
+backend, so the rows are identical across backends (the test suite checks
+them against the scalar per-instance engine).
 """
 
 from __future__ import annotations

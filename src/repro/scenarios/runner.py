@@ -8,13 +8,13 @@ pipeline the spec names:
 
 ``policies``
     Materialise the cell's instances / release times once
-    (:func:`repro.scenarios.families.build_cell_workload`), then run the
-    selected online policies.  On a ``vectorized`` context the whole cell is
-    one :func:`repro.batch.sim_kernels.simulate_batch` call per policy; on
-    the other backends each instance runs through the scalar
-    :func:`repro.simulation.engine.simulate`.  Both paths share the same
-    inputs and the same metric definitions, so their summary tables agree up
-    to floating-point noise (asserted by ``tests/test_scenarios.py``).
+    (:func:`repro.scenarios.families.build_cell_workload`) as one
+    ``InstanceBatch``, then run each selected online policy as one
+    :func:`repro.batch.sim_kernels.simulate_batch` call against the batched
+    Lemma 1 bound.  The pipeline is the same on every backend, so a sweep
+    writes the same records wherever its cells run; ``tests/test_scenarios.py``
+    checks every committed spec against a per-instance recomputation with
+    the scalar engine (:func:`repro.simulation.engine.simulate`).
 ``bandwidth``
     The master–worker transfer-strategy comparison of experiment E8.
 ``solver-timing``
@@ -56,12 +56,10 @@ __all__ = ["SweepRunner", "SweepResult", "run_cell"]
 # --------------------------------------------------------------------- #
 
 
-def _policies_cell(
-    spec: ScenarioSpec,
-    cell: ScenarioCell,
-    backend: str,
-) -> list[dict[str, Any]]:
-    """Evaluate one ``policies`` cell; identical inputs on every backend."""
+def _policies_cell(spec: ScenarioSpec, cell: ScenarioCell) -> list[dict[str, Any]]:
+    """Evaluate one ``policies`` cell: one batch, one ``simulate_batch`` per policy."""
+    from repro.batch.kernels import combined_lower_bound_batch
+    from repro.batch.sim_kernels import default_batch_policies, simulate_batch
     from repro.core.batch import InstanceBatch
     from repro.scenarios.families import build_cell_workload
 
@@ -71,57 +69,23 @@ def _policies_cell(
     instances, releases = build_cell_workload(
         spec.generator, gen_kwargs, count, arrival, weight, cell.seed
     )
-    wanted = spec.policies
+    batch = InstanceBatch.from_instances(instances)
+    policies = [
+        p for p in default_batch_policies(batch) if not spec.policies or p.name in spec.policies
+    ]
+    bounds = combined_lower_bound_batch(batch)
+    safe = np.where(bounds > 0, bounds, 1.0)
     per_policy: dict[str, dict[str, float]] = {}
-    if backend == "vectorized":
-        from repro.batch.kernels import combined_lower_bound_batch
-        from repro.batch.sim_kernels import default_batch_policies, simulate_batch
-
-        batch = InstanceBatch.from_instances(instances)
-        policies = [
-            p for p in default_batch_policies(batch) if not wanted or p.name in wanted
-        ]
-        bounds = combined_lower_bound_batch(batch)
-        safe = np.where(bounds > 0, bounds, 1.0)
-        for policy in policies:
-            result = simulate_batch(batch, policy, release_times=releases)
-            objectives = result.weighted_completion_times()
-            ratios = np.where(bounds > 0, objectives / safe, 1.0)
-            per_policy[policy.name] = {
-                "mean_ratio": float(ratios.mean()),
-                "max_ratio": float(ratios.max()),
-                "mean_objective": float(objectives.mean()),
-                "mean_makespan": float(result.makespans().mean()),
-            }
-    else:
-        from repro.core.bounds import combined_lower_bound
-        from repro.simulation.engine import simulate
-        from repro.simulation.nonclairvoyant import default_policies
-
-        values: dict[str, list[tuple[float, float, float]]] = {}
-        for b, inst in enumerate(instances):
-            bound = combined_lower_bound(inst)
-            n = inst.n
-            row_releases = releases[b, :n] if releases is not None else None
-            for policy in default_policies(inst):
-                if wanted and policy.name not in wanted:
-                    continue
-                result = simulate(inst, policy, release_times=row_releases)
-                objective = result.weighted_completion_time()
-                ratio = objective / bound if bound > 0 else 1.0
-                values.setdefault(policy.name, []).append(
-                    (ratio, objective, result.makespan())
-                )
-        for name, triples in values.items():
-            ratios = np.array([t[0] for t in triples])
-            objectives = np.array([t[1] for t in triples])
-            makespans = np.array([t[2] for t in triples])
-            per_policy[name] = {
-                "mean_ratio": float(ratios.mean()),
-                "max_ratio": float(ratios.max()),
-                "mean_objective": float(objectives.mean()),
-                "mean_makespan": float(makespans.mean()),
-            }
+    for policy in policies:
+        result = simulate_batch(batch, policy, release_times=releases)
+        objectives = result.weighted_completion_times()
+        ratios = np.where(bounds > 0, objectives / safe, 1.0)
+        per_policy[policy.name] = {
+            "mean_ratio": float(ratios.mean()),
+            "max_ratio": float(ratios.max()),
+            "mean_objective": float(objectives.mean()),
+            "mean_makespan": float(result.makespans().mean()),
+        }
     return [
         _record(spec, cell, label, len(instances), metrics)
         for label, metrics in per_policy.items()
@@ -175,9 +139,7 @@ def _streamed_trace_cell(
     ]
 
 
-def _bandwidth_cell(
-    spec: ScenarioSpec, cell: ScenarioCell, backend: str
-) -> list[dict[str, Any]]:
+def _bandwidth_cell(spec: ScenarioSpec, cell: ScenarioCell) -> list[dict[str, Any]]:
     """Evaluate one ``bandwidth`` cell (transfer strategies of E8)."""
     from repro.bandwidth.network import BandwidthScenario
     from repro.bandwidth.transfer import plan_transfers
@@ -213,9 +175,7 @@ def _bandwidth_cell(
     ]
 
 
-def _solver_timing_cell(
-    spec: ScenarioSpec, cell: ScenarioCell, backend: str
-) -> list[dict[str, Any]]:
+def _solver_timing_cell(spec: ScenarioSpec, cell: ScenarioCell) -> list[dict[str, Any]]:
     """Time the polynomial solvers on one instance (E7's scaling sweep)."""
     from repro.algorithms.greedy import greedy_completion_times
     from repro.algorithms.lateness import minimize_max_lateness
@@ -302,9 +262,9 @@ def _record(
 def run_cell(payload: Mapping[str, Any]) -> list[dict[str, Any]]:
     """Execute one grid cell described by a plain-dict payload.
 
-    The payload — ``{"spec": spec.to_dict(), "cell": {...}, "backend": ...}``
-    — is built by :class:`SweepRunner` and contains only JSON-serialisable
-    values, so it pickles cleanly into the process-pool backend's workers.
+    The payload — ``{"spec": spec.to_dict(), "cell": {...}}`` — is built by
+    :class:`SweepRunner` and contains only JSON-serialisable values, so it
+    pickles cleanly into the worker nodes.
     Returns one record per evaluated label (see
     :mod:`repro.scenarios.store` for the schema).
     """
@@ -316,8 +276,7 @@ def run_cell(payload: Mapping[str, Any]) -> list[dict[str, Any]]:
         params=dict(cell_data["params"]),
         seed=cell_data["seed"],
     )
-    backend = payload.get("backend", "serial")
-    return _PIPELINES[spec.pipeline](spec, cell, backend)
+    return _PIPELINES[spec.pipeline](spec, cell)
 
 
 # --------------------------------------------------------------------- #
@@ -360,9 +319,8 @@ class SweepRunner:
         The scenario to run.
     ctx:
         Execution context; ``None`` builds a default serial context.  The
-        backend decides both *where* cells run (in-process or sharded over
-        the context's worker pool) and *how* each ``policies`` cell executes
-        (scalar engine vs :func:`repro.batch.sim_kernels.simulate_batch`).
+        backend decides only *where* cells run (in-process or sharded over
+        the context's worker nodes); every backend writes the same records.
 
     Examples
     --------
@@ -384,14 +342,6 @@ class SweepRunner:
 
     def payloads(self) -> list[dict[str, Any]]:
         """One picklable payload per cell for :func:`run_cell`."""
-        # Cluster cells run the vectorized pipeline on their node: one
-        # simulate_batch call per cell, and bitwise agreement with a local
-        # vectorized run of the same cells.
-        backend = (
-            "vectorized"
-            if self.ctx.vectorized or self.ctx.backend == "cluster"
-            else "serial"
-        )
         spec_dict = self.spec.to_dict()
         return [
             {
@@ -402,7 +352,6 @@ class SweepRunner:
                     "params": dict(cell.params),
                     "seed": cell.seed,
                 },
-                "backend": backend,
             }
             for cell in self.cells()
         ]
@@ -419,12 +368,12 @@ class SweepRunner:
     def cell_cache_keys(self, payloads: list[dict[str, Any]] | None = None) -> list[str]:
         """The ``ResultCache`` key of every cell, in payload order.
 
-        The keys are **backend-invariant**: they cover the spec, the cell,
-        and the resolved LP solver — but never *where* the cell ran.  A
-        cache populated by a cluster sweep is served verbatim by a serial or
+        The keys cover the spec and the cell — never the backend, which
+        only decides *where* the cell ran, and never the LP solver, which no
+        cached pipeline uses (``solver-timing`` is not cached).  A cache
+        populated by a cluster sweep is served verbatim by a serial or
         vectorized rerun and vice versa (differential-tested in
-        ``tests/test_cluster.py``); cells computed under one LP solver are
-        never served to another.
+        ``tests/test_cluster.py``).
         """
         from repro.batch.cache import cache_key
 
@@ -432,13 +381,7 @@ class SweepRunner:
             payloads = self.payloads()
         return [
             cache_key(
-                f"scenario:{self.spec.name}",
-                self.ctx.seed,
-                {
-                    "cell": p["cell"],
-                    "spec": p["spec"],
-                    "lp_backend": self.ctx.resolved_lp_backend(),
-                },
+                f"scenario:{self.spec.name}", self.ctx.seed, {"cell": p["cell"], "spec": p["spec"]}
             )
             for p in payloads
         ]

@@ -50,11 +50,30 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_removed_simplex_lp_backend_is_a_usage_error(self, capsys):
+        # --lp-backend itself is gone: --batch alone selects the LP solver.
+        for value in ("simplex", "scipy", "auto"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["run", "E1", "--lp-backend", value])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --lp-backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--backend", "cluster"], "--backend cluster requires --hosts"),
+            (["--workers", "-2"], "workers must be non-negative, got -2"),
+            (["--cell-timeout", "0"], "cell_timeout must be positive, got 0.0"),
+            (["--cluster-retries", "-1"], "cluster_retries must be non-negative, got -1"),
+        ],
+    )
+    def test_bad_execution_flag_is_a_usage_error(self, capsys, flags, message):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["run", "E1", "--lp-backend", "simplex"])
+            main(["run", "E1", *flags])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--lp-backend" in err and "invalid choice" in err and "simplex" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("malleable-repro run: error: ")
+        assert message in captured.err and captured.err.count("\n") == 1
 
 
 class TestContextFromArgs:

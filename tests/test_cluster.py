@@ -115,7 +115,7 @@ def _row_volume(sub):
 
 
 def _explode(item):
-    """Module-level failing job for the retry-exhaustion test."""
+    """Module-level job that raises (pickles by reference into the nodes)."""
     raise ValueError(f"boom {item}")
 
 
@@ -379,23 +379,24 @@ class TestCacheBackendInvariance:
     def test_cache_key_never_mentions_a_backend(self):
         runner = SweepRunner(tiny_spec(), ExecutionContext(seed=3))
         for key in runner.cell_cache_keys():
-            # The execution backend must never join the key ("lp_backend",
-            # the solver dimension, legitimately does).
-            assert '"backend"' not in key
+            # Neither where a cell runs nor the LP solver joins the key: no
+            # cached pipeline solves an LP.
+            assert '"backend"' not in key and '"lp_backend"' not in key
 
     def test_serial_vectorized_and_cluster_share_cell_keys(self):
         spec = tiny_spec()
         keys = [
             SweepRunner(
-                spec, ExecutionContext(seed=3, backend=backend, lp_backend="scipy", hosts=hosts)
+                spec, ExecutionContext(seed=3, backend=backend, workers=workers, hosts=hosts)
             ).cell_cache_keys()
-            for backend, hosts in (
-                ("serial", ()),
-                ("vectorized", ()),
-                ("cluster", ["127.0.0.1:1"]),
+            for backend, workers, hosts in (
+                ("serial", 0, ()),
+                ("vectorized", 0, ()),
+                ("process-pool", 2, ()),
+                ("cluster", 0, ["127.0.0.1:1"]),
             )
         ]
-        assert keys[0] == keys[1] == keys[2]
+        assert keys[0] == keys[1] == keys[2] == keys[3]
 
     def test_cluster_cache_served_verbatim_by_serial_and_vectorized(self):
         """A cache populated by a cluster sweep satisfies serial and
@@ -405,23 +406,14 @@ class TestCacheBackendInvariance:
         with LocalNodes(count=2) as local:
             coordinator = ClusterCoordinator(local.hosts, cell_timeout=60.0)
             with ExecutionContext(
-                seed=3,
-                backend="cluster",
-                coordinator=coordinator,
-                cache=cache,
-                lp_backend="scipy",
+                seed=3, backend="cluster", coordinator=coordinator, cache=cache
             ) as ctx:
                 cluster_result = SweepRunner(spec, ctx).run()
         assert coordinator.stats["completed"] == len(SweepRunner(spec, ExecutionContext(seed=3)).cells())
 
-        # lp_backend is pinned throughout: the *solver* dimension is part of
-        # the key by design (an 'auto' resolves to the lockstep kernel on
-        # vectorized contexts); the *execution backend* must not be.
         for backend in ("serial", "vectorized"):
             hits_before = cache.hits
-            with ExecutionContext(
-                seed=3, backend=backend, cache=cache, lp_backend="scipy"
-            ) as ctx:
+            with ExecutionContext(seed=3, backend=backend, cache=cache) as ctx:
                 replayed = SweepRunner(spec, ctx).run()
             assert cache.hits - hits_before == len(SweepRunner(spec, ctx).cells())
             # Verbatim: identical records, not merely tolerance-close.
@@ -551,6 +543,19 @@ class TestClusterExecution:
                     coordinator.map(_explode, [1])
                 # The worker survives a failing job and keeps serving.
                 assert coordinator.map(str.lower, ["OK"]) == ["ok"]
+
+    def test_function_exception_fails_the_map_without_retries(self):
+        """An exception raised by the mapped function is not a lost worker:
+        the map fails on first sight, with the node's ``Type: message``."""
+        with ExecutionContext(workers=2) as ctx:
+            with pytest.raises(ClusterError, match=r"failed: ValueError: boom [12]$"):
+                ctx.map(_explode, [1, 2])
+            stats = ctx.coordinator.stats
+            assert stats["retries"] == 0 and stats["reassigned"] == 0
+            # Each of the two chunk jobs was sent at most once (the second
+            # may not have left before the first failure ended the map).
+            assert 1 <= stats["dispatched"] <= 2
+            assert ctx.map(abs, [-1, -2]) == [1, 2]  # both nodes still serve
 
     def test_heartbeat_detects_dead_worker(self):
         with LocalNodes(count=2) as local:

@@ -267,27 +267,27 @@ class TestExecutionContext:
     def test_cached_keys_include_the_resolved_lp_backend(self):
         # Regression test: results computed with one LP solver must never be
         # served to a run using another solver from a shared cache — the old
-        # keys ignored the selection entirely.
+        # keys ignored the solver entirely.  The backend selects the solver.
         cache = ResultCache()
         values = iter(["scipy-result", "kernel-result", "unused"])
 
         def compute():
             return next(values)
 
-        scipy_ctx = ExecutionContext(cache=cache, lp_backend="scipy")
+        scipy_ctx = ExecutionContext(cache=cache)
         kernel_ctx = ExecutionContext(cache=cache, backend="vectorized")
+        assert scipy_ctx.resolved_lp_backend() == "scipy"
         assert kernel_ctx.resolved_lp_backend() == "batch"
         assert scipy_ctx.cached("sweep", {"n": 1}, compute) == "scipy-result"
         assert kernel_ctx.cached("sweep", {"n": 1}, compute) == "kernel-result"
-        # Each selection keeps hitting its own entry afterwards.
+        # Each solver keeps hitting its own entry afterwards.
         assert scipy_ctx.cached("sweep", {"n": 1}, compute) == "scipy-result"
         assert kernel_ctx.cached("sweep", {"n": 1}, compute) == "kernel-result"
-        # 'auto' keys on what it resolves to: a serial auto context shares
-        # the scipy entry, and so does a vectorized context pinned to scipy.
-        serial_auto = ExecutionContext(cache=cache)
-        vectorized_scipy = ExecutionContext(cache=cache, backend="vectorized", lp_backend="scipy")
-        assert serial_auto.cached("sweep", {"n": 1}, compute) == "scipy-result"
-        assert vectorized_scipy.cached("sweep", {"n": 1}, compute) == "scipy-result"
+        # The key holds the solver, not the backend: a process-pool context
+        # solves with SciPy too and shares the serial entry (no node is
+        # forked, the entry is already cached).
+        pool_ctx = ExecutionContext(cache=cache, backend="process-pool", workers=2)
+        assert pool_ctx.cached("sweep", {"n": 1}, compute) == "scipy-result"
         # A caller-supplied params entry cannot shadow the context's solver:
         # the bogus 'batch' value is overwritten, so this hits the scipy entry.
         assert (
@@ -295,10 +295,24 @@ class TestExecutionContext:
         )
 
     def test_from_options_lp_backend(self):
-        assert ExecutionContext.from_options().lp_backend == "auto"
-        ctx = ExecutionContext.from_options(lp_backend="scipy", batch=True)
-        assert ctx.lp_backend == "scipy"
-        assert ctx.resolved_lp_backend() == "scipy"
+        # The backend is the only LP-solver selection: --batch picks the
+        # lockstep kernel, and the removed lp_backend knob is no parameter.
+        assert ExecutionContext.from_options().resolved_lp_backend() == "scipy"
+        assert ExecutionContext.from_options(batch=True).resolved_lp_backend() == "batch"
+        with pytest.raises(TypeError, match="lp_backend"):
+            ExecutionContext.from_options(lp_backend="scipy", batch=True)  # type: ignore[call-arg]
+        with pytest.raises(TypeError, match="lp_backend"):
+            ExecutionContext(lp_backend="scipy")  # type: ignore[call-arg]
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("cell_timeout", 0.0), ("cell_timeout", -1.0), ("cluster_retries", -3)],
+    )
+    def test_invalid_cluster_knobs_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExecutionContext(backend="cluster", hosts="127.0.0.1:1", **{field: value})
+        with pytest.raises(ValueError, match=field):
+            ExecutionContext.from_options(workers=2, **{field: value})
 
     @pytest.mark.parametrize("content", [b'{"a": [1, 2', b"[1, 2]"], ids=["truncated", "not-an-object"])
     def test_unloadable_cache_file_raises_and_is_left_intact(self, tmp_path, content):

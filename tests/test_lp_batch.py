@@ -515,10 +515,8 @@ class TestContextDispatch:
     def test_resolved_lp_backend(self):
         assert ExecutionContext().resolved_lp_backend() == "scipy"
         assert ExecutionContext(backend="vectorized").resolved_lp_backend() == "batch"
-        assert (
-            ExecutionContext(backend="vectorized", lp_backend="scipy").resolved_lp_backend()
-            == "scipy"
-        )
-        for removed_or_unknown in ("simplex", "bogus"):
-            with pytest.raises(ValueError, match="unknown LP backend"):
-                ExecutionContext(lp_backend=removed_or_unknown)
+        assert ExecutionContext(backend="process-pool", workers=2).resolved_lp_backend() == "scipy"
+        # The backend is the only selection: there is no lp_backend knob.
+        for removed in ("simplex", "scipy", "auto"):
+            with pytest.raises(TypeError, match="lp_backend"):
+                ExecutionContext(lp_backend=removed)  # type: ignore[call-arg]

@@ -4,8 +4,8 @@ Covers the full round trip the acceptance criteria name: TOML →
 :class:`ScenarioSpec` → grid expansion → cell execution → results store →
 report table, the Hypothesis property that grid expansion is lossless and
 deterministic, and the backend-independence contract — the committed TOML
-specs produce tolerance-identical summary tables on the serial and
-vectorized backends.
+specs write identical records on every backend, and those records match a
+per-instance recomputation with the scalar engine.
 """
 
 from __future__ import annotations
@@ -232,21 +232,43 @@ class TestFamilies:
             build_cell_workload("no_such_generator", {}, 2, {}, {}, seed=0)
 
 
-def _table_close(a, b, rtol=1e-9, atol=1e-9):
-    """Tolerance comparison of two summary tables (numeric cells as floats)."""
-    headers_a, rows_a = a
-    headers_b, rows_b = b
-    assert headers_a == headers_b
-    assert len(rows_a) == len(rows_b)
-    for row_a, row_b in zip(rows_a, rows_b):
-        assert len(row_a) == len(row_b)
-        for cell_a, cell_b in zip(row_a, row_b):
-            try:
-                fa, fb = float(cell_a), float(cell_b)
-            except (TypeError, ValueError):
-                assert cell_a == cell_b
-                continue
-            assert math.isclose(fa, fb, rel_tol=rtol, abs_tol=atol), (cell_a, cell_b)
+def _scalar_engine_records(spec: ScenarioSpec, seed: int) -> dict:
+    """``(cell, label) -> (count, metrics)`` of a ``policies`` spec, recomputed
+    instance by instance with the scalar engine — the reference the batched
+    cell pipeline is checked against."""
+    from repro.core.bounds import combined_lower_bound
+    from repro.simulation.engine import simulate
+    from repro.simulation.nonclairvoyant import default_policies
+
+    expected = {}
+    for cell in expand_grid(spec, base_seed=seed):
+        gen_kwargs, count, arrival, weight = split_cell_params(spec, cell)
+        instances, releases = build_cell_workload(
+            spec.generator, gen_kwargs, count, arrival, weight, cell.seed
+        )
+        values: dict[str, list[tuple[float, float, float]]] = {}
+        for b, inst in enumerate(instances):
+            bound = combined_lower_bound(inst)
+            row_releases = releases[b, : inst.n] if releases is not None else None
+            for policy in default_policies(inst):
+                if spec.policies and policy.name not in spec.policies:
+                    continue
+                result = simulate(inst, policy, release_times=row_releases)
+                objective = result.weighted_completion_time()
+                ratio = objective / bound if bound > 0 else 1.0
+                values.setdefault(policy.name, []).append((ratio, objective, result.makespan()))
+        for name, triples in values.items():
+            ratios, objectives, makespans = (np.array(column) for column in zip(*triples))
+            expected[(cell.index, name)] = (
+                len(instances),
+                {
+                    "mean_ratio": float(ratios.mean()),
+                    "max_ratio": float(ratios.max()),
+                    "mean_objective": float(objectives.mean()),
+                    "mean_makespan": float(makespans.mean()),
+                },
+            )
+    return expected
 
 
 class TestBackendIndependence:
@@ -255,24 +277,36 @@ class TestBackendIndependence:
         ["poisson_bursts.toml", "trace_replay.toml", "heavy_tailed.toml", "trace_stream.toml"],
     )
     def test_committed_spec_identical_on_serial_and_vectorized(self, toml_name):
-        """The acceptance bar: every committed TOML spec, full grid, end to
-        end on both backends, with tolerance-compared summary tables."""
+        """The acceptance bar: every committed TOML spec, full grid, writes
+        identical records on the serial and vectorized backends, and every
+        record matches a per-instance scalar-engine recomputation."""
         spec = ScenarioSpec.from_toml(SCENARIO_DIR / toml_name)
         with ExecutionContext(seed=3) as ctx:
             serial = SweepRunner(spec, ctx).run()
         with ExecutionContext(seed=3, backend="vectorized") as ctx:
             vectorized = SweepRunner(spec, ctx).run()
-        _table_close(
-            (serial.headers, serial.rows), (vectorized.headers, vectorized.rows), rtol=1e-6
-        )
+        assert vectorized.records == serial.records
+        expected = _scalar_engine_records(spec, seed=3)
+        assert sorted((r["cell"], r["label"]) for r in serial.records) == sorted(expected)
+        for record in serial.records:
+            count, metrics = expected[(record["cell"], record["label"])]
+            assert record["count"] == count
+            assert record["metrics"].keys() == metrics.keys()
+            for name, value in metrics.items():
+                assert math.isclose(
+                    record["metrics"][name], value, rel_tol=1e-6, abs_tol=1e-9
+                ), (record["cell"], record["label"], name)
 
     def test_process_pool_matches_serial(self):
+        """Where cells run never changes what they compute: serial,
+        vectorized and 2-worker sweeps write equal records, not merely
+        tolerance-close ones."""
         spec = tiny_spec()
         with ExecutionContext(seed=5) as ctx:
             serial = SweepRunner(spec, ctx).run()
-        with ExecutionContext(seed=5, workers=2) as ctx:
-            pooled = SweepRunner(spec, ctx).run()
-        assert [r["metrics"] for r in serial.records] == [r["metrics"] for r in pooled.records]
+        for options in ({"workers": 2}, {"backend": "vectorized"}):
+            with ExecutionContext(seed=5, **options) as ctx:
+                assert SweepRunner(spec, ctx).run().records == serial.records
 
     def test_cached_rerun_reuses_results(self):
         from repro.batch.cache import ResultCache
