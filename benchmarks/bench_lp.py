@@ -93,9 +93,7 @@ def run_lp_benchmark(
     # The batched timing includes packing, ordering and tensor assembly: the
     # real cost a caller starting from Instance objects pays.
     batch_seconds = best_of(
-        lambda: solve_ordered_relaxation_batch(
-            InstanceBatch.from_instances(instances), backend="batch"
-        ),
+        lambda: solve_ordered_relaxation_batch(InstanceBatch.from_instances(instances)),
         repeats,
     )
     batch = InstanceBatch.from_instances(instances)

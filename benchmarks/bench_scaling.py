@@ -2,7 +2,7 @@
 
 This is the pytest-benchmark counterpart of ``repro.experiments.exp_scaling``:
 it times the polynomial solvers (WDEQ, Water-Filling, greedy, makespan,
-max-lateness), the fixed-ordering LP with both backends, and the vectorized
+max-lateness), the fixed-ordering LP with both solvers, and the vectorized
 batch kernels, so their scaling can be compared across runs.
 
 Script mode (used by the CI benchmark-smoke job)::
@@ -25,7 +25,8 @@ from repro.algorithms.water_filling import water_filling_schedule
 from repro.algorithms.wdeq import wdeq_schedule
 from repro.batch.kernels import PaddedBatch, water_filling_batch, wdeq_batch
 from repro.core.batch import InstanceBatch
-from repro.lp.batch import solve_ordered_relaxation_batch
+from repro.lp.batch import build_ordered_lp_batch
+from repro.lp.simplex import solve_linear_program_batch
 from repro.lp.interface import solve_ordered_relaxation
 from repro.experiments import run_experiment
 from repro.workloads.generators import cluster_instances
@@ -80,13 +81,13 @@ def test_ordered_lp_highs_n20(benchmark, cluster_instance_n200):
 
 @pytest.mark.benchmark(group="lp-backends")
 def test_ordered_lp_simplex_n10(benchmark, cluster_instance_n200):
-    # The in-repo simplex is the lockstep kernel, timed on a batch of one.
+    # The lockstep kernel itself on a batch of one (the batched entry point
+    # hands n > 8 to HiGHS).
     inst = _prefix_instance(cluster_instance_n200, 10)
-    single = InstanceBatch.from_instances([inst])
+    lp = build_ordered_lp_batch(InstanceBatch.from_instances([inst]), [inst.smith_order()])
     benchmark.pedantic(
-        solve_ordered_relaxation_batch,
-        args=(single, [inst.smith_order()]),
-        kwargs={"backend": "batch"},
+        solve_linear_program_batch,
+        args=(lp.c, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq),
         iterations=1,
         rounds=3,
     )

@@ -1,10 +1,10 @@
 """Scenario sweep walkthrough: bursty Poisson arrivals, programmatically.
 
-The CLI equivalent is ``malleable-repro sweep scenarios/poisson_bursts.toml
---batch``; this script builds the same kind of sweep in code to show the
-four moving parts — spec, grid expansion, runner, results store — and then
-verifies the backend-independence claim by re-running the sweep on the
-serial backend and comparing every metric.
+The CLI equivalent is ``malleable-repro sweep scenarios/poisson_bursts.toml``;
+this script builds the same kind of sweep in code to show the four moving
+parts — spec, grid expansion, runner, results store — and then verifies the
+backend-independence claim by re-running the sweep on two local worker
+processes and comparing every record.
 
 Run with ``PYTHONPATH=src python examples/sweep_poisson_arrivals.py``.
 """
@@ -34,22 +34,17 @@ spec = ScenarioSpec(
 for cell in spec.expand(base_seed=7):
     print(f"cell {cell.index}: {cell.label()} (seed {cell.seed})")
 
-# Run vectorized: each cell is one simulate_batch call per policy.
+# Run serially: each cell is one simulate_batch call per policy.
 with tempfile.TemporaryDirectory() as tmp:
     store = ResultsStore(tmp)
-    with ExecutionContext(seed=7, backend="vectorized") as ctx:
-        vectorized = SweepRunner(spec, ctx).run(store=store)
+    with ExecutionContext(seed=7) as ctx:
+        serial = SweepRunner(spec, ctx).run(store=store)
     print()
-    print(vectorized.to_text())
+    print(serial.to_text())
     print(f"\npersisted {len(store.load())} records to {store.records_path}")
 
-# The serial backend replays the identical workload through the scalar
-# event engine — the summary metrics agree up to floating-point noise.
-with ExecutionContext(seed=7) as ctx:
-    serial = SweepRunner(spec, ctx).run()
-worst = max(
-    abs(a["metrics"][k] - b["metrics"][k])
-    for a, b in zip(serial.records, vectorized.records)
-    for k in a["metrics"]
-)
-print(f"\nserial vs vectorized: max metric disagreement {worst:.2e}")
+# Two worker processes run the same cell pipeline on the same seeded
+# workload, so the records are identical, not merely close.
+with ExecutionContext(seed=7, workers=2) as ctx:
+    pooled = SweepRunner(spec, ctx).run()
+print(f"\nserial == 2 workers: {serial.records == pooled.records}")

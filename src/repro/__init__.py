@@ -26,12 +26,11 @@ Public API highlights
     Random instance generators matching the paper's experiments.
 ``repro.exec``
     The :class:`~repro.exec.ExecutionContext` — seed, scale and a pluggable
-    execution backend (serial / vectorized / process-pool) for every
+    execution backend (serial / process-pool / cluster) for every
     experiment.
 ``repro.batch``
-    The vectorized substrate behind the ``vectorized`` backend: padded-batch
-    kernels, the batched discrete-event simulation engine, worker-pool
-    sharding and result caching.
+    The vectorized substrate every backend runs: padded-batch kernels, the
+    batched discrete-event simulation engine and result caching.
 ``repro.experiments``
     One module per table / figure / experiment of the paper.
 ``repro.api``

@@ -21,9 +21,9 @@ scale that per-instance Python overhead dominates.  This package provides
 
 The batch substrate operates on :class:`~repro.core.batch.InstanceBatch`
 (struct-of-arrays, exported here under its historical name ``PaddedBatch``)
-and is selected by the experiments through
-:class:`repro.exec.ExecutionContext` — ``--batch`` / ``--workers`` on the
-CLI; the context, not this package, owns the worker nodes.
+and runs on every :class:`repro.exec.ExecutionContext` backend; the
+context, not this package, owns the worker nodes (``--workers`` on the
+CLI).
 """
 
 from repro.batch.cache import ResultCache, cache_key

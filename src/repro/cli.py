@@ -18,21 +18,21 @@ Run everything and regenerate the Markdown report::
 
     malleable-repro all --output EXPERIMENTS.md
 
-Run everything on the vectorized backend, sharding the remaining scalar
-work over 8 worker processes, with results cached across invocations::
+Run everything sharded over 8 worker processes, with results cached across
+invocations::
 
-    malleable-repro all --batch --workers 8 --cache-dir .repro-cache
+    malleable-repro all --workers 8 --cache-dir .repro-cache
 
 Run a declarative scenario sweep (a committed TOML spec or a registry
 name), preview its grid, and persist the results store::
 
     malleable-repro sweep scenarios/poisson_bursts.toml --dry-run
-    malleable-repro sweep bursty-poisson --batch --output-dir results/
+    malleable-repro sweep bursty-poisson --output-dir results/
     malleable-repro sweep --list
 
 Find the hot paths of an experiment or sweep before optimising it::
 
-    malleable-repro profile E7 --batch --top 30
+    malleable-repro profile E7 --top 30
     malleable-repro profile e7-solver-scaling --sort tottime
 
 Serve the online scheduler (newline-delimited JSON over TCP, with
@@ -67,7 +67,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from repro.exec import BACKENDS, ExecutionContext
 from repro.experiments.registry import EXPERIMENTS, get_experiment
@@ -439,14 +439,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="use the paper's instance counts (much slower)",
     )
     parser.add_argument(
-        "--batch",
-        action="store_true",
-        help=(
-            "vectorized backend: solve the Corollary 1 LPs with the lockstep "
-            "kernel instead of one SciPy/HiGHS solve per instance"
-        ),
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=0,
@@ -468,7 +460,7 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         default="auto",
         choices=("auto",) + BACKENDS,
         help=(
-            "execution backend; 'auto' (default) infers it from --batch/--workers, "
+            "execution backend; 'auto' (default) infers it from --workers, "
             "'cluster' shards cells over the worker nodes named by --hosts "
             "(launch them with `malleable-repro workers`)"
         ),
@@ -505,7 +497,6 @@ def context_from_args(args: argparse.Namespace) -> ExecutionContext:
         return ExecutionContext.from_options(
             seed=args.seed,
             paper_scale=args.paper_scale,
-            batch=args.batch,
             workers=args.workers,
             cache_dir=args.cache_dir,
             backend=getattr(args, "backend", "auto"),
@@ -514,17 +505,29 @@ def context_from_args(args: argparse.Namespace) -> ExecutionContext:
             cluster_retries=getattr(args, "cluster_retries", 2),
         )
     except ValueError as exc:
-        print(f"malleable-repro {args.command}: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(args, str(exc))
 
 
-def _resolve_spec(reference: str):
-    """A scenario spec from a TOML path or a registry name."""
+def _usage_error(args: argparse.Namespace, message: str) -> NoReturn:
+    """Report a usage error as argparse does: one stderr line, exit status 2."""
+    print(f"malleable-repro {args.command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _resolve_spec(args: argparse.Namespace, reference: str):
+    """A scenario spec from a TOML path or a registry name (a usage error if neither)."""
     from repro.scenarios import ScenarioSpec, get_scenario
 
-    if reference.endswith(".toml") or os.sep in reference or os.path.isfile(reference):
-        return ScenarioSpec.from_toml(reference)
-    return get_scenario(reference)
+    try:
+        if reference.endswith(".toml") or os.sep in reference or os.path.isfile(reference):
+            return ScenarioSpec.from_toml(reference)
+        return get_scenario(reference)
+    except OSError as exc:
+        _usage_error(args, f"cannot read spec {reference!r}: {exc.strerror or exc}")
+    except KeyError as exc:
+        _usage_error(args, exc.args[0])
+    except ValueError as exc:  # malformed TOML, or a spec that fails validation
+        _usage_error(args, f"invalid spec {reference!r}: {exc}")
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -538,23 +541,24 @@ def _run_sweep(args: argparse.Namespace) -> int:
         print(format_table(["name", "pipeline", "description"], sorted(rows)))
         return 0
     if args.spec is None:
-        raise SystemExit("sweep: a spec (TOML path or scenario name) is required unless --list")
+        _usage_error(args, "a spec (TOML path or scenario name) is required unless --list")
 
-    spec = _resolve_spec(args.spec)
+    spec = _resolve_spec(args, args.spec)
     trace = getattr(args, "trace", None)
     stream_chunk = getattr(args, "stream_chunk", None)
     if trace is not None or stream_chunk is not None:
         if spec.generator != "trace_replay":
-            raise SystemExit(
-                f"sweep: --trace/--stream-chunk apply only to trace_replay specs; "
-                f"{spec.name!r} uses generator {spec.generator!r}"
+            _usage_error(
+                args,
+                f"--trace/--stream-chunk apply only to trace_replay specs; "
+                f"{spec.name!r} uses generator {spec.generator!r}",
             )
         overrides: dict = {}
         if trace is not None:
             overrides["trace"] = os.path.abspath(trace)
         if stream_chunk is not None:
             if stream_chunk < 0:
-                raise SystemExit(f"sweep: --stream-chunk must be >= 0, got {stream_chunk}")
+                _usage_error(args, f"--stream-chunk must be >= 0, got {stream_chunk}")
             # 0 drops back to the in-memory path (chunk_size must be a
             # positive int or absent per ScenarioSpec.validate).
             overrides["chunk_size"] = stream_chunk if stream_chunk > 0 else None
@@ -569,7 +573,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     count = getattr(args, "count", None)
     if count is not None:
         if count <= 0:
-            raise SystemExit(f"sweep: --count must be positive, got {count}")
+            _usage_error(args, f"--count must be positive, got {count}")
         spec = spec.with_overrides(count=count)
     with context_from_args(args) as ctx:
         runner = SweepRunner(spec, ctx)
@@ -591,7 +595,7 @@ def _run_profile(args: argparse.Namespace) -> int:
     """The ``profile`` subcommand: cProfile one experiment or sweep.
 
     Future performance work starts here instead of with ad-hoc scripts:
-    ``malleable-repro profile E7 --batch`` runs the target under
+    ``malleable-repro profile E7`` runs the target under
     :mod:`cProfile` with the same execution flags as ``run`` / ``sweep``
     and prints the top-N cumulative table (plus an optional raw stats dump
     for flame-graph viewers).
@@ -612,7 +616,7 @@ def _run_profile(args: argparse.Namespace) -> int:
         else:
             from repro.scenarios import SweepRunner
 
-            runner = SweepRunner(_resolve_spec(target), ctx)
+            runner = SweepRunner(_resolve_spec(args, target), ctx)
             profiler.enable()
             runner.run()
             profiler.disable()
@@ -749,7 +753,7 @@ def _run_loadgen(args: argparse.Namespace) -> int:
 
     chaos = args.chaos_kill_after > 0
     if chaos and not args.spawn_server:
-        raise SystemExit("loadgen: --chaos-kill-after requires --spawn-server")
+        _usage_error(args, "--chaos-kill-after requires --spawn-server")
     holder: dict = {"process": None, "killed": False, "restarted": False}
 
     async def _run():

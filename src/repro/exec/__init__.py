@@ -1,7 +1,7 @@
 """Pluggable execution backends for the experiment harness.
 
 This package owns the *how* of running an experiment — seeding, scale,
-LP solver, worker nodes, shared-memory transport, result caching — so
+worker nodes, shared-memory transport, result caching — so
 the experiment modules only describe the *what*.  The central public type is
 :class:`~repro.exec.context.ExecutionContext`; every experiment ``run``
 function accepts one (``ctx=None`` meaning "default serial context") and
@@ -18,7 +18,7 @@ Typical usage::
     from repro.exec import ExecutionContext
     from repro.experiments import run_experiment
 
-    with ExecutionContext(seed=7, backend="vectorized", workers=4) as ctx:
+    with ExecutionContext(seed=7, workers=4) as ctx:
         result = run_experiment("E5", ctx=ctx)
 """
 

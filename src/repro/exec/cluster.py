@@ -3,7 +3,7 @@
 A :class:`ClusterCoordinator` shards jobs over :class:`WorkerNode`
 processes — remote ones reached by TCP (the ``cluster`` backend,
 ``hosts=...``), or ``local_nodes`` it forks itself on a socket pair each
-(``process-pool``, and ``vectorized`` with ``workers > 1``).  Stdlib only:
+(``process-pool``).  Stdlib only:
 ``socket`` + ``threading`` + ``multiprocessing`` + the NDJSON framing of
 :meth:`repro.api.MessageRegistry.encode_line`.
 

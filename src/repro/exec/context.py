@@ -1,24 +1,14 @@
 """The :class:`ExecutionContext`: one object that says *how* experiments run.
 
-Before this module existed, execution options reached the experiments as a
-sprawl of per-experiment keyword arguments (``seed``, ``paper_scale``,
-``runner``, ``use_batch``, ``cache``) that the registry filtered by signature
-inspection.  The context bundles them into a single explicit value that every
-experiment accepts, so "which backend runs this" is a first-class, pluggable
-concept instead of a kwargs-routing convention.
-
-A backend says *where* work runs; the one thing it chooses about *what*
-computes is the LP solver (``vectorized`` selects the lockstep kernel), so a
-sweep writes the same records on every backend.  Four backends are
-supported:
+Every experiment and sweep takes one context, which bundles the seed, the
+scale, the execution backend, the worker nodes and the result cache.  A
+backend says *where* work runs, never *what* computes it: the LP solver is
+picked by the problem size (:func:`repro.lp.exact.solve_ordered_lps`), so an
+experiment prints the same table and a sweep writes the same records on every
+backend.  Three backends are supported:
 
 ``serial``
     The in-process loop.  Default, zero dependencies.
-``vectorized``
-    The lockstep LP kernel: the Corollary 1 LPs of a batch are solved by
-    :mod:`repro.lp.batch` in lockstep instead of one SciPy/HiGHS solve per
-    instance (:meth:`ExecutionContext.resolved_lp_backend`).  Everything
-    else runs in-process, or on local worker nodes when ``workers > 1``.
 ``process-pool``
     Per-instance work is sharded over ``workers`` local worker nodes that
     the context forks on first use and joins in :meth:`close`; batch maps
@@ -28,18 +18,9 @@ supported:
     :class:`~repro.exec.cluster.WorkerNode` processes reached over TCP —
     localhost ports or remote hosts (``hosts=...`` names them).
 
-Both run through one engine, a :class:`~repro.exec.cluster.ClusterCoordinator`
-over local or remote nodes, with one failure model (:mod:`repro.exec.cluster`).
-
-A context with ``backend="vectorized"`` and ``workers > 1`` combines both
-levers: the lockstep LP kernel, and local nodes for per-instance work —
-this is what ``malleable-repro all --batch --workers N`` builds.
-
-:meth:`ExecutionContext.ordered_relaxation` solves the Corollary 1 LPs of a
-whole batch with the solver the backend selects — the lockstep kernel of
-:mod:`repro.lp.batch` on a ``vectorized`` context, per-instance SciPy solves
-sharded over the local nodes on ``process-pool``, a serial SciPy loop
-otherwise.
+Both off-process backends run through one engine, a
+:class:`~repro.exec.cluster.ClusterCoordinator` over local or remote nodes,
+with one failure model (:mod:`repro.exec.cluster`).
 """
 
 from __future__ import annotations
@@ -56,7 +37,7 @@ from repro.batch.cache import ResultCache, cache_key
 __all__ = ["BACKENDS", "CHUNKS_PER_WORKER", "ExecutionContext", "chunk_ranges"]
 
 #: The recognised execution backends.
-BACKENDS = ("serial", "vectorized", "process-pool", "cluster")
+BACKENDS = ("serial", "process-pool", "cluster")
 
 #: File name used for the persistent result cache inside ``--cache-dir``.
 CACHE_FILE_NAME = "results-cache.json"
@@ -94,11 +75,13 @@ class ExecutionContext:
     paper_scale:
         When true, experiments use the paper's (much larger) instance counts.
     backend:
-        One of :data:`BACKENDS`; see the module docstring.
+        One of :data:`BACKENDS`; see the module docstring.  The deprecated
+        ``"vectorized"`` is still accepted and becomes ``serial`` (or
+        ``process-pool`` with ``workers > 1``); it will be removed together
+        with ``shm``.
     workers:
-        Local worker nodes for the ``process-pool`` backend (and for the
-        per-instance work of the ``vectorized`` backend).  ``0``/``1`` means
-        none (``process-pool`` then uses one per CPU); ``workers > 1`` on
+        Local worker nodes for the ``process-pool`` backend.  ``0``/``1``
+        means none (``process-pool`` then uses one per CPU); ``workers > 1`` on
         the default ``serial`` backend promotes the context to
         ``process-pool`` — a context that reports ``serial`` never shards.
         The nodes are forked on first use and drained and joined by
@@ -134,9 +117,9 @@ class ExecutionContext:
     Examples
     --------
     >>> from repro.exec import ExecutionContext
-    >>> ctx = ExecutionContext(seed=7, backend="vectorized")
-    >>> ctx.vectorized
-    True
+    >>> ctx = ExecutionContext(seed=7)
+    >>> ctx.backend
+    'serial'
     >>> ctx.map(lambda x: x * 2, [1, 2, 3])
     [2, 4, 6]
     """
@@ -158,6 +141,8 @@ class ExecutionContext:
     _local_nodes: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self, shm: bool) -> None:
+        if self.backend == "vectorized":
+            self.backend = "serial"  # deprecated alias; workers > 1 promote it below
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown execution backend {self.backend!r}; expected one of {BACKENDS}"
@@ -191,7 +176,6 @@ class ExecutionContext:
         cls,
         seed: int = 0,
         paper_scale: bool = False,
-        batch: bool = False,
         workers: int = 0,
         cache_dir: str | os.PathLike | None = None,
         backend: str = "auto",
@@ -201,11 +185,9 @@ class ExecutionContext:
     ) -> "ExecutionContext":
         """Build a context from CLI-style flags.
 
-        ``--backend`` picks the backend directly; the default ``auto`` keeps
-        the historical flag inference: ``--batch`` selects the
-        ``vectorized`` backend, ``--workers N`` (for ``N > 1``) the
-        ``process-pool`` backend, and both together a vectorized context
-        with local worker nodes for the scalar remainder.  ``--backend cluster``
+        ``--backend`` picks the backend directly; the default ``auto`` infers
+        it from ``--workers N``: ``process-pool`` for ``N > 1``, ``serial``
+        otherwise.  ``--backend cluster``
         additionally requires ``--hosts host:port,host:port`` naming the
         worker nodes (launch them with ``malleable-repro workers``).
         ``--cache-dir`` attaches a :class:`ResultCache` persisted to
@@ -218,8 +200,6 @@ class ExecutionContext:
                     f"unknown execution backend {backend!r}; expected one of {BACKENDS}"
                 )
             chosen = backend
-        elif batch:
-            chosen = "vectorized"
         elif workers > 1:
             chosen = "process-pool"
         else:
@@ -245,11 +225,6 @@ class ExecutionContext:
     # Derived views
     # ------------------------------------------------------------------ #
 
-    @property
-    def vectorized(self) -> bool:
-        """True when the LP layer should use the lockstep kernel."""
-        return self.backend == "vectorized"
-
     def rng(self, salt: int = 0) -> np.random.Generator:
         """A fresh generator seeded from ``seed + salt``.
 
@@ -264,43 +239,6 @@ class ExecutionContext:
         if self.paper_scale and paper is not None:
             return paper
         return quick
-
-    def resolved_lp_backend(self) -> str:
-        """The concrete LP solver this context selects.
-
-        ``"batch"`` (the lockstep kernel of :mod:`repro.lp.batch`) on a
-        ``vectorized`` context, ``"scipy"`` (HiGHS) otherwise.  HiGHS still
-        benefits from worker nodes: the batched LP entry point shards its
-        solves over :meth:`map_batch`, which ships the rows to local nodes
-        through :mod:`repro.exec.shm`.
-        """
-        return "batch" if self.vectorized else "scipy"
-
-    def ordered_relaxation(
-        self,
-        batch,
-        orders=None,
-        build_schedules: bool = False,
-    ):
-        """Solve the Corollary 1 LP for every row of an ``InstanceBatch``.
-
-        The execution-layer entry point to the LP subsystem: resolves the
-        context's LP solver (:meth:`resolved_lp_backend`) and forwards to
-        :func:`repro.lp.batch.solve_ordered_relaxation_batch` — the lockstep
-        kernel on a ``vectorized`` context, scalar solves sharded over the
-        local nodes on a ``process-pool`` context, a plain serial loop
-        otherwise.  Returns a
-        :class:`~repro.lp.batch.BatchedOrderedSolution`.
-        """
-        from repro.lp.batch import solve_ordered_relaxation_batch
-
-        return solve_ordered_relaxation_batch(
-            batch,
-            orders=orders,
-            backend=self.resolved_lp_backend(),  # type: ignore[arg-type]
-            ctx=self,
-            build_schedules=build_schedules,
-        )
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -432,23 +370,16 @@ class ExecutionContext:
     def cached(
         self, name: str, params: Mapping[str, Any], compute: Callable[[], Any]
     ) -> Any:
-        """Memoize ``compute()`` under ``(name, seed, LP solver, params)``.
+        """Memoize ``compute()`` under ``(name, seed, params)``.
 
         Without a cache this simply calls ``compute()``.  ``params`` must be
-        JSON-canonicalisable (see :func:`repro.batch.cache.cache_key`); the
-        context adds its own seed and resolved LP solver to the key —
-        results computed by one solver must never be served to a run using
-        another from a shared ``--cache-dir``.  The context's values are
-        merged last so caller-supplied ``params`` entries cannot shadow them
-        (regression-tested in ``tests/test_exec.py``).
+        JSON-canonicalisable (see :func:`repro.batch.cache.cache_key`).  The
+        key never mentions the backend: every backend computes the same
+        values, so serial, pooled and cluster runs share one ``--cache-dir``.
         """
         if self.cache is None:
             return compute()
-        key_params = {
-            **dict(params),
-            "lp_backend": self.resolved_lp_backend(),
-        }
-        return self.cache.get_or_compute(cache_key(name, self.seed, key_params), compute)
+        return self.cache.get_or_compute(cache_key(name, self.seed, params), compute)
 
     def close(self) -> None:
         """Release resources: close an owned coordinator, save a backed cache.

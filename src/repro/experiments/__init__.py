@@ -12,8 +12,8 @@ on a laptop; run with a paper-scale :class:`repro.exec.ExecutionContext`
 (``ExecutionContext(paper_scale=True)``, or the ``--paper-scale`` CLI flag)
 to use the instance counts reported in the paper (e.g. 10,000 random
 instances per size for Conjecture 12).  The context also selects the
-execution backend — ``serial``, ``vectorized`` (padded-batch NumPy kernels)
-or ``process-pool`` — for every experiment uniformly.
+execution backend — ``serial``, ``process-pool`` or ``cluster`` — for every
+experiment uniformly.
 """
 
 from repro.experiments.base import ExperimentResult

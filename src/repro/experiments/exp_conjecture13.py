@@ -15,11 +15,10 @@ symmetry for the *optimal-for-order* values: the Corollary 1 LP of
 :mod:`repro.lp` gives the exact optimum among schedules respecting a fixed
 completion ordering, and on the homogeneous family the LP value of an order
 should equal the LP value of its reversal just like the greedy value does.
-These LPs are solved through :meth:`repro.exec.ExecutionContext.ordered_relaxation`,
-so a ``vectorized`` context batches every (instance, order, reversal)
-triple into one lockstep solve while the other backends dispatch the scalar
-solver — the reported numbers agree across backends up to floating-point
-noise (pinned by the golden-file suite).
+Every (instance, order, reversal) triple goes into one
+:func:`repro.lp.batch.solve_ordered_relaxation_batch` call, whose problem
+size picks the solver, so the reported numbers are the same on every
+backend (pinned by the golden-file suite).
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from repro.analysis.conjectures import check_conjecture13
 from repro.core.batch import InstanceBatch
 from repro.exec import ExecutionContext
 from repro.experiments.base import ExperimentResult
+from repro.lp.batch import optimal, solve_ordered_relaxation_batch
 from repro.workloads.generators import homogeneous_halfdelta_deltas
 
 __all__ = ["run"]
@@ -63,7 +63,7 @@ def _lp_reversal_asymmetry(
             order_rng = np.random.default_rng(ctx.seed + 1000 + n)
             orders = [tuple(order_rng.permutation(n)) for _ in range(max_orders)]
         # One padded batch holding every (instance, order) pair and its
-        # reversal; one ordered_relaxation call solves them all.
+        # reversal; one batched solve prices them all.
         pair_instances = [inst for inst in instances for _ in orders for _ in (0, 1)]
         pair_orders = [
             list(o) if direction == 0 else list(o)[::-1]
@@ -72,7 +72,7 @@ def _lp_reversal_asymmetry(
             for direction in (0, 1)
         ]
         batch = InstanceBatch.from_instances(pair_instances)
-        solution = ctx.ordered_relaxation(batch, pair_orders)
+        solution = solve_ordered_relaxation_batch(batch, pair_orders, ctx=ctx)
         values = solution.objectives.reshape(len(instances), len(orders), 2)
         asym = np.abs(values[:, :, 0] - values[:, :, 1]) / np.maximum(1.0, np.abs(values[:, :, 0]))
         symmetric = asym <= LP_SYMMETRY_RTOL
@@ -96,11 +96,10 @@ def _exact_engine_cross_check(
 ) -> tuple[list[list[object]], bool]:
     """Rows comparing the branch-and-bound exact OPT against enumeration.
 
-    Both paths go through :func:`repro.lp.optimal` on the context's LP
-    backend — the subset-memoized branch-and-bound of :mod:`repro.lp.exact`
-    and the exhaustive ordering enumeration must agree on every instance.
+    Both paths go through :func:`repro.lp.optimal` — the branch-and-bound
+    of :mod:`repro.lp.exact` and the exhaustive ordering enumeration must
+    agree on every instance.
     """
-    from repro.lp.batch import optimal
 
     rows: list[list[object]] = []
     all_match = True
@@ -110,9 +109,8 @@ def _exact_engine_cross_check(
             for deltas in homogeneous_halfdelta_deltas(n, count, rng=ctx.rng(70 + n))
         ]
         batch = InstanceBatch.from_instances(instances)
-        backend = ctx.resolved_lp_backend()
-        engine = optimal(batch, backend=backend, ctx=ctx)  # type: ignore[arg-type]
-        reference = optimal(batch, method="enumerate", backend=backend, ctx=ctx)  # type: ignore[arg-type]
+        engine = optimal(batch, ctx=ctx)
+        reference = optimal(batch, method="enumerate", ctx=ctx)
         gap = np.abs(engine.objectives - reference.objectives) / np.maximum(1.0, reference.objectives)
         matches = int(np.sum(gap <= LP_SYMMETRY_RTOL))
         all_match = all_match and matches == len(instances)
@@ -148,8 +146,7 @@ def run(
 
     The greedy-value check follows the paper; the ``lp_*`` parameters
     control the additional LP-value symmetry check (the optimal-for-order
-    values of Corollary 1, solved through the context's LP backend — pass
-    ``lp_sizes=()`` to skip it).  A paper-scale context increases the number
+    values of Corollary 1 — pass ``lp_sizes=()`` to skip it).  A paper-scale context increases the number
     of instances per size and the number of orders sampled per instance.
     """
     ctx = ctx if ctx is not None else ExecutionContext()
@@ -186,8 +183,8 @@ def run(
         summary["LP values reversal-symmetric"] = lp_holds
         notes.append(
             "The '(LP values)' rows check the symmetry for the exact optimal-for-order values "
-            "of the Corollary 1 LP (solved through the context's LP backend: the batched "
-            "lockstep kernel on --batch, SciPy otherwise), not just the greedy recurrence."
+            "of the Corollary 1 LP (the lockstep kernel up to 8 tasks, HiGHS above), not "
+            "just the greedy recurrence."
         )
         engine_rows, engine_match = _exact_engine_cross_check(ctx, lp_sizes, lp_count)
         rows.extend(engine_rows)

@@ -12,10 +12,8 @@ This experiment verifies those statements on random instances by exhaustive
 enumeration of the greedy values; the per-instance enumerations run through
 ``ctx.map`` of the :class:`repro.exec.ExecutionContext`.  The greedy
 recurrence is additionally cross-checked against the exact Corollary 1
-optimum — every completion ordering's LP, minimised — through the context's
-LP backend: a ``vectorized`` context enumerates the orderings in lockstep
-batches (:func:`repro.lp.optimal`), the other backends dispatch
-per-instance SciPy solves.
+optimum of :func:`repro.lp.optimal`, whose LPs (at most five tasks here) go
+through the lockstep kernel on every backend.
 """
 
 from __future__ import annotations
@@ -60,9 +58,7 @@ def _lp_cross_check(
         batch = InstanceBatch.from_instances(
             [homogeneous_instance(deltas) for deltas in deltas_list]
         )
-        lp_values = optimal(
-            batch, backend=ctx.resolved_lp_backend(), ctx=ctx  # type: ignore[arg-type]
-        ).objectives
+        lp_values = optimal(batch, ctx=ctx).objectives
         matches = int(np.sum(times_close(greedy_values, lp_values, rtol=1e-6, atol=1e-9)))
         all_match = all_match and matches == len(deltas_list)
         rows.append(

@@ -4,7 +4,7 @@ Table I of the paper is a complexity comparison; the computational content
 reproduced here is (a) a summary of which model each of our solvers covers,
 mirroring the table's rows, and (b) measured runtimes of the polynomial
 algorithms (Water-Filling, greedy, WDEQ, the makespan and max-lateness
-solvers) and of the fixed-ordering LP with both backends, as the task count
+solvers) and of the fixed-ordering LP with both solvers, as the task count
 grows — the paper claims O(n log n) for WF-based solvers, O(n^2) for the
 makespan algorithm of reference [10], and NP-hardness only for the weighted
 completion time objective itself.
@@ -13,7 +13,7 @@ The polynomial-solver sweep is a scenario: its grid lives in the registry as
 ``e7-solver-scaling`` (see :mod:`repro.scenarios.registry`) and runs through
 :class:`repro.scenarios.runner.SweepRunner`'s ``solver-timing`` pipeline, so
 ``malleable-repro sweep e7-solver-scaling`` reproduces it standalone.  The
-LP-backend and batched-substrate measurements remain inline (they time the
+LP-solver and batched-substrate measurements remain inline (they time the
 execution layer itself, which a sweep cell cannot meaningfully wrap).
 """
 
@@ -27,8 +27,9 @@ from repro.core.batch import InstanceBatch
 from repro.core.instance import Instance
 from repro.exec import ExecutionContext
 from repro.experiments.base import ExperimentResult
-from repro.lp.batch import solve_ordered_relaxation_batch
+from repro.lp.batch import build_ordered_lp_batch, solve_ordered_relaxation_batch
 from repro.lp.interface import solve_ordered_relaxation
+from repro.lp.simplex import solve_linear_program_batch
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import SweepRunner
 from repro.workloads.generators import cluster_instances
@@ -69,7 +70,7 @@ def run(
     lp_batch_task_count: int = 5,
     ctx: ExecutionContext | None = None,
 ) -> ExperimentResult:
-    """Measure runtimes of the polynomial solvers and the LP backends.
+    """Measure runtimes of the polynomial solvers and the LP solvers.
 
     In addition to the per-instance solver timings, the experiment measures
     the batched-execution substrate: for each ``B`` in ``batch_sizes`` it
@@ -131,12 +132,15 @@ def run(
         )
         simplex_time = None
         if n in simplex_sizes:
-            # The in-repo simplex is the lockstep kernel; one LP is a batch of one.
+            # The lockstep kernel itself on a batch of one, whatever n: the
+            # batched entry point would hand n > 8 to HiGHS.
             single = InstanceBatch.from_instances([inst])
-            simplex_time = _time_call(
-                lambda: solve_ordered_relaxation_batch(single, [order], backend="batch"),
-                repeats=1,
-            )
+
+            def lockstep() -> object:
+                lp = build_ordered_lp_batch(single, [order])
+                return solve_linear_program_batch(lp.c, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq)
+
+            simplex_time = _time_call(lockstep, repeats=1)
         rows.append(
             [
                 n,
@@ -227,9 +231,7 @@ def run(
         )
         lp_padded = PaddedBatch.from_instances(lp_instances)
         lp_batch_time = _time_call(
-            lambda: solve_ordered_relaxation_batch(
-                lp_padded, smith_orders_batch(lp_padded), backend="batch"
-            ),
+            lambda: solve_ordered_relaxation_batch(lp_padded, smith_orders_batch(lp_padded)),
             repeats=1,
         )
         lp_speedup = lp_serial_time / lp_batch_time if lp_batch_time > 0 else float("inf")

@@ -105,10 +105,9 @@ def run(
         )
     notes.append(
         "Large-instance section runs the registry scenario 'e5-policy-comparison' through "
-        "repro.scenarios.SweepRunner: one batched discrete-event sweep per cell on the "
-        "vectorized backend (repro.batch.sim_kernels.simulate_batch), the scalar engine on "
-        "the other backends; both paths agree up to floating-point noise (asserted by the "
-        "test suite), so the rows remain comparable across backends."
+        "repro.scenarios.SweepRunner: one batched discrete-event sweep per cell "
+        "(repro.batch.sim_kernels.simulate_batch) on every backend; the test suite checks "
+        "it against the scalar engine up to floating-point noise."
     )
     return ExperimentResult(
         experiment_id="E5",

@@ -56,7 +56,7 @@ _LEGACY_EXECUTION_OPTIONS = frozenset({"seed", "paper_scale", "runner", "use_bat
 _LEGACY_REPLACEMENTS = {
     "seed": "ExecutionContext(seed=...)",
     "paper_scale": "ExecutionContext(paper_scale=True)",
-    "use_batch": "ExecutionContext(backend='vectorized')",
+    "use_batch": "ExecutionContext()",
     "runner": "ExecutionContext(backend='process-pool', workers=N)",
     "cache": "ExecutionContext.from_options(cache_dir=...)",
 }
@@ -175,8 +175,8 @@ def run_experiment(
     The pre-context execution keywords (``seed``, ``paper_scale``,
     ``runner``, ``use_batch``, ``cache``) completed their deprecation cycle
     and now raise ``TypeError`` — e.g. ``run_experiment("E5",
-    use_batch=True)`` must be spelled ``run_experiment("E5",
-    ctx=ExecutionContext(backend="vectorized"))``.
+    runner=...)`` must be spelled ``run_experiment("E5",
+    ctx=ExecutionContext(backend="process-pool", workers=N))``.
     """
     reject_legacy_options(params)
     return get_experiment(experiment_id).run(ctx=ctx, **params)

@@ -30,7 +30,7 @@ def run_all(
     """Run every (or the selected) experiment and collect the results.
 
     All execution options travel in ``ctx`` (the same context is handed to
-    every experiment, so ``malleable-repro all --batch --workers N``
+    every experiment, so ``malleable-repro all --workers N``
     exercises one code path end to end).  Remaining keyword arguments are
     experiment parameters forwarded verbatim to every selected experiment —
     useful when selecting a single experiment, and a ``TypeError`` when a

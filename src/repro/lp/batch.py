@@ -12,12 +12,13 @@ for a whole :class:`~repro.core.batch.InstanceBatch`:
   (:func:`build_ordered_lp_batch`); padding tasks become inert zero-volume /
   zero-weight positions at the end of the order, so every LP of the batch
   shares one exact shape and the padded optimum equals the unpadded one.
-* **Solving** — the tensors go to the lockstep dense simplex kernel
-  :func:`repro.lp.simplex.solve_linear_program_batch` (per-problem pivoting
-  masks, converged problems frozen), or, with ``backend="scipy"``, each
-  instance's HiGHS solve is dispatched across
-  :meth:`repro.exec.ExecutionContext.map` so a process-pool context shards
-  the batch over workers.
+* **Solving** — the tensors go to the one ordered-LP solver rule,
+  :func:`repro.lp.exact.solve_ordered_lps`: the lockstep dense simplex
+  kernel :func:`repro.lp.simplex.solve_linear_program_batch` up to
+  ``_LOCKSTEP_MAX_TASKS = 8`` padded tasks, one HiGHS call per row above
+  (sharded over :meth:`repro.exec.ExecutionContext.map` when a context is
+  given).  Times and rates are read back from the solution vectors through
+  :class:`BatchedOrderedLP` whichever solver ran.
 
 Every batched result is validated differentially against
 :func:`repro.lp.interface.solve_ordered_relaxation` by the Hypothesis suite
@@ -43,24 +44,27 @@ True
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Literal, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError, InvalidScheduleError, SolverError
 from repro.core.schedule import ColumnSchedule
-from repro.lp.exact import MAX_BRANCH_AND_BOUND_TASKS, permutation_table
+from repro.lp.exact import (
+    MAX_BRANCH_AND_BOUND_TASKS,
+    _require_optimal,
+    _solve_with_highs_stack,
+    permutation_table,
+    solve_ordered_lps,
+)
 from repro.lp.formulation import ordered_lp_dimensions, position_area_layout
-from repro.lp.simplex import solve_linear_program_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.context import ExecutionContext
 
 __all__ = [
-    "BatchBackend",
     "BatchedOrderedLP",
     "BatchedOrderedSolution",
     "BatchedOptimalResult",
@@ -72,13 +76,7 @@ __all__ = [
     "OPTIMAL_METHODS",
 ]
 
-BatchBackend = Literal["batch", "scipy"]
-
-#: The backends :func:`solve_ordered_relaxation_batch` understands:
-#: the lockstep kernel, and HiGHS dispatched per instance.
-BATCH_BACKENDS = ("batch", "scipy")
-
-#: Chunk size (LPs per lockstep solve) of the ordering enumeration in
+#: Chunk size (LPs per solve) of the ordering enumeration in
 #: :func:`optimal`; bounds tableau memory to a few tens of MB.
 _ENUMERATION_CHUNK = 1024
 
@@ -275,9 +273,6 @@ class BatchedOrderedSolution:
     ----------
     batch:
         The instance batch that was solved.
-    lp:
-        The batched LP tensors (``None`` when HiGHS was dispatched — the
-        scalar path never materialises them).
     orders:
         ``(B, n_max)`` orderings actually solved.
     objectives:
@@ -289,9 +284,9 @@ class BatchedOrderedSolution:
         padding slots at zero in :meth:`completion_times_by_task`.
     statuses, iterations:
         Per-problem solver status (always ``"optimal"`` for this LP) and
-        pivot counts (zeros for the SciPy dispatch).
-    backend:
-        Which backend produced the solution.
+        iteration counts (lockstep pivots, or HiGHS iterations).
+    lp:
+        The batched LP tensors that were solved.
     """
 
     batch: InstanceBatch
@@ -301,8 +296,7 @@ class BatchedOrderedSolution:
     mask: np.ndarray
     statuses: np.ndarray
     iterations: np.ndarray
-    backend: str
-    lp: BatchedOrderedLP | None = None
+    lp: BatchedOrderedLP
     _rates: np.ndarray | None = None
 
     @property
@@ -327,8 +321,8 @@ class BatchedOrderedSolution:
     def schedules(self, instances: "Sequence[Any] | None" = None) -> list[ColumnSchedule]:
         """Materialise one :class:`ColumnSchedule` per row.
 
-        Requires the per-column rate tensors, which (on every backend) are
-        only materialised when the solve was asked for them — pass
+        Requires the per-column rate tensors, which are only materialised
+        when the solve was asked for them — pass
         ``build_schedules=True`` to :func:`solve_ordered_relaxation_batch`.
         ``instances`` defaults to unpacking the batch; pass the original
         list to preserve task names.
@@ -351,45 +345,20 @@ class BatchedOrderedSolution:
         return result
 
 
-def _solve_rows_scalar(
-    sub_batch: InstanceBatch,
-    extra: "Mapping[str, np.ndarray]",
-    build: bool = False,
-) -> "list[tuple[float, np.ndarray, np.ndarray | None]]":
-    """Scalar (HiGHS) ordered-relaxation solves of a row-chunk under ``extra["orders"]``.
-
-    Returns one ``(objective, completion_times, rates)`` per row — rates
-    only when ``build`` asks for a schedule, and always from the *same*
-    solve as the completion times (the ordered LP can have non-unique
-    optima, so mixing vertices from different solves would break volume
-    conservation).  The :meth:`repro.exec.ExecutionContext.map_batch`
-    body: a worker node rebuilds each row's instance from shared pages.
-    """
-    from repro.lp.interface import solve_ordered_relaxation
-
-    orders = extra["orders"]
-    counts = sub_batch.counts
-    results = []
-    for b in range(sub_batch.batch_size):
-        order = tuple(int(t) for t in orders[b, : int(counts[b])])
-        solution = solve_ordered_relaxation(sub_batch.instance(b), order, build_schedule=build)
-        rates = None
-        if build and solution.schedule is not None:
-            rates = np.asarray(solution.schedule.rates, dtype=float)
-        results.append(
-            (float(solution.objective), np.asarray(solution.completion_times, dtype=float), rates)
-        )
-    return results
-
-
 def solve_ordered_relaxation_batch(
     batch: InstanceBatch,
     orders: "Sequence[Sequence[int]] | np.ndarray | None" = None,
-    backend: BatchBackend = "batch",
     ctx: "ExecutionContext | None" = None,
     build_schedules: bool = False,
+    *,
+    backend: "str | None" = None,
 ) -> BatchedOrderedSolution:
     """Solve the Corollary 1 LP of every row of ``batch`` under ``orders``.
+
+    The padded tensors are assembled once (:func:`build_ordered_lp_batch`)
+    and solved by :func:`repro.lp.exact.solve_ordered_lps`: the batch's
+    padded task count picks the lockstep kernel (at most 8 tasks) or one
+    HiGHS call per row.
 
     Parameters
     ----------
@@ -398,85 +367,43 @@ def solve_ordered_relaxation_batch(
     orders:
         Per-row completion orderings (see :func:`normalize_orders`); the
         Smith ordering of every row when omitted.
-    backend:
-        ``"batch"`` (default) assembles the padded tensors and solves them
-        with the lockstep simplex kernel; ``"scipy"`` dispatches one HiGHS
-        solve per instance — through ``ctx.map_batch`` when a context is
-        given, so a process-pool context shards the rows over its workers.
     ctx:
-        Optional :class:`~repro.exec.ExecutionContext` used only by the
-        HiGHS dispatch backend.
+        Optional :class:`~repro.exec.ExecutionContext`; an off-process
+        context shards the HiGHS solves over its worker nodes.
     build_schedules:
         Materialise the rate tensors so :meth:`BatchedOrderedSolution.schedules`
-        works (slightly more work on the scalar dispatch path).
+        works.
+    backend:
+        Deprecated.  ``"scipy"`` solves every row with HiGHS whatever its
+        size — the independent check of the ``exact-opt`` benchmark passes
+        it; ``None`` and ``"batch"`` apply the size rule.  It goes with the
+        next benchmark change.
 
     Raises
     ------
     SolverError
         If any LP fails to reach optimality — the ordered relaxation always
-        has an optimum, so a non-optimal status indicates a formulation bug.
+        has an optimum, so a non-optimal status indicates a formulation bug —
+        or on an unknown ``backend``.
     """
-    if backend not in BATCH_BACKENDS:
-        raise SolverError(f"unknown batched LP backend {backend!r}; expected one of {BATCH_BACKENDS}")
-    B, N = batch.batch_size, batch.n_max
+    if backend not in (None, "batch", "scipy"):
+        raise SolverError(f"unknown batched LP backend {backend!r}; the problem size picks the solver")
     orders = normalize_orders(batch, orders)
-
-    if backend == "batch":
-        lp = build_ordered_lp_batch(batch, orders)
-        result = solve_linear_program_batch(lp.c, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq)
-        if not result.all_optimal:
-            bad = int(np.nonzero(result.statuses != "optimal")[0][0])
-            raise SolverError(
-                "the Corollary 1 LP should always be solvable, got status "
-                f"{result.statuses[bad]!r} for batch row {bad}"
-            )
-        completion = lp.extract_completion_times(result.x)
-        rates = lp.extract_rates(result.x) if build_schedules else None
-        return BatchedOrderedSolution(
-            batch=batch,
-            orders=orders,
-            objectives=result.objectives,
-            completion_times=completion,
-            mask=batch.mask,
-            statuses=result.statuses,
-            iterations=result.iterations,
-            backend=backend,
-            lp=lp,
-            _rates=rates,
-        )
-
-    # Scalar dispatch: one solve_ordered_relaxation per row, sharded through
-    # the context's backend when one is given.  Rates (when requested) come
-    # from the same per-instance solves as the completion times — the LP can
-    # have non-unique optima, so pairing one solver's times with another's
-    # rates would not form a valid schedule.
-    counts = batch.counts
-    solver = functools.partial(_solve_rows_scalar, build=build_schedules)
-    if ctx is not None:
-        solved = ctx.map_batch(solver, batch, extra={"orders": orders})
+    lp = build_ordered_lp_batch(batch, orders)
+    if backend == "scipy":
+        result = _require_optimal(_solve_with_highs_stack(lp, ctx))
     else:
-        solved = solver(batch, {"orders": orders})
-    objectives = np.array([obj for obj, _, _ in solved])
-    completion = np.zeros((B, N))
-    rates = np.zeros((B, N, N)) if build_schedules else None
-    for b, (_, C, row_rates) in enumerate(solved):
-        n = int(counts[b])
-        completion[b, :n] = C
-        if n:
-            completion[b, n:] = C[-1]  # padding columns end with the last real one
-        if rates is not None and row_rates is not None:
-            rates[b, :n, :n] = row_rates
+        result = solve_ordered_lps(lp, ctx)
     return BatchedOrderedSolution(
         batch=batch,
         orders=orders,
-        objectives=objectives,
-        completion_times=completion,
+        objectives=result.objectives,
+        completion_times=lp.extract_completion_times(result.x),
         mask=batch.mask,
-        statuses=np.full(B, "optimal", dtype=object),
-        iterations=np.zeros(B, dtype=np.int64),
-        backend=backend,
-        lp=None,
-        _rates=rates,
+        statuses=result.statuses,
+        iterations=result.iterations,
+        lp=lp,
+        _rates=lp.extract_rates(result.x) if build_schedules else None,
     )
 
 
@@ -517,7 +444,6 @@ OPTIMAL_METHODS = tuple(_EXACT_METHOD_GUARDS)
 def optimal(
     batch: InstanceBatch,
     method: str = "branch-and-bound",
-    backend: BatchBackend = "batch",
     ctx: "ExecutionContext | None" = None,
     max_tasks: "int | None" = None,
     chunk_size: int = _ENUMERATION_CHUNK,
@@ -538,13 +464,14 @@ def optimal(
     ``"enumerate"``
         The exhaustive path: rows are grouped by task count, each group's
         ``n!`` orderings are replicated against its rows, and the resulting
-        LPs are solved in lockstep chunks of at most ``chunk_size``.  Kept
+        LPs are solved in chunks of at most ``chunk_size``.  Kept
         as the differential reference and for callers that want every
         ordering's LP solved.
 
-    ``backend`` / ``ctx`` are forwarded to the batched LP layer, so a
-    vectorized context evaluates orderings in lockstep chunks while a
-    process-pool context shards HiGHS solves over its workers.
+    Both methods solve their LPs through
+    :func:`repro.lp.exact.solve_ordered_lps` (the lockstep kernel up to 8
+    tasks, HiGHS above); ``ctx`` shards the HiGHS solves of an off-process
+    context over its workers.
     ``max_tasks`` guards the exponential blow-up; it defaults to 14 for
     branch-and-bound and 7 for enumeration — raise it deliberately if you
     know what you are asking for.
@@ -554,7 +481,6 @@ def optimal(
 
         return branch_and_bound_optimal_batch(
             batch,
-            backend=backend,
             ctx=ctx,
             max_tasks=max_tasks if max_tasks is not None else _EXACT_METHOD_GUARDS[method],
             chunk_size=chunk_size,
@@ -598,9 +524,7 @@ def optimal(
             rep_orders = np.empty((R * num_perms, N), dtype=np.int64)
             rep_orders[:, :n] = np.tile(perms, (R, 1))
             rep_orders[:, n:] = pad_tail[n:]
-            solution = solve_ordered_relaxation_batch(
-                rep_batch, rep_orders, backend=backend, ctx=ctx
-            )
+            solution = solve_ordered_relaxation_batch(rep_batch, rep_orders, ctx=ctx)
             objectives = solution.objectives.reshape(R, num_perms)
             evaluated += R * num_perms
             arg = objectives.argmin(axis=1)

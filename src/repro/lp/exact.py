@@ -22,11 +22,16 @@ from the **end**:
 * Leaves (complete orderings) are pruned by the same closed-form floors
   against incumbents tightened by feasible greedy values
   (:func:`_greedy_fill_values`).  The surviving band pays an exact LP
-  solve — the lockstep kernel
-  (:func:`repro.lp.simplex.solve_linear_program_batch`) in chunks up to
-  :data:`_LOCKSTEP_MAX_TASKS` tasks, per-LP HiGHS on the pre-assembled
-  tensors above it — in ascending-bound order so each chunk's discoveries
+  solve, in ascending-bound chunks so each chunk's discoveries
   retroactively prune the rest.
+
+Every exact LP of the package — seeds, refreshes and leaves here, and every
+row of :func:`repro.lp.batch.solve_ordered_relaxation_batch` — is solved by
+one rule, :func:`solve_ordered_lps`: the problem size picks the solver.  A
+stack of at most :data:`_LOCKSTEP_MAX_TASKS` tasks goes through one lockstep
+solve (:func:`repro.lp.simplex.solve_linear_program_batch`); a larger one
+through one HiGHS call per LP on the same assembled tensors, sharded over
+``ctx.map`` when an execution context is given.
 
 Against the ``n!`` enumeration this drops the LP count by three to five
 orders of magnitude (a few hundred LPs instead of 3.6M at ``n = 10``) and
@@ -70,16 +75,19 @@ import numpy as np
 
 from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError, SolverError
-from repro.lp.simplex import solve_linear_program_batch
+from repro.lp.scipy_backend import LinearProgramResult, solve_with_scipy
+from repro.lp.simplex import BatchLinearProgramResult, solve_linear_program_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.context import ExecutionContext
+    from repro.lp.batch import BatchedOrderedLP
 
 __all__ = [
     "MAX_BRANCH_AND_BOUND_TASKS",
     "ExactSearchStats",
     "permutation_table",
     "branch_and_bound_optimal_batch",
+    "solve_ordered_lps",
 ]
 
 #: Guard on the practical exact ceiling.  Branch-and-bound routinely solves
@@ -87,15 +95,16 @@ __all__ = [
 #: but the worst case is still exponential, hence a deliberate opt-out.
 MAX_BRANCH_AND_BOUND_TASKS = 14
 
-#: LPs per lockstep solve; bounds the dense tableau memory per chunk.
+#: LPs per :func:`solve_ordered_lps` call; bounds the dense tableau memory per chunk.
 _LP_CHUNK = 1024
 
-#: Largest task count evaluated with the lockstep dense simplex on the
-#: ``batch`` backend.  The lockstep kernel amortises the Python interpreter
-#: across a chunk, which wins while the tableaus are small (the enumeration
-#: regime it was built for); past ~8 tasks its dense Bland pivoting loses to
-#: one HiGHS call per LP on the pre-assembled tensors, so larger prefixes
-#: switch over automatically.
+#: Largest task count solved with the lockstep dense simplex
+#: (:func:`solve_ordered_lps`).  The lockstep kernel amortises the Python
+#: interpreter across a stack, which wins while the tableaus are small: on
+#: stacks of 8 and 64 ``cluster_instances`` LPs (2 CPUs) it beats per-LP
+#: HiGHS 3-31x at 3-5 tasks and 1.1-2.1x at 7-8 tasks.  Past 8 tasks its
+#: dense Bland pivoting loses (HiGHS 1.3x faster at 9 tasks, 2x at 10, 4x at
+#: 12), so larger stacks go to one HiGHS call per LP on the same tensors.
 _LOCKSTEP_MAX_TASKS = 8
 
 #: Relative pruning margin: nodes are discarded only when their lower bound
@@ -188,22 +197,61 @@ class ExactSearchStats:
 # --------------------------------------------------------------------- #
 
 
-def _solve_one_highs(payload: "tuple[Any, ...]") -> float:
-    """Solve one generic LP ``(c, A_ub, b_ub, A_eq, b_eq)`` with HiGHS.
+def _solve_with_highs(tensors: "tuple[np.ndarray, ...]") -> LinearProgramResult:
+    """One HiGHS solve of ``(c, A_ub, b_ub, A_eq, b_eq)``; module-level so it pickles."""
+    return solve_with_scipy(*tensors)
 
-    Module-level so :meth:`ExecutionContext.map` can pickle it into worker
-    processes for the ``scipy`` dispatch backend.
+
+def solve_ordered_lps(
+    lp: "BatchedOrderedLP", ctx: "ExecutionContext | None" = None
+) -> BatchLinearProgramResult:
+    """Solve a stack of assembled position-space Corollary 1 LPs.
+
+    The one solver rule of the LP layer: LPs of at most
+    :data:`_LOCKSTEP_MAX_TASKS` tasks go through one lockstep solve
+    (:func:`repro.lp.simplex.solve_linear_program_batch`), larger ones
+    through one HiGHS call per LP (:func:`_solve_with_highs_stack`).  Both
+    return the full variable vectors, so callers read times and rates back
+    through :meth:`~repro.lp.batch.BatchedOrderedLP.extract_completion_times`
+    and :meth:`~repro.lp.batch.BatchedOrderedLP.extract_rates` whichever
+    solver ran.
+
+    Raises
+    ------
+    SolverError
+        If any LP is not solved to optimality — the ordered LP always has an
+        optimum, so another status indicates a formulation bug.
     """
-    c, A_ub, b_ub, A_eq, b_eq = payload
-    from scipy.optimize import linprog
+    if lp.num_column_vars <= _LOCKSTEP_MAX_TASKS:
+        result = solve_linear_program_batch(lp.c, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq)
+    else:
+        result = _solve_with_highs_stack(lp, ctx)
+    return _require_optimal(result)
 
-    res = linprog(
-        c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=[(0, None)] * int(np.asarray(c).size), method="highs",
+
+def _solve_with_highs_stack(
+    lp: "BatchedOrderedLP", ctx: "ExecutionContext | None"
+) -> BatchLinearProgramResult:
+    """One HiGHS solve per LP of the stack, sharded over ``ctx.map`` when given."""
+    stack = [(lp.c[i], lp.A_ub[i], lp.b_ub[i], lp.A_eq[i], lp.b_eq[i]) for i in range(lp.c.shape[0])]
+    solved = ctx.map(_solve_with_highs, stack) if ctx is not None else list(map(_solve_with_highs, stack))
+    return BatchLinearProgramResult(
+        x=np.array([r.x for r in solved]).reshape(len(solved), lp.num_variables),
+        objectives=np.array([r.objective for r in solved], dtype=float),
+        statuses=np.array([r.status for r in solved], dtype=object),
+        iterations=np.array([r.iterations for r in solved], dtype=np.int64),
     )
-    if not res.success:
-        raise SolverError(f"HiGHS failed on a prefix LP: {res.message}")
-    return float(res.fun)
+
+
+def _require_optimal(result: BatchLinearProgramResult) -> BatchLinearProgramResult:
+    """``result`` itself, or :class:`SolverError` naming the first non-optimal row."""
+    if not result.all_optimal:
+        bad = int(np.nonzero(result.statuses != "optimal")[0][0])
+        raise SolverError(
+            "the Corollary 1 LP should always be solvable, got status "
+            f"{result.statuses[bad]!r} for batch row {bad}"
+        )
+    return result
 
 
 def _ordered_lp_values(
@@ -211,45 +259,20 @@ def _ordered_lp_values(
     volumes: np.ndarray,
     weights: np.ndarray,
     deltas: np.ndarray,
-    backend: str,
     ctx: "ExecutionContext | None",
 ) -> np.ndarray:
     """Exact Corollary 1 LP values of ``C`` complete orderings, shape ``(C,)``.
 
     ``volumes`` / ``weights`` / ``deltas`` are the tasks **already in
-    completion order**, shape ``(C, k)``.  On the ``batch`` backend small
-    problems go through one lockstep solve per call and larger ones through
-    per-LP HiGHS on the shared pre-assembled tensors (see
-    :data:`_LOCKSTEP_MAX_TASKS`); the ``scipy`` backend dispatches per-LP
-    HiGHS solves, sharded over ``ctx.map`` when a context is given.
+    completion order**, shape ``(C, k)``; the stack is assembled once and
+    solved by :func:`solve_ordered_lps`.
     """
     from repro.lp.batch import build_ordered_lp_batch
 
     C, k = volumes.shape
     ordered_batch = InstanceBatch.from_arrays(P=P, volumes=volumes, weights=weights, deltas=deltas)
     identity = np.broadcast_to(np.arange(k, dtype=np.int64), (C, k))
-    lp = build_ordered_lp_batch(ordered_batch, identity)
-    c, A_ub, b_ub, A_eq, b_eq = lp.c, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq
-
-    if backend == "batch":
-        if k <= _LOCKSTEP_MAX_TASKS:
-            result = solve_linear_program_batch(c, A_ub, b_ub, A_eq, b_eq)
-            if not result.all_optimal:
-                bad = int(np.nonzero(result.statuses != "optimal")[0][0])
-                raise SolverError(
-                    f"ordered LPs are always feasible and bounded, got {result.statuses[bad]!r}"
-                )
-            return result.objectives
-        return np.array([
-            _solve_one_highs((c[i], A_ub[i], b_ub[i], A_eq[i], b_eq[i])) for i in range(C)
-        ])
-
-    payloads = [(c[i], A_ub[i], b_ub[i], A_eq[i], b_eq[i]) for i in range(C)]
-    if ctx is not None:
-        values = ctx.map(_solve_one_highs, payloads)
-    else:
-        values = [_solve_one_highs(p) for p in payloads]
-    return np.asarray(values, dtype=float)
+    return solve_ordered_lps(build_ordered_lp_batch(ordered_batch, identity), ctx).objectives
 
 
 # --------------------------------------------------------------------- #
@@ -501,7 +524,6 @@ def _search_group(
     volumes: np.ndarray,
     weights: np.ndarray,
     deltas: np.ndarray,
-    backend: str,
     ctx: "ExecutionContext | None",
     chunk_size: int,
 ) -> "tuple[np.ndarray, np.ndarray, ExactSearchStats]":
@@ -511,7 +533,7 @@ def _search_group(
     completions.  Interior nodes are bounded purely in closed form
     (:func:`_tail_node_bounds` — no LP), every depth over the whole
     frontier at once; only the surviving leaves (complete orderings) are
-    evaluated exactly, in lockstep LP chunks.  Returns
+    evaluated exactly, in LP chunks.  Returns
     ``(objectives, orders, stats)`` with ``orders`` of shape ``(R, n)``.
     """
     R, n = volumes.shape
@@ -530,7 +552,6 @@ def _search_group(
                 np.take_along_axis(volumes[r], o, axis=1),
                 np.take_along_axis(weights[r], o, axis=1),
                 np.take_along_axis(deltas[r], o, axis=1),
-                backend,
                 ctx,
             )
         stats.lps_solved += int(rows.size)
@@ -671,7 +692,6 @@ def _search_group(
 
 def branch_and_bound_optimal_batch(
     batch: InstanceBatch,
-    backend: str = "batch",
     ctx: "ExecutionContext | None" = None,
     max_tasks: int = MAX_BRANCH_AND_BOUND_TASKS,
     chunk_size: int = _LP_CHUNK,
@@ -689,19 +709,16 @@ def branch_and_bound_optimal_batch(
     batch:
         The instances, padded into one :class:`InstanceBatch`; rows are
         grouped by task count so each group's orderings share an LP shape.
-    backend:
-        ``"batch"`` (default) evaluates the seed, refresh and leaf LPs with
-        the lockstep simplex kernel up to :data:`_LOCKSTEP_MAX_TASKS` tasks
-        and with one HiGHS call per LP above; ``"scipy"`` dispatches every
-        LP to HiGHS, sharded over ``ctx.map`` when a context is given.
     ctx:
-        Optional :class:`~repro.exec.ExecutionContext` for the ``scipy``
-        dispatch backend.
+        Optional :class:`~repro.exec.ExecutionContext`: the seed, refresh
+        and leaf LPs are solved by :func:`solve_ordered_lps`, whose HiGHS
+        solves (above :data:`_LOCKSTEP_MAX_TASKS` tasks) shard over
+        ``ctx.map``.
     max_tasks:
         Guard on the exponential worst case (default
         :data:`MAX_BRANCH_AND_BOUND_TASKS`).
     chunk_size:
-        LPs per lockstep solve (memory bound).
+        LPs per :func:`solve_ordered_lps` call (memory bound).
 
     Returns
     -------
@@ -709,10 +726,8 @@ def branch_and_bound_optimal_batch(
         With ``orderings_evaluated`` counting LPs actually solved and
         ``stats`` carrying the :class:`ExactSearchStats`.
     """
-    from repro.lp.batch import BATCH_BACKENDS, BatchedOptimalResult
+    from repro.lp.batch import BatchedOptimalResult
 
-    if backend not in BATCH_BACKENDS:
-        raise SolverError(f"unknown exact-engine backend {backend!r}; expected one of {BATCH_BACKENDS}")
     counts = np.asarray(batch.counts, dtype=int)
     if np.any(counts > max_tasks):
         raise InvalidInstanceError(
@@ -732,7 +747,6 @@ def branch_and_bound_optimal_batch(
             np.where(batch.mask, batch.volumes, 0.0)[rows, :n],
             np.where(batch.mask, batch.weights, 0.0)[rows, :n],
             batch.deltas[rows, :n],
-            backend,
             ctx,
             chunk_size,
         )

@@ -91,7 +91,7 @@ def solve_ordered_relaxation(
             schedule=empty,
         )
     lp = build_ordered_lp(instance, order)
-    result = solve_with_scipy(lp)
+    result = solve_with_scipy(lp.c, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq)
     if result.status != "optimal":
         raise SolverError(
             f"the Corollary 1 LP should always be solvable, got status {result.status!r}"

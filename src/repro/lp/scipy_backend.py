@@ -1,9 +1,12 @@
-"""SciPy/HiGHS backend for the fixed-ordering LP.
+"""SciPy/HiGHS backend: the one place the LP layer calls HiGHS.
 
-The HiGHS solver shipped with :func:`scipy.optimize.linprog` is the scalar
-solver of the LP layer: every single-LP solve
-(:func:`repro.lp.interface.solve_ordered_relaxation`) goes through it, and it
-is the independent reference the lockstep kernel of :mod:`repro.lp.simplex`
+:func:`solve_with_scipy` wraps :func:`scipy.optimize.linprog` (HiGHS) for one
+LP in the standard form ``min c x`` s.t. ``A_ub x <= b_ub``, ``A_eq x = b_eq``,
+``x >= 0``.  The scalar task-space solve
+(:func:`repro.lp.interface.solve_ordered_relaxation`) calls it on its
+assembled matrices, and the ordered-LP dispatch rule of :mod:`repro.lp.exact`
+calls it once per LP of a stack too large for the lockstep kernel.  It is
+also the independent reference the lockstep kernel of :mod:`repro.lp.simplex`
 is cross-checked against.  SciPy is imported on the first solve, so importing
 :mod:`repro.lp` stays cheap.
 """
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.exceptions import SolverError
-from repro.lp.formulation import OrderedLP
 
 __all__ = ["LinearProgramResult", "solve_with_scipy"]
 
@@ -47,44 +49,33 @@ class LinearProgramResult:
         return self.status == "optimal"
 
 
-def solve_with_scipy(lp: OrderedLP) -> LinearProgramResult:
-    """Solve an :class:`~repro.lp.formulation.OrderedLP` with HiGHS.
+def solve_with_scipy(
+    c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray
+) -> LinearProgramResult:
+    """Solve ``min c x`` s.t. ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``x >= 0`` with HiGHS.
 
-    Infeasible and unbounded LPs are reported through
-    :attr:`LinearProgramResult.status` (objective ``nan`` / ``-inf``, the
-    conventions of the lockstep kernel); any other HiGHS failure raises
-    :class:`~repro.core.exceptions.SolverError`.
+    Empty constraint blocks are allowed.  Infeasible and unbounded LPs are
+    reported through :attr:`LinearProgramResult.status` (objective ``nan`` /
+    ``-inf``, the conventions of the lockstep kernel); any other HiGHS
+    failure raises :class:`~repro.core.exceptions.SolverError`.
     """
     from scipy.optimize import linprog
 
+    nvar = int(np.asarray(c).size)
     res = linprog(
-        c=lp.c,
-        A_ub=lp.A_ub if lp.A_ub.size else None,
-        b_ub=lp.b_ub if lp.b_ub.size else None,
-        A_eq=lp.A_eq if lp.A_eq.size else None,
-        b_eq=lp.b_eq if lp.b_eq.size else None,
-        bounds=[(0, None)] * lp.num_variables,
+        c=c,
+        A_ub=A_ub if A_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=A_eq if A_eq.size else None,
+        b_eq=b_eq if b_eq.size else None,
+        bounds=[(0, None)] * nvar,
         method="highs",
     )
+    iterations = int(getattr(res, "nit", 0) or 0)
     if res.status == 2:
-        return LinearProgramResult(
-            x=np.zeros(lp.num_variables),
-            objective=np.nan,
-            status="infeasible",
-            iterations=int(getattr(res, "nit", 0) or 0),
-        )
+        return LinearProgramResult(np.zeros(nvar), np.nan, "infeasible", iterations)
     if res.status == 3:
-        return LinearProgramResult(
-            x=np.zeros(lp.num_variables),
-            objective=-np.inf,
-            status="unbounded",
-            iterations=int(getattr(res, "nit", 0) or 0),
-        )
+        return LinearProgramResult(np.zeros(nvar), -np.inf, "unbounded", iterations)
     if not res.success:
         raise SolverError(f"HiGHS failed: {res.message}")
-    return LinearProgramResult(
-        x=np.asarray(res.x, dtype=float),
-        objective=float(res.fun),
-        status="optimal",
-        iterations=int(getattr(res, "nit", 0) or 0),
-    )
+    return LinearProgramResult(np.asarray(res.x, dtype=float), float(res.fun), "optimal", iterations)

@@ -222,7 +222,7 @@ def build_cell_workload(
     ``"trace_replay"``), draws ``count`` instances from a
     ``default_rng(seed)`` stream, applies the weight redistribution and the
     arrival process.  The result is identical on every backend — this is the
-    single source of truth the serial and vectorized sweep paths share.
+    single source of truth every backend's sweep shares.
     """
     rng = np.random.default_rng(seed)
     if generator == "trace_replay":

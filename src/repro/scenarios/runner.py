@@ -29,7 +29,7 @@ Examples
 >>> from repro.scenarios import SweepRunner, get_scenario
 >>> spec = get_scenario("e5-policy-comparison").with_overrides(
 ...     grid={"n": [6]}, count=2, policies=("WDEQ",))
->>> with ExecutionContext(seed=0, backend="vectorized") as ctx:
+>>> with ExecutionContext(seed=0) as ctx:
 ...     result = SweepRunner(spec, ctx).run()
 >>> sorted(result.records[0]["metrics"])
 ['max_ratio', 'mean_makespan', 'mean_objective', 'mean_ratio']
@@ -372,7 +372,7 @@ class SweepRunner:
         only decides *where* the cell ran, and never the LP solver, which no
         cached pipeline uses (``solver-timing`` is not cached).  A cache
         populated by a cluster sweep is served verbatim by a serial or
-        vectorized rerun and vice versa (differential-tested in
+        process-pool rerun and vice versa (differential-tested in
         ``tests/test_cluster.py``).
         """
         from repro.batch.cache import cache_key

@@ -5,7 +5,7 @@ A :class:`ScenarioSpec` names a workload generator (from
 :mod:`repro.scenarios.families`), its fixed parameters, the parameter axes to
 sweep (the *grid*), the arrival process and weight distribution that shape the
 online workload, and the policies / metrics to evaluate.  It carries no code:
-the same spec runs unchanged on the serial, vectorized and process-pool
+the same spec runs unchanged on the serial, process-pool and cluster
 backends of :class:`repro.exec.ExecutionContext` through
 :class:`repro.scenarios.runner.SweepRunner`.
 
@@ -109,8 +109,8 @@ class ScenarioSpec:
         One-line human-readable description.
     pipeline:
         How a grid cell is evaluated: ``"policies"`` (simulate online
-        policies and report objective/ratio statistics — the default, and the
-        only pipeline with a vectorized fast path), ``"bandwidth"`` (the
+        policies and report objective/ratio statistics through the batched
+        engine — the default), ``"bandwidth"`` (the
         master–worker transfer strategies of experiment E8) or
         ``"solver-timing"`` (wall-clock timings of the polynomial solvers,
         experiment E7).

@@ -62,7 +62,7 @@ class WorkloadSuite:
     ) -> InstanceBatch:
         """The same workload as :meth:`generate`, packed as one struct-of-arrays batch.
 
-        This is the native entry point of the vectorized execution backend:
+        This is the native input of the batched kernels:
         the kernels in :mod:`repro.batch` consume the returned
         :class:`~repro.core.batch.InstanceBatch` directly, and
         ``batch.to_instances()`` recovers exactly the instances

@@ -261,7 +261,7 @@ class TestExperimentIntegration:
             with pytest.raises(TypeError, match="ExecutionContext"):
                 run_experiment("E5", **kwargs)
         # The error names the ctx= replacement for the offending keyword.
-        with pytest.raises(TypeError, match="backend='vectorized'"):
+        with pytest.raises(TypeError, match=r"use_batch= -> ctx=ExecutionContext\(\)"):
             run_experiment("E5", use_batch=True)
 
     def test_run_experiment_rejects_misspelled_parameter(self):

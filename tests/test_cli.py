@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, context_from_args, main
@@ -34,14 +36,11 @@ class TestParser:
         assert args.paper_scale is True
 
     def test_batch_workers_and_cache_flags(self):
-        args = build_parser().parse_args(
-            ["run", "E5", "--batch", "--workers", "4", "--cache-dir", "/tmp/x"]
-        )
-        assert args.batch is True
+        args = build_parser().parse_args(["run", "E5", "--workers", "4", "--cache-dir", "/tmp/x"])
+        assert not hasattr(args, "batch")
         assert args.workers == 4
         assert args.cache_dir == "/tmp/x"
         args = build_parser().parse_args(["all"])
-        assert args.batch is False
         assert args.workers == 0
         assert args.cache_dir is None
 
@@ -50,7 +49,7 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_removed_simplex_lp_backend_is_a_usage_error(self, capsys):
-        # --lp-backend itself is gone: --batch alone selects the LP solver.
+        # --lp-backend is gone: the problem size picks the LP solver.
         for value in ("simplex", "scipy", "auto"):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(["run", "E1", "--lp-backend", value])
@@ -76,6 +75,59 @@ class TestParser:
         assert message in captured.err and captured.err.count("\n") == 1
 
 
+TRACE_STREAM_SPEC = str(pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "trace_stream.toml")
+
+
+class TestUsageErrors:
+    """Bad ``sweep`` / ``loadgen`` input: one ``error:`` line on stderr, exit 2."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["sweep"], "a spec (TOML path or scenario name) is required"),
+            (["sweep", "no/such/spec.toml"], "cannot read spec 'no/such/spec.toml'"),
+            (["sweep", "no-such-scenario"], "unknown scenario 'no-such-scenario'"),
+            (["sweep", "bursty-poisson", "--count", "0"], "--count must be positive, got 0"),
+            (["sweep", TRACE_STREAM_SPEC, "--stream-chunk", "-1"], "--stream-chunk must be >= 0, got -1"),
+            (["sweep", "bursty-poisson", "--trace", "t.csv"], "apply only to trace_replay specs"),
+            (["loadgen", "--chaos-kill-after", "1"], "--chaos-kill-after requires --spawn-server"),
+        ],
+        ids=[
+            "no-spec",
+            "missing-toml",
+            "unknown-scenario",
+            "count-zero",
+            "negative-stream-chunk",
+            "trace-on-synthetic-spec",
+            "chaos-without-spawn-server",
+        ],
+    )
+    def test_reported_as_one_line_with_status_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"malleable-repro {argv[0]}: error: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [("[scenario\n", "Expected ']'"), ('[scenario]\nname = "x"\ngenerator = "uniform_instances"\ncount = 0\n', "count must be positive")],
+        ids=["malformed-toml", "invalid-spec"],
+    )
+    def test_bad_spec_file_is_a_usage_error(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "bad.toml"
+        spec.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(spec)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"malleable-repro sweep: error: invalid spec '{spec}': ")
+        assert message in err and err.count("\n") == 1
+
+
 class TestContextFromArgs:
     def test_serial_by_default(self):
         ctx = context_from_args(build_parser().parse_args(["run", "E1", "--seed", "7"]))
@@ -83,15 +135,18 @@ class TestContextFromArgs:
         assert ctx.seed == 7
         assert ctx._local_nodes == 0 and ctx.cache is None
 
-    def test_batch_and_workers_build_vectorized_context_with_pool(self):
-        args = build_parser().parse_args(["run", "E5", "--batch", "--workers", "3"])
-        ctx = context_from_args(args)
-        try:
-            assert ctx.backend == "vectorized"
-            assert ctx.vectorized is True
-            assert ctx._local_nodes == 3
-        finally:
-            ctx.close()
+    def test_removed_batch_flag_is_a_usage_error(self, capsys):
+        # --batch only picked the LP solver, which the problem size picks
+        # now; --backend no longer offers its "vectorized" backend either.
+        for argv, message in (
+            (["run", "E5", "--batch", "--workers", "3"], "unrecognized arguments: --batch"),
+            (["sweep", "bursty-poisson", "--batch"], "unrecognized arguments: --batch"),
+            (["run", "E5", "--backend", "vectorized"], "invalid choice: 'vectorized'"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_workers_alone_build_process_pool_context(self):
         args = build_parser().parse_args(["run", "E5", "--workers", "2"])
@@ -140,11 +195,11 @@ class TestMain:
 class TestProfile:
     def test_profile_flags_parse(self):
         args = build_parser().parse_args(
-            ["profile", "E7", "--top", "10", "--sort", "tottime", "--batch"]
+            ["profile", "E7", "--top", "10", "--sort", "tottime", "--workers", "2"]
         )
         assert args.command == "profile"
         assert args.target == "E7"
-        assert args.top == 10 and args.sort == "tottime" and args.batch is True
+        assert args.top == 10 and args.sort == "tottime" and args.workers == 2
 
     def test_shm_flag_is_a_usage_error(self, capsys):
         # Pooled batch maps always use shared memory; the switch is gone.

@@ -32,6 +32,7 @@ from repro.core.batch import InstanceBatch
 from repro.core.bounds import times_close
 from repro.core.exceptions import InvalidInstanceError, SolverError
 from repro.core.instance import Instance, Task
+from repro.core.validation import validate_column_schedule
 from repro.exec import CHUNKS_PER_WORKER, ExecutionContext, chunk_ranges, shm
 from repro.exec.shm import apply_rows, attach_arrays, publish_batch
 from repro.lp.batch import OPTIMAL_METHODS, optimal, solve_ordered_relaxation_batch
@@ -43,7 +44,7 @@ from repro.lp.exact import (
     permutation_table,
 )
 from repro.lp.interface import solve_ordered_relaxation
-from repro.workloads.generators import uniform_instances
+from repro.workloads.generators import cluster_instances, uniform_instances
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -105,22 +106,29 @@ class TestBranchAndBoundMatchesEnumeration:
         np.testing.assert_allclose(engine.objectives, reference.objectives, rtol=1e-6, atol=1e-8)
         assert engine.orderings_evaluated < reference.orderings_evaluated
 
-    @pytest.mark.parametrize("backend", ["batch", "scipy"])
-    def test_all_backends_agree(self, backend):
+    def test_matches_enumeration_on_a_ragged_batch(self):
         insts = list(uniform_instances(4, 3, rng=np.random.default_rng(7)))
         insts.append(next(uniform_instances(2, 1, rng=np.random.default_rng(8))))
         batch = InstanceBatch.from_instances(insts)
-        engine = branch_and_bound_optimal_batch(batch, backend=backend)
+        engine = branch_and_bound_optimal_batch(batch)
         reference = optimal(batch, method="enumerate")
         np.testing.assert_allclose(engine.objectives, reference.objectives, rtol=1e-6, atol=1e-8)
 
     def test_process_pool_dispatch(self):
-        insts = list(uniform_instances(3, 4, rng=np.random.default_rng(11)))
-        batch = InstanceBatch.from_instances(insts)
-        with ExecutionContext(backend="process-pool", workers=2) as ctx:
-            pooled = branch_and_bound_optimal_batch(batch, backend="scipy", ctx=ctx)
-        serial = branch_and_bound_optimal_batch(batch, backend="scipy")
-        np.testing.assert_allclose(pooled.objectives, serial.objectives, rtol=1e-9)
+        # n = 9: the HiGHS solves of seeds, refreshes and leaves are sharded
+        # over the workers; n = 5: the lockstep kernel runs in-process.
+        for n, sharded in ((9, True), (5, False)):
+            batch = InstanceBatch.from_instances(
+                list(cluster_instances(n, 2, P=128.0, rng=np.random.default_rng(11)))
+            )
+            serial = branch_and_bound_optimal_batch(batch)
+            with ExecutionContext(backend="process-pool", workers=2) as ctx:
+                pooled = branch_and_bound_optimal_batch(batch, ctx=ctx)
+                assert (ctx.last_submission_count > 0) == sharded, n
+                assert (ctx.coordinator is not None) == sharded  # n = 5 forks no node
+            assert np.array_equal(pooled.objectives, serial.objectives)
+            assert np.array_equal(pooled.orders, serial.orders)
+            assert pooled.stats == serial.stats
 
     def test_chunk_size_is_forwarded_and_lossless(self):
         insts = list(uniform_instances(4, 5, rng=np.random.default_rng(19)))
@@ -159,9 +167,14 @@ class TestEngineGuardsAndModes:
             branch_and_bound_optimal_batch(batch)
 
     def test_unknown_backend_and_method(self):
+        # The problem size picks the LP solver: no exact entry point takes
+        # a backend any more.
         batch = InstanceBatch.from_instances([Instance.from_arrays(P=1.0, volumes=[1.0])])
-        with pytest.raises(SolverError):
-            branch_and_bound_optimal_batch(batch, backend="bogus")
+        for backend in ("batch", "scipy", "bogus"):
+            with pytest.raises(TypeError, match="backend"):
+                branch_and_bound_optimal_batch(batch, backend=backend)  # type: ignore[call-arg]
+            with pytest.raises(TypeError, match="backend"):
+                optimal(batch, backend=backend)  # type: ignore[call-arg]
         with pytest.raises(SolverError):
             optimal(batch, method="bogus")
 
@@ -322,7 +335,7 @@ class TestSharedMemoryBackend:
             ctx.map_batch(_per_row_bounds, batch)
             ctx.map_batch(_per_row_weighted_volume, batch, extra={"scale": np.ones(16)})
         assert published == [16, 16]
-        with ExecutionContext(backend="vectorized") as serial_ctx:
+        with ExecutionContext() as serial_ctx:
             serial_ctx.map_batch(_per_row_bounds, batch)
         assert published == [16, 16]  # no pool, nothing to publish
 
@@ -335,13 +348,20 @@ class TestSharedMemoryBackend:
                 ctx.map_batch(_per_row_weighted_volume, batch, extra={"scale": np.zeros(3)})
 
     def test_lp_scalar_dispatch_shm_equals_serial(self):
-        insts = list(uniform_instances(4, 12, rng=np.random.default_rng(2)))
-        batch = InstanceBatch.from_instances(insts)
-        serial = solve_ordered_relaxation_batch(batch, backend="scipy")
-        with ExecutionContext(backend="process-pool", workers=2) as ctx:
-            pooled = solve_ordered_relaxation_batch(batch, backend="scipy", ctx=ctx)
-        assert np.array_equal(serial.objectives, pooled.objectives)
-        assert np.array_equal(serial.completion_times, pooled.completion_times)
+        # The per-row HiGHS solves (n = 9) reach the pool as ctx.map chunk
+        # jobs; the lockstep kernel (n = 5) never leaves the process.
+        for n, sharded in ((9, True), (5, False)):
+            insts = list(cluster_instances(n, 12, rng=np.random.default_rng(2)))
+            batch = InstanceBatch.from_instances(insts)
+            serial = solve_ordered_relaxation_batch(batch)
+            with ExecutionContext(backend="process-pool", workers=2) as ctx:
+                pooled = solve_ordered_relaxation_batch(batch, ctx=ctx, build_schedules=True)
+                assert (ctx.last_submission_count > 0) == sharded, n
+                assert (ctx.coordinator is not None) == sharded  # n = 5 forks no node
+            assert np.array_equal(serial.objectives, pooled.objectives)
+            assert np.array_equal(serial.completion_times, pooled.completion_times)
+            for schedule in pooled.schedules(insts):
+                validate_column_schedule(schedule)
 
     def test_sweep_summaries_identical_pool_vs_serial(self):
         from repro.scenarios import ScenarioSpec, SweepRunner

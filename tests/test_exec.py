@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.batch.cache import ResultCache
+from repro.batch.cache import ResultCache, cache_key
 from repro.core.batch import InstanceBatch
 from repro.core.bounds import combined_lower_bound
 from repro.core.exceptions import InvalidInstanceError
@@ -110,7 +110,7 @@ def _die_once(marker, x):
 class TestExecutionContext:
     def test_defaults_are_serial(self):
         ctx = ExecutionContext()
-        assert ctx.backend == "serial" and not ctx.vectorized
+        assert ctx.backend == "serial"
         assert ctx.cache is None
         assert ctx.map(_double, [1, 2]) == [2, 4]
         assert not ctx.off_process and ctx.coordinator is None  # never forks nodes
@@ -122,7 +122,11 @@ class TestExecutionContext:
             ExecutionContext(backend="gpu")
         with pytest.raises(ValueError, match="workers"):
             ExecutionContext(workers=-1)
-        assert set(BACKENDS) == {"serial", "vectorized", "process-pool", "cluster"}
+        assert set(BACKENDS) == {"serial", "process-pool", "cluster"}
+        # The deprecated "vectorized" alias still constructs: serial, or
+        # process-pool once workers are asked for.
+        assert ExecutionContext(backend="vectorized").backend == "serial"
+        assert ExecutionContext(backend="vectorized", workers=2).backend == "process-pool"
 
     def test_workers_promote_serial_to_process_pool(self):
         # A context that reports "serial" must never shard: asking for
@@ -136,8 +140,8 @@ class TestExecutionContext:
         assert ExecutionContext().map(lambda x: x * 2, [1, 2]) == [2, 4]
 
     def test_workers_build_a_pool(self):
-        with ExecutionContext(backend="vectorized", workers=2) as ctx:
-            assert ctx.vectorized and ctx.off_process
+        with ExecutionContext(workers=2) as ctx:
+            assert ctx.off_process
             assert ctx.coordinator is None  # local nodes are forked on first use
             assert ctx.map(_double, [1, 2, 3]) == [2, 4, 6]
             nodes = ctx.coordinator
@@ -227,8 +231,10 @@ class TestExecutionContext:
 
     def test_shm_keyword_is_accepted_and_ignored(self):
         # Deprecated: pooled batch maps always go through shared memory.
+        # (The exact spelling of the trace-sweep benchmark's context.)
         with ExecutionContext(backend="vectorized", workers=2, shm=True) as ctx:
             assert ctx == ExecutionContext(backend="vectorized", workers=2)
+            assert ctx.backend == "process-pool" and ctx.off_process
 
     def test_rng_is_deterministic_and_salted(self):
         ctx = ExecutionContext(seed=5)
@@ -264,43 +270,27 @@ class TestExecutionContext:
         other.cached("sweep", {"n": 1}, compute)
         assert len(calls) == 2
 
-    def test_cached_keys_include_the_resolved_lp_backend(self):
-        # Regression test: results computed with one LP solver must never be
-        # served to a run using another solver from a shared cache — the old
-        # keys ignored the solver entirely.  The backend selects the solver.
+    def test_cached_keys_are_shared_by_every_backend(self):
+        # Every backend computes the same values, so the key holds no
+        # backend and no LP solver: serial and pooled runs share an entry.
         cache = ResultCache()
-        values = iter(["scipy-result", "kernel-result", "unused"])
+        values = iter(["first", "unused"])
 
         def compute():
             return next(values)
 
-        scipy_ctx = ExecutionContext(cache=cache)
-        kernel_ctx = ExecutionContext(cache=cache, backend="vectorized")
-        assert scipy_ctx.resolved_lp_backend() == "scipy"
-        assert kernel_ctx.resolved_lp_backend() == "batch"
-        assert scipy_ctx.cached("sweep", {"n": 1}, compute) == "scipy-result"
-        assert kernel_ctx.cached("sweep", {"n": 1}, compute) == "kernel-result"
-        # Each solver keeps hitting its own entry afterwards.
-        assert scipy_ctx.cached("sweep", {"n": 1}, compute) == "scipy-result"
-        assert kernel_ctx.cached("sweep", {"n": 1}, compute) == "kernel-result"
-        # The key holds the solver, not the backend: a process-pool context
-        # solves with SciPy too and shares the serial entry (no node is
-        # forked, the entry is already cached).
+        assert ExecutionContext(cache=cache).cached("sweep", {"n": 1}, compute) == "first"
+        # No node is forked: the entry is already cached.
         pool_ctx = ExecutionContext(cache=cache, backend="process-pool", workers=2)
-        assert pool_ctx.cached("sweep", {"n": 1}, compute) == "scipy-result"
-        # A caller-supplied params entry cannot shadow the context's solver:
-        # the bogus 'batch' value is overwritten, so this hits the scipy entry.
-        assert (
-            scipy_ctx.cached("sweep", {"n": 1, "lp_backend": "batch"}, compute) == "scipy-result"
-        )
+        assert pool_ctx.cached("sweep", {"n": 1}, compute) == "first"
+        assert len(cache) == 1 and cache_key("sweep", 0, {"n": 1}) in cache
 
     def test_from_options_lp_backend(self):
-        # The backend is the only LP-solver selection: --batch picks the
-        # lockstep kernel, and the removed lp_backend knob is no parameter.
-        assert ExecutionContext.from_options().resolved_lp_backend() == "scipy"
-        assert ExecutionContext.from_options(batch=True).resolved_lp_backend() == "batch"
-        with pytest.raises(TypeError, match="lp_backend"):
-            ExecutionContext.from_options(lp_backend="scipy", batch=True)  # type: ignore[call-arg]
+        # Neither the lp_backend knob nor --batch reaches the context: the
+        # problem size picks the LP solver.
+        for removed in ("lp_backend", "batch"):
+            with pytest.raises(TypeError, match=removed):
+                ExecutionContext.from_options(**{removed: True})
         with pytest.raises(TypeError, match="lp_backend"):
             ExecutionContext(lp_backend="scipy")  # type: ignore[call-arg]
 
@@ -374,12 +364,12 @@ class TestExecutionContext:
 
     def test_from_options_backend_mapping(self):
         assert ExecutionContext.from_options().backend == "serial"
-        assert ExecutionContext.from_options(batch=True).backend == "vectorized"
         with ExecutionContext.from_options(workers=2) as ctx:
-            assert ctx.backend == "process-pool"
-        with ExecutionContext.from_options(batch=True, workers=2) as ctx:
-            assert ctx.backend == "vectorized" and ctx.map(_double, [1, 2]) == [2, 4]
+            assert ctx.backend == "process-pool" and ctx.map(_double, [1, 2]) == [2, 4]
             assert ctx.last_submission_count > 0
+        # The CLI no longer offers the deprecated alias.
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            ExecutionContext.from_options(backend="vectorized")
 
     def test_from_options_cache_dir(self, tmp_path):
         target = tmp_path / "deep" / "cache"
@@ -434,8 +424,8 @@ class TestContextDrivesExperiments:
                 assert legacy not in parameters, (spec.experiment_id, legacy)
 
     def test_vectorized_context_runs_every_experiment(self):
-        # Every registered experiment accepts the same vectorized context
-        # (tiny parameters keep this fast; E5/E6/E7 actually hit the kernels).
+        # Every registered experiment accepts a context built with the
+        # deprecated "vectorized" alias (tiny parameters keep this fast).
         from repro.experiments.report import run_all
 
         small = {

@@ -65,6 +65,23 @@ class TestExperimentRuns:
         assert len(result.rows) == 2
         assert result.summary["table I coverage rows"] == 9
 
+    def test_e7_simplex_column_times_the_lockstep_kernel(self, monkeypatch):
+        # At n = 10 the batched entry point would hand the LP to HiGHS; the
+        # "simplex" column must time the lockstep kernel itself.
+        from repro.experiments import exp_scaling
+
+        shapes = []
+        kernel = exp_scaling.solve_linear_program_batch
+
+        def counting(c, *tensors):
+            shapes.append(c.shape)
+            return kernel(c, *tensors)
+
+        monkeypatch.setattr(exp_scaling, "solve_linear_program_batch", counting)
+        result = run_experiment("E7", sizes=(), lp_sizes=(10,), simplex_sizes=(10,), batch_sizes=())
+        assert shapes == [(1, 10 + 10 * 11 // 2)]
+        assert result.rows[0][0] == 10 and result.rows[0][7] != "-"
+
     def test_e7_batch_throughput_rows(self):
         result = run_experiment(
             "E7",

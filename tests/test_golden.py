@@ -7,10 +7,10 @@ against the committed ones — headers exactly, numeric cells within loose
 tolerances (the values chain LP solves and water-filling level searches, so
 the last digits legitimately move across BLAS builds and backends).
 
-The suite doubles as a backend-conformance harness: serial, vectorized and
-(for a representative experiment) process-pool runs are all pinned against
-*one* golden file, so a vectorized kernel drifting away from the scalar path
-fails here even if its own unit tests pass.
+The suite doubles as a backend-conformance harness: serial runs and (for a
+representative experiment) process-pool runs are pinned against *one*
+golden file, and so are contexts built with the deprecated ``"vectorized"``
+backend alias until it is removed.
 
 Regenerate after an intentional change with::
 
@@ -142,6 +142,8 @@ def test_serial_matches_golden(experiment_id, update_golden):
 
 @pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
 def test_vectorized_matches_golden(experiment_id, update_golden):
+    # The deprecated alias builds a serial context and must keep doing so
+    # while callers still pass it.
     if update_golden:
         pytest.skip("golden files are regenerated from the serial runs")
     result = run_golden(experiment_id, "vectorized")

@@ -6,8 +6,9 @@ Every vectorized path is pinned against its scalar reference:
   random LPs with mixed optimal / infeasible / unbounded outcomes and
   negative right-hand sides (verdicts checked through always-solvable
   certificate LPs);
-* :func:`repro.lp.batch.solve_ordered_relaxation_batch` (lockstep kernel
-  *and* the HiGHS dispatch backend) against
+* :func:`repro.lp.batch.solve_ordered_relaxation_batch` (both sides of the
+  size rule of :func:`repro.lp.exact.solve_ordered_lps`: the lockstep kernel
+  up to 8 padded tasks, per-row HiGHS above) against
   :func:`repro.lp.interface.solve_ordered_relaxation` per instance, on
   Hypothesis-generated ragged padded batches, including degenerate
   orderings far from optimal and single-task rows;
@@ -31,6 +32,7 @@ from repro.core.instance import Instance, Task
 from repro.core.validation import validate_column_schedule
 from repro.exec import ExecutionContext
 from repro.lp.batch import (
+    BatchedOrderedSolution,
     build_ordered_lp_batch,
     normalize_orders,
     optimal,
@@ -40,8 +42,21 @@ from repro.lp.batch import (
 from repro.lp.formulation import ordered_lp_dimensions, position_area_layout
 from repro.lp.interface import solve_ordered_relaxation
 from repro.lp.simplex import solve_linear_program_batch
+from repro.workloads.generators import cluster_instances
 
 finite = dict(allow_nan=False, allow_infinity=False)
+
+#: A nine-task instance: padding a batch with it pushes every row past the
+#: lockstep limit (8 tasks), so the same rows are solved by HiGHS.
+NINE_TASKS = Instance.from_arrays(P=3.0, volumes=np.linspace(0.5, 2.0, 9))
+
+
+def solve_with_highs(insts, orders=None, **kwargs) -> BatchedOrderedSolution:
+    """``solve_ordered_relaxation_batch`` of ``insts`` padded to nine tasks (HiGHS side)."""
+    batch = InstanceBatch.from_instances(list(insts) + [NINE_TASKS])
+    if orders is not None:
+        orders = list(orders) + [list(range(9))]
+    return solve_ordered_relaxation_batch(batch, orders, **kwargs)
 
 
 @st.composite
@@ -284,10 +299,19 @@ class TestAssembly:
         with pytest.raises(InvalidScheduleError):
             normalize_orders(batch, [[0, 1, 2], [0, 1]])
 
-    def test_unknown_backend_rejected(self):
+    def test_unknown_backend_rejected(self, monkeypatch):
+        from repro.lp import exact
+
         batch = InstanceBatch.from_instances([Instance.from_arrays(P=1.0, volumes=[1.0])])
         with pytest.raises(SolverError):
             solve_ordered_relaxation_batch(batch, backend="bogus")
+        # The deprecated keyword still answers the exact-opt benchmark's
+        # check: "scipy" solves even a lockstep-sized row with HiGHS.
+        insts = [Instance.from_arrays(P=2.0, volumes=[1.0, 2.0, 0.5], deltas=[0.5, 2.0, 1.0])]
+        reference = solve_with_highs(insts).objectives[:1]
+        monkeypatch.setattr(exact, "solve_linear_program_batch", None)  # any lockstep call fails
+        highs = solve_ordered_relaxation_batch(InstanceBatch.from_instances(insts), backend="scipy")
+        np.testing.assert_allclose(highs.objectives, reference, rtol=1e-9)
 
 
 # --------------------------------------------------------------------- #
@@ -315,13 +339,15 @@ class TestOrderedRelaxationDifferential:
     @settings(max_examples=10, deadline=None)
     @given(batches_with_orders(max_batch=3))
     def test_scipy_dispatch_matches_kernel(self, insts_orders):
+        # The same rows on both sides of the size rule: alone they are
+        # solved in lockstep, padded to nine tasks by HiGHS.
         insts, orders = insts_orders
-        batch = InstanceBatch.from_instances(insts)
-        kernel = solve_ordered_relaxation_batch(batch, orders, backend="batch")
-        scipy_path = solve_ordered_relaxation_batch(batch, orders, backend="scipy")
+        kernel = solve_ordered_relaxation_batch(InstanceBatch.from_instances(insts), orders)
+        highs = solve_with_highs(insts, orders)
         np.testing.assert_allclose(
-            kernel.objectives, scipy_path.objectives, rtol=1e-6, atol=1e-8
+            kernel.objectives, highs.objectives[: len(insts)], rtol=1e-6, atol=1e-8
         )
+        assert_matches_scalar(insts, orders, highs)
 
     @settings(max_examples=10, deadline=None)
     @given(instance_batches(max_batch=3))
@@ -351,7 +377,7 @@ class TestOrderedRelaxationDifferential:
 
     def test_schedules_without_rates_raise(self):
         batch = InstanceBatch.from_instances([Instance.from_arrays(P=1.0, volumes=[1.0])])
-        solution = solve_ordered_relaxation_batch(batch, backend="scipy")
+        solution = solve_ordered_relaxation_batch(batch)
         with pytest.raises(SolverError):
             solution.schedules()
 
@@ -378,7 +404,7 @@ class TestOrderedRelaxationDifferential:
 
     def test_scipy_dispatch_schedules_stay_valid_with_zero_weights(self):
         # Regression: zero-weight tasks make the LP optimum non-unique, so
-        # the scalar dispatch must take completion times AND rates from the
+        # the HiGHS side must take completion times AND rates from the
         # same solve — mixing solver vertices broke volume conservation.
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -396,22 +422,20 @@ class TestOrderedRelaxationDifferential:
                     for w in weights
                 ],
             )
-            batch = InstanceBatch.from_instances([inst])
-            solution = solve_ordered_relaxation_batch(
-                batch, backend="scipy", build_schedules=True
-            )
-            (schedule,) = solution.schedules([inst])
+            solution = solve_with_highs([inst], build_schedules=True)
+            schedule = solution.schedules([inst, NINE_TASKS])[0]
             validate_column_schedule(schedule)
 
     def test_scipy_dispatch_can_build_schedules(self):
-        insts = [Instance.from_arrays(P=2.0, volumes=[1.0, 2.0, 0.5])]
-        batch = InstanceBatch.from_instances(insts)
-        solution = solve_ordered_relaxation_batch(batch, backend="scipy", build_schedules=True)
-        (schedule,) = solution.schedules(insts)
-        validate_column_schedule(schedule)
-        assert times_close(
-            schedule.weighted_completion_time(), solution.objectives[0], rtol=1e-6, atol=1e-7
+        insts = [Instance.from_arrays(P=2.0, volumes=[1.0, 2.0, 0.5]), NINE_TASKS]
+        solution = solve_ordered_relaxation_batch(
+            InstanceBatch.from_instances(insts), build_schedules=True
         )
+        for b, schedule in enumerate(solution.schedules(insts)):
+            validate_column_schedule(schedule)
+            assert times_close(
+                schedule.weighted_completion_time(), solution.objectives[b], rtol=1e-6, atol=1e-7
+            )
 
     def test_padding_equals_unpadded_solution(self):
         # The padded LP of a ragged row must price exactly like the unpadded
@@ -499,24 +523,85 @@ class TestContextDispatch:
         return insts, InstanceBatch.from_instances(insts)
 
     def test_backends_agree(self):
+        # No backend picks the solver: a context, no context and the
+        # deprecated "vectorized" alias all return the same solution.
         insts, batch = self._batch()
-        serial = ExecutionContext(seed=0).ordered_relaxation(batch)
-        vectorized = ExecutionContext(seed=0, backend="vectorized").ordered_relaxation(batch)
-        np.testing.assert_allclose(serial.objectives, vectorized.objectives, rtol=1e-6, atol=1e-8)
-        assert serial.backend == "scipy" and vectorized.backend == "batch"
+        plain = solve_ordered_relaxation_batch(batch)
+        for ctx in (ExecutionContext(seed=0), ExecutionContext(seed=0, backend="vectorized")):
+            solved = solve_ordered_relaxation_batch(batch, ctx=ctx)
+            assert np.array_equal(plain.objectives, solved.objectives)
+            assert np.array_equal(plain.completion_times, solved.completion_times)
 
     def test_process_pool_dispatch_agrees(self):
         insts, batch = self._batch()
-        serial = ExecutionContext(seed=0).ordered_relaxation(batch)
+        serial = solve_ordered_relaxation_batch(batch, ctx=ExecutionContext(seed=0))
         with ExecutionContext(seed=0, backend="process-pool", workers=2) as ctx:
-            pooled = ctx.ordered_relaxation(batch)
+            pooled = solve_ordered_relaxation_batch(batch, ctx=ctx)
         np.testing.assert_allclose(serial.objectives, pooled.objectives, rtol=1e-9)
 
     def test_resolved_lp_backend(self):
-        assert ExecutionContext().resolved_lp_backend() == "scipy"
-        assert ExecutionContext(backend="vectorized").resolved_lp_backend() == "batch"
-        assert ExecutionContext(backend="process-pool", workers=2).resolved_lp_backend() == "scipy"
-        # The backend is the only selection: there is no lp_backend knob.
+        # The context selects no LP solver: the selector, the forwarder and
+        # the lp_backend knob are gone.
+        ctx = ExecutionContext()
+        for removed in ("resolved_lp_backend", "ordered_relaxation", "vectorized"):
+            assert not hasattr(ctx, removed)
         for removed in ("simplex", "scipy", "auto"):
             with pytest.raises(TypeError, match="lp_backend"):
                 ExecutionContext(lp_backend=removed)  # type: ignore[call-arg]
+
+
+# --------------------------------------------------------------------- #
+# The size rule: lockstep up to 8 tasks, HiGHS above
+# --------------------------------------------------------------------- #
+
+
+def _cluster_batch(sizes, seed: int):
+    rng = np.random.default_rng(seed)
+    insts = [next(cluster_instances(n, 1, rng=rng)) for n in sizes]
+    return insts, InstanceBatch.from_instances(insts)
+
+
+class TestSizeRule:
+    @pytest.mark.parametrize(
+        "sizes",
+        [[8, 8, 8], [9, 9, 9], [2, 5, 8, 9, 10]],
+        ids=["lockstep-n8", "highs-n9", "ragged-crossing-8"],
+    )
+    def test_matches_scalar_reference(self, sizes):
+        insts, batch = _cluster_batch(sizes, seed=4)
+        solution = solve_ordered_relaxation_batch(batch)
+        by_task = solution.completion_times_by_task()
+        for b, inst in enumerate(insts):
+            order = [int(t) for t in solution.orders[b, : inst.n]]
+            ref = solve_ordered_relaxation(inst, order, build_schedule=False)
+            ref_by_task = np.zeros(inst.n)
+            ref_by_task[order] = ref.completion_times
+            np.testing.assert_allclose(solution.objectives[b], ref.objective, rtol=1e-9)
+            np.testing.assert_allclose(by_task[b, : inst.n], ref_by_task, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize(("n", "lockstep_calls"), [(8, 1), (9, 0)])
+    def test_solver_switches_above_eight_tasks(self, monkeypatch, n, lockstep_calls):
+        from repro.lp import exact
+
+        calls = []
+
+        def counting(*tensors):
+            calls.append(tensors[0].shape)
+            return solve_linear_program_batch(*tensors)
+
+        monkeypatch.setattr(exact, "solve_linear_program_batch", counting)
+        _, batch = _cluster_batch([n, 3], seed=5)
+        solve_ordered_relaxation_batch(batch)
+        assert len(calls) == lockstep_calls
+
+    def test_highs_side_builds_valid_schedules(self):
+        insts, batch = _cluster_batch([9, 4, 10], seed=6)
+        solution = solve_ordered_relaxation_batch(batch, build_schedules=True)
+        for b, schedule in enumerate(solution.schedules(insts)):
+            validate_column_schedule(schedule)
+            np.testing.assert_allclose(
+                schedule.processed_volumes(), insts[b].volumes, rtol=1e-9, atol=1e-9
+            )
+            assert times_close(
+                schedule.weighted_completion_time(), solution.objectives[b], rtol=1e-9, atol=1e-9
+            )

@@ -394,11 +394,13 @@ class TestSweepCli:
         out = capsys.readouterr().out
         assert "bursty-poisson" in out and "e5-policy-comparison" in out
 
-    def test_spec_required_without_list(self):
+    def test_spec_required_without_list(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="spec"):
+        with pytest.raises(SystemExit) as exc:
             main(["sweep"])
+        assert exc.value.code == 2
+        assert "malleable-repro sweep: error: a spec" in capsys.readouterr().err
 
     def test_registry_name_runs_and_persists(self, tmp_path, capsys):
         from repro.cli import main
@@ -408,7 +410,6 @@ class TestSweepCli:
             [
                 "sweep",
                 str(SCENARIO_DIR / "trace_replay.toml"),
-                "--batch",
                 "--output-dir",
                 str(out_dir),
             ]
@@ -419,11 +420,13 @@ class TestSweepCli:
         out = capsys.readouterr().out
         assert "record(s)" in out
 
-    def test_unknown_scenario_name_raises(self):
+    def test_unknown_scenario_name_raises(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(KeyError, match="unknown scenario"):
+        with pytest.raises(SystemExit) as exc:
             main(["sweep", "definitely-not-a-scenario"])
+        assert exc.value.code == 2
+        assert "unknown scenario 'definitely-not-a-scenario'" in capsys.readouterr().err
 
 
 class TestExperimentPorts:

@@ -720,7 +720,6 @@ class TestSpecAndCli:
             payload = {
                 "spec": spec.to_dict(),
                 "cell": {"scenario": "bad", "index": 0, "params": {}, "seed": 0},
-                "backend": "vectorized",
             }
             with pytest.raises(InvalidInstanceError, match="accepts only"):
                 run_cell(payload)
@@ -733,18 +732,20 @@ class TestSpecAndCli:
             [
                 "sweep", str(SCENARIO_DIR / "trace_replay.toml"),
                 "--trace", str(SAMPLE_TRACE), "--stream-chunk", "3",
-                "--output-dir", str(out), "--backend", "vectorized",
+                "--output-dir", str(out),
             ]
         )
         assert code == 0
         assert "record(s)" in capsys.readouterr().out
         assert (out / "results.jsonl").is_file() and (out / "summary.md").is_file()
 
-    def test_cli_stream_flags_rejected_for_synthetic_specs(self):
+    def test_cli_stream_flags_rejected_for_synthetic_specs(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="trace_replay"):
+        with pytest.raises(SystemExit) as exc:
             main(["sweep", "e5-policy-comparison", "--stream-chunk", "64"])
+        assert exc.value.code == 2
+        assert "apply only to trace_replay specs" in capsys.readouterr().err
 
     def test_cli_stream_chunk_zero_forces_inmemory(self, capsys):
         from repro.cli import main
@@ -752,7 +753,7 @@ class TestSpecAndCli:
         code = main(
             [
                 "sweep", str(SCENARIO_DIR / "trace_stream.toml"),
-                "--stream-chunk", "0", "--backend", "vectorized",
+                "--stream-chunk", "0",
             ]
         )
         assert code == 0

@@ -47,8 +47,10 @@ PAGES: dict[str, tuple[str, str, list[str]]] = {
     "exact.md": (
         "repro.lp.exact — the exact-OPT engine",
         "Branch-and-bound over completion suffixes: closed-form density "
-        "floors, feasibility-certified leaves and lockstep LP evaluation "
-        "replace the `n!` ordering enumeration behind `repro.lp.optimal`.",
+        "floors and exact LPs on the surviving leaves replace the `n!` "
+        "ordering enumeration behind `repro.lp.optimal`.  Also home of the "
+        "one ordered-LP solver rule, `solve_ordered_lps`: the lockstep "
+        "kernel up to 8 tasks, one HiGHS call per LP above.",
         ["repro.lp.exact"],
     ),
     "facade.md": (
@@ -81,18 +83,19 @@ PAGES: dict[str, tuple[str, str, list[str]]] = {
     ),
     "batch.md": (
         "repro.batch — vectorized substrate",
-        "Struct-of-arrays batches and the padded-batch NumPy kernels the "
-        "`vectorized` backend dispatches to, including the batched "
-        "discrete-event simulation engine.",
+        "Struct-of-arrays batches and the padded-batch NumPy kernels every "
+        "execution backend runs, including the batched discrete-event "
+        "simulation engine.",
         ["repro.core.batch", "repro.batch.kernels", "repro.batch.sim_kernels",
          "repro.batch.cache"],
     ),
     "lp.md": (
         "repro.lp — ordered-relaxation LPs",
         "The Corollary 1 linear-programming layer: the fixed-ordering "
-        "formulation, the SciPy/HiGHS scalar backend, and the batched "
+        "formulation and its scalar HiGHS reference solve, and the batched "
         "subsystem that assembles a whole `InstanceBatch` of LPs and solves "
-        "them with the in-repo lockstep simplex kernel.",
+        "them by one size rule — the in-repo lockstep simplex kernel up to 8 "
+        "tasks, one HiGHS call per LP above.",
         ["repro.lp.formulation", "repro.lp.interface", "repro.lp.batch",
          "repro.lp.simplex", "repro.lp.scipy_backend"],
     ),
