@@ -54,8 +54,6 @@ from repro.core.exceptions import InvalidInstanceError, InvalidScheduleError, So
 from repro.core.schedule import ColumnSchedule
 from repro.lp.exact import (
     MAX_BRANCH_AND_BOUND_TASKS,
-    _require_optimal,
-    _solve_with_highs_stack,
     permutation_table,
     solve_ordered_lps,
 )
@@ -286,7 +284,8 @@ class BatchedOrderedSolution:
         Per-problem solver status (always ``"optimal"`` for this LP) and
         iteration counts (lockstep pivots, or HiGHS iterations).
     lp:
-        The batched LP tensors that were solved.
+        The batched LP tensors that were solved (``None`` on the deprecated
+        task-space ``backend="scipy"`` path).
     """
 
     batch: InstanceBatch
@@ -296,7 +295,7 @@ class BatchedOrderedSolution:
     mask: np.ndarray
     statuses: np.ndarray
     iterations: np.ndarray
-    lp: BatchedOrderedLP
+    lp: BatchedOrderedLP | None
     _rates: np.ndarray | None = None
 
     @property
@@ -374,10 +373,12 @@ def solve_ordered_relaxation_batch(
         Materialise the rate tensors so :meth:`BatchedOrderedSolution.schedules`
         works.
     backend:
-        Deprecated.  ``"scipy"`` solves every row with HiGHS whatever its
-        size — the independent check of the ``exact-opt`` benchmark passes
-        it; ``None`` and ``"batch"`` apply the size rule.  It goes with the
-        next benchmark change.
+        Deprecated.  ``"scipy"`` solves every row with the task-space
+        reference :func:`repro.lp.interface.solve_ordered_relaxation`, which
+        builds its LP without :func:`build_ordered_lp_batch` — the
+        independent check of the ``exact-opt`` benchmark passes it;
+        ``None`` and ``"batch"`` apply the size rule.  It goes with the next
+        benchmark change.
 
     Raises
     ------
@@ -389,11 +390,10 @@ def solve_ordered_relaxation_batch(
     if backend not in (None, "batch", "scipy"):
         raise SolverError(f"unknown batched LP backend {backend!r}; the problem size picks the solver")
     orders = normalize_orders(batch, orders)
-    lp = build_ordered_lp_batch(batch, orders)
     if backend == "scipy":
-        result = _require_optimal(_solve_with_highs_stack(lp, ctx))
-    else:
-        result = solve_ordered_lps(lp, ctx)
+        return _solve_rows_task_space(batch, orders, build_schedules)
+    lp = build_ordered_lp_batch(batch, orders)
+    result = solve_ordered_lps(lp, ctx)
     return BatchedOrderedSolution(
         batch=batch,
         orders=orders,
@@ -404,6 +404,48 @@ def solve_ordered_relaxation_batch(
         iterations=result.iterations,
         lp=lp,
         _rates=lp.extract_rates(result.x) if build_schedules else None,
+    )
+
+
+def _solve_rows_task_space(
+    batch: InstanceBatch, orders: np.ndarray, build_schedules: bool
+) -> BatchedOrderedSolution:
+    """Solve row ``b`` under ``orders[b, :counts[b]]`` with the task-space reference.
+
+    Each LP comes from :func:`repro.lp.formulation.build_ordered_lp`, not
+    from the position-space tensors, so a fault in
+    :func:`build_ordered_lp_batch` makes these values disagree with the
+    size-rule path.  Times and rates come from the same solve per row.
+    """
+    from repro.lp.interface import solve_ordered_relaxation
+
+    B, N = orders.shape
+    objectives = np.zeros(B)
+    completion = np.zeros((B, N))
+    iterations = np.zeros(B, dtype=np.int64)
+    rates = np.zeros((B, N, N)) if build_schedules else None
+    for b in range(B):
+        n = int(batch.counts[b])
+        solution = solve_ordered_relaxation(
+            batch.instance(b), orders[b, :n].tolist(), build_schedule=build_schedules
+        )
+        objectives[b] = solution.objective
+        iterations[b] = solution.result.iterations
+        if n:
+            completion[b, :n] = solution.completion_times
+            completion[b, n:] = completion[b, n - 1]  # padding columns end with the last real one
+        if rates is not None and solution.schedule is not None:
+            rates[b, :n, :n] = solution.schedule.rates
+    return BatchedOrderedSolution(
+        batch=batch,
+        orders=orders,
+        objectives=objectives,
+        completion_times=completion,
+        mask=batch.mask,
+        statuses=np.full(B, "optimal", dtype=object),
+        iterations=iterations,
+        lp=None,
+        _rates=rates,
     )
 
 

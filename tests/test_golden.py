@@ -142,12 +142,14 @@ def test_serial_matches_golden(experiment_id, update_golden):
 
 @pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
 def test_vectorized_matches_golden(experiment_id, update_golden):
-    # The deprecated alias builds a serial context and must keep doing so
-    # while callers still pass it.
+    # The deprecated alias builds the serial context, so the serial golden
+    # run above covers it; only the resolution itself is checked here.
     if update_golden:
         pytest.skip("golden files are regenerated from the serial runs")
-    result = run_golden(experiment_id, "vectorized")
-    assert_matches(result, load_golden(experiment_id), experiment_id)
+    with ExecutionContext(seed=0, backend="vectorized") as ctx:
+        assert ctx.backend == "serial"
+    with ExecutionContext(seed=0, backend="vectorized", workers=2) as ctx:
+        assert ctx.backend == "process-pool"
 
 
 def test_process_pool_matches_golden(update_golden):

@@ -300,18 +300,53 @@ class TestAssembly:
             normalize_orders(batch, [[0, 1, 2], [0, 1]])
 
     def test_unknown_backend_rejected(self, monkeypatch):
+        from repro.lp import batch as lp_batch
         from repro.lp import exact
 
         batch = InstanceBatch.from_instances([Instance.from_arrays(P=1.0, volumes=[1.0])])
         with pytest.raises(SolverError):
             solve_ordered_relaxation_batch(batch, backend="bogus")
         # The deprecated keyword still answers the exact-opt benchmark's
-        # check: "scipy" solves even a lockstep-sized row with HiGHS.
-        insts = [Instance.from_arrays(P=2.0, volumes=[1.0, 2.0, 0.5], deltas=[0.5, 2.0, 1.0])]
-        reference = solve_with_highs(insts).objectives[:1]
-        monkeypatch.setattr(exact, "solve_linear_program_batch", None)  # any lockstep call fails
-        highs = solve_ordered_relaxation_batch(InstanceBatch.from_instances(insts), backend="scipy")
-        np.testing.assert_allclose(highs.objectives, reference, rtol=1e-9)
+        # check with the task-space reference: neither the lockstep kernel
+        # nor the position-space tensors are used.
+        insts = [Instance.from_arrays(P=2.0, volumes=[1.0, 2.0, 0.5], deltas=[0.5, 2.0, 1.0]), NINE_TASKS]
+        orders = [[2, 0, 1], list(range(9))]
+        monkeypatch.setattr(exact, "solve_linear_program_batch", None)
+        monkeypatch.setattr(lp_batch, "build_ordered_lp_batch", None)
+        reference = solve_ordered_relaxation_batch(
+            InstanceBatch.from_instances(insts), orders, backend="scipy", build_schedules=True
+        )
+        assert_matches_scalar(insts, orders, reference, rtol=1e-9)
+        for b, schedule in enumerate(reference.schedules(insts)):
+            validate_column_schedule(schedule)
+            assert times_close(
+                schedule.weighted_completion_time(), reference.objectives[b], rtol=1e-9
+            )
+
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_scipy_keyword_catches_a_faulty_position_space_builder(self, monkeypatch, n):
+        # The exact-opt benchmark checks branch-and-bound values against
+        # backend="scipy".  That check must not share the position-space
+        # tensors: doubling one volume equality there moves the size-rule
+        # value (lockstep at n = 5, HiGHS at n = 9) but not the reference.
+        from repro.lp import batch as lp_batch
+
+        batch = InstanceBatch.from_instances(
+            cluster_instances(n, 1, P=16.0, rng=np.random.default_rng(n))
+        )
+        healthy = solve_ordered_relaxation_batch(batch).objectives
+        build = lp_batch.build_ordered_lp_batch
+
+        def faulty(*args, **kwargs):
+            lp = build(*args, **kwargs)
+            lp.b_eq[:, 0] *= 2.0
+            return lp
+
+        monkeypatch.setattr(lp_batch, "build_ordered_lp_batch", faulty)
+        broken = solve_ordered_relaxation_batch(batch).objectives
+        reference = solve_ordered_relaxation_batch(batch, backend="scipy").objectives
+        np.testing.assert_allclose(reference, healthy, rtol=1e-9)
+        assert not np.allclose(broken, reference, rtol=1e-6)
 
 
 # --------------------------------------------------------------------- #
