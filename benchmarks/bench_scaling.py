@@ -2,8 +2,9 @@
 
 This is the pytest-benchmark counterpart of ``repro.experiments.exp_scaling``:
 it times the polynomial solvers (WDEQ, Water-Filling, greedy, makespan,
-max-lateness), the fixed-ordering LP with both solvers, and the vectorized
-batch kernels, so their scaling can be compared across runs.
+max-lateness), the exhaustive best-greedy search, the fixed-ordering LP with
+both solvers, and the vectorized batch kernels, so their scaling can be
+compared across runs.
 
 Script mode (used by the CI benchmark-smoke job)::
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.greedy import greedy_completion_times
+from repro.algorithms.greedy import best_greedy_schedule, greedy_completion_times
 from repro.algorithms.lateness import minimize_max_lateness
 from repro.algorithms.makespan import minimal_makespan
 from repro.algorithms.water_filling import water_filling_schedule
@@ -29,7 +30,7 @@ from repro.lp.batch import build_ordered_lp_batch
 from repro.lp.simplex import solve_linear_program_batch
 from repro.lp.interface import solve_ordered_relaxation
 from repro.experiments import run_experiment
-from repro.workloads.generators import cluster_instances
+from repro.workloads.generators import cluster_instances, uniform_instances
 
 
 @pytest.mark.benchmark(group="polynomial-solvers")
@@ -177,6 +178,11 @@ def run_scaling_benchmark(
     benchmarks[f"water_filling_batch_{tag}"] = best_of(
         lambda: water_filling_batch(batch, completions), repeats
     )
+    # Every n! order of one Conjecture 12 instance (P = 1) in one batched
+    # Algorithm 3 call.
+    for n in (5, 7):
+        inst = next(uniform_instances(n, 1, rng=np.random.default_rng(seed + 2)))
+        benchmarks[f"best_greedy_n{n}"] = best_of(lambda: best_greedy_schedule(inst), repeats)
     derived = {
         f"wdeq_batch_speedup_{tag}": benchmarks[f"wdeq_serial_{tag}"]
         / max(benchmarks[f"wdeq_batch_{tag}"], 1e-12)

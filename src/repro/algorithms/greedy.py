@@ -8,6 +8,12 @@ placed.  The paper proves (Theorem 11) that for homogeneous weights and
 ``delta_i > P/2`` *every* optimal schedule is greedy, and conjectures
 (Conjecture 12) that some greedy schedule is always optimal.
 
+:func:`greedy_completion_times` and :func:`greedy_schedule` place one order
+on a :class:`CapacityProfile`: the reference, and the schedule builder.
+:func:`greedy_completion_times_batch` places ``F`` orders at once; the
+best-greedy search, the Section V-B ordering analysis and the exact
+branch-and-bound (:mod:`repro.lp.exact`) all use it.
+
 The best-greedy search — enumerate orderings, keep the best greedy value —
 is the workhorse of experiments E1 and E4.  For larger ``n`` an exhaustive
 search is impossible, so a Smith-ordering seed followed by pairwise-swap
@@ -16,7 +22,6 @@ local search is provided as well.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -27,10 +32,12 @@ from repro.core.exceptions import InvalidScheduleError
 from repro.core.instance import Instance
 from repro.core.schedule import ContinuousSchedule
 from repro.algorithms.profile import CapacityProfile
+from repro.lp.exact import permutation_table
 
 __all__ = [
     "greedy_schedule",
     "greedy_completion_times",
+    "greedy_completion_times_batch",
     "best_greedy_schedule",
     "BestGreedyResult",
     "local_search_greedy_schedule",
@@ -50,9 +57,9 @@ def _check_order(instance: Instance, order: Sequence[int]) -> list[int]:
 def greedy_completion_times(instance: Instance, order: Sequence[int]) -> np.ndarray:
     """Completion times (indexed by task) of the greedy schedule for ``order``.
 
-    This is the fast path used by the exhaustive best-greedy search: it runs
-    the capacity-profile simulation but does not materialise the full
-    allocation matrices.
+    Runs the capacity-profile simulation without materialising the
+    allocation matrices.  It is the scalar reference that
+    :func:`greedy_completion_times_batch` is tested against.
     """
     order = _check_order(instance, order)
     completions = np.zeros(instance.n)
@@ -65,6 +72,58 @@ def greedy_completion_times(instance: Instance, order: Sequence[int]) -> np.ndar
             delta=float(instance.deltas[task]),
         )
         completions[task] = result.completion_time
+    return completions
+
+
+def greedy_completion_times_batch(
+    P: "float | np.ndarray",
+    volumes: np.ndarray,
+    deltas: np.ndarray,
+    orders: np.ndarray,
+) -> np.ndarray:
+    """Completion times of Algorithm 3 for ``F`` placement orders at once.
+
+    Row ``f`` places the tasks in the order ``orders[f]`` (shape ``(F, n)``)
+    on ``P`` (scalar or ``(F,)``) processors; ``volumes`` and ``deltas`` are
+    ``(n,)``, shared by every row, or ``(F, n)``.  Returns ``(F, n)``
+    completion times indexed by task, as :func:`greedy_completion_times`.
+
+    Without release times the free capacity is a non-decreasing step
+    function whose breakpoints are ``0`` and the completions placed so far:
+    a task takes ``min(delta, free)`` from ``t = 0`` on, which lowers the
+    free capacity before its completion only.  After ``j`` placements the
+    profile is ``j + 1`` breakpoints, the last step (free ``P``) unbounded.
+    """
+    orders = np.asarray(orders, dtype=np.int64)
+    F, n = orders.shape
+    v = np.take_along_axis(np.broadcast_to(volumes, (F, n)), orders, axis=1)
+    d = np.take_along_axis(np.broadcast_to(deltas, (F, n)), orders, axis=1)
+    times, free = np.zeros((2, F, n + 1))
+    free[:, 0] = P
+    completions = np.empty((F, n))
+    rows = np.arange(F)
+    for j in range(n):
+        t, c = times[:, : j + 1], free[:, : j + 1]
+        rate = np.minimum(d[:, j, None], c)
+        # Volume done by each breakpoint t_0 = 0, t_1, ..., t_j.
+        done = np.zeros((F, j + 1))
+        np.cumsum(rate[:, :-1] * np.diff(t, axis=1), axis=1, out=done[:, 1:])
+        # The step the task finishes in: the last breakpoint it has not
+        # finished by.  That step has a positive rate (``done`` grows on it,
+        # or it is the last step, where the free capacity is ``P``).
+        step = (done < v[:, j, None]).sum(axis=1) - 1
+        finish = t[rows, step] + (v[:, j] - done[rows, step]) / rate[rows, step]
+        completions[rows, orders[:, j]] = finish
+        # Insert ``finish`` after breakpoint ``step``: earlier steps lose the
+        # task's rate, the split step keeps its free capacity after ``finish``.
+        position = np.arange(j + 2)
+        before = position <= step[:, None]
+        source = np.where(before, position, position - 1)
+        free[:, : j + 2] = np.take_along_axis(c, source, axis=1) - np.where(
+            before, np.take_along_axis(rate, source, axis=1), 0.0
+        )
+        times[:, : j + 2] = np.take_along_axis(t, source, axis=1)
+        times[rows, step + 1] = finish
     return completions
 
 
@@ -149,17 +208,23 @@ def exhaustive_greedy_values(
 
     Mainly used by the structural experiments of Section V-B, which need the
     *whole* value landscape (e.g. to verify the reversal symmetry of
-    Conjecture 13), not just the best order.
+    Conjecture 13), not just the best order.  All orders are evaluated by
+    one :func:`greedy_completion_times_batch` call.
     """
     if orders is None:
-        orders = itertools.permutations(range(instance.n))
-    values: dict[tuple[int, ...], float] = {}
-    for order in orders:
-        completions = greedy_completion_times(instance, order)
-        values[tuple(int(i) for i in order)] = float(
-            np.dot(instance.weights, completions)
-        )
-    return values
+        orders = permutation_table(instance.n)
+    else:
+        orders = np.array([_check_order(instance, o) for o in orders], dtype=np.int64)
+    values = _greedy_values(instance, orders.reshape(-1, instance.n))[0]
+    return dict(zip(map(tuple, orders.tolist()), values.tolist()))
+
+
+def _greedy_values(instance: Instance, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy objective values ``(F,)`` and completion times ``(F, n)`` of ``orders``."""
+    completions = greedy_completion_times_batch(
+        instance.P, instance.volumes, instance.deltas, orders
+    )
+    return completions @ instance.weights, completions
 
 
 def best_greedy_schedule(
@@ -175,30 +240,15 @@ def best_greedy_schedule(
     larger instances the search falls back to
     :func:`local_search_greedy_schedule`.
     """
-    n = instance.n
-    if n == 0:
+    if instance.n <= exhaustive_limit:
+        orders = permutation_table(instance.n)
+        values, completions = _greedy_values(instance, orders)
+        best = int(values.argmin())
         return BestGreedyResult(
-            order=(), objective=0.0, completion_times=np.zeros(0), evaluated=0, exhaustive=True
-        )
-    if n <= exhaustive_limit:
-        best_order: tuple[int, ...] | None = None
-        best_value = math.inf
-        best_completions = np.zeros(n)
-        evaluated = 0
-        for order in itertools.permutations(range(n)):
-            completions = greedy_completion_times(instance, order)
-            value = float(np.dot(instance.weights, completions))
-            evaluated += 1
-            if value < best_value - 1e-15:
-                best_value = value
-                best_order = order
-                best_completions = completions
-        assert best_order is not None
-        return BestGreedyResult(
-            order=best_order,
-            objective=best_value,
-            completion_times=best_completions,
-            evaluated=evaluated,
+            order=tuple(int(i) for i in orders[best]),
+            objective=float(values[best]),
+            completion_times=completions[best],
+            evaluated=len(orders),
             exhaustive=True,
         )
     return local_search_greedy_schedule(

@@ -23,16 +23,19 @@ of the resource.
 The paper reports the optimal orders for up to 4 tasks, a necessary condition
 for 5 tasks, and Conjecture 13: the greedy value of an order equals the value
 of the reversed order.  All of these are reproduced in experiments E2 / E3.
+
+Conjecture 13 is checked with this recurrence.  Searches over all orders run
+the batched Algorithm 3 of :mod:`repro.algorithms.greedy` on
+:func:`homogeneous_instance`, which agrees with it to rounding.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import Sequence
 
 import numpy as np
 
+from repro.algorithms.greedy import best_greedy_schedule
 from repro.core.exceptions import InvalidInstanceError, InvalidScheduleError
 from repro.core.instance import Instance, Task
 
@@ -40,7 +43,6 @@ __all__ = [
     "homogeneous_instance",
     "homogeneous_greedy_completion_times",
     "homogeneous_greedy_value",
-    "homogeneous_greedy_values_batch",
     "homogeneous_best_order",
     "is_homogeneous_instance",
 ]
@@ -125,73 +127,18 @@ def homogeneous_greedy_value(
     return float(homogeneous_greedy_completion_times(deltas, order).sum())
 
 
-def homogeneous_greedy_values_batch(
-    deltas: Sequence[float], orders: np.ndarray
-) -> np.ndarray:
-    """Greedy values of many orders of one instance at once, shape ``(F,)``.
-
-    Vectorized counterpart of :func:`homogeneous_greedy_value` over an
-    ``(F, n)`` array of permutations: the Section V-B recurrence advances
-    all ``F`` orders in lockstep, one array operation per position, instead
-    of one Python call per order.  The arithmetic per order is identical to
-    the scalar recurrence (same operations in the same sequence), so the
-    values are bitwise equal — which is what lets the ordering-structure
-    analysis of :mod:`repro.analysis.orderings` replace its historical
-    ``itertools.permutations`` loop without moving a single reported table
-    cell.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    orders = np.asarray(orders, dtype=np.int64)
-    if orders.ndim != 2 or orders.shape[1] != deltas.size:
-        raise InvalidScheduleError(
-            f"orders must be (F, {deltas.size}), got {orders.shape}"
-        )
-    n = deltas.size
-    if not np.array_equal(np.sort(orders, axis=1), np.broadcast_to(np.arange(n), orders.shape)):
-        raise InvalidScheduleError("every row of orders must be a permutation of 0..n-1")
-    if np.any(deltas < 0.5 - 1e-12) or np.any(deltas > 1.0 + 1e-12):
-        raise InvalidInstanceError("the closed-form recurrence requires delta in [1/2, 1]")
-    F = orders.shape[0]
-    if n == 0:
-        return np.zeros(F)
-    d = deltas[orders]
-    C = np.zeros((F, n))
-    prev2 = np.zeros(F)
-    prev1 = np.zeros(F)
-    for i in range(n):
-        d_cur = d[:, i]
-        if i == 0:
-            C_i = 1.0 / d_cur
-        else:
-            leftover = (1.0 - d[:, i - 1]) * (prev1 - prev2)
-            C_i = prev1 + (1.0 - leftover) / d_cur
-        prev2, prev1 = prev1, C_i
-        C[:, i] = C_i
-    return C.sum(axis=1)
-
-
 def homogeneous_best_order(deltas: Sequence[float]) -> tuple[tuple[int, ...], float]:
     """Exhaustively find the order minimising the sum of completion times.
 
-    Only intended for the small instances of the Section V-B experiments
-    (the paper explores up to 5 tasks analytically and 15 numerically for the
-    reversal conjecture; exhaustive search beyond ~10 tasks is impractical).
+    All ``n!`` orders of :func:`homogeneous_instance` are evaluated at once
+    by :func:`repro.algorithms.greedy.best_greedy_schedule`, which holds
+    them in memory; hence the limit of 8 tasks (the paper explores up to 5
+    tasks analytically).
     """
-    deltas = np.asarray(deltas, dtype=float)
-    n = deltas.size
-    if n > 10:
+    if len(deltas) > 8:
         raise InvalidInstanceError(
-            "exhaustive order search is limited to 10 tasks; "
+            "exhaustive order search is limited to 8 tasks; "
             "use repro.algorithms.greedy.local_search_greedy_schedule instead"
         )
-    best_order: tuple[int, ...] | None = None
-    best_value = math.inf
-    for order in itertools.permutations(range(n)):
-        value = homogeneous_greedy_value(deltas, order)
-        if value < best_value - 1e-15:
-            best_value = value
-            best_order = order
-    assert best_order is not None or n == 0
-    if n == 0:
-        return (), 0.0
-    return best_order, best_value
+    best = best_greedy_schedule(homogeneous_instance(deltas))
+    return best.order, best.objective

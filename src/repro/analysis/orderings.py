@@ -11,8 +11,8 @@ paper describes, assuming ``delta_1 >= delta_2 >= ... >= delta_n``:
   an optimal order ``i,j,k,l,m`` is ``(delta_l - delta_j) * (delta_i -
   delta_m) <= 0``.
 
-This module finds the set of optimal orders exhaustively (via the greedy
-recurrence) and checks these structural claims; experiment E3 aggregates the
+This module finds the set of optimal orders exhaustively (Algorithm 3 on
+every order) and checks these structural claims; experiment E3 aggregates the
 checks over random instances.
 """
 
@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.greedy_homogeneous import homogeneous_greedy_values_batch
+from repro.algorithms.greedy import greedy_completion_times_batch
+from repro.algorithms.greedy_homogeneous import homogeneous_instance
 from repro.core.bounds import time_leq
 from repro.core.exceptions import InvalidInstanceError
 from repro.lp.exact import permutation_table
@@ -124,19 +125,21 @@ def optimal_order_structure(
 ) -> OrderingStructure:
     """Enumerate all orders of a Section V-B instance and classify them.
 
-    The value landscape is evaluated through the vectorized recurrence of
-    :func:`repro.algorithms.greedy_homogeneous.homogeneous_greedy_values_batch`
-    over the cached permutation table of the exact engine — one lockstep
-    pass instead of the historical per-permutation Python loop, with
-    bitwise-identical values (the scalar recurrence is kept as the
-    reference and the agreement is pinned by ``tests/test_exact.py``).
+    The value landscape is one
+    :func:`repro.algorithms.greedy.greedy_completion_times_batch` call on
+    :func:`~repro.algorithms.greedy_homogeneous.homogeneous_instance` over
+    the cached permutation table of the exact engine.  Its values agree
+    with the Section V-B recurrence to rounding, not bitwise, so optimal
+    orders are collected within ``tolerance`` of the best value.
     """
     deltas_sorted = np.sort(np.asarray(deltas, dtype=float))[::-1]
     n = deltas_sorted.size
     if n == 0:
         return OrderingStructure(deltas_sorted, 0.0, [()], [()], True, [()], True)
     perms = permutation_table(n)
-    values = homogeneous_greedy_values_batch(deltas_sorted, perms)
+    instance = homogeneous_instance(deltas_sorted)
+    completions = greedy_completion_times_batch(instance.P, instance.volumes, instance.deltas, perms)
+    values = completions @ instance.weights
     best = float(values.min())
     optimal_orders = [
         tuple(int(i) for i in perms[row])

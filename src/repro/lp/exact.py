@@ -17,13 +17,19 @@ from the **end**:
   once and bounds every child with pure array arithmetic — **no LP is
   solved at interior nodes**.  Children whose bound cannot beat their row's
   incumbent are discarded; per-depth incumbent refreshes complete the most
-  promising tails heuristically (scored by the feasible greedy values of
-  :func:`_greedy_fill_values`) and evaluate one candidate per row exactly.
+  promising tails heuristically, place them with the paper's Algorithm 3
+  (:func:`repro.algorithms.greedy.greedy_completion_times_batch`) and
+  evaluate the best completion order per row exactly.
 * Leaves (complete orderings) are pruned by the same closed-form floors
-  against incumbents tightened by feasible greedy values
-  (:func:`_greedy_fill_values`).  The surviving band pays an exact LP
-  solve, in ascending-bound chunks so each chunk's discoveries
-  retroactively prune the rest.
+  against incumbents tightened by the Algorithm 3 values of the leaves.
+  The surviving band pays an exact LP solve, in ascending-bound chunks so
+  each chunk's discoveries retroactively prune the rest.
+
+A greedy value is a feasible schedule's value, so it bounds the LP of the
+schedule's *completion* order (the stable argsort of its completion times)
+from above; it enters an incumbent together with that order, never with
+the placement order, whose LP can be far higher.  The returned order's LP
+therefore equals the returned objective within the pruning margin.
 
 Every exact LP of the package — seeds, refreshes and leaves here, and every
 row of :func:`repro.lp.batch.solve_ordered_relaxation_batch` — is solved by
@@ -448,43 +454,6 @@ def _tail_completion_floors(
     return np.maximum.accumulate(t, axis=1)
 
 
-def _greedy_fill_values(
-    P: np.ndarray,
-    volumes: np.ndarray,
-    weights: np.ndarray,
-    deltas: np.ndarray,
-    orders: np.ndarray,
-) -> np.ndarray:
-    """Feasible-schedule upper bounds on ``LP(order)``, shape ``(F,)``.
-
-    A column-synchronous greedy: column ``j`` runs until the position-``j``
-    task finishes, allocating capacity in completion order (the column's own
-    task first, later tasks filling the leftover up to their caps).  The
-    construction is feasible by definition, so its weighted completion time
-    upper-bounds the ordered LP optimum — the search uses it to *pick* which
-    candidate orderings are worth an exact LP evaluation, never to prune.
-    """
-    F, n = orders.shape
-    v = np.take_along_axis(volumes, orders, axis=1)
-    w = np.take_along_axis(weights, orders, axis=1)
-    d = np.take_along_axis(deltas, orders, axis=1)
-    remaining = v.copy()
-    t = np.zeros(F)
-    value = np.zeros(F)
-    for j in range(n):
-        rate_j = np.minimum(d[:, j], P)
-        length = remaining[:, j] / np.maximum(rate_j, 1e-300)
-        leftover = np.maximum(P - rate_j, 0.0)
-        remaining[:, j] = 0.0
-        for q in range(j + 1, n):
-            rate_q = np.minimum(np.minimum(d[:, q], leftover), remaining[:, q] / np.maximum(length, 1e-300))
-            remaining[:, q] = np.maximum(remaining[:, q] - rate_q * length, 0.0)
-            leftover = leftover - rate_q
-        t = t + length
-        value = value + w[:, j] * t
-    return value
-
-
 # --------------------------------------------------------------------- #
 # Heuristic incumbents
 # --------------------------------------------------------------------- #
@@ -536,9 +505,16 @@ def _search_group(
     evaluated exactly, in LP chunks.  Returns
     ``(objectives, orders, stats)`` with ``orders`` of shape ``(R, n)``.
     """
+    from repro.algorithms.greedy import greedy_completion_times_batch
+
     R, n = volumes.shape
     stats = ExactSearchStats()
     heights = np.where(deltas > 0, volumes / np.where(deltas > 0, deltas, 1.0), np.inf)
+
+    def greedy(rows: np.ndarray, orders: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Algorithm 3 values of placement ``orders`` and each schedule's completion order."""
+        times = greedy_completion_times_batch(P[rows], volumes[rows], deltas[rows], orders)
+        return (weights[rows] * times).sum(axis=1), np.argsort(times, axis=1, kind="stable")
 
     def evaluate(rows: np.ndarray, orders: np.ndarray) -> np.ndarray:
         """Chunked exact LP values of complete orderings belonging to ``rows``."""
@@ -589,28 +565,21 @@ def _search_group(
         """Tighten incumbents from the most promising completions.
 
         Every child tail is completed heuristically (front in Smith order)
-        and scored with the greedy upper bound of
-        :func:`_greedy_fill_values`.  The scores are feasible-schedule
-        values, so each row's minimum folds straight into the incumbent;
-        the best-scoring candidate additionally gets an exact LP solve,
-        keeping the incumbents close to the true optimum.
+        and the result is placed by Algorithm 3.  Each greedy value folds
+        into its row's incumbent with the schedule's completion order; the
+        best-scoring completion order of each row additionally gets an exact
+        LP solve, which can only lower it further.
         """
         key = smith_key[rows]
         idx = np.broadcast_to(position_index, key.shape)
         front = np.lexsort((idx, key, in_tail), axis=1)[:, : n - m]
-        full = np.concatenate([front, tails[:, n - m :]], axis=1)
-        upper = _greedy_fill_values(P[rows], volumes[rows], weights[rows], deltas[rows], full)
-        fold_incumbents(rows, full, upper)
+        upper, completed = greedy(rows, np.concatenate([front, tails[:, n - m :]], axis=1))
+        fold_incumbents(rows, completed, upper)
         ranking = np.lexsort((upper, rows))
         first = np.ones(ranking.size, dtype=bool)
         first[1:] = rows[ranking][1:] != rows[ranking][:-1]
         picks = ranking[first]
-        pick_rows = rows[picks]
-        values = evaluate(pick_rows, full[picks])
-        better = values < incumbent[pick_rows]
-        stats.incumbent_updates += int(np.count_nonzero(better))
-        incumbent[pick_rows[better]] = values[better]
-        incumbent_order[pick_rows[better]] = full[picks][better]
+        fold_incumbents(rows[picks], completed[picks], evaluate(rows[picks], completed[picks]))
 
     # Root frontier: one empty tail per row.  ``tails[:, n - depth:]`` holds
     # the fixed last completions, in completion order.
@@ -652,8 +621,8 @@ def _search_group(
             rows_l, tails_l, bound = rows_l[keep], tails_l[keep], bound[keep]
             if rows_l.size == 0:
                 break
-            upper = _greedy_fill_values(P[rows_l], volumes[rows_l], weights[rows_l], deltas[rows_l], tails_l)
-            fold_incumbents(rows_l, tails_l, upper)
+            upper, completed = greedy(rows_l, tails_l)
+            fold_incumbents(rows_l, completed, upper)
             ranking = np.argsort(bound, kind="stable")
             rows_l, tails_l, bound = rows_l[ranking], tails_l[ranking], bound[ranking]
             for start in range(0, rows_l.size, chunk_size):

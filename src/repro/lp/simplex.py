@@ -12,8 +12,10 @@ dependency on SciPy.  It exists for two reasons:
    against formulation bugs that a single solver would hide.  A single LP
    is a batch of one.
 
-The implementation is a textbook two-phase primal simplex on dense tableaus
-with Bland's anti-cycling rule.  It targets the small LPs produced by
+The implementation is a textbook two-phase primal simplex on dense tableaus:
+Bland's entering rule and Harris's two-pass ratio test for the leaving row
+(cycling, which that combination does not rule out, would end at the pivot
+limit with :class:`~repro.core.exceptions.SolverError`).  It targets the small LPs produced by
 :mod:`repro.lp.formulation` (a few hundred variables at most); it is *not*
 meant to compete with HiGHS on large instances — ``benchmarks/bench_scaling``
 quantifies the gap.
@@ -38,7 +40,6 @@ __all__ = [
 ]
 
 _EPS = 1e-9
-_TIE_TOL = 1e-12
 _INFEAS_TOL = 1e-7
 
 #: The incrementally-updated reduced costs of the batched solver are
@@ -62,7 +63,9 @@ class BatchLinearProgramResult:
         :class:`~repro.lp.scipy_backend.LinearProgramResult` conventions.
     statuses:
         ``(B,)`` object array of ``"optimal"`` / ``"infeasible"`` /
-        ``"unbounded"``.
+        ``"unbounded"``, or ``"inaccurate"`` when the final point violates a
+        constraint by more than :data:`_INFEAS_TOL` relative to the size of
+        the row's terms (a numerical failure, never a verdict on the LP).
     iterations:
         ``(B,)`` pivots performed per problem (both phases).
     """
@@ -84,6 +87,16 @@ def _exact_reduced_costs(cost: np.ndarray, T: np.ndarray, basis: np.ndarray) -> 
     return cost - (cb[:, None, :] @ T)[:, 0, :]
 
 
+def _primal_residual(A: np.ndarray, b: np.ndarray, x: np.ndarray, m_ub: int) -> np.ndarray:
+    """Largest violation of ``A[:m_ub] x <= b[:m_ub]``, ``A[m_ub:] x = b[m_ub:]`` per problem,
+    each row's divided by its ``1 + |b| + sum |A x|`` so that scale does not matter."""
+    terms = A * x[:, None, :]
+    residual = terms.sum(axis=2) - b
+    residual[:, :m_ub] = np.maximum(residual[:, :m_ub], 0.0)
+    scale = 1.0 + np.abs(b) + np.abs(terms).sum(axis=2)
+    return (np.abs(residual) / scale).max(axis=1, initial=0.0)
+
+
 def _simplex_core_batch(
     T: np.ndarray,
     b: np.ndarray,
@@ -98,7 +111,7 @@ def _simplex_core_batch(
     iterations: np.ndarray,
     max_iterations: int,
 ) -> None:
-    """Run lockstep Bland pivots on a compacted ``(k, m, v)`` tableau batch.
+    """Run lockstep simplex pivots on a compacted ``(k, m, v)`` tableau batch.
 
     ``T``/``b``/``basis``/``cost``/``orig`` are working copies holding only
     the problems still pivoting; when a problem stops (optimal or unbounded)
@@ -108,7 +121,8 @@ def _simplex_core_batch(
     update per pivot — the same transform the tableau undergoes) and
     recomputed exactly every :data:`_REFRESH_EVERY` pivots and before any
     problem is declared optimal, so termination decisions always use exact
-    values.  Entering/leaving selection is Bland's rule.
+    values.  The entering column is Bland's (smallest index); the leaving
+    row comes from Harris's ratio test.
     """
     m = T.shape[1]
     lockstep = 0
@@ -166,12 +180,16 @@ def _simplex_core_batch(
             ar = np.arange(k)
             if not k:
                 return
+        # Harris's two-pass ratio test: every row whose ratio is within the
+        # step allowed when each row may go _EPS negative is eligible, and
+        # the largest pivot element among them leaves (the clamp below
+        # absorbs the overshoot).  The minimum-ratio row alone, or Bland's
+        # smallest index among ties, can be an element near _EPS whose
+        # division blows up the tableau, ending at an "optimal" point that
+        # violates the rows.
         ratios = np.where(positive, b / np.where(positive, col, 1.0), np.inf)
-        best = ratios.min(axis=1)
-        # Bland's rule for the leaving variable: among rows attaining the
-        # minimum ratio, the one whose basic variable has smallest index.
-        tie = np.abs(ratios - best[:, None]) <= _TIE_TOL
-        leave = np.argmin(np.where(tie, basis, np.iinfo(np.int64).max), axis=1)
+        reach = np.where(positive, (b + _EPS) / np.where(positive, col, 1.0), np.inf).min(axis=1)
+        leave = np.argmax(np.where(ratios <= reach[:, None], col, -np.inf), axis=1)
         pivot_val = col[ar, leave]
         pivot_row = T[ar, leave, :] / pivot_val[:, None]
         pivot_b = b[ar, leave] / pivot_val
@@ -201,14 +219,15 @@ def solve_linear_program_batch(
     every problem shares one two-phase dense tableau layout, and pivots run
     as masked array operations over the whole batch — converged problems are
     frozen (removed from the working set) while the rest keep pivoting.
-    Pivot selection is Bland's rule; the per-problem verdicts and optimal
-    values match HiGHS up to floating-point noise (property-tested in
-    ``tests/test_lp_batch.py``).  A single LP is solved as ``B = 1``; at
+    Pivots follow Bland's entering rule and Harris's ratio test; the
+    per-problem verdicts and optimal values match HiGHS up to floating-point
+    noise (property-tested in ``tests/test_lp_batch.py``).  A single LP is solved as ``B = 1``; at
     least one constraint block is required.
 
     Infeasible and unbounded problems are reported per problem through
-    :attr:`BatchLinearProgramResult.statuses`; only hitting the pivot limit
-    raises :class:`~repro.core.exceptions.SolverError`.
+    :attr:`BatchLinearProgramResult.statuses`, and so is an "optimal" point
+    that fails the final primal-residual check (``"inaccurate"``); only
+    hitting the pivot limit raises :class:`~repro.core.exceptions.SolverError`.
     """
     if A_ub is None and A_eq is None:
         raise SolverError("a batched solve needs at least one constraint block")
@@ -232,6 +251,7 @@ def solve_linear_program_batch(
 
     m_ub, m_eq = A_ub.shape[1], A_eq.shape[1]
     m = m_ub + m_eq
+    constraints = (np.concatenate([A_ub, A_eq], axis=1), np.concatenate([b_ub, b_eq], axis=1))
 
     # Sign-normalise: inequality rows with a negative rhs are negated (their
     # slack becomes a surplus) and need an artificial; equality rows are
@@ -335,10 +355,11 @@ def solve_linear_program_batch(
     x_full = np.zeros((B, total))
     np.put_along_axis(x_full, basis, bvec, axis=1)
     x = x_full[:, :nvar]
+    statuses[(statuses == "optimal") & (_primal_residual(*constraints, x, m_ub) > _INFEAS_TOL)] = "inaccurate"
     objectives = np.einsum("bv,bv->b", c, x)
     optimal = statuses == "optimal"
     x[~optimal] = 0.0
-    objectives = np.where(optimal, objectives, np.where(statuses == "infeasible", np.nan, -np.inf))
+    objectives = np.where(optimal, objectives, np.where(statuses == "unbounded", -np.inf, np.nan))
     return BatchLinearProgramResult(
         x=x, objectives=objectives, statuses=statuses, iterations=iterations
     )

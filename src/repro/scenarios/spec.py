@@ -213,9 +213,7 @@ class ScenarioSpec:
                 raise ValueError(
                     f"unknown weight distribution {dist!r}; expected one of {WEIGHT_DISTS}"
                 )
-        # The generator name is resolved lazily by the runner (so specs can be
-        # built without importing NumPy-heavy modules), but the trace family
-        # needs its path immediately to fail fast on typos.
+        # The trace family needs its path immediately to fail fast on typos.
         if self.generator == "trace_replay":
             if "trace" not in self.params:
                 raise ValueError(
@@ -235,6 +233,14 @@ class ScenarioSpec:
             if fmt is not None and fmt not in TRACE_FORMATS:
                 raise ValueError(
                     f"trace_replay params.format must be one of {TRACE_FORMATS}, got {fmt!r}"
+                )
+        else:
+            from repro.workloads import generators
+
+            families = tuple(name for name in generators.__all__ if name.endswith("_instances"))
+            if self.generator not in families:
+                raise ValueError(
+                    f"unknown generator {self.generator!r}; expected 'trace_replay' or one of {families}"
                 )
 
     # ------------------------------------------------------------------ #

@@ -114,8 +114,12 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         ("text", "message"),
-        [("[scenario\n", "Expected ']'"), ('[scenario]\nname = "x"\ngenerator = "uniform_instances"\ncount = 0\n', "count must be positive")],
-        ids=["malformed-toml", "invalid-spec"],
+        [
+            ("[scenario\n", "Expected ']'"),
+            ('[scenario]\nname = "x"\ngenerator = "uniform_instances"\ncount = 0\n', "count must be positive"),
+            ('[scenario]\nname = "x"\ngenerator = "nope"\n', "unknown generator 'nope'"),
+        ],
+        ids=["malformed-toml", "invalid-spec", "unknown-generator"],
     )
     def test_bad_spec_file_is_a_usage_error(self, tmp_path, capsys, text, message):
         spec = tmp_path / "bad.toml"

@@ -5,8 +5,8 @@ The two tentpoles of this layer are pinned here:
 * ``repro.lp.exact`` — the subset-memoized branch-and-bound must produce
   *exactly* the optimum of the full ``n!`` ordering enumeration on every
   ragged batch Hypothesis can build, on every backend, and its internal
-  bounds must genuinely bracket the ordered-LP values (floors below, greedy
-  fill above);
+  bounds must genuinely bracket the ordered-LP values (floors below, the
+  Algorithm 3 value of the same completion order above);
 * ``repro.exec.shm`` — batch maps dispatched through the zero-copy
   shared-memory pool must return *bit-for-bit* the results of the serial
   path, publish once per call, and large maps must issue O(workers)
@@ -15,16 +15,15 @@ The two tentpoles of this layer are pinned here:
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.greedy import greedy_completion_times_batch
 from repro.algorithms.greedy_homogeneous import (
-    homogeneous_greedy_value,
-    homogeneous_greedy_values_batch,
+    homogeneous_greedy_completion_times,
+    homogeneous_instance,
 )
 from repro.algorithms.optimal import optimal_value
 from repro.batch.kernels import combined_lower_bound_batch
@@ -38,12 +37,14 @@ from repro.exec.shm import apply_rows, attach_arrays, publish_batch
 from repro.lp.batch import OPTIMAL_METHODS, optimal, solve_ordered_relaxation_batch
 from repro.lp.exact import (
     MAX_BRANCH_AND_BOUND_TASKS,
-    _greedy_fill_values,
+    _require_optimal,
     _tail_completion_floors,
     branch_and_bound_optimal_batch,
     permutation_table,
 )
 from repro.lp.interface import solve_ordered_relaxation
+from repro.lp.simplex import _INFEAS_TOL, _primal_residual, solve_linear_program_batch
+from repro.workloads import generators
 from repro.workloads.generators import cluster_instances, uniform_instances
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -213,12 +214,13 @@ class TestBoundsBracketTheLP:
     @given(instances(min_tasks=2, max_tasks=5), st.integers(0, 2**16))
     def test_floors_below_and_greedy_above(self, inst, seed):
         n = inst.n
-        order = np.random.default_rng(seed).permutation(n)
+        placement = np.random.default_rng(seed).permutation(n)
+        times = greedy_completion_times_batch(inst.P, inst.volumes, inst.deltas, placement[None, :])[0]
+        order = np.argsort(times, kind="stable")
         solution = solve_ordered_relaxation(inst, order, build_schedule=False)
         batch = InstanceBatch.from_instances([inst])
         P = np.asarray(batch.P, dtype=float)
         volumes = batch.volumes[:, :n]
-        weights = batch.weights[:, :n]
         deltas = batch.deltas[:, :n]
         heights = volumes / deltas
         floors = _tail_completion_floors(
@@ -227,31 +229,100 @@ class TestBoundsBracketTheLP:
         )
         slack = 1e-7 * np.maximum(1.0, np.abs(solution.completion_times))
         assert np.all(floors[0] <= solution.completion_times + slack)
-        upper = _greedy_fill_values(P, volumes, weights, deltas, order[None, :])
-        assert upper[0] >= solution.objective - 1e-7 * max(1.0, solution.objective)
+        # The greedy schedule is feasible for the LP of its completion order.
+        upper = float(inst.weights @ times)
+        assert upper >= solution.objective - 1e-7 * max(1.0, solution.objective)
 
 
 # --------------------------------------------------------------------- #
-# Vectorized ordering analysis (E3's port off itertools.permutations)
+# The Algorithm 3 kernel on the Section V-B instances (E3's landscape)
 # --------------------------------------------------------------------- #
 
 
-class TestHomogeneousBatchEvaluator:
+class TestHomogeneousGreedyKernel:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 2**16))
-    def test_bitwise_equal_to_scalar_recurrence(self, n, seed):
-        rng = np.random.default_rng(seed)
-        deltas = rng.uniform(0.5, 1.0, size=n)
+    def test_matches_section_vb_recurrence(self, n, seed):
+        deltas = np.random.default_rng(seed).uniform(0.5, 1.0, size=n)
+        inst = homogeneous_instance(deltas)
         perms = permutation_table(n)
-        batch_values = homogeneous_greedy_values_batch(deltas, perms)
-        for row, order in enumerate(itertools.permutations(range(n))):
-            assert batch_values[row] == homogeneous_greedy_value(deltas, order)
+        times = greedy_completion_times_batch(inst.P, inst.volumes, inst.deltas, perms)
+        for order, row in zip(perms, times):
+            # The recurrence lists completion times in scheduling order.
+            np.testing.assert_allclose(
+                row[order], homogeneous_greedy_completion_times(deltas, order), rtol=1e-12
+            )
 
-    def test_rejects_non_permutations(self):
-        from repro.core.exceptions import InvalidScheduleError
 
-        with pytest.raises(InvalidScheduleError):
-            homogeneous_greedy_values_batch([0.6, 0.8], np.array([[0, 0]]))
+# --------------------------------------------------------------------- #
+# Ill-conditioned caps: the lockstep pivot choice
+# --------------------------------------------------------------------- #
+
+#: ``P = 1``, ``V = w = 1``: one cap near 0.003 among caps near 0.2-0.55.
+#: Choosing the leaving row by basic index alone among tied ratios picked a
+#: pivot near 1e-4 here, and the solve reported "optimal" at a point whose
+#: equality rows were off by 6.1 (value 305.727).
+ILL_CONDITIONED_DELTAS = [
+    0.22333386374738884, 0.0034128132975886397, 0.2183329255406398, 0.32218157723341384,
+    0.4398631292771236, 0.44772446514635694, 0.5487962071971568, 0.47467451124902116,
+]
+
+
+class TestIllConditionedCaps:
+    instance = Instance(P=1.0, tasks=[Task(1.0, 1.0, d) for d in ILL_CONDITIONED_DELTAS])
+
+    def test_lockstep_lp_matches_highs(self):
+        order = np.array([[3, 2, 0, 4, 5, 6, 7, 1]])
+        lockstep = solve_ordered_relaxation_batch(InstanceBatch.from_instances([self.instance]), order)
+        highs = solve_ordered_relaxation(self.instance, order[0], build_schedule=False).objective
+        assert lockstep.objectives[0] == pytest.approx(highs, rel=1e-9)
+        assert lockstep.objectives[0] == pytest.approx(329.4584490015172, rel=1e-9)
+
+    def test_caps_within_1e5_of_the_platform(self):
+        # Drawn by Hypothesis: two caps equal P and one is 1.3e-5 below it.
+        # The minimum-ratio rule pivoted on elements near 1e-5 and then 7e-8
+        # here and reported "optimal" at 172.24, 15% below HiGHS.
+        inst = Instance(P=1.2725932954287578, tasks=[
+            Task(v, w, d) for v, w, d in zip(
+                [1.2725932954287578, 8.577043128111425, 8.356189549611033, 0.99999, 8.387523445957912],
+                [0.99999, 1.2798220589655938, 6.02531471065368, 2.1033810219653515, 3.869035997209071],
+                [0.3808836277045272, 1.2725805694958034, 0.7805344997250306, 1.2725932954287578, 1.2725932954287578],
+            )
+        ])
+        order = np.array([[4, 2, 0, 3, 1]])
+        lockstep = solve_ordered_relaxation_batch(InstanceBatch.from_instances([inst]), order)
+        highs = solve_ordered_relaxation(inst, order[0], build_schedule=False).objective
+        assert lockstep.objectives[0] == pytest.approx(highs, rel=1e-9)
+
+    def test_branch_and_bound_value(self):
+        # OPT from the scalar HiGHS enumeration of all 8! orders.
+        engine = branch_and_bound_optimal_batch(InstanceBatch.from_instances([self.instance]))
+        assert engine.objectives[0] == pytest.approx(328.2162221709155, rel=1e-9)
+
+    def test_residual_check_reports_a_violating_point(self):
+        # A point off its rows is "inaccurate", and the exact engine raises on it.
+        A_eq, b_eq = np.array([[[1.0, 1.0]]]), np.array([[2.0]])
+        result = solve_linear_program_batch(np.array([1.0, 2.0]), A_eq=A_eq, b_eq=b_eq)
+        assert result.all_optimal
+        assert _primal_residual(A_eq, b_eq, result.x, 0)[0] <= _INFEAS_TOL
+        assert _primal_residual(A_eq, b_eq, result.x + 0.5, 0)[0] > _INFEAS_TOL
+        result.statuses[0] = "inaccurate"
+        with pytest.raises(SolverError, match="inaccurate"):
+            _require_optimal(result)
+
+
+class TestReturnedOrderAchievesTheObjective:
+    @pytest.mark.parametrize(
+        "family", [name for name in generators.__all__ if name.endswith("_instances")]
+    )
+    def test_highs_lp_of_the_returned_order(self, family):
+        for n in (3, 6, 8) if family == "cluster_instances" else (3, 6):
+            insts = list(getattr(generators, family)(n, 2, rng=np.random.default_rng(n)))
+            engine = branch_and_bound_optimal_batch(InstanceBatch.from_instances(insts))
+            for b, inst in enumerate(insts):
+                order = [int(t) for t in engine.orders[b, :n]]
+                h = solve_ordered_relaxation(inst, order, build_schedule=False).objective
+                assert abs(engine.objectives[b] - h) <= 1e-6 * max(1.0, abs(h)), (family, n, b)
 
 
 # --------------------------------------------------------------------- #

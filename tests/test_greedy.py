@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Instance, Task
 from repro.core.exceptions import InvalidScheduleError
@@ -12,11 +16,16 @@ from repro.algorithms.greedy import (
     best_greedy_schedule,
     exhaustive_greedy_values,
     greedy_completion_times,
+    greedy_completion_times_batch,
     greedy_schedule,
     local_search_greedy_schedule,
 )
 from repro.algorithms.optimal import optimal_value
+from repro.workloads import generators
 from tests.conftest import random_instance
+
+#: Every generator family that yields :class:`Instance` objects.
+INSTANCE_FAMILIES = [name for name in generators.__all__ if name.endswith("_instances")]
 
 
 class TestGreedyCompletionTimes:
@@ -45,6 +54,35 @@ class TestGreedyCompletionTimes:
     def test_empty_instance(self):
         inst = Instance(P=1, tasks=[])
         assert greedy_completion_times(inst, []).size == 0
+
+
+class TestGreedyKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(INSTANCE_FAMILIES), st.integers(1, 7), st.integers(0, 2**16))
+    def test_matches_scalar_algorithm3(self, family, n, seed):
+        """Per-row instances and orders, each pinned to the scalar placement."""
+        rng = np.random.default_rng(seed)
+        insts = list(getattr(generators, family)(n, 4, rng=rng))
+        orders = np.array([rng.permutation(n) for _ in insts])
+        times = greedy_completion_times_batch(
+            np.array([inst.P for inst in insts]),
+            np.array([inst.volumes for inst in insts]),
+            np.array([inst.deltas for inst in insts]),
+            orders,
+        )
+        for inst, order, row in zip(insts, orders, times):
+            np.testing.assert_allclose(row, greedy_completion_times(inst, order), rtol=1e-12, atol=0)
+
+    def test_shared_instance_broadcasts(self, small_instance):
+        orders = np.array([[0, 1, 2, 3], [3, 2, 1, 0]])
+        times = greedy_completion_times_batch(
+            small_instance.P, small_instance.volumes, small_instance.deltas, orders
+        )
+        for order, row in zip(orders, times):
+            np.testing.assert_allclose(row, greedy_completion_times(small_instance, order), rtol=1e-12)
+
+    def test_no_tasks(self):
+        assert greedy_completion_times_batch(1.0, np.zeros(0), np.zeros(0), np.zeros((3, 0))).shape == (3, 0)
 
 
 class TestGreedySchedule:
@@ -109,6 +147,25 @@ class TestBestGreedy:
         result = best_greedy_schedule(inst, exhaustive_limit=6, local_search_restarts=1)
         assert not result.exhaustive
         assert len(result.order) == 9
+
+    def test_exhaustive_matches_scalar_enumeration(self, rng):
+        for _ in range(5):
+            inst = random_instance(rng, n=5, P=2.0)
+            scalar = min(
+                float(inst.weights @ greedy_completion_times(inst, order))
+                for order in itertools.permutations(range(5))
+            )
+            result = best_greedy_schedule(inst)
+            assert result.evaluated == 120
+            assert result.objective == pytest.approx(scalar, rel=1e-12)
+            np.testing.assert_allclose(
+                result.completion_times, greedy_completion_times(inst, result.order), rtol=1e-12
+            )
+
+    def test_exhaustive_values_reject_non_permutations(self):
+        inst = Instance(P=2, tasks=[Task(1, 1, 1), Task(2, 1, 2)])
+        with pytest.raises(InvalidScheduleError):
+            exhaustive_greedy_values(inst, [[0, 0]])
 
     def test_exhaustive_values_dictionary(self):
         inst = Instance(P=2, tasks=[Task(1, 1, 1), Task(2, 1, 2)])

@@ -85,6 +85,9 @@ class TestSpec:
             (dict(metrics=("nope",)), "metrics"),
             (dict(arrivals={"process": "weird"}), "arrival"),
             (dict(weights={"dist": "weird"}), "weight"),
+            (dict(generator="nope"), "unknown generator"),
+            # A public generator that yields caps, not instances.
+            (dict(generator="homogeneous_halfdelta_deltas"), "unknown generator"),
         ],
     )
     def test_validation_rejects(self, overrides, match):
