@@ -22,9 +22,10 @@ local search is provided as well.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +44,9 @@ __all__ = [
     "local_search_greedy_schedule",
     "exhaustive_greedy_values",
 ]
+
+#: Orders are scored in blocks of at most ``_BLOCK_TASKS!`` rows.
+_BLOCK_TASKS = 8
 
 
 def _check_order(instance: Instance, order: Sequence[int]) -> list[int]:
@@ -208,22 +212,38 @@ def exhaustive_greedy_values(
 
     Mainly used by the structural experiments of Section V-B, which need the
     *whole* value landscape (e.g. to verify the reversal symmetry of
-    Conjecture 13), not just the best order.  All orders are evaluated by
-    one :func:`greedy_completion_times_batch` call.
+    Conjecture 13), not just the best order.  The orders are evaluated by
+    :func:`greedy_completion_times_batch`, at most ``8!`` per call.
     """
     if orders is None:
-        orders = permutation_table(instance.n)
+        blocks: Iterable[np.ndarray] = _permutation_blocks(instance.n)
     else:
-        orders = np.array([_check_order(instance, o) for o in orders], dtype=np.int64)
-    values = _greedy_values(instance, orders.reshape(-1, instance.n))[0]
-    return dict(zip(map(tuple, orders.tolist()), values.tolist()))
+        checked = [_check_order(instance, o) for o in orders]
+        blocks = [np.array(checked, dtype=np.int64).reshape(len(checked), instance.n)]
+    values: dict[tuple[int, ...], float] = {}
+    for block in blocks:
+        values.update(zip(map(tuple, block.tolist()), _greedy_values(instance, block)[0].tolist()))
+    return values
+
+
+def _permutation_blocks(n: int) -> Iterator[np.ndarray]:
+    """All ``n!`` orders in lexicographic order, in blocks of at most ``8!`` rows.
+
+    Beyond 8 tasks each block fixes a prefix of ``n - 8`` tasks and appends
+    the cached 8-task table of the rest, so memory stays that of one block.
+    """
+    if n <= _BLOCK_TASKS:
+        yield permutation_table(n)
+        return
+    tail = permutation_table(_BLOCK_TASKS)
+    head = n - _BLOCK_TASKS
+    for prefix in itertools.permutations(range(n), head):
+        yield np.hstack([np.broadcast_to(prefix, (len(tail), head)), np.setdiff1d(np.arange(n), prefix)[tail]])
 
 
 def _greedy_values(instance: Instance, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Greedy objective values ``(F,)`` and completion times ``(F, n)`` of ``orders``."""
-    completions = greedy_completion_times_batch(
-        instance.P, instance.volumes, instance.deltas, orders
-    )
+    completions = greedy_completion_times_batch(instance.P, instance.volumes, instance.deltas, orders)
     return completions @ instance.weights, completions
 
 
@@ -241,16 +261,14 @@ def best_greedy_schedule(
     :func:`local_search_greedy_schedule`.
     """
     if instance.n <= exhaustive_limit:
-        orders = permutation_table(instance.n)
-        values, completions = _greedy_values(instance, orders)
-        best = int(values.argmin())
-        return BestGreedyResult(
-            order=tuple(int(i) for i in orders[best]),
-            objective=float(values[best]),
-            completion_times=completions[best],
-            evaluated=len(orders),
-            exhaustive=True,
-        )
+        best = BestGreedyResult((), math.inf, np.zeros(0), math.factorial(instance.n), True)
+        for orders in _permutation_blocks(instance.n):
+            values, completions = _greedy_values(instance, orders)
+            row = int(values.argmin())
+            if values[row] < best.objective:
+                best.order, best.objective = tuple(int(i) for i in orders[row]), float(values[row])
+                best.completion_times = completions[row]
+        return best
     return local_search_greedy_schedule(
         instance, restarts=local_search_restarts, rng=rng
     )

@@ -109,13 +109,9 @@ def homogeneous_greedy_completion_times(
     prev2 = 0.0  # C_sigma(i-2)
     prev1 = 0.0  # C_sigma(i-1)
     for i in range(n):
-        d_cur = deltas[order[i]]
-        if i == 0:
-            C[i] = 1.0 / d_cur
-        else:
-            d_prev = deltas[order[i - 1]]
-            leftover = (1.0 - d_prev) * (prev1 - prev2)
-            C[i] = prev1 + (1.0 - leftover) / d_cur
+        # No leftover before the first task: prev1 - prev2 = 0.
+        leftover = (1.0 - deltas[order[i - 1]]) * (prev1 - prev2)
+        C[i] = prev1 + (1.0 - leftover) / deltas[order[i]]
         prev2, prev1 = prev1, C[i]
     return C
 
@@ -130,15 +126,16 @@ def homogeneous_greedy_value(
 def homogeneous_best_order(deltas: Sequence[float]) -> tuple[tuple[int, ...], float]:
     """Exhaustively find the order minimising the sum of completion times.
 
-    All ``n!`` orders of :func:`homogeneous_instance` are evaluated at once
-    by :func:`repro.algorithms.greedy.best_greedy_schedule`, which holds
-    them in memory; hence the limit of 8 tasks (the paper explores up to 5
-    tasks analytically).
+    All ``n!`` orders of :func:`homogeneous_instance` are evaluated by
+    :func:`repro.algorithms.greedy.best_greedy_schedule`.  Only intended for
+    the small instances of the Section V-B experiments (the paper explores
+    up to 5 tasks analytically; exhaustive search beyond ~10 tasks is
+    impractical).
     """
-    if len(deltas) > 8:
+    if len(deltas) > 10:
         raise InvalidInstanceError(
-            "exhaustive order search is limited to 8 tasks; "
+            "exhaustive order search is limited to 10 tasks; "
             "use repro.algorithms.greedy.local_search_greedy_schedule instead"
         )
-    best = best_greedy_schedule(homogeneous_instance(deltas))
+    best = best_greedy_schedule(homogeneous_instance(deltas), exhaustive_limit=10)
     return best.order, best.objective

@@ -92,11 +92,6 @@ class IntegerAllocationProfile:
         return changes
 
 
-def _column_step_profile(lo: int, hi: int, step_at: float, length: float):
-    """Occupancy of a column: ``lo`` on ``[0, step_at)``, ``hi`` on ``[step_at, length)``."""
-    return (lo, hi, step_at, length)
-
-
 def integer_allocation_profile(schedule: ColumnSchedule) -> IntegerAllocationProfile:
     """Integer processor counts over time via the Lemma 9 construction.
 

@@ -23,11 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.greedy import greedy_completion_times_batch
+from repro.algorithms.greedy import exhaustive_greedy_values
 from repro.algorithms.greedy_homogeneous import homogeneous_instance
-from repro.core.bounds import time_leq
+from repro.core.bounds import time_leq, time_tolerance
 from repro.core.exceptions import InvalidInstanceError
-from repro.lp.exact import permutation_table
 
 __all__ = [
     "paper_predicted_orders",
@@ -125,26 +124,21 @@ def optimal_order_structure(
 ) -> OrderingStructure:
     """Enumerate all orders of a Section V-B instance and classify them.
 
-    The value landscape is one
-    :func:`repro.algorithms.greedy.greedy_completion_times_batch` call on
-    :func:`~repro.algorithms.greedy_homogeneous.homogeneous_instance` over
-    the cached permutation table of the exact engine.  Its values agree
-    with the Section V-B recurrence to rounding, not bitwise, so optimal
-    orders are collected within ``tolerance`` of the best value.
+    The value landscape is
+    :func:`repro.algorithms.greedy.exhaustive_greedy_values` (the batched
+    Algorithm 3) on
+    :func:`~repro.algorithms.greedy_homogeneous.homogeneous_instance`.  Its
+    values agree with the Section V-B recurrence to rounding, not bitwise,
+    so optimal orders are collected within ``tolerance`` of the best value.
     """
     deltas_sorted = np.sort(np.asarray(deltas, dtype=float))[::-1]
     n = deltas_sorted.size
     if n == 0:
         return OrderingStructure(deltas_sorted, 0.0, [()], [()], True, [()], True)
-    perms = permutation_table(n)
-    instance = homogeneous_instance(deltas_sorted)
-    completions = greedy_completion_times_batch(instance.P, instance.volumes, instance.deltas, perms)
-    values = completions @ instance.weights
-    best = float(values.min())
-    optimal_orders = [
-        tuple(int(i) for i in perms[row])
-        for row in np.nonzero(time_leq(values, best, rtol=tolerance, atol=tolerance))[0]
-    ]
+    values = exhaustive_greedy_values(homogeneous_instance(deltas_sorted))
+    best = min(values.values())
+    limit = best + time_tolerance(best, rtol=tolerance, atol=tolerance)
+    optimal_orders = [order for order, value in values.items() if value <= limit]
     try:
         predicted = paper_predicted_orders(n)
         measured = measured_optimal_orders(n)

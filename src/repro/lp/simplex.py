@@ -14,11 +14,11 @@ dependency on SciPy.  It exists for two reasons:
 
 The implementation is a textbook two-phase primal simplex on dense tableaus:
 Bland's entering rule and Harris's two-pass ratio test for the leaving row
-(cycling, which that combination does not rule out, would end at the pivot
-limit with :class:`~repro.core.exceptions.SolverError`).  It targets the small LPs produced by
-:mod:`repro.lp.formulation` (a few hundred variables at most); it is *not*
-meant to compete with HiGHS on large instances — ``benchmarks/bench_scaling``
-quantifies the gap.
+(cycling, which that combination does not rule out, ends at the pivot limit
+with :class:`~repro.core.exceptions.SolverError`).  It targets the small LPs
+produced by :mod:`repro.lp.formulation` (a few hundred variables at most);
+it is *not* meant to compete with HiGHS on large instances —
+``benchmarks/bench_scaling`` quantifies the gap.
 
 Problem form
 ------------
@@ -180,13 +180,10 @@ def _simplex_core_batch(
             ar = np.arange(k)
             if not k:
                 return
-        # Harris's two-pass ratio test: every row whose ratio is within the
-        # step allowed when each row may go _EPS negative is eligible, and
-        # the largest pivot element among them leaves (the clamp below
-        # absorbs the overshoot).  The minimum-ratio row alone, or Bland's
-        # smallest index among ties, can be an element near _EPS whose
-        # division blows up the tableau, ending at an "optimal" point that
-        # violates the rows.
+        # Harris's two-pass ratio test: among the rows whose ratio fits the
+        # step allowed when every row may go _EPS negative, the largest pivot
+        # element leaves (the clamp below absorbs the overshoot).  The plain
+        # minimum-ratio row can be an element near _EPS that wrecks the tableau.
         ratios = np.where(positive, b / np.where(positive, col, 1.0), np.inf)
         reach = np.where(positive, (b + _EPS) / np.where(positive, col, 1.0), np.inf).min(axis=1)
         leave = np.argmax(np.where(ratios <= reach[:, None], col, -np.inf), axis=1)
@@ -221,8 +218,8 @@ def solve_linear_program_batch(
     frozen (removed from the working set) while the rest keep pivoting.
     Pivots follow Bland's entering rule and Harris's ratio test; the
     per-problem verdicts and optimal values match HiGHS up to floating-point
-    noise (property-tested in ``tests/test_lp_batch.py``).  A single LP is solved as ``B = 1``; at
-    least one constraint block is required.
+    noise (property-tested in ``tests/test_lp_batch.py``).  A single LP is
+    solved as ``B = 1``; at least one constraint block is required.
 
     Infeasible and unbounded problems are reported per problem through
     :attr:`BatchLinearProgramResult.statuses`, and so is an "optimal" point

@@ -37,14 +37,14 @@ Examples
 from __future__ import annotations
 
 import os
-from typing import Any, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.instance import Instance, Task
 
-__all__ = ["draw_release_times", "redraw_weights", "load_trace", "build_cell_workload"]
+__all__ = ["draw_release_times", "redraw_weights", "load_trace", "workload_generator", "build_cell_workload"]
 
 #: Smallest weight/volume kept after redistribution (mirrors
 #: :data:`repro.workloads.generators.MIN_VALUE`).
@@ -208,6 +208,18 @@ def load_trace(
 # --------------------------------------------------------------------- #
 
 
+def workload_generator(name: str) -> Callable[..., Iterable[Instance]]:
+    """The instance family ``name``: a ``*_instances`` name of ``repro.workloads.generators.__all__``."""
+    from repro.workloads import generators
+
+    families = tuple(f for f in generators.__all__ if f.endswith("_instances"))
+    if name not in families:
+        raise InvalidInstanceError(
+            f"unknown workload generator {name!r}; expected 'trace_replay' or one of {families}"
+        )
+    return getattr(generators, name)
+
+
 def build_cell_workload(
     generator: str,
     gen_kwargs: Mapping[str, Any],
@@ -258,14 +270,7 @@ def build_cell_workload(
                 f"trace {os.fspath(trace)!r}"
             )
     else:
-        from repro.workloads import generators
-
-        factory = getattr(generators, generator, None)
-        if factory is None or not callable(factory) or generator.startswith("_"):
-            raise InvalidInstanceError(
-                f"unknown workload generator {generator!r} "
-                "(expected a public name in repro.workloads.generators or 'trace_replay')"
-            )
+        factory = workload_generator(generator)
         kwargs = dict(gen_kwargs)
         n = int(kwargs.pop("n", 8))
         instances = list(factory(n, count, rng=rng, **kwargs))

@@ -235,13 +235,9 @@ class ScenarioSpec:
                     f"trace_replay params.format must be one of {TRACE_FORMATS}, got {fmt!r}"
                 )
         else:
-            from repro.workloads import generators
+            from repro.scenarios.families import workload_generator
 
-            families = tuple(name for name in generators.__all__ if name.endswith("_instances"))
-            if self.generator not in families:
-                raise ValueError(
-                    f"unknown generator {self.generator!r}; expected 'trace_replay' or one of {families}"
-                )
+            workload_generator(self.generator)
 
     # ------------------------------------------------------------------ #
     # Round trips

@@ -117,7 +117,7 @@ class TestUsageErrors:
         [
             ("[scenario\n", "Expected ']'"),
             ('[scenario]\nname = "x"\ngenerator = "uniform_instances"\ncount = 0\n', "count must be positive"),
-            ('[scenario]\nname = "x"\ngenerator = "nope"\n', "unknown generator 'nope'"),
+            ('[scenario]\nname = "x"\ngenerator = "nope"\n', "unknown workload generator 'nope'"),
         ],
         ids=["malformed-toml", "invalid-spec", "unknown-generator"],
     )

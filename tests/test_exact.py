@@ -214,9 +214,9 @@ class TestBoundsBracketTheLP:
     @given(instances(min_tasks=2, max_tasks=5), st.integers(0, 2**16))
     def test_floors_below_and_greedy_above(self, inst, seed):
         n = inst.n
-        placement = np.random.default_rng(seed).permutation(n)
-        times = greedy_completion_times_batch(inst.P, inst.volumes, inst.deltas, placement[None, :])[0]
-        order = np.argsort(times, kind="stable")
+        rng = np.random.default_rng(seed)
+        # The branch-and-bound takes floors of any of the n! orders.
+        order = rng.permutation(n)
         solution = solve_ordered_relaxation(inst, order, build_schedule=False)
         batch = InstanceBatch.from_instances([inst])
         P = np.asarray(batch.P, dtype=float)
@@ -230,8 +230,11 @@ class TestBoundsBracketTheLP:
         slack = 1e-7 * np.maximum(1.0, np.abs(solution.completion_times))
         assert np.all(floors[0] <= solution.completion_times + slack)
         # The greedy schedule is feasible for the LP of its completion order.
+        placement = rng.permutation(n)
+        times = greedy_completion_times_batch(inst.P, inst.volumes, inst.deltas, placement[None, :])[0]
+        lp = solve_ordered_relaxation(inst, np.argsort(times, kind="stable"), build_schedule=False)
         upper = float(inst.weights @ times)
-        assert upper >= solution.objective - 1e-7 * max(1.0, solution.objective)
+        assert upper >= lp.objective - 1e-7 * max(1.0, lp.objective)
 
 
 # --------------------------------------------------------------------- #

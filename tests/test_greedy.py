@@ -13,6 +13,7 @@ from repro import Instance, Task
 from repro.core.exceptions import InvalidScheduleError
 from repro.core.validation import validate_continuous_schedule
 from repro.algorithms.greedy import (
+    _permutation_blocks,
     best_greedy_schedule,
     exhaustive_greedy_values,
     greedy_completion_times,
@@ -21,6 +22,7 @@ from repro.algorithms.greedy import (
     local_search_greedy_schedule,
 )
 from repro.algorithms.optimal import optimal_value
+from repro.lp.exact import permutation_table
 from repro.workloads import generators
 from tests.conftest import random_instance
 
@@ -166,6 +168,16 @@ class TestBestGreedy:
         inst = Instance(P=2, tasks=[Task(1, 1, 1), Task(2, 1, 2)])
         with pytest.raises(InvalidScheduleError):
             exhaustive_greedy_values(inst, [[0, 0]])
+
+    def test_exhaustive_values_no_tasks(self):
+        inst = Instance(P=1, tasks=[])
+        assert exhaustive_greedy_values(inst) == {(): 0.0}
+        assert exhaustive_greedy_values(inst, []) == {}
+
+    def test_blocks_are_the_lexicographic_table(self):
+        blocks = list(_permutation_blocks(9))
+        assert max(len(b) for b in blocks) == 40_320
+        np.testing.assert_array_equal(np.concatenate(blocks), permutation_table(9))
 
     def test_exhaustive_values_dictionary(self):
         inst = Instance(P=2, tasks=[Task(1, 1, 1), Task(2, 1, 2)])

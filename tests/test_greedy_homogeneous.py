@@ -98,6 +98,15 @@ class TestBestOrder:
         assert value <= homogeneous_greedy_value(deltas) + 1e-12
         assert sorted(order) == list(range(5))
 
+    def test_nine_tasks(self, rng):
+        # Beyond 8 tasks the orders are scored block by block.
+        deltas = rng.uniform(0.5, 1.0, 9)
+        order, value = homogeneous_best_order(deltas)
+        assert value == pytest.approx(homogeneous_greedy_value(deltas, order), rel=1e-12)
+        for _ in range(20):
+            other = rng.permutation(9)
+            assert value <= homogeneous_greedy_value(deltas, other) * (1 + 1e-12)
+
     def test_too_many_tasks_guarded(self):
         with pytest.raises(InvalidInstanceError):
             homogeneous_best_order([0.6] * 11)

@@ -85,9 +85,9 @@ class TestSpec:
             (dict(metrics=("nope",)), "metrics"),
             (dict(arrivals={"process": "weird"}), "arrival"),
             (dict(weights={"dist": "weird"}), "weight"),
-            (dict(generator="nope"), "unknown generator"),
+            (dict(generator="nope"), "unknown workload generator"),
             # A public generator that yields caps, not instances.
-            (dict(generator="homogeneous_halfdelta_deltas"), "unknown generator"),
+            (dict(generator="homogeneous_halfdelta_deltas"), "unknown workload generator"),
         ],
     )
     def test_validation_rejects(self, overrides, match):
@@ -233,6 +233,10 @@ class TestFamilies:
 
         with pytest.raises(InvalidInstanceError, match="unknown workload generator"):
             build_cell_workload("no_such_generator", {}, 2, {}, {}, seed=0)
+        # The spec and the runner share one rule: a public generator that
+        # yields caps, not instances, is no family.
+        with pytest.raises(InvalidInstanceError, match="unknown workload generator"):
+            build_cell_workload("homogeneous_halfdelta_deltas", {}, 2, {}, {}, seed=0)
 
 
 def _scalar_engine_records(spec: ScenarioSpec, seed: int) -> dict:
