@@ -32,7 +32,7 @@ import pytest
 
 from repro.batch.sim_kernels import advance_simulation_state, init_simulation_state
 from repro.core.batch import InstanceBatch
-from repro.service.state import LiveSystemState, make_policy
+from repro.service.state import LiveSystemState, make_batch_policy
 
 
 def _loaded_system(
@@ -70,7 +70,7 @@ def _replay_from_scratch(
         deltas=np.minimum(deltas, P)[None, :],
     )
     state = init_simulation_state(batch, release_times=submit_times[None, :])
-    advance_simulation_state(state, make_policy("wdeq"), until=until)
+    advance_simulation_state(state, make_batch_policy("wdeq"), until=until)
 
 
 def run_incremental_benchmark(

@@ -57,6 +57,13 @@ def wdeq_allocation(
     pool; the remaining tasks share the remaining capacity in proportion to
     their weights.
 
+    The repetition is computed in closed form.  Clamping removes less
+    capacity than the clamped tasks' proportional shares, so the ratio
+    ``P_rem / W_rem`` only grows and the clamped tasks are a prefix of the
+    tasks sorted by ``delta_i / w_i``: the first task of that order whose
+    cap covers its share at the ratio left by the tasks before it ends the
+    prefix.  One sort and two cumulative sums replace the rounds.
+
     Zero-weight tasks are not supported (their proportional share is zero, so
     the online algorithm would never complete them); the caller is expected
     to filter them out or assign a small positive weight.
@@ -65,35 +72,23 @@ def wdeq_allocation(
     d = np.asarray(deltas, dtype=float)
     if w.shape != d.shape:
         raise InvalidInstanceError("weights and deltas must have the same length")
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise InvalidInstanceError("WDEQ requires strictly positive weights")
-    n = w.size
-    alloc = np.zeros(n)
-    if n == 0:
+    alloc = np.zeros(w.size)
+    if w.size == 0:
         return alloc
-    active = np.ones(n, dtype=bool)
-    remaining_P = float(P)
-    remaining_W = float(w.sum())
-    while True:
-        if remaining_W <= atol or remaining_P <= atol:
-            break
-        shares = w * (remaining_P / remaining_W)
-        capped = active & (d < shares - atol)
-        if not np.any(capped):
-            alloc[active] = shares[active]
-            break
-        alloc[capped] = d[capped]
-        remaining_P -= float(d[capped].sum())
-        remaining_W -= float(w[capped].sum())
-        active &= ~capped
-        if remaining_P < 0:
-            # The caps of the clamped tasks exceed the platform; this can only
-            # happen when sum(delta) > P for the clamped set, which the loop
-            # condition prevents (each clamped delta is below its share and the
-            # shares sum to remaining_P).  Guard anyway for numerical safety.
-            remaining_P = 0.0
-        if not np.any(active):
-            break
+    order = np.argsort(d / w, kind="stable")
+    ws, ds = w[order], d[order]
+    # Clamping the first k tasks of the order leaves free[k] processors to
+    # the weight rest[k] of the others.
+    free = P - (np.cumsum(ds) - ds)
+    rest = np.cumsum(ws[::-1])[::-1]
+    ratio = free / rest
+    fits = ds >= ws * ratio - atol
+    k = int(fits.argmax()) if fits.any() else w.size
+    alloc[order[:k]] = ds[:k]
+    if k < w.size and free[k] > atol and rest[k] > atol:
+        alloc[order[k:]] = ws[k:] * ratio[k]
     return alloc
 
 

@@ -12,7 +12,7 @@ maximum event count of any single row rather than the sum.
 Semantics are kept identical to the scalar engine (same tolerances, same
 completion-detection rescue path, same release handling), and the policies in
 this module replicate the decisions of their scalar counterparts in
-:mod:`repro.simulation.policies` bit-for-bit up to float associativity; the
+:mod:`repro.simulation.policies` up to float rounding; the
 property tests in ``tests/test_sim_batch.py`` assert that completion times
 *and* event traces agree with the scalar engine on random instances,
 policies and release patterns.
@@ -81,8 +81,8 @@ class BatchPolicy(abc.ABC):
     """A non-clairvoyant allocation policy over a whole batch of rows.
 
     The batched analogue of
-    :class:`~repro.simulation.policies.OnlinePolicy`: instead of a list of
-    ``TaskView`` objects for one instance, the policy sees the public task
+    :class:`~repro.simulation.policies.OnlinePolicy`: instead of the active
+    tasks' columns of one instance, the policy sees the public task
     parameters of every row as ``(B, n_max)`` arrays plus the ``active``
     mask, and returns the processor shares for every active task at once.
     Like the scalar policies it never sees the volumes, so it is
@@ -252,19 +252,18 @@ class BatchSimulationResult:
 class BatchSimulationState:
     """The full resumable state of a lockstep batched simulation.
 
-    :func:`simulate_batch` used to be one monolithic loop; the loop body now
-    lives in :func:`advance_simulation_state`, which mutates one of these
-    state objects and can *pause at a time horizon* — this is what lets the
-    online scheduling service (:mod:`repro.service`) drive the simulator
-    incrementally, advancing from the current virtual time on every
-    submit/cancel/query instead of replaying from ``t = 0``.
+    The loop body of :func:`simulate_batch` lives in
+    :func:`advance_simulation_state`, which mutates one of these state
+    objects and can *pause at a time horizon*, so a batch can be advanced
+    in stages.  The online scheduling service runs one instance on the
+    one-instance counterpart,
+    :class:`repro.simulation.engine.SimulationState`, which follows the
+    same event rules without a batch axis.
 
     All arrays follow the padded-batch convention of
     :class:`~repro.core.batch.InstanceBatch`.  The state is *mutable by
-    design*: :mod:`repro.service.state` grows the task axis in place as new
-    tasks are submitted, and :meth:`clone` provides the deep copy used for
-    what-if projections ("when will my task finish?") that must not disturb
-    the live state.
+    design*, and :meth:`clone` provides a deep copy for what-if runs that
+    must not disturb the original.
 
     Invariant: pausing and resuming never changes the trajectory.  Between
     events the allocation is constant, and every built-in policy is

@@ -4,10 +4,12 @@ This package turns the library into a long-running daemon: an asyncio
 server accepts task submissions, cancellations and share queries over
 newline-delimited JSON (the :mod:`repro.api` message schema), maintains a
 live :class:`~repro.service.state.LiveSystemState`, and answers "what share
-does my task get *now*?" by driving the batched simulator **incrementally**
-— each event advances
-:func:`repro.batch.sim_kernels.advance_simulation_state` from the current
-virtual time instead of replaying from ``t = 0``.
+does my task get *now*?" by driving the one-instance simulator
+**incrementally** — each request advances
+:func:`repro.simulation.engine.advance_simulation_state` from the current
+virtual time instead of replaying from ``t = 0``.  ``simulate`` requests,
+which run a whole instance, go to the batched
+:func:`repro.batch.sim_kernels.simulate_batch`.
 
 * :mod:`repro.service.state` — the incremental live-system state;
 * :mod:`repro.service.protocol` — NDJSON framing of the ``repro.api``

@@ -67,7 +67,7 @@ from repro.service.state import (
     DuplicateTaskError,
     LiveSystemState,
     UnknownTaskError,
-    make_policy,
+    make_batch_policy,
 )
 
 __all__ = ["ServiceConfig", "SchedulerService"]
@@ -526,7 +526,7 @@ class SchedulerService:
             if len(request.release_times) != n:
                 raise ValueError("release_times must match the task count")
             releases = np.array([request.release_times], dtype=float)
-        result = simulate_batch(batch, make_policy(request.policy), release_times=releases)
+        result = simulate_batch(batch, make_batch_policy(request.policy), release_times=releases)
         return SimulateReply(
             completion_times=tuple(float(c) for c in result.completion_times[0]),
             weighted_completion_time=float(result.weighted_completion_times()[0]),

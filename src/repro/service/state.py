@@ -1,17 +1,20 @@
 """The live system behind the scheduling service.
 
-:class:`LiveSystemState` wraps one row (``B = 1``) of the batched
-simulation engine and exposes the online operations the service needs:
-submit a task *now*, cancel one, ask for its current processor share, or
-project its completion.  Every operation first advances the simulation
-**incrementally** — :func:`repro.batch.sim_kernels.advance_simulation_state`
-runs from the current virtual time up to ``now`` — instead of replaying the
-whole history from ``t = 0``; at a thousand live tasks that is the
-difference between one event step and thousands (see
-``benchmarks/bench_service.py``).
+:class:`LiveSystemState` holds one resumable
+:class:`~repro.simulation.engine.SimulationState` and exposes the online
+operations the service needs: submit a task *now*, cancel one, ask for its
+current processor share, or project its completion.  Every operation first
+advances the simulation **incrementally** —
+:func:`~repro.simulation.engine.advance_simulation_state` runs from the
+current virtual time up to ``now`` — instead of replaying the whole history
+from ``t = 0``; at a thousand live tasks that is the difference between one
+event step and thousands (see ``benchmarks/bench_service.py``).  The engine
+is the one-instance core of :mod:`repro.simulation`, with 1-D NumPy arrays
+and array policies: it follows the event rules of the batched lockstep
+engine without paying for a batch axis of one.
 
 Dynamic arrival rides entirely on the engine's release-time machinery: a
-task submitted at ``now`` occupies a fresh column with ``release = now``.
+task submitted at ``now`` occupies a fresh slot with ``release = now``.
 If the system was idle (the clock frozen at an earlier completion), the
 task stays *pending* and the engine's idle-advance moves the clock to
 ``now`` before any work is granted — no phantom work can accrue over the
@@ -19,59 +22,68 @@ gap.  Because the built-in policies are memoryless, pausing at arbitrary
 query times never changes the trajectory, and pauses at submit times align
 with the oracle's release events, so a from-scratch
 :func:`~repro.batch.sim_kernels.simulate_batch` over the full submission
-history reproduces the live run event-for-event — the differential test in
-``tests/test_service.py`` pins exactly that.
+history reproduces the live run event-for-event — the differential tests
+in ``tests/test_service.py`` pin exactly that.
 
 The task axis is append-only (capacity doubles like a vector) until the
 dead-slot count dominates, at which point :meth:`LiveSystemState.compact`
-drops completed/cancelled columns; dropping inert columns cannot change
-any future allocation, so compaction is invisible to the trajectory.
+drops completed/cancelled slots; dropping inert slots cannot change any
+future allocation, so compaction is invisible to the trajectory.
 
 Hot path.  A request runs the engine once: a submit advances to ``now``,
-inserts its column, and advances a second time only when the system was
-idle and the frozen clock must be pulled forward to fire the release.  The service policy is wrapped in a one-entry memo of its last
-allocation, keyed on the active set (and on the identity of the weight and
-cap arrays, which change whenever the columns are re-homed).  The built-in
-policies are memoryless — a share depends only on the weights and caps of
-the tasks active at that moment, never on ``work_done`` or ``elapsed`` —
-and a slot's weight and cap are written only while it is inactive, so a
-memo hit returns bit-identical rates.  The engine's first step after a
-horizon pause and every :meth:`LiveSystemState.shares` reply at the same
-``now`` are then hits; the engine still validates the rates every step.
+inserts its slot, and advances a second time only when the system was
+idle and the frozen clock must be pulled forward to fire the release.  The
+service policy is wrapped in a one-entry memo of its last allocation, keyed
+on the active tasks' ids, weights and caps.  The built-in policies are
+memoryless — a share depends only on the weights and caps of the tasks
+active at that moment, never on ``work_done`` or ``elapsed`` — so a memo
+hit returns bit-identical rates.  The engine's first step after a horizon
+pause and every :meth:`LiveSystemState.share_of` reply at the same ``now``
+are then hits; the engine still validates the rates every step.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.batch.sim_kernels import (
     BatchPolicy,
-    BatchSimulationState,
     DeqBatchPolicy,
     FairShareNoCapBatchPolicy,
     WdeqBatchPolicy,
-    advance_simulation_state,
 )
-from repro.core.batch import InstanceBatch
+from repro.simulation.engine import (
+    SimulationState,
+    advance_simulation_state,
+    current_allocation,
+)
+from repro.simulation.policies import (
+    DeqPolicy,
+    FairShareNoCapPolicy,
+    OnlinePolicy,
+    WdeqPolicy,
+)
 
 __all__ = [
     "POLICY_NAMES",
     "make_policy",
+    "make_batch_policy",
     "TaskRecord",
     "UnknownTaskError",
     "DuplicateTaskError",
     "LiveSystemState",
 ]
 
-#: Wire names of the policies the service can run.
-_POLICY_FACTORIES = {
-    "wdeq": WdeqBatchPolicy,
-    "deq": DeqBatchPolicy,
-    "fair-share": FairShareNoCapBatchPolicy,
+#: Wire names of the policies the service can run: the live engine's policy
+#: and its batched counterpart for ``simulate`` requests.
+_POLICY_FACTORIES: "dict[str, tuple[type[OnlinePolicy], type[BatchPolicy]]]" = {
+    "wdeq": (WdeqPolicy, WdeqBatchPolicy),
+    "deq": (DeqPolicy, DeqBatchPolicy),
+    "fair-share": (FairShareNoCapPolicy, FairShareNoCapBatchPolicy),
 }
 
 POLICY_NAMES: "tuple[str, ...]" = tuple(_POLICY_FACTORIES)
@@ -84,48 +96,48 @@ _MIN_CAPACITY = 64
 _AUTO_ID_PATTERN = re.compile(r"t(\d+)")
 
 
-def make_policy(name: str) -> BatchPolicy:
-    """Instantiate a batched policy from its wire name (see POLICY_NAMES)."""
+def _factories(name: str) -> "tuple[type[OnlinePolicy], type[BatchPolicy]]":
     try:
-        return _POLICY_FACTORIES[name]()
+        return _POLICY_FACTORIES[name]
     except KeyError:
         raise ValueError(
             f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"
         ) from None
 
 
-class _LastAllocation(BatchPolicy):
+def make_policy(name: str) -> OnlinePolicy:
+    """Instantiate the live engine's policy from its wire name (see POLICY_NAMES)."""
+    return _factories(name)[0]()
+
+
+def make_batch_policy(name: str) -> BatchPolicy:
+    """Instantiate the batched policy of a wire name, for ``simulate`` requests."""
+    return _factories(name)[1]()
+
+
+class _LastAllocation(OnlinePolicy):
     """One-entry memo of a memoryless policy's most recent allocation.
 
-    Returns the previous rates when ``weights`` and ``deltas`` are the same
-    array objects as last time and the active set is equal; otherwise asks
-    the wrapped policy and remembers the answer.  Exact only for policies
-    whose shares ignore ``work_done`` and ``elapsed`` (all of
-    :data:`POLICY_NAMES`) and for callers that write a slot's weight and cap
-    only while the slot is inactive, as :class:`LiveSystemState` does.  A hit
-    hands back the same array, so callers must treat the rates as read-only
-    (the engine and :meth:`LiveSystemState.shares` do).
+    Returns the previous rates when the active task ids, weights and caps
+    equal (by value) those of the last call; otherwise asks the wrapped
+    policy and remembers the answer.  Exact for a fixed ``P`` and for
+    policies whose shares ignore ``work_done`` and ``elapsed`` (all of
+    :data:`POLICY_NAMES`).  A hit hands back the same array, so callers
+    must treat the rates as read-only (the engine does).
     """
 
-    def __init__(self, policy: BatchPolicy):
+    def __init__(self, policy: OnlinePolicy):
         self.policy = policy
         self.name = policy.name
-        self._weights: "np.ndarray | None" = None
-        self._deltas: "np.ndarray | None" = None
-        self._active: "np.ndarray | None" = None
-        self._rates: "np.ndarray | None" = None
+        self._key: "tuple[bytes, bytes, bytes] | None" = None
+        self._rates = np.zeros(0)
 
-    def allocate(self, P, weights, deltas, work_done, elapsed, active):
-        if (
-            weights is self._weights
-            and deltas is self._deltas
-            and np.array_equal(active, self._active)
-        ):
-            return self._rates
-        rates = self.policy.allocate(P, weights, deltas, work_done, elapsed, active)
-        self._weights, self._deltas = weights, deltas
-        self._active, self._rates = active.copy(), rates
-        return rates
+    def allocate(self, P, task_ids, weights, deltas, work_done, elapsed):
+        key = (task_ids.tobytes(), weights.tobytes(), deltas.tobytes())
+        if key != self._key:
+            self._rates = self.policy.allocate(P, task_ids, weights, deltas, work_done, elapsed)
+            self._key = key
+        return self._rates
 
 
 class UnknownTaskError(KeyError):
@@ -141,8 +153,8 @@ class TaskRecord:
     """Bookkeeping for one submitted task.
 
     ``status`` walks ``running -> completed | cancelled``; ``slot`` is the
-    task's current column in the padded arrays (rewritten by compaction,
-    ``-1`` once the column was dropped).
+    task's current index in the engine arrays (rewritten by compaction,
+    ``-1`` once the slot was dropped).
     """
 
     task_id: str
@@ -175,7 +187,7 @@ class LiveSystemState:
         self.P = float(P)
         self.policy_name = policy
         self._policy = make_policy(policy)
-        self.policy: BatchPolicy = _LastAllocation(self._policy)
+        self.policy: OnlinePolicy = _LastAllocation(self._policy)
         self.atol = float(atol)
         self.records: "dict[str, TaskRecord]" = {}
         self._running: "set[str]" = set()
@@ -195,37 +207,32 @@ class LiveSystemState:
     # Array plumbing
     # ----------------------------------------------------------------- #
 
-    def _blank_state(self, capacity: int) -> BatchSimulationState:
-        batch = InstanceBatch(
-            P=np.array([self.P]),
-            volumes=np.zeros((1, capacity)),
-            weights=np.zeros((1, capacity)),
-            deltas=np.ones((1, capacity)),
-            mask=np.zeros((1, capacity), dtype=bool),
-        )
-        return BatchSimulationState(
-            batch=batch,
-            releases=np.zeros((1, capacity)),
+    def _blank_state(self, capacity: int) -> SimulationState:
+        """A state of ``capacity`` inert (completed, released) slots."""
+        return SimulationState(
+            P=self.P,
+            volumes=np.zeros(capacity),
+            weights=np.zeros(capacity),
+            deltas=np.ones(capacity),
+            releases=np.zeros(capacity),
             atol=self.atol,
-            t=np.zeros(1),
-            remaining=np.zeros((1, capacity)),
-            work_done=np.zeros((1, capacity)),
-            completed=np.ones((1, capacity), dtype=bool),  # all padding
-            released=np.ones((1, capacity), dtype=bool),
-            completion_times=np.zeros((1, capacity)),
-            num_events=np.zeros(1, dtype=int),
-            finish_tol=self.atol * np.ones((1, capacity)),
-            traces=None,
+            t=0.0,
+            remaining=np.zeros(capacity),
+            work_done=np.zeros(capacity),
+            completed=np.ones(capacity, dtype=bool),
+            released=np.ones(capacity, dtype=bool),
+            completion_times=np.zeros(capacity),
+            finish_tol=np.full(capacity, self.atol),
         )
 
     @property
     def capacity(self) -> int:
         """Current width of the task axis."""
-        return self.state.batch.n_max
+        return int(self.state.remaining.size)
 
     @property
     def used_slots(self) -> int:
-        """Number of occupied columns (live or dead, pre-compaction)."""
+        """Number of occupied slots (live or dead, pre-compaction)."""
         return len(self._slot_task)
 
     @property
@@ -236,38 +243,41 @@ class LiveSystemState:
     @property
     def now(self) -> float:
         """The current virtual time of the system."""
-        return float(self.state.t[0])
+        return self.state.t
 
     @property
     def total_events(self) -> int:
         """Engine events processed since the service started."""
-        return int(self.state.num_events[0])
+        return self.state.num_events
+
+    #: Per-slot engine arrays, in the order :meth:`to_snapshot` writes them
+    #: after the task parameters.
+    _TASK_ARRAYS = ("volumes", "weights", "deltas")
+    _SNAPSHOT_ARRAYS = (
+        "releases",
+        "remaining",
+        "work_done",
+        "completed",
+        "released",
+        "completion_times",
+        "finish_tol",
+    )
 
     def _copy_columns(self, capacity: int, keep: "np.ndarray | None" = None) -> None:
         """Re-home the state into fresh arrays of width ``capacity``.
 
-        ``keep`` selects the columns to carry over (default: all used
-        slots); dropped columns must already be inert (completed).
+        ``keep`` selects the slots to carry over (default: all used slots);
+        dropped slots must already be inert (completed).
         """
         old = self.state
         if keep is None:
             keep = np.arange(self.used_slots)
         n = len(keep)
         new = self._blank_state(capacity)
-        for name in ("volumes", "weights", "deltas", "mask"):
-            getattr(new.batch, name)[0, :n] = getattr(old.batch, name)[0, keep]
-        for name in (
-            "releases",
-            "remaining",
-            "work_done",
-            "completed",
-            "released",
-            "completion_times",
-            "finish_tol",
-        ):
-            getattr(new, name)[0, :n] = getattr(old, name)[0, keep]
-        new.t[:] = old.t
-        new.num_events[:] = old.num_events
+        for name in self._TASK_ARRAYS + self._SNAPSHOT_ARRAYS:
+            getattr(new, name)[:n] = getattr(old, name)[keep]
+        new.t = old.t
+        new.num_events = old.num_events
         self.state = new
         live = np.zeros(capacity, dtype=bool)
         live[:n] = self._live_slots[keep]
@@ -278,20 +288,20 @@ class LiveSystemState:
             self.records[task_id].slot = slot
 
     def compact(self) -> int:
-        """Drop dead (completed/cancelled) columns; returns how many.
+        """Drop dead (completed/cancelled) slots; returns how many.
 
-        Inert columns receive no processors and trigger no events, so the
+        Inert slots receive no processors and trigger no events, so the
         trajectory is unchanged; the dropped tasks' records keep their
         completion times with ``slot = -1``.
         """
         used = self.used_slots
-        dead = self.state.completed[0, :used] & self.state.batch.mask[0, :used]
-        keep = np.nonzero(~dead)[0]
+        dead = self.state.completed[:used]
+        keep = np.flatnonzero(~dead)
         dropped = used - len(keep)
         if dropped == 0:
             return 0
-        for slot in np.nonzero(dead)[0]:
-            self.records[self._slot_task[int(slot)]].slot = -1
+        for slot in np.flatnonzero(dead).tolist():
+            self.records[self._slot_task[slot]].slot = -1
         self._copy_columns(max(_MIN_CAPACITY, 2 * len(keep)), keep)
         return dropped
 
@@ -316,20 +326,20 @@ class LiveSystemState:
         itself may stay behind ``now`` when the system is idle — the next
         release will pull it forward, which is what prevents phantom work.
         """
-        now = max(float(now), float(self.state.t[0]))
+        now = max(float(now), self.state.t)
         advance_simulation_state(self.state, self.policy, until=now)
         self._sync_completions()
         return now
 
     def _sync_completions(self) -> None:
-        newly = self._live_slots & self.state.completed[0]
+        newly = self._live_slots & self.state.completed
         if not newly.any():
             return
         times = self.state.completion_times
-        for slot in np.nonzero(newly)[0]:
-            record = self.records[self._slot_task[int(slot)]]
+        for slot in np.flatnonzero(newly).tolist():
+            record = self.records[self._slot_task[slot]]
             record.status = "completed"
-            record.completion_time = float(times[0, slot])
+            record.completion_time = float(times[slot])
             self._running.discard(record.task_id)
             self.completed += 1
         self._live_slots[newly] = False
@@ -381,21 +391,19 @@ class LiveSystemState:
         now = self.advance_to(now)
         slot = self._next_slot()
         state = self.state  # _next_slot may have re-homed the arrays
-        batch = state.batch
-        batch.volumes[0, slot] = volume
-        batch.weights[0, slot] = weight
-        batch.deltas[0, slot] = delta
-        batch.mask[0, slot] = True
-        state.releases[0, slot] = now
-        state.remaining[0, slot] = volume
-        state.work_done[0, slot] = 0.0
-        state.completion_times[0, slot] = 0.0
-        state.completed[0, slot] = False
-        state.finish_tol[0, slot] = self.atol * max(1.0, volume)
+        state.volumes[slot] = volume
+        state.weights[slot] = weight
+        state.deltas[slot] = delta
+        state.releases[slot] = now
+        state.remaining[slot] = volume
+        state.work_done[slot] = 0.0
+        state.completion_times[slot] = 0.0
+        state.completed[slot] = False
+        state.finish_tol[slot] = self.atol * max(1.0, volume)
         # Matches the engine's release rule: due releases fire in the same
         # step that reaches their time, so a submit while the clock already
         # sits at ``now`` must not cost an extra zero-dt event.
-        state.released[0, slot] = now <= state.t[0] + self.atol
+        state.released[slot] = now <= state.t + self.atol
 
         record = TaskRecord(
             task_id=task_id,
@@ -413,7 +421,7 @@ class LiveSystemState:
         # An idle system's frozen clock still trails ``now``: advance again
         # to fire the release.  A clock already at ``now`` has nothing left
         # to do, so a busy submit costs one engine call.
-        if state.t[0] < now:
+        if state.t < now:
             self.advance_to(now)
         return record
 
@@ -426,32 +434,15 @@ class LiveSystemState:
         if record.status != "running":
             return False
         state = self.state
-        state.completed[0, record.slot] = True
-        state.remaining[0, record.slot] = 0.0
-        state.completion_times[0, record.slot] = state.t[0]
+        state.completed[record.slot] = True
+        state.remaining[record.slot] = 0.0
+        state.completion_times[record.slot] = state.t
         record.status = "cancelled"
-        record.completion_time = float(state.t[0])
+        record.completion_time = state.t
         self._running.discard(task_id)
         self._live_slots[record.slot] = False
         self.cancelled += 1
         return True
-
-    def shares(self) -> np.ndarray:
-        """Current per-slot processor shares, shape ``(capacity,)``."""
-        state = self.state
-        batch = state.batch
-        active = state.released & ~state.completed & batch.mask
-        if not active.any():
-            return np.zeros(self.capacity)
-        rates = self.policy.allocate(
-            batch.P,
-            batch.weights,
-            batch.deltas,
-            state.work_done,
-            state.t[:, None] - state.releases,
-            active,
-        )
-        return np.where(active, np.clip(rates, 0.0, batch.deltas), 0.0)[0]
 
     def share_of(self, task_id: str, now: "float | None" = None) -> float:
         """The processor share ``task_id`` receives at ``now``."""
@@ -462,7 +453,11 @@ class LiveSystemState:
             self.advance_to(now)
         if record.status != "running":
             return 0.0
-        return float(self.shares()[record.slot])
+        ids, rates = current_allocation(self.state, self.policy)
+        position = int(np.searchsorted(ids, record.slot))
+        if position < ids.size and ids[position] == record.slot:
+            return float(rates[position])
+        return 0.0
 
     def remaining_of(self, task_id: str) -> float:
         """Work left on ``task_id`` (0.0 once finished)."""
@@ -471,7 +466,7 @@ class LiveSystemState:
             raise UnknownTaskError(task_id)
         if record.status != "running":
             return 0.0
-        return float(self.state.remaining[0, record.slot])
+        return float(self.state.remaining[record.slot])
 
     def project_completion(self, task_id: str) -> "float | None":
         """What-if: when would ``task_id`` finish if no more tasks arrive?
@@ -488,8 +483,8 @@ class LiveSystemState:
         ghost = self.state.clone()
         # Pending releases in the clone fire on their own; run to the end.
         # The unwrapped policy keeps the what-if run out of the live memo.
-        advance_simulation_state(ghost, self._policy, until=None)
-        return float(ghost.completion_times[0, record.slot])
+        advance_simulation_state(ghost, self._policy)
+        return float(ghost.completion_times[record.slot])
 
     def snapshot(self) -> "dict[str, float | int]":
         """Aggregate counters for :class:`repro.api.StateReply`."""
@@ -505,22 +500,11 @@ class LiveSystemState:
     # Durability (repro.service.journal)
     # ----------------------------------------------------------------- #
 
-    #: State-array fields serialised per used column, in a fixed order.
-    _SNAPSHOT_ARRAYS = (
-        "releases",
-        "remaining",
-        "work_done",
-        "completed",
-        "released",
-        "completion_times",
-        "finish_tol",
-    )
-
     def to_snapshot(self) -> "dict[str, Any]":
         """The full live system as one JSON-representable mapping.
 
         Everything needed to resume is captured — task records, counters,
-        the engine arrays of every *used* column, the virtual clock and the
+        the engine arrays of every *used* slot, the virtual clock and the
         event count.  Floats survive the JSON round trip bit-exactly
         (``repr`` round-trips IEEE doubles), so a restored system is not
         merely tolerance-close but identical; the differential tests in
@@ -528,7 +512,6 @@ class LiveSystemState:
         """
         used = self.used_slots
         state = self.state
-        batch = state.batch
         return {
             "P": self.P,
             "policy": self.policy_name,
@@ -541,16 +524,12 @@ class LiveSystemState:
             "cancelled_count": self.cancelled,
             "slot_task": list(self._slot_task),
             "live_slots": self._live_slots[:used].astype(int).tolist(),
-            "batch": {
-                "volumes": batch.volumes[0, :used].tolist(),
-                "weights": batch.weights[0, :used].tolist(),
-                "deltas": batch.deltas[0, :used].tolist(),
-            },
+            "batch": {name: getattr(state, name)[:used].tolist() for name in self._TASK_ARRAYS},
             "arrays": {
-                name: np.asarray(getattr(state, name)[0, :used]).astype(float).tolist()
+                name: getattr(state, name)[:used].astype(float).tolist()
                 for name in self._SNAPSHOT_ARRAYS
             },
-            "records": [asdict(record) for record in self.records.values()],
+            "records": [dict(vars(record)) for record in self.records.values()],
         }
 
     @classmethod
@@ -558,7 +537,7 @@ class LiveSystemState:
         """Rebuild a live system from :meth:`to_snapshot` output.
 
         The restored system continues exactly where the snapshot was taken:
-        same virtual clock, same event count, same per-column engine state —
+        same virtual clock, same event count, same per-slot engine state —
         advancing it produces the same trajectory the original would have.
         """
         live = cls(
@@ -572,16 +551,13 @@ class LiveSystemState:
         while capacity < used:
             capacity *= 2
         state = live._blank_state(capacity)
-        batch = state.batch
-        for name in ("volumes", "weights", "deltas"):
-            getattr(batch, name)[0, :used] = payload["batch"][name]
-        batch.mask[0, :used] = True
+        for name in cls._TASK_ARRAYS:
+            getattr(state, name)[:used] = payload["batch"][name]
         for name in cls._SNAPSHOT_ARRAYS:
-            values = np.asarray(payload["arrays"][name], dtype=float)
             target = getattr(state, name)
-            target[0, :used] = values.astype(target.dtype)
-        state.t[0] = float(payload["t"])
-        state.num_events[0] = int(payload["num_events"])
+            target[:used] = np.asarray(payload["arrays"][name], dtype=float).astype(target.dtype)
+        state.t = float(payload["t"])
+        state.num_events = int(payload["num_events"])
         live.state = state
         live._slot_task = slot_task
         live._live_slots = np.zeros(capacity, dtype=bool)

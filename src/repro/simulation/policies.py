@@ -1,17 +1,17 @@
 """Online (non-clairvoyant) allocation policies.
 
 A policy is asked, every time the set of active tasks changes, to split the
-``P`` processors among the active tasks.  It sees a :class:`TaskView` for
-each of them: weight, cap, elapsed processing time and the amount of work
-already done — but **never** the total volume, which is what makes the policy
-non-clairvoyant in the sense of Section III of the paper.
+``P`` processors among the active tasks.  It sees the public columns of the
+active tasks only — their ids, weights, caps, the work done so far and the
+time since release, as 1-D arrays in ascending task order — but **never**
+the volumes, which is what makes the policy non-clairvoyant in the sense of
+Section III of the paper.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,37 +19,12 @@ from repro.algorithms.wdeq import wdeq_allocation
 from repro.core.exceptions import SimulationError
 
 __all__ = [
-    "TaskView",
     "OnlinePolicy",
     "WdeqPolicy",
     "DeqPolicy",
     "FairShareNoCapPolicy",
     "PriorityPolicy",
 ]
-
-
-@dataclass(frozen=True)
-class TaskView:
-    """What an online policy is allowed to know about an active task.
-
-    Attributes
-    ----------
-    task_id:
-        Index of the task in the instance.
-    weight, delta:
-        The task's weight and processor cap (public information).
-    work_done:
-        Work processed so far — known because the policy itself granted the
-        processors.
-    elapsed:
-        Time since the task was released.
-    """
-
-    task_id: int
-    weight: float
-    delta: float
-    work_done: float
-    elapsed: float
 
 
 class OnlinePolicy(abc.ABC):
@@ -59,12 +34,24 @@ class OnlinePolicy(abc.ABC):
     name: str = "policy"
 
     @abc.abstractmethod
-    def allocate(self, P: float, tasks: Sequence[TaskView]) -> Mapping[int, float]:
+    def allocate(
+        self,
+        P: float,
+        task_ids: np.ndarray,
+        weights: np.ndarray,
+        deltas: np.ndarray,
+        work_done: np.ndarray,
+        elapsed: np.ndarray,
+    ) -> np.ndarray:
         """Share ``P`` processors among the active tasks.
 
-        Must return a mapping ``task_id -> rate`` with ``0 <= rate <=
-        delta_i`` and total at most ``P``; the engine validates this and
-        raises :class:`~repro.core.exceptions.SimulationError` on violation.
+        Every argument but ``P`` holds one entry per active task, in
+        ascending ``task_ids`` order: the weights and caps (public
+        information), the work processed so far (known because the policy
+        granted the processors) and the time since release.  Must return
+        the rates in the same order with ``0 <= rate <= delta_i`` and total
+        at most ``P``; the engine validates this and raises
+        :class:`~repro.core.exceptions.SimulationError` on violation.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -76,26 +63,17 @@ class WdeqPolicy(OnlinePolicy):
 
     name = "WDEQ"
 
-    def allocate(self, P: float, tasks: Sequence[TaskView]) -> Mapping[int, float]:
-        if not tasks:
-            return {}
-        weights = [t.weight for t in tasks]
-        deltas = [t.delta for t in tasks]
-        shares = wdeq_allocation(P, weights, deltas)
-        return {t.task_id: float(s) for t, s in zip(tasks, shares)}
+    def allocate(self, P, task_ids, weights, deltas, work_done, elapsed):
+        return wdeq_allocation(P, weights, deltas)
 
 
-class DeqPolicy(OnlinePolicy):
+class DeqPolicy(WdeqPolicy):
     """Dynamic EQuipartition (Deng et al.): WDEQ with the weights ignored."""
 
     name = "DEQ"
 
-    def allocate(self, P: float, tasks: Sequence[TaskView]) -> Mapping[int, float]:
-        if not tasks:
-            return {}
-        deltas = [t.delta for t in tasks]
-        shares = wdeq_allocation(P, [1.0] * len(tasks), deltas)
-        return {t.task_id: float(s) for t, s in zip(tasks, shares)}
+    def allocate(self, P, task_ids, weights, deltas, work_done, elapsed):
+        return wdeq_allocation(P, np.ones_like(weights), deltas)
 
 
 class FairShareNoCapPolicy(OnlinePolicy):
@@ -110,24 +88,21 @@ class FairShareNoCapPolicy(OnlinePolicy):
 
     name = "WRR (no cap)"
 
-    def allocate(self, P: float, tasks: Sequence[TaskView]) -> Mapping[int, float]:
-        if not tasks:
-            return {}
-        total_weight = sum(t.weight for t in tasks)
-        if total_weight <= 0:
+    def allocate(self, P, task_ids, weights, deltas, work_done, elapsed):
+        total = weights.sum()
+        if weights.size and total <= 0:
             raise SimulationError("FairShareNoCapPolicy requires positive weights")
-        return {
-            t.task_id: min(t.delta, P * t.weight / total_weight) for t in tasks
-        }
+        return np.minimum(deltas, weights * (P / total if total > 0 else 0.0))
 
 
 class PriorityPolicy(OnlinePolicy):
     """Serve tasks in a fixed priority order, each at its cap.
 
     The highest-priority active task gets ``min(delta, P)`` processors, the
-    next one gets what is left, and so on.  With priorities given by Smith's
-    ratio this is the non-clairvoyant analogue of the greedy schedule; with
-    priorities by weight it models a strict-priority cluster scheduler.
+    next one gets what is left, and so on; equal priorities are served by
+    ascending task id.  With priorities given by Smith's ratio this is the
+    non-clairvoyant analogue of the greedy schedule; with priorities by
+    weight it models a strict-priority cluster scheduler.
     """
 
     def __init__(self, priorities: Sequence[float], name: str = "priority"):
@@ -135,16 +110,11 @@ class PriorityPolicy(OnlinePolicy):
         self.priorities = np.asarray(priorities, dtype=float)
         self.name = name
 
-    def allocate(self, P: float, tasks: Sequence[TaskView]) -> Mapping[int, float]:
-        ordered = sorted(
-            tasks, key=lambda t: (-self.priorities[t.task_id], t.task_id)
-        )
-        remaining = float(P)
-        allocation: dict[int, float] = {}
-        for t in ordered:
-            share = min(t.delta, remaining)
-            allocation[t.task_id] = share
-            remaining -= share
-            if remaining <= 0:
-                remaining = 0.0
-        return allocation
+    def allocate(self, P, task_ids, weights, deltas, work_done, elapsed):
+        # A stable sort on the negated priority keeps ties in task-id order.
+        order = np.argsort(-self.priorities[task_ids], kind="stable")
+        deltas_sorted = deltas[order]
+        before = np.cumsum(deltas_sorted) - deltas_sorted
+        rates = np.empty_like(deltas_sorted)
+        rates[order] = np.clip(P - before, 0.0, deltas_sorted)
+        return rates

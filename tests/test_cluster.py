@@ -489,12 +489,14 @@ class TestClusterExecution:
             with ClusterCoordinator(local.hosts) as coordinator:
                 ctx = ExecutionContext(backend="cluster", coordinator=coordinator)
                 first = ctx.map_batch(_row_volume, batch)
-                pushes_after_first = coordinator.stats["batches_pushed"]
                 second = ctx.map_batch(_row_volume, batch)
-                assert coordinator.stats["batches_pushed"] == pushes_after_first
+                # The first map may reach one node or both; either way each
+                # node that holds the batch received it exactly once.
+                holders = sum(1 for node in local.nodes if node._batches)
+                assert holders == sum(1 for worker in coordinator._workers if worker.batches)
+                assert coordinator.stats["batches_pushed"] == holders <= 2
         assert np.allclose(first, serial)
         assert np.allclose(second, serial)
-        assert pushes_after_first <= 2  # once per node, never once per chunk
 
     def test_node_keeps_a_bounded_batch_store(self):
         batches = [

@@ -103,6 +103,50 @@ def test_wdeq_allocation_feasible_and_monotone(P, weights, data):
         assert np.all(np.abs(alloc - np.asarray(deltas)) <= 1e-6)
 
 
+def _wdeq_rounds(P, weights, deltas, atol=1e-12):
+    """Algorithm 1 as written: clamp every over-share task, reshare, repeat."""
+    w, d = np.asarray(weights, dtype=float), np.asarray(deltas, dtype=float)
+    alloc, active = np.zeros(w.size), np.ones(w.size, dtype=bool)
+    remaining_P, remaining_W = float(P), float(w.sum())
+    while active.any() and remaining_W > atol and remaining_P > atol:
+        shares = w * (remaining_P / remaining_W)
+        capped = active & (d < shares - atol)
+        if not capped.any():
+            alloc[active] = shares[active]
+            break
+        alloc[capped] = d[capped]
+        remaining_P = max(remaining_P - float(d[capped].sum()), 0.0)
+        remaining_W -= float(w[capped].sum())
+        active &= ~capped
+    return alloc
+
+
+@COMMON_SETTINGS
+@given(
+    P=st.floats(min_value=0.5, max_value=64.0),
+    weights=st.lists(
+        st.one_of(st.floats(min_value=0.05, max_value=50.0), st.sampled_from([1.0, 2.0])),
+        min_size=1,
+        max_size=24,
+    ),
+    data=st.data(),
+)
+def test_wdeq_allocation_closed_form_matches_the_rounds(P, weights, data):
+    deltas = data.draw(
+        st.lists(
+            st.one_of(st.floats(min_value=0.05, max_value=P), st.sampled_from([1.0, P / 2])),
+            min_size=len(weights),
+            max_size=len(weights),
+        )
+    )
+    np.testing.assert_allclose(
+        wdeq_allocation(P, weights, deltas),
+        _wdeq_rounds(P, weights, deltas),
+        rtol=1e-9,
+        atol=1e-12,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Schedules produced by the algorithms are valid
 # ---------------------------------------------------------------------------

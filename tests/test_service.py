@@ -39,7 +39,7 @@ from repro.api import (
     SubmitReply,
     SubmitTask,
 )
-from repro.batch.sim_kernels import WdeqBatchPolicy, simulate_batch
+from repro.batch.sim_kernels import simulate_batch
 from repro.core.batch import InstanceBatch
 from repro.service import (
     LiveSystemState,
@@ -53,7 +53,8 @@ from repro.service import (
 from repro.service import state as state_module
 from repro.service.metrics import LatencyHistogram, MetricsRegistry
 from repro.service.ratelimit import ClientRateLimiter, TokenBucket
-from repro.service.state import DuplicateTaskError, UnknownTaskError, make_policy
+from repro.service.state import DuplicateTaskError, UnknownTaskError, make_batch_policy, make_policy
+from repro.simulation.policies import WdeqPolicy
 
 
 def run(coro):
@@ -190,7 +191,7 @@ class TestIncrementalMatchesFromScratch:
             deltas=np.minimum(deltas, 6.0)[None, :],
         )
         return simulate_batch(
-            batch, make_policy(policy), release_times=submit_times[None, :]
+            batch, make_batch_policy(policy), release_times=submit_times[None, :]
         )
 
     @pytest.mark.parametrize("policy", ["wdeq", "deq", "fair-share"])
@@ -262,7 +263,7 @@ class TestIncrementalMatchesFromScratch:
             weights=np.array([[2.0, 1.0]]),
             deltas=np.array([[2.0, 3.0]]),
         )
-        oracle = simulate_batch(batch, make_policy("wdeq"))
+        oracle = simulate_batch(batch, make_batch_policy("wdeq"))
         assert live.records[b.task_id].completion_time == pytest.approx(
             float(oracle.completion_times[0, 1])
         )
@@ -271,9 +272,9 @@ class TestIncrementalMatchesFromScratch:
 class TestHotPath:
     """One engine call per busy request, one allocation per active set.
 
-    The live system memoises its last allocation; these tests pin that the
-    memo is bit-exact against the raw policy and that it actually saves the
-    calls it is there to save.
+    The live system runs the one-instance engine and memoises its last
+    allocation; these tests pin that the memo is bit-exact against the raw
+    policy and that it actually saves the calls it is there to save.
     """
 
     @staticmethod
@@ -312,7 +313,7 @@ class TestHotPath:
     def _count(monkeypatch) -> "dict[str, int]":
         calls = {"advance": 0, "allocate": 0}
         advance = state_module.advance_simulation_state
-        allocate = WdeqBatchPolicy.allocate
+        allocate = WdeqPolicy.allocate
 
         def counting_advance(*args, **kwargs):
             calls["advance"] += 1
@@ -323,7 +324,7 @@ class TestHotPath:
             return allocate(self, *args)
 
         monkeypatch.setattr(state_module, "advance_simulation_state", counting_advance)
-        monkeypatch.setattr(WdeqBatchPolicy, "allocate", counting_allocate)
+        monkeypatch.setattr(WdeqPolicy, "allocate", counting_allocate)
         return calls
 
     @pytest.mark.parametrize("policy", ["wdeq", "deq", "fair-share"])
@@ -338,21 +339,21 @@ class TestHotPath:
         assert live.to_snapshot() == twin.to_snapshot()
         assert live.total_events == twin.total_events
 
-    def test_memo_key_is_array_identity_plus_active_set(self, monkeypatch):
+    def test_memo_key_is_the_active_columns(self, monkeypatch):
         calls = self._count(monkeypatch)
         memo = state_module._LastAllocation(make_policy("wdeq"))
-        P, zeros = np.array([4.0]), np.zeros((1, 3))
-        weights, deltas = np.array([[1.0, 3.0, 2.0]]), np.full((1, 3), 4.0)
-        active = np.array([[True, True, False]])
-        first = memo.allocate(P, weights, deltas, zeros, zeros, active)
-        # Progress and elapsed time are not part of the key.
-        assert memo.allocate(P, weights, deltas, zeros + 1, zeros + 2, active.copy()) is first
+        ids, zeros = np.array([0, 2]), np.zeros(2)
+        weights, deltas = np.array([1.0, 3.0]), np.full(2, 4.0)
+        first = memo.allocate(4.0, ids, weights, deltas, zeros, zeros)
+        # Progress and elapsed time are not part of the key, and equal
+        # columns hit even when they are new arrays.
+        again = memo.allocate(4.0, ids.copy(), weights.copy(), deltas.copy(), zeros + 1, zeros + 2)
+        assert again is first
         assert calls["allocate"] == 1
-        # Re-homed columns are new arrays, even when their values are equal.
-        memo.allocate(P, weights.copy(), deltas, zeros, zeros, active)
-        memo.allocate(P, weights, deltas.copy(), zeros, zeros, active)
-        # So is every change of the active set, even one keeping its size.
-        memo.allocate(P, weights, deltas, zeros, zeros, active[:, ::-1].copy())
+        # A change of the task ids, a weight or a cap misses.
+        memo.allocate(4.0, np.array([0, 1]), weights, deltas, zeros, zeros)
+        memo.allocate(4.0, ids, np.array([1.0, 2.0]), deltas, zeros, zeros)
+        memo.allocate(4.0, ids, np.array([1.0, 2.0]), np.array([4.0, 3.0]), zeros, zeros)
         assert calls["allocate"] == 4
 
     def test_busy_submit_costs_one_advance_and_queries_reuse_it(self, monkeypatch):
@@ -478,7 +479,7 @@ class TestServiceHandle:
             weights=np.array([[1.0, 2.0, 1.0]]),
             deltas=np.array([[1.0, 2.0, 4.0]]),
         )
-        oracle = simulate_batch(batch, make_policy("wdeq"))
+        oracle = simulate_batch(batch, make_batch_policy("wdeq"))
         np.testing.assert_allclose(reply.completion_times, oracle.completion_times[0])
         assert reply.num_events == int(oracle.num_events[0])
         bad = service.handle(SimulateRequest(P=4.0, volumes=(), weights=(), deltas=()))

@@ -5,7 +5,10 @@ policies and random release patterns, the lockstep kernel of
 :mod:`repro.batch.sim_kernels` must produce the same completion times and
 the same event trace (releases, reshare decisions with their allocations,
 completion order) as running :func:`repro.simulation.engine.simulate` on
-every row separately.
+every row separately.  The resumable one-instance engine
+(:func:`repro.simulation.engine.advance_simulation_state`, which runs the
+online service) is held to the batched engine with pauses at random
+horizons.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.batch.sim_kernels import (
 from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError, SimulationError
 from repro.core.instance import Instance, Task
+from repro.simulation import engine
 from repro.simulation.engine import simulate
 from repro.simulation.nonclairvoyant import default_policies
 from repro.workloads.generators import cluster_instances
@@ -71,6 +75,19 @@ def batches_with_releases(draw, max_batch: int = 4):
         for inst in insts
     ]
     return insts, releases
+
+
+@st.composite
+def paused_runs(draw):
+    """One instance, its release times, a policy name and sorted pause horizons."""
+    inst = draw(instances())
+    release = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]), st.floats(0.0, 4.0, **finite)
+    )
+    releases = [draw(release) for _ in range(inst.n)]
+    name = draw(st.sampled_from(["WDEQ", "DEQ", "WRR (no cap)", "Smith priority"]))
+    pauses = sorted(draw(st.lists(st.floats(0.0, 40.0, **finite), max_size=6)))
+    return inst, releases, name, pauses
 
 
 def _padded_releases(batch: InstanceBatch, releases: list[list[float]]) -> np.ndarray:
@@ -191,6 +208,60 @@ class TestSimulateBatchEquivalence:
         for until in (1.0, 2.5, None):
             advance_simulation_state(state, WdeqBatchPolicy(), until=until)
         np.testing.assert_allclose(state.completion_times, one_shot.completion_times, rtol=1e-12)
+
+
+class TestScalarResumableEngine:
+    """The one-instance engine, paused and resumed, against ``simulate_batch``."""
+
+    @staticmethod
+    def _oracle(inst, releases, name):
+        batch = InstanceBatch.from_instances([inst])
+        (policy,) = [p for p in default_batch_policies(batch) if p.name == name]
+        return simulate_batch(batch, policy, release_times=np.array([releases]))
+
+    @staticmethod
+    def _paused(inst, releases, name, pauses):
+        policy = _scalar_policy(inst, name)
+        state = engine.init_simulation_state(inst, releases)
+        for until in pauses:
+            engine.advance_simulation_state(state, policy, until=until)
+        return engine.advance_simulation_state(state, policy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(paused_runs())
+    def test_random_pauses_match_the_batched_engine(self, run):
+        inst, releases, name, pauses = run
+        oracle = self._oracle(inst, releases, name)
+        state = self._paused(inst, releases, name, pauses)
+        assert state.completed.all()
+        np.testing.assert_allclose(
+            state.completion_times, oracle.completion_times[0], rtol=1e-9, atol=1e-12
+        )
+        # A pause splits at most one step; the clock may land one ulp short
+        # of the horizon, which costs one more (ulp-long) step.
+        events = int(oracle.num_events[0])
+        assert events <= state.num_events <= events + 2 * len(pauses)
+
+    @settings(max_examples=60, deadline=None)
+    @given(paused_runs(), st.data())
+    def test_pauses_at_event_times_match_event_for_event(self, run, data):
+        inst, releases, name, _ = run
+        oracle = self._oracle(inst, releases, name)
+        one_shot = engine.init_simulation_state(inst, releases, record=True)
+        engine.advance_simulation_state(one_shot, _scalar_policy(inst, name))
+        assert one_shot.num_events == int(oracle.num_events[0])
+        trace = one_shot.trace
+        times = sorted(
+            {e.time for e in trace.reshare_events} | {e.time for e in trace.completion_events}
+        )
+        pauses = sorted(data.draw(st.lists(st.sampled_from(times), max_size=6)))
+        state = self._paused(inst, releases, name, pauses)
+        # A pause at an event time keeps every step, though the step that
+        # ends there may run ``h - t`` instead of its own rounding of it.
+        assert state.num_events == one_shot.num_events
+        np.testing.assert_allclose(
+            state.completion_times, oracle.completion_times[0], rtol=1e-9, atol=1e-12
+        )
 
 
 # --------------------------------------------------------------------- #

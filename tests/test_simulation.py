@@ -15,43 +15,47 @@ from repro.simulation.policies import (
     DeqPolicy,
     FairShareNoCapPolicy,
     PriorityPolicy,
-    TaskView,
     WdeqPolicy,
 )
 from tests.conftest import random_instance
 
 
-class TestPolicies:
-    def _views(self):
-        return [
-            TaskView(task_id=0, weight=1.0, delta=1.0, work_done=0.0, elapsed=0.0),
-            TaskView(task_id=1, weight=3.0, delta=4.0, work_done=0.0, elapsed=0.0),
-        ]
+def _columns(count: int = 2):
+    """The public columns of ``count`` active tasks, as the engine passes them."""
+    return (
+        np.arange(count),
+        np.array([1.0, 3.0])[:count],
+        np.array([1.0, 4.0])[:count],
+        np.zeros(count),
+        np.zeros(count),
+    )
 
+
+class TestPolicies:
     def test_wdeq_policy_matches_allocation_rule(self):
-        alloc = WdeqPolicy().allocate(4.0, self._views())
+        alloc = WdeqPolicy().allocate(4.0, *_columns())
         assert alloc[0] == pytest.approx(1.0)
         assert alloc[1] == pytest.approx(3.0)
 
     def test_deq_policy_ignores_weights(self):
-        alloc = DeqPolicy().allocate(4.0, self._views())
+        alloc = DeqPolicy().allocate(4.0, *_columns())
         assert alloc[0] == pytest.approx(1.0)
         assert alloc[1] == pytest.approx(3.0)  # cap absorbs the leftover
 
     def test_fair_share_no_cap(self):
-        alloc = FairShareNoCapPolicy().allocate(4.0, self._views())
+        alloc = FairShareNoCapPolicy().allocate(4.0, *_columns())
         assert alloc[0] == pytest.approx(1.0)  # min(delta, 4 * 1/4)
         assert alloc[1] == pytest.approx(3.0)
 
     def test_priority_policy(self):
         policy = PriorityPolicy(priorities=[0.0, 1.0])
-        alloc = policy.allocate(4.0, self._views())
+        alloc = policy.allocate(4.0, *_columns())
         assert alloc[1] == pytest.approx(4.0)
         assert alloc[0] == pytest.approx(0.0)
 
     def test_empty_task_list(self):
-        assert WdeqPolicy().allocate(4.0, []) == {}
-        assert DeqPolicy().allocate(4.0, []) == {}
+        assert WdeqPolicy().allocate(4.0, *_columns(0)).shape == (0,)
+        assert DeqPolicy().allocate(4.0, *_columns(0)).shape == (0,)
 
 
 class TestEngine:
@@ -105,8 +109,8 @@ class TestEngine:
 
     def test_oversubscribing_policy_rejected(self):
         class Greedy(FairShareNoCapPolicy):
-            def allocate(self, P, tasks):
-                return {t.task_id: P for t in tasks}
+            def allocate(self, P, task_ids, weights, deltas, work_done, elapsed):
+                return np.full(task_ids.size, P)
 
         inst = Instance(P=2, tasks=[Task(1, 1, 2), Task(1, 1, 2)])
         with pytest.raises(SimulationError):
@@ -114,8 +118,8 @@ class TestEngine:
 
     def test_stalling_policy_rejected(self):
         class Lazy(FairShareNoCapPolicy):
-            def allocate(self, P, tasks):
-                return {t.task_id: 0.0 for t in tasks}
+            def allocate(self, P, task_ids, weights, deltas, work_done, elapsed):
+                return np.zeros(task_ids.size)
 
         inst = Instance(P=2, tasks=[Task(1, 1, 2)])
         with pytest.raises(SimulationError):
@@ -123,8 +127,8 @@ class TestEngine:
 
     def test_negative_rate_rejected(self):
         class Negative(FairShareNoCapPolicy):
-            def allocate(self, P, tasks):
-                return {t.task_id: -1.0 for t in tasks}
+            def allocate(self, P, task_ids, weights, deltas, work_done, elapsed):
+                return np.full(task_ids.size, -1.0)
 
         inst = Instance(P=2, tasks=[Task(1, 1, 2)])
         with pytest.raises(SimulationError):
