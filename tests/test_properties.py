@@ -31,6 +31,7 @@ from repro.algorithms.optimal import optimal_value
 from repro.algorithms.preemption import assign_processors
 from repro.algorithms.water_filling import water_filling_schedule
 from repro.algorithms.wdeq import wdeq_allocation, wdeq_schedule
+from repro.batch.kernels import _wdeq_allocation_batch
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -139,12 +140,34 @@ def test_wdeq_allocation_closed_form_matches_the_rounds(P, weights, data):
             max_size=len(weights),
         )
     )
-    np.testing.assert_allclose(
-        wdeq_allocation(P, weights, deltas),
-        _wdeq_rounds(P, weights, deltas),
-        rtol=1e-9,
-        atol=1e-12,
+    closed = wdeq_allocation(P, weights, deltas)
+    np.testing.assert_allclose(closed, _wdeq_rounds(P, weights, deltas), rtol=1e-9, atol=1e-12)
+    # The batched rounds behind ``simulate_batch`` give the same shares.
+    w, d = np.asarray(weights)[None, :], np.asarray(deltas)[None, :]
+    batched = _wdeq_allocation_batch(np.array([P]), w, d, np.ones(w.shape, dtype=bool), 1e-12)
+    np.testing.assert_allclose(closed, batched[0], rtol=1e-9, atol=1e-12)
+
+
+@COMMON_SETTINGS
+@given(
+    P=st.floats(min_value=0.5, max_value=64.0),
+    weights=st.lists(st.sampled_from([1e-13, 2e-13]), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_wdeq_allocation_gives_nothing_when_the_total_weight_is_below_atol(P, weights, data):
+    """The rounds, and the batched rounds behind ``simulate_batch``, stop at
+    once when the weights sum to at most ``atol``; the closed form agrees."""
+    deltas = data.draw(
+        st.lists(
+            st.floats(min_value=0.05, max_value=P), min_size=len(weights), max_size=len(weights)
+        )
     )
+    assert sum(weights) <= 1e-12
+    assert not wdeq_allocation(P, weights, deltas).any()
+    assert not _wdeq_rounds(P, weights, deltas).any()
+    w, d = np.asarray(weights)[None, :], np.asarray(deltas)[None, :]
+    batched = _wdeq_allocation_batch(np.array([P]), w, d, np.ones(w.shape, dtype=bool), 1e-12)
+    assert not batched.any()
 
 
 # ---------------------------------------------------------------------------

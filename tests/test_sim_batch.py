@@ -247,7 +247,7 @@ class TestScalarResumableEngine:
     def test_pauses_at_event_times_match_event_for_event(self, run, data):
         inst, releases, name, _ = run
         oracle = self._oracle(inst, releases, name)
-        one_shot = engine.init_simulation_state(inst, releases, record=True)
+        one_shot = engine.init_simulation_state(inst, releases)
         engine.advance_simulation_state(one_shot, _scalar_policy(inst, name))
         assert one_shot.num_events == int(oracle.num_events[0])
         trace = one_shot.trace
