@@ -488,7 +488,7 @@ def optimal(
     method: str = "branch-and-bound",
     ctx: "ExecutionContext | None" = None,
     max_tasks: "int | None" = None,
-    chunk_size: int = _ENUMERATION_CHUNK,
+    chunk_size: "int | None" = None,
 ) -> BatchedOptimalResult:
     """Exact ``OPT(I)`` for every row of a batch — the one entry point.
 
@@ -506,26 +506,28 @@ def optimal(
     ``"enumerate"``
         The exhaustive path: rows are grouped by task count, each group's
         ``n!`` orderings are replicated against its rows, and the resulting
-        LPs are solved in chunks of at most ``chunk_size``.  Kept
-        as the differential reference and for callers that want every
-        ordering's LP solved.
+        LPs are solved in chunks of at most ``chunk_size``.  Kept as the
+        differential reference and for callers that want every ordering's
+        LP solved.
 
     Both methods solve their LPs through
     :func:`repro.lp.exact.solve_ordered_lps` (the lockstep kernel up to 8
     tasks, HiGHS above); ``ctx`` shards the HiGHS solves of an off-process
     context over its workers.
-    ``max_tasks`` guards the exponential blow-up; it defaults to 14 for
-    branch-and-bound and 7 for enumeration — raise it deliberately if you
-    know what you are asking for.
+    ``chunk_size`` is the LPs per solve; left ``None``, each method takes
+    its own default (64 for branch-and-bound, whose leaf chunks prune each
+    other, 1024 for enumeration).  ``max_tasks`` guards the exponential
+    blow-up; it defaults to 14 for branch-and-bound and 7 for enumeration —
+    raise it deliberately if you know what you are asking for.
     """
     if method == "branch-and-bound":
-        from repro.lp.exact import branch_and_bound_optimal_batch
+        from repro.lp.exact import _LP_CHUNK, branch_and_bound_optimal_batch
 
         return branch_and_bound_optimal_batch(
             batch,
             ctx=ctx,
             max_tasks=max_tasks if max_tasks is not None else _EXACT_METHOD_GUARDS[method],
-            chunk_size=chunk_size,
+            chunk_size=chunk_size or _LP_CHUNK,
         )
     if method != "enumerate":
         raise SolverError(
@@ -551,7 +553,7 @@ def optimal(
             best_orders[rows] = pad_tail
             continue
         num_perms = perms.shape[0]
-        rows_per_chunk = max(1, chunk_size // num_perms)
+        rows_per_chunk = max(1, (chunk_size or _ENUMERATION_CHUNK) // num_perms)
         for start in range(0, rows.size, rows_per_chunk):
             sub = rows[start : start + rows_per_chunk]
             R = sub.size

@@ -116,13 +116,15 @@ class TestBranchAndBoundMatchesEnumeration:
         np.testing.assert_allclose(engine.objectives, reference.objectives, rtol=1e-6, atol=1e-8)
 
     def test_process_pool_dispatch(self):
-        # n = 9: the HiGHS solves of seeds, refreshes and leaves are sharded
-        # over the workers; n = 5: the lockstep kernel runs in-process.
+        # n = 9: the HiGHS solves of the surviving leaves are sharded over
+        # the workers; n = 5: the lockstep kernel runs in-process.
         for n, sharded in ((9, True), (5, False)):
             batch = InstanceBatch.from_instances(
                 list(cluster_instances(n, 2, P=128.0, rng=np.random.default_rng(11)))
             )
             serial = branch_and_bound_optimal_batch(batch)
+            if sharded:
+                assert serial.stats.lps_solved > 0  # else there is nothing to shard
             with ExecutionContext(backend="process-pool", workers=2) as ctx:
                 pooled = branch_and_bound_optimal_batch(batch, ctx=ctx)
                 assert (ctx.last_submission_count > 0) == sharded, n
@@ -157,6 +159,18 @@ class TestBranchAndBoundMatchesEnumeration:
         stats = engine.stats
         assert stats.lps_solved == engine.orderings_evaluated > 0
         assert stats.nodes_expanded > 0 and stats.frontier_peak > 0
+
+    def test_caps_within_the_platform_need_no_lp(self):
+        # sum(delta) <= P: every task runs at its cap from time 0 in every
+        # schedule, so the Algorithm 3 seed is optimal and the height floors
+        # prune the whole search before any leaf.
+        volumes = np.array([[3.0, 1.0, 4.0, 1.5, 5.0, 9.0]])
+        weights = np.array([[2.0, 7.0, 1.0, 8.0, 2.5, 0.5]])
+        deltas = np.array([[1.0, 0.5, 2.0, 0.25, 1.5, 0.75]])
+        batch = InstanceBatch.from_arrays(P=[6.0], volumes=volumes, weights=weights, deltas=deltas)
+        engine = branch_and_bound_optimal_batch(batch)
+        assert engine.stats.lps_solved == 0
+        assert engine.objectives[0] == pytest.approx((weights * volumes / deltas).sum(), rel=1e-12)
 
 
 class TestEngineGuardsAndModes:
@@ -326,6 +340,18 @@ class TestReturnedOrderAchievesTheObjective:
                 order = [int(t) for t in engine.orders[b, :n]]
                 h = solve_ordered_relaxation(inst, order, build_schedule=False).objective
                 assert abs(engine.objectives[b] - h) <= 1e-6 * max(1.0, abs(h)), (family, n, b)
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_greedy_incumbents_on_cluster_p128(self, n):
+        # These rows end on an Algorithm 3 incumbent, whose objective is a
+        # greedy value and whose order is the schedule's completion order.
+        insts = list(cluster_instances(n, 4, P=128.0, rng=np.random.default_rng(n)))
+        engine = branch_and_bound_optimal_batch(InstanceBatch.from_instances(insts))
+        assert engine.stats.lps_solved < len(insts)  # some row solved no LP at all
+        for b, inst in enumerate(insts):
+            order = [int(t) for t in engine.orders[b, :n]]
+            h = solve_ordered_relaxation(inst, order, build_schedule=False).objective
+            assert abs(engine.objectives[b] - h) <= 1e-6 * max(1.0, abs(h)), (n, b)
 
 
 # --------------------------------------------------------------------- #
