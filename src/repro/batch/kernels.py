@@ -48,6 +48,29 @@ __all__ = [
 PaddedBatch = InstanceBatch
 
 
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Left-to-right sum of every row of a ``(B, n_max)`` array, shape ``(B,)``.
+
+    ``values.sum(axis=1)`` switches to pairwise summation at 8 or more
+    columns, so the same row can sum to a different last bit at a different
+    padding width.  Adding the columns in order means trailing zero padding
+    never changes a row's total: a row simulated alone, in another batch or
+    in a narrower slice gets the same bits.  Both branches add in that one
+    order; a column loop is the faster of the two unless the batch is short
+    and wide.
+    """
+    B, N = values.shape
+    if N == 0:
+        return np.zeros(B)
+    if B < 8 * N:
+        return np.cumsum(values, axis=1)[:, -1]
+    columns = values.T
+    total = columns[0].copy()
+    for column in columns[1:]:
+        total += column
+    return total
+
+
 # --------------------------------------------------------------------- #
 # WDEQ
 # --------------------------------------------------------------------- #
@@ -76,7 +99,7 @@ def _wdeq_allocation_batch(
     alloc = np.zeros((B, N))
     act = active.copy()
     rem_P = np.asarray(P, dtype=float).copy()
-    rem_W = np.where(act, weights, 0.0).sum(axis=1)
+    rem_W = _row_sums(np.where(act, weights, 0.0))
     for _ in range(N + 1):
         live = (rem_W > atol) & (rem_P > atol) & act.any(axis=1)
         if not live.any():
@@ -92,8 +115,8 @@ def _wdeq_allocation_batch(
             act[settle] = False
         if has_capped.any():
             alloc[capped] = deltas[capped]
-            rem_P -= np.where(capped, deltas, 0.0).sum(axis=1)
-            rem_W -= np.where(capped, weights, 0.0).sum(axis=1)
+            rem_P -= _row_sums(np.where(capped, deltas, 0.0))
+            rem_W -= _row_sums(np.where(capped, weights, 0.0))
             act &= ~capped
             np.maximum(rem_P, 0.0, out=rem_P)
     return alloc
@@ -157,7 +180,7 @@ def wdeq_weighted_completion_batch(
     """``sum_i w_i C_i`` of the WDEQ schedule for every row, shape ``(B,)``."""
     if completion_times is None:
         completion_times = wdeq_batch(batch, atol=atol)
-    return np.where(batch.mask, batch.weights * completion_times, 0.0).sum(axis=1)
+    return _row_sums(np.where(batch.mask, batch.weights * completion_times, 0.0))
 
 
 # --------------------------------------------------------------------- #

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.batch.kernels import _wdeq_allocation_batch, combined_lower_bound_batch
+from repro.batch.kernels import _row_sums, _wdeq_allocation_batch, combined_lower_bound_batch
 from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError, SimulationError
 from repro.simulation.events import (
@@ -151,7 +151,7 @@ class FairShareNoCapBatchPolicy(BatchPolicy):
     name = "WRR (no cap)"
 
     def allocate(self, P, weights, deltas, work_done, elapsed, active):
-        total = np.where(active, weights, 0.0).sum(axis=1)
+        total = _row_sums(np.where(active, weights, 0.0))
         if np.any(active.any(axis=1) & (total <= 0)):
             raise SimulationError("FairShareNoCapBatchPolicy requires positive weights")
         shares = weights * np.where(total > 0, P / np.where(total > 0, total, 1.0), 0.0)[:, None]
@@ -241,7 +241,7 @@ class BatchSimulationResult:
 
     def weighted_completion_times(self) -> np.ndarray:
         """The objective ``sum_i w_i C_i`` of every row, shape ``(B,)``."""
-        return np.where(self.batch.mask, self.batch.weights * self.completion_times, 0.0).sum(axis=1)
+        return _row_sums(np.where(self.batch.mask, self.batch.weights * self.completion_times, 0.0))
 
     def makespans(self) -> np.ndarray:
         """Latest completion time of every row, shape ``(B,)``."""
@@ -447,7 +447,7 @@ def advance_simulation_state(
                 f"policy {policy.name!r} returned a negative rate in batch row {b}"
             )
         rates = np.where(active, np.clip(raw, 0.0, deltas), 0.0)
-        totals = rates.sum(axis=1)
+        totals = _row_sums(rates)
         over = totals > batch.P * (1 + 1e-9) + atol
         if over.any():
             b = int(np.nonzero(over)[0][0])

@@ -53,7 +53,10 @@ def chunk_ranges(count: int, workers: int) -> "list[tuple[int, int]]":
     contiguous ``[lo, hi)`` ranges, dropping empty ones.  Shared by
     :meth:`ExecutionContext.map` and
     :meth:`repro.exec.cluster.ClusterCoordinator.map_batch`, so the
-    adaptive-chunking heuristic lives in exactly one place.
+    adaptive-chunking heuristic lives in exactly one place.  The streamed
+    replay orders its rows for these contiguous ranges and the coordinator's
+    round-robin dealing (``repro.scenarios.stream._dispatch_order``), so a
+    change here changes which slices share a worker.
     """
     bounds = np.linspace(0, count, min(count, workers * CHUNKS_PER_WORKER) + 1).astype(int)
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]

@@ -48,6 +48,14 @@ optionally be dispatched through
 :meth:`repro.exec.ExecutionContext.map_batch`, riding the local worker
 nodes and the shared-memory transport unchanged.
 
+A chunk is padded to its widest instance, but most rows are narrower, so
+the rows are dispatched **width-sorted**: ordered by task count, with light
+and heavy slices paired per worker, and every simulated slice trimmed to
+its own widest row, so it runs at its own width and for its own event
+count.  The triples are put back in trace order before folding.  The
+engine's row sums do not depend on the padding width, so in-process and
+pooled replays agree bit for bit.
+
 Examples
 --------
 >>> from repro.scenarios.stream import stream_trace
@@ -551,6 +559,12 @@ def _simulate_rows(
     shared by every policy) and, for a trace with release times, the
     ``(B, n_max)`` release matrix under ``"releases"``.
 
+    The rows are first trimmed to the widest row they hold (real tasks are
+    a prefix of every row), so a slice of narrow rows is simulated at its
+    own width and for its own event count rather than the chunk's.  Every
+    row sum of the engine is padding-invariant, so trimming changes no
+    value.
+
     Module-level and row-independent, so
     :meth:`repro.exec.ExecutionContext.map_batch` can pickle a
     ``functools.partial`` of it into worker nodes and slice the chunk (and
@@ -558,6 +572,17 @@ def _simulate_rows(
     """
     from repro.batch.sim_kernels import default_batch_policies, simulate_batch
 
+    releases = extra.get("releases")
+    width = max(int(batch.counts.max()), 1)
+    if width < batch.n_max:
+        # Contiguous copies: the kernels run faster on them than on views.
+        volumes, weights, deltas, mask = (
+            np.ascontiguousarray(array[:, :width])
+            for array in (batch.volumes, batch.weights, batch.deltas, batch.mask)
+        )
+        batch = InstanceBatch(P=batch.P, volumes=volumes, weights=weights, deltas=deltas, mask=mask)
+        if releases is not None:
+            releases = np.ascontiguousarray(releases[:, :width])
     policy = next(
         (p for p in default_batch_policies(batch) if p.name == policy_name), None
     )
@@ -565,11 +590,71 @@ def _simulate_rows(
         raise InvalidInstanceError(f"unknown policy {policy_name!r}")
     bounds = extra["bounds"]
     safe = np.where(bounds > 0, bounds, 1.0)
-    result = simulate_batch(batch, policy, release_times=extra.get("releases"))
+    result = simulate_batch(batch, policy, release_times=releases)
     objectives = result.weighted_completion_times()
     ratios = np.where(bounds > 0, objectives / safe, 1.0)
     makespans = result.makespans()
     return list(zip(ratios.tolist(), objectives.tolist(), makespans.tolist()))
+
+
+def _dispatch_order(counts: np.ndarray) -> np.ndarray:
+    """Row order that sends a chunk to :func:`_simulate_rows` width-sorted.
+
+    Rows sorted by task count (stable), the first half ascending and the
+    second half descending.  Off process,
+    :func:`repro.exec.context.chunk_ranges` cuts the rows into
+    ``2 x workers`` contiguous slices and
+    :func:`repro.exec.cluster.assign_cells` deals slice ``i`` to worker
+    ``i % workers``, so worker ``k`` runs slices ``k`` and ``k + workers``:
+    the ``k``-th narrowest and the ``k``-th widest.  Each worker thus gets
+    one light and one heavy slice instead of all the wide rows landing on
+    one of them.
+    """
+    order = np.argsort(counts, kind="stable")
+    half = order.size // 2
+    return np.concatenate((order[:half], order[half:][::-1]))
+
+
+def _policy_rows(
+    batch: InstanceBatch,
+    releases: np.ndarray | None,
+    names: list[str],
+    ctx: "ExecutionContext | None",
+) -> Iterator[tuple[str, np.ndarray]]:
+    """Yield ``(name, values)`` per policy: its ``(B, 3)`` per-row
+    ``(ratio, objective, makespan)`` of one chunk, in the chunk's row order.
+
+    The rows are dispatched width-sorted (:func:`_dispatch_order`), one
+    :func:`_simulate_rows` map per policy, and each policy's triples are put
+    back in row order before they are yielded.  The sorted copies of the
+    chunk live only while the generator runs.
+    """
+    # Looked up per call, not imported at module level, so a patched
+    # ``repro.batch.kernels.combined_lower_bound_batch`` takes effect.
+    from repro.batch.kernels import combined_lower_bound_batch
+
+    order = _dispatch_order(batch.counts)
+    batch = InstanceBatch(
+        P=batch.P[order],
+        volumes=batch.volumes[order],
+        weights=batch.weights[order],
+        deltas=batch.deltas[order],
+        mask=batch.mask[order],
+    )
+    # The bound depends on the instance alone (the redrawn weights
+    # included): one per chunk, shared by every policy.
+    extra = {"bounds": combined_lower_bound_batch(batch)}
+    if releases is not None:
+        extra["releases"] = releases[order]
+    for name in names:
+        worker = functools.partial(_simulate_rows, name)
+        if ctx is not None:
+            triples = ctx.map_batch(worker, batch, extra=extra)
+        else:
+            triples = worker(batch, extra)
+        values = np.empty((batch.batch_size, 3))
+        values[order] = np.asarray(triples, dtype=float).reshape(batch.batch_size, 3)
+        yield name, values
 
 
 def replay_stream(
@@ -606,7 +691,11 @@ def replay_stream(
     chunk, in the calling process, and shipped to each policy's run as the
     per-row ``bounds`` extra array.  ``ctx`` dispatches each chunk's rows
     through :meth:`~repro.exec.ExecutionContext.map_batch` — the
-    process-pool and shared-memory transports apply per chunk, unchanged.  ``on_chunk`` is
+    process-pool and shared-memory transports apply per chunk, unchanged.
+    The rows go out width-sorted and each slice is simulated trimmed to
+    its widest row (see :func:`_dispatch_order` and
+    :func:`_simulate_rows`); the results are folded in trace order, so
+    the metrics are the same bits with or without ``ctx``.  ``on_chunk`` is
     called after each chunk with the chunk and its *chunk-local* metrics
     (what :func:`repro.scenarios.store.merge_records` aggregates back into
     the exact stream totals).
@@ -618,9 +707,6 @@ def replay_stream(
             f"(process {process!r}): release times must come from the trace "
             "itself, or drop params.chunk_size to use the in-memory path"
         )
-    # Looked up per call, not imported at module level, so a patched
-    # ``repro.batch.kernels.combined_lower_bound_batch`` takes effect.
-    from repro.batch.kernels import combined_lower_bound_batch
     from repro.batch.sim_kernels import default_batch_policies
 
     rng = np.random.default_rng(seed)
@@ -649,19 +735,8 @@ def replay_stream(
             for p in default_batch_policies(batch)
             if not policies or p.name in policies
         ]
-        # The bound depends on the instance alone: one per chunk, shared by
-        # every policy (after the weight redraw, which changes it).
-        extra = {"bounds": combined_lower_bound_batch(batch)}
-        if chunk.releases is not None:
-            extra["releases"] = chunk.releases
         chunk_metrics: dict[str, dict[str, float]] = {}
-        for name in names:
-            worker = functools.partial(_simulate_rows, name)
-            if ctx is not None:
-                triples = ctx.map_batch(worker, batch, extra=extra)
-            else:
-                triples = worker(batch, extra)
-            values = np.asarray(triples, dtype=float).reshape(batch.batch_size, 3)
+        for name, values in _policy_rows(batch, chunk.releases, names, ctx):
             if name not in accumulators:
                 accumulators[name] = {
                     "ratio": StreamingMoments(),

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ratios import policy_ratios
+from repro.batch.kernels import _row_sums, wdeq_weighted_completion_batch
 from repro.batch.sim_kernels import (
     BatchPolicy,
     DeqBatchPolicy,
@@ -208,6 +209,101 @@ class TestSimulateBatchEquivalence:
         for until in (1.0, 2.5, None):
             advance_simulation_state(state, WdeqBatchPolicy(), until=until)
         np.testing.assert_allclose(state.completion_times, one_shot.completion_times, rtol=1e-12)
+
+
+@st.composite
+def padded_variants(draw):
+    """Instances of at most 7 tasks, release times or none, a padding width
+    of 8 or more, and a permuted, sliced row selection."""
+    insts = draw(st.lists(instances(max_tasks=7), min_size=1, max_size=6))
+    releases = None
+    if draw(st.booleans()):
+        releases = [
+            [draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5])) for _ in range(inst.n)]
+            for inst in insts
+        ]
+    width = draw(st.integers(8, 12))
+    rows = draw(st.permutations(range(len(insts))))
+    lo = draw(st.integers(0, len(rows) - 1))
+    hi = draw(st.integers(lo + 1, len(rows)))
+    return insts, releases, width, list(rows[lo:hi])
+
+
+def _widen(batch: InstanceBatch, releases: np.ndarray, width: int):
+    """``batch`` and its release matrix padded with inert columns to ``width``."""
+    pad = ((0, 0), (0, width - batch.n_max))
+    widened = InstanceBatch(
+        P=batch.P,
+        volumes=np.pad(batch.volumes, pad),
+        weights=np.pad(batch.weights, pad),
+        deltas=np.pad(batch.deltas, pad, constant_values=1.0),
+        mask=np.pad(batch.mask, pad),
+    )
+    return widened, np.pad(releases, pad)
+
+
+def _take(batch: InstanceBatch, releases: np.ndarray, rows: list[int]):
+    taken = InstanceBatch(
+        P=batch.P[rows],
+        volumes=batch.volumes[rows],
+        weights=batch.weights[rows],
+        deltas=batch.deltas[rows],
+        mask=batch.mask[rows],
+    )
+    return taken, releases[rows]
+
+
+class TestPaddingInvariance:
+    """A row's results do not depend on its padding width or its batch-mates.
+
+    Streamed replays trim each worker slice to its widest row, so these
+    bits must not move when padding columns are added (across the width at
+    which NumPy's row sums turn pairwise) or rows are permuted and sliced.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(padded_variants())
+    def test_widening_permuting_and_slicing_keep_every_row_bit_identical(self, case):
+        insts, releases, width, rows = case
+        batch = InstanceBatch.from_instances(insts)
+        padded = np.zeros(batch.mask.shape) if releases is None else _padded_releases(batch, releases)
+        wide_batch, wide_releases = _widen(batch, padded, width)
+        variants = [
+            (wide_batch, wide_releases, list(range(batch.batch_size))),
+            (*_take(batch, padded, rows), rows),
+            (*_take(wide_batch, wide_releases, rows), rows),
+        ]
+        for policy in default_batch_policies(batch):
+            base = simulate_batch(batch, policy, release_times=padded)
+            for other, other_releases, source in variants:
+                (other_policy,) = [p for p in default_batch_policies(other) if p.name == policy.name]
+                result = simulate_batch(other, other_policy, release_times=other_releases)
+                n = batch.n_max
+                assert np.array_equal(result.completion_times[:, :n], base.completion_times[source])
+                assert not result.completion_times[:, n:].any()
+                assert np.array_equal(result.num_events, base.num_events[source])
+                assert np.array_equal(
+                    result.weighted_completion_times(), base.weighted_completion_times()[source]
+                )
+                assert np.array_equal(result.makespans(), base.makespans()[source])
+        assert np.array_equal(
+            wdeq_weighted_completion_batch(wide_batch), wdeq_weighted_completion_batch(batch)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 80),
+        st.integers(1, 12),
+        st.integers(0, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_row_sums_add_left_to_right_at_every_padding_width(self, B, N, pad, seed):
+        values = np.random.default_rng(seed).lognormal(0.0, 3.0, size=(B, N))
+        left_to_right = np.cumsum(values, axis=1)[:, -1]
+        assert np.array_equal(_row_sums(values), left_to_right)
+        assert np.array_equal(_row_sums(np.pad(values, ((0, 0), (0, pad)))), left_to_right)
+        # A single row always takes the cumulative-sum branch.
+        assert np.array_equal(_row_sums(values[-1:]), left_to_right[-1:])
 
 
 class TestScalarResumableEngine:

@@ -27,6 +27,8 @@ from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.instance import Instance, Task
 from repro.exec import ExecutionContext
+from repro.exec.cluster import assign_cells
+from repro.exec.context import chunk_ranges
 from repro.scenarios import ResultsStore, ScenarioSpec, SweepRunner, merge_records
 from repro.scenarios.families import build_cell_workload, load_trace
 from repro.scenarios.store import summary_table
@@ -578,6 +580,54 @@ class TestReplayStream:
         with ExecutionContext(backend="vectorized", workers=2) as ctx:
             pooled = replay_stream(ragged_trace, 8.0, chunk_size=64, ctx=ctx)
         assert pooled == direct
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_slices_run_at_their_own_width_paired_light_with_heavy(
+        self, ragged_trace, monkeypatch, workers
+    ):
+        """Rows go out width-sorted: each slice is simulated at its own
+        widest row, round-robin dealing puts the narrowest and the widest
+        slice on one worker, and the folded metrics keep every bit."""
+        from repro.batch import sim_kernels
+
+        simulated_widths = []
+        original = sim_kernels.simulate_batch
+
+        def recording(batch, *args, **kwargs):
+            simulated_widths.append(batch.n_max)
+            return original(batch, *args, **kwargs)
+
+        class SlicingContext:
+            """``map_batch`` stand-in: the off-process slicing, run in process."""
+
+            def __init__(self):
+                self.slice_counts = []
+
+            def map_batch(self, fn, batch, extra=None):
+                ranges = chunk_ranges(batch.batch_size, workers)
+                self.slice_counts.append([batch.counts[lo:hi] for lo, hi in ranges])
+                triples = []
+                for lo, hi in ranges:
+                    rows = InstanceBatch(
+                        P=batch.P[lo:hi], volumes=batch.volumes[lo:hi], weights=batch.weights[lo:hi],
+                        deltas=batch.deltas[lo:hi], mask=batch.mask[lo:hi],
+                    )
+                    triples += fn(rows, {name: value[lo:hi] for name, value in extra.items()})
+                return triples
+
+        direct = replay_stream(ragged_trace, 8.0, chunk_size=64)
+        ctx = SlicingContext()
+        monkeypatch.setattr(sim_kernels, "simulate_batch", recording)
+        sliced = replay_stream(ragged_trace, 8.0, chunk_size=64, ctx=ctx)
+        assert sliced == direct
+        assert len(ctx.slice_counts) == 2 * 4  # two chunks, four policies
+        assert simulated_widths == [int(c.max()) for call in ctx.slice_counts for c in call]
+        for call in ctx.slice_counts:
+            means = [c.mean() for c in call]
+            shards = assign_cells(len(call), workers)
+            narrowest, widest = int(np.argmin(means)), int(np.argmax(means))
+            assert any(narrowest in shard and widest in shard for shard in shards)
+            assert max(call[widest]) > max(call[narrowest])
 
     def test_one_lower_bound_per_chunk(self, ragged_trace, monkeypatch):
         """The Lemma 1 bound is computed once per chunk, not once per policy."""
