@@ -53,22 +53,13 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
 
     ``values.sum(axis=1)`` switches to pairwise summation at 8 or more
     columns, so the same row can sum to a different last bit at a different
-    padding width.  Adding the columns in order means trailing zero padding
-    never changes a row's total: a row simulated alone, in another batch or
-    in a narrower slice gets the same bits.  Both branches add in that one
-    order; a column loop is the faster of the two unless the batch is short
-    and wide.
+    padding width.  A running sum adds the columns in order, so trailing
+    zero padding never changes a row's total: a row simulated alone, in
+    another batch or in a narrower slice gets the same bits.
     """
-    B, N = values.shape
-    if N == 0:
-        return np.zeros(B)
-    if B < 8 * N:
-        return np.cumsum(values, axis=1)[:, -1]
-    columns = values.T
-    total = columns[0].copy()
-    for column in columns[1:]:
-        total += column
-    return total
+    if values.shape[1] == 0:
+        return np.zeros(values.shape[0])
+    return np.cumsum(values, axis=1)[:, -1]
 
 
 # --------------------------------------------------------------------- #

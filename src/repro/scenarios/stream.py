@@ -81,6 +81,7 @@ import numpy as np
 
 from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError
+from repro.exec.context import CHUNKS_PER_WORKER
 from repro.scenarios.spec import TRACE_FORMATS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -600,19 +601,21 @@ def _simulate_rows(
 def _dispatch_order(counts: np.ndarray) -> np.ndarray:
     """Row order that sends a chunk to :func:`_simulate_rows` width-sorted.
 
-    Rows sorted by task count (stable), the first half ascending and the
-    second half descending.  Off process,
-    :func:`repro.exec.context.chunk_ranges` cuts the rows into
-    ``2 x workers`` contiguous slices and
-    :func:`repro.exec.cluster.assign_cells` deals slice ``i`` to worker
-    ``i % workers``, so worker ``k`` runs slices ``k`` and ``k + workers``:
-    the ``k``-th narrowest and the ``k``-th widest.  Each worker thus gets
-    one light and one heavy slice instead of all the wide rows landing on
-    one of them.
+    Rows sorted by task count (stable) and cut into
+    :data:`~repro.exec.context.CHUNKS_PER_WORKER` equal rounds, every other
+    round reversed (ascending, descending, ...).  Off process,
+    :func:`~repro.exec.context.chunk_ranges` cuts the rows into
+    ``CHUNKS_PER_WORKER x workers`` contiguous slices, ``workers`` per
+    round, and :func:`~repro.exec.cluster.assign_cells` deals slice ``i``
+    to worker ``i % workers``, so worker ``k`` gets the ``k``-th slice of
+    every round: the ``k``-th narrowest of one round and the ``k``-th widest
+    of the next, instead of all the wide rows landing on one worker.  That
+    is the initial deal; work stealing may still move a slice.
     """
     order = np.argsort(counts, kind="stable")
-    half = order.size // 2
-    return np.concatenate((order[:half], order[half:][::-1]))
+    cuts = np.linspace(0, order.size, CHUNKS_PER_WORKER + 1).astype(int)[1:-1]
+    rounds = np.split(order, cuts)
+    return np.concatenate([r[::-1] if i % 2 else r for i, r in enumerate(rounds)])
 
 
 def _policy_rows(

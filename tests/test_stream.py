@@ -28,7 +28,7 @@ from repro.core.exceptions import InvalidInstanceError
 from repro.core.instance import Instance, Task
 from repro.exec import ExecutionContext
 from repro.exec.cluster import assign_cells
-from repro.exec.context import chunk_ranges
+from repro.exec.context import CHUNKS_PER_WORKER, chunk_ranges
 from repro.scenarios import ResultsStore, ScenarioSpec, SweepRunner, merge_records
 from repro.scenarios.families import build_cell_workload, load_trace
 from repro.scenarios.store import summary_table
@@ -586,8 +586,8 @@ class TestReplayStream:
         self, ragged_trace, monkeypatch, workers
     ):
         """Rows go out width-sorted: each slice is simulated at its own
-        widest row, round-robin dealing puts the narrowest and the widest
-        slice on one worker, and the folded metrics keep every bit."""
+        widest row, round-robin dealing gives every worker a narrow and a
+        wide slice, and the folded metrics keep every bit."""
         from repro.batch import sim_kernels
 
         simulated_widths = []
@@ -623,11 +623,23 @@ class TestReplayStream:
         assert len(ctx.slice_counts) == 2 * 4  # two chunks, four policies
         assert simulated_widths == [int(c.max()) for call in ctx.slice_counts for c in call]
         for call in ctx.slice_counts:
-            means = [c.mean() for c in call]
+            # chunk_ranges cuts CHUNKS_PER_WORKER rounds of `workers` slices,
+            # and assign_cells deals worker k the k-th slice of every round.
             shards = assign_cells(len(call), workers)
-            narrowest, widest = int(np.argmin(means)), int(np.argmax(means))
-            assert any(narrowest in shard and widest in shard for shard in shards)
-            assert max(call[widest]) > max(call[narrowest])
+            assert shards == [
+                [k + r * workers for r in range(CHUNKS_PER_WORKER)] for k in range(workers)
+            ]
+            # The rounds alternate ascending and descending widths ...
+            means = [c.mean() for c in call]
+            for r in range(CHUNKS_PER_WORKER):
+                widths = means[r * workers:(r + 1) * workers]
+                assert widths == sorted(widths, reverse=bool(r % 2))
+            # ... so the workers' task totals are closer than under a plain ascending sort.
+            ascending = np.sort(np.concatenate(call))
+            plain = [ascending[lo:hi] for lo, hi in chunk_ranges(ascending.size, workers)]
+            loads = [sum(int(call[i].sum()) for i in shard) for shard in shards]
+            plain_loads = [sum(int(plain[i].sum()) for i in shard) for shard in shards]
+            assert max(loads) - min(loads) < max(plain_loads) - min(plain_loads)
 
     def test_one_lower_bound_per_chunk(self, ragged_trace, monkeypatch):
         """The Lemma 1 bound is computed once per chunk, not once per policy."""
