@@ -3,8 +3,9 @@
 This is the pytest-benchmark counterpart of ``repro.experiments.exp_scaling``:
 it times the polynomial solvers (WDEQ, Water-Filling, greedy, makespan,
 max-lateness), the exhaustive best-greedy search, the fixed-ordering LP with
-both solvers, and the vectorized batch kernels, so their scaling can be
-compared across runs.
+both solvers, the batched event engine and the vectorized batch kernels, so
+their scaling can be compared across runs.  The ``wdeq_batch_*`` rows time
+WDEQ on the batched event engine (``simulate_batch``).
 
 Script mode (used by the CI benchmark-smoke job)::
 
@@ -24,7 +25,8 @@ from repro.algorithms.lateness import minimize_max_lateness
 from repro.algorithms.makespan import minimal_makespan
 from repro.algorithms.water_filling import water_filling_schedule
 from repro.algorithms.wdeq import wdeq_schedule
-from repro.batch.kernels import PaddedBatch, water_filling_batch, wdeq_batch
+from repro.batch.kernels import water_filling_batch
+from repro.batch.sim_kernels import WdeqBatchPolicy, simulate_batch
 from repro.core.batch import InstanceBatch
 from repro.lp.batch import build_ordered_lp_batch
 from repro.lp.simplex import solve_linear_program_batch
@@ -109,14 +111,14 @@ def test_experiment_e7_quick(benchmark):
 @pytest.fixture(scope="module")
 def cluster_batch_64x16():
     instances = list(cluster_instances(16, 64, rng=np.random.default_rng(7)))
-    return instances, PaddedBatch.from_instances(instances)
+    return instances, InstanceBatch.from_instances(instances)
 
 
 @pytest.mark.benchmark(group="batch-kernels")
 def test_wdeq_batch_64x16(benchmark, cluster_batch_64x16):
     _, batch = cluster_batch_64x16
-    completions = benchmark(wdeq_batch, batch)
-    assert completions.shape == (64, 16)
+    result = benchmark(simulate_batch, batch, WdeqBatchPolicy())
+    assert result.completion_times.shape == (64, 16)
 
 
 @pytest.mark.benchmark(group="batch-kernels")
@@ -128,7 +130,7 @@ def test_wdeq_serial_64x16(benchmark, cluster_batch_64x16):
 @pytest.mark.benchmark(group="batch-kernels")
 def test_water_filling_batch_64x16(benchmark, cluster_batch_64x16):
     _, batch = cluster_batch_64x16
-    completions = wdeq_batch(batch)
+    completions = simulate_batch(batch, WdeqBatchPolicy()).completion_times
     result = benchmark(water_filling_batch, batch, completions)
     assert result.rates.shape == (64, 16, 16)
 
@@ -171,10 +173,11 @@ def run_scaling_benchmark(
         lambda: [wdeq_schedule(inst) for inst in instances], repeats
     )
     benchmarks[f"wdeq_batch_{tag}"] = best_of(
-        lambda: wdeq_batch(PaddedBatch.from_instances(instances)), repeats
+        lambda: simulate_batch(InstanceBatch.from_instances(instances), WdeqBatchPolicy()),
+        repeats,
     )
-    batch = PaddedBatch.from_instances(instances)
-    completions = wdeq_batch(batch)
+    batch = InstanceBatch.from_instances(instances)
+    completions = simulate_batch(batch, WdeqBatchPolicy()).completion_times
     benchmarks[f"water_filling_batch_{tag}"] = best_of(
         lambda: water_filling_batch(batch, completions), repeats
     )

@@ -4,9 +4,10 @@ Script mode (used by the CI benchmark-smoke job)::
 
     python benchmarks/bench_wdeq_ratio.py --output BENCH_wdeq_ratio.json
 
-measures the serial per-instance ratio sweep against the vectorized
-``repro.batch`` path on the same instances (B=256 by default) and records
-the speedup and the maximum serial-vs-batch disagreement in the JSON.
+measures the serial per-instance ratio sweep against the batched event
+engine (``policy_ratios_batch`` with WDEQ alone) on the same instances
+(B=256 by default) and records the speedup and the maximum serial-vs-batch
+disagreement in the JSON.
 """
 
 from __future__ import annotations
@@ -16,11 +17,17 @@ import pytest
 
 from repro.algorithms.wdeq import wdeq_schedule
 from repro.analysis.ratios import wdeq_ratio
-from repro.batch.kernels import PaddedBatch, wdeq_ratio_batch
+from repro.batch.sim_kernels import WdeqBatchPolicy, policy_ratios_batch
+from repro.core.batch import InstanceBatch
 from repro.core.bounds import combined_lower_bound
 from repro.experiments import run_experiment
 from repro.simulation.nonclairvoyant import run_wdeq_online
 from repro.workloads.generators import cluster_instances
+
+
+def _wdeq_ratios(batch):
+    """WDEQ over the Lemma 1 bound for every row, on the batched engine."""
+    return policy_ratios_batch(batch, [WdeqBatchPolicy()])["WDEQ"]
 
 
 def test_wdeq_schedule_n50(benchmark, cluster_instance_n50):
@@ -51,8 +58,8 @@ def test_wdeq_ratio_exact_small(benchmark, uniform_instance_n4):
 @pytest.mark.benchmark(group="batch-kernels")
 def test_wdeq_ratio_batch_64x16(benchmark):
     instances = list(cluster_instances(16, 64, rng=np.random.default_rng(7)))
-    batch = PaddedBatch.from_instances(instances)
-    ratios = benchmark(wdeq_ratio_batch, batch)
+    batch = InstanceBatch.from_instances(instances)
+    ratios = benchmark(_wdeq_ratios, batch)
     assert ratios.shape == (64,)
     assert float(ratios.max()) <= 2.0 + 1e-6
 
@@ -94,10 +101,10 @@ def run_ratio_benchmark(
     # The batched timing includes the padding step: that is the real cost a
     # caller starting from Instance objects pays.
     batch_seconds = best_of(
-        lambda: wdeq_ratio_batch(PaddedBatch.from_instances(instances)), repeats
+        lambda: _wdeq_ratios(InstanceBatch.from_instances(instances)), repeats
     )
     serial_ratios = np.array([wdeq_ratio(inst, exact=False) for inst in instances])
-    batch_ratios = wdeq_ratio_batch(PaddedBatch.from_instances(instances))
+    batch_ratios = _wdeq_ratios(InstanceBatch.from_instances(instances))
     tag = f"B{batch_size}_n{task_count}"
     benchmarks = {
         f"wdeq_ratio_serial_{tag}": serial_seconds,

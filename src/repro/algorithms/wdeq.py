@@ -13,16 +13,17 @@ completion times; experiment E5 measures the ratio empirically.
 This module provides
 
 * :func:`wdeq_allocation` — the static sharing rule of Algorithm 1,
-* :func:`wdeq_schedule` — the full (clairvoyantly simulated) execution of the
-  online algorithm, returning a column schedule,
+* :func:`wdeq_schedule` — the execution of the online algorithm as a column
+  schedule,
 * :func:`deq_schedule` — the unweighted special case DEQ (Deng et al.,
   reference [13]),
 * :func:`weighted_round_robin_schedule` — the single-processor weighted
   round-robin baseline (Kim & Chwa, reference [14]).
 
-The truly online, event-driven version (where the volumes are revealed only
-through completion events) lives in :mod:`repro.simulation`; the two
-implementations are checked against each other in the test suite.
+The schedules are not computed here: the event engine of
+:mod:`repro.simulation` runs :func:`wdeq_allocation` (revealing the volumes
+only through completion events) and :func:`wdeq_schedule` converts its
+execution to columns.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.conversion import continuous_to_column
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.instance import Instance
 from repro.core.schedule import ColumnSchedule
@@ -98,60 +100,22 @@ def wdeq_allocation(
     return alloc
 
 
-def wdeq_schedule(instance: Instance, atol: float = 1e-12) -> ColumnSchedule:
+def wdeq_schedule(instance: Instance) -> ColumnSchedule:
     """Simulate WDEQ on an instance and return the resulting column schedule.
 
-    Although WDEQ is non-clairvoyant, once the instance is known its
-    execution is deterministic and can be computed column by column: the
-    sharing rule gives constant rates until the first remaining task
-    completes, at which point the platform is reshared.  The schedule
-    produced therefore has exactly one column per task (zero-length columns
-    appear when several tasks complete simultaneously).
+    Runs :class:`~repro.simulation.policies.WdeqPolicy` on the event engine
+    :func:`repro.simulation.engine.simulate` and averages the execution per
+    column (:func:`repro.core.conversion.continuous_to_column`).  WDEQ only
+    reshares at completions, so its rates are constant inside each column;
+    zero-length columns appear when several tasks complete simultaneously.
     """
-    n = instance.n
-    if n == 0:
+    if instance.n == 0:
         return ColumnSchedule(instance, [], [], np.zeros((0, 0)))
-    if np.any(instance.weights <= 0):
-        raise InvalidInstanceError(
-            "WDEQ requires strictly positive weights; "
-            "use a small positive weight for 'don't care' tasks"
-        )
-    remaining = instance.volumes.copy()
-    active = list(range(n))
-    order: list[int] = []
-    completion_times: list[float] = []
-    rates = np.zeros((n, n))
-    t = 0.0
-    while active:
-        w = instance.weights[active]
-        d = instance.deltas[active]
-        alloc = wdeq_allocation(instance.P, w, d, atol=atol)
-        # Time until the first active task completes under these rates.
-        with np.errstate(divide="ignore"):
-            finish_in = np.where(alloc > atol, remaining[active] / np.maximum(alloc, atol), np.inf)
-        dt = float(np.min(finish_in))
-        if not np.isfinite(dt):
-            raise InvalidInstanceError(
-                "WDEQ stalled: some active task receives no processors "
-                "(this requires a zero weight or a zero platform)"
-            )
-        column = len(order)
-        t += dt
-        for local_idx, task in enumerate(active):
-            rates[task, column] = alloc[local_idx]
-            remaining[task] = max(remaining[task] - alloc[local_idx] * dt, 0.0)
-        finished = [task for task in active if remaining[task] <= atol * max(1.0, instance.volumes[task])]
-        if not finished:
-            # Numerical corner case: force the task closest to completion out.
-            closest = min(active, key=lambda task: remaining[task])
-            finished = [closest]
-            remaining[closest] = 0.0
-        for extra_pos, task in enumerate(finished):
-            order.append(task)
-            completion_times.append(t)
-            # Zero-length columns for simultaneous completions carry no work.
-        active = [task for task in active if task not in set(finished)]
-    return ColumnSchedule(instance, order, completion_times, rates)
+    # Imported here: repro.simulation.policies imports this module.
+    from repro.simulation.engine import simulate
+    from repro.simulation.policies import WdeqPolicy
+
+    return continuous_to_column(simulate(instance, WdeqPolicy()).schedule)
 
 
 def deq_schedule(instance: Instance) -> ColumnSchedule:

@@ -21,7 +21,7 @@ from repro.algorithms.wdeq import wdeq_schedule
 from repro.core.bounds import combined_lower_bound
 from repro.core.instance import Instance
 from repro.core.objectives import weighted_completion_time
-from repro.simulation.nonclairvoyant import compare_policies, default_policies
+from repro.simulation.nonclairvoyant import compare_policies
 
 __all__ = ["GreedyGap", "greedy_vs_optimal", "wdeq_ratio", "policy_ratios"]
 
@@ -75,19 +75,13 @@ def wdeq_ratio(instance: Instance, exact: bool | None = None) -> float:
     return wdeq_value / reference
 
 
-def policy_ratios(
-    instance: Instance, exact: bool | None = None, exclude: tuple[str, ...] = ()
-) -> dict[str, float]:
+def policy_ratios(instance: Instance, exact: bool | None = None) -> dict[str, float]:
     """Ratio of every default online policy against the chosen reference.
 
     Policies whose schedules are infeasible in the malleable model (e.g. the
     cap-less weighted fair share once clamped) are still reported: after
     clamping, the engine produces a feasible execution, just not the one the
     policy "intended".
-
-    ``exclude`` drops policies by name before simulating — callers that
-    obtain a policy's value elsewhere (e.g. WDEQ through the vectorized
-    batch kernel) use it to skip the redundant simulation.
     """
     if exact is None:
         exact = instance.n <= 6
@@ -95,8 +89,7 @@ def policy_ratios(
         reference = optimal_value(instance)
     else:
         reference = combined_lower_bound(instance)
-    policies = [p for p in default_policies(instance) if p.name not in exclude]
-    results = compare_policies(instance, policies)
+    results = compare_policies(instance)
     ratios: dict[str, float] = {}
     for name, result in results.items():
         value = weighted_completion_time(instance, result.completion_times)

@@ -7,17 +7,18 @@ per-instance loop turned into an array operation over the whole batch, so
 the Python-interpreter cost is paid once per *round* instead of once per
 *instance and round*.
 
-Semantics are kept identical to the scalar implementations in
-:mod:`repro.algorithms.wdeq` and :mod:`repro.algorithms.water_filling`
-(same tolerances, same tie-breaking, same numerical-rescue paths); the
-property tests in ``tests/test_batch.py`` assert agreement on random padded
-batches including degenerate one-task instances.
+Two families live here: Algorithm WF (:func:`water_filling_batch`, the
+counterpart of :mod:`repro.algorithms.water_filling`, same tolerances and
+tie-breaking) and the Lemma 1 lower bounds (:func:`combined_lower_bound_batch`
+and its parts, the counterparts of :mod:`repro.core.bounds`).  The property
+tests in ``tests/test_batch.py`` assert agreement with the scalar code on
+random padded batches including degenerate one-task instances.  WDEQ itself
+runs on the batched event engine, :mod:`repro.batch.sim_kernels`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,25 +28,15 @@ from repro.core.exceptions import (
     InvalidInstanceError,
     InvalidScheduleError,
 )
-from repro.core.instance import Instance
 
 __all__ = [
-    "PaddedBatch",
     "BatchWaterFilling",
-    "wdeq_batch",
-    "wdeq_weighted_completion_batch",
     "water_filling_batch",
     "smith_rule_batch",
     "height_bound_batch",
     "combined_lower_bound_batch",
     "lower_bound_batch",
-    "wdeq_ratio_batch",
 ]
-
-#: Historical name of the struct-of-arrays batch type, which now lives in
-#: :mod:`repro.core.batch` so that core, workloads and the kernels all share
-#: one representation.  Existing callers keep working unchanged.
-PaddedBatch = InstanceBatch
 
 
 def _row_sums(values: np.ndarray) -> np.ndarray:
@@ -60,118 +51,6 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
     if values.shape[1] == 0:
         return np.zeros(values.shape[0])
     return np.cumsum(values, axis=1)[:, -1]
-
-
-# --------------------------------------------------------------------- #
-# WDEQ
-# --------------------------------------------------------------------- #
-
-
-def _wdeq_allocation_batch(
-    P: np.ndarray,
-    weights: np.ndarray,
-    deltas: np.ndarray,
-    active: np.ndarray,
-    atol: float,
-) -> np.ndarray:
-    """Algorithm 1 (the WDEQ sharing rule) applied to every row at once.
-
-    Computes the fixed point of the closed-form
-    :func:`repro.algorithms.wdeq.wdeq_allocation` by rounds, as Algorithm 1
-    is written: repeatedly clamp every active task whose proportional share
-    exceeds its cap, then share the remaining capacity proportionally.  The
-    two agree to rounding, except where several tasks weigh about ``atol``
-    (see there).  Each pass either settles a row
-    (no task capped: the proportional shares are final) or clamps at least
-    one task in every unsettled row, so ``n_max + 1`` passes suffice for the
-    whole batch.
-    """
-    B, N = weights.shape
-    alloc = np.zeros((B, N))
-    act = active.copy()
-    rem_P = np.asarray(P, dtype=float).copy()
-    rem_W = _row_sums(np.where(act, weights, 0.0))
-    for _ in range(N + 1):
-        live = (rem_W > atol) & (rem_P > atol) & act.any(axis=1)
-        if not live.any():
-            break
-        shares = weights * np.where(live, rem_P / np.where(live, rem_W, 1.0), 0.0)[:, None]
-        rows_act = act & live[:, None]
-        capped = rows_act & (deltas < shares - atol)
-        has_capped = capped.any(axis=1)
-        settle = live & ~has_capped
-        if settle.any():
-            settled_tasks = act & settle[:, None]
-            alloc[settled_tasks] = shares[settled_tasks]
-            act[settle] = False
-        if has_capped.any():
-            alloc[capped] = deltas[capped]
-            rem_P -= _row_sums(np.where(capped, deltas, 0.0))
-            rem_W -= _row_sums(np.where(capped, weights, 0.0))
-            act &= ~capped
-            np.maximum(rem_P, 0.0, out=rem_P)
-    return alloc
-
-
-def wdeq_batch(batch: PaddedBatch, atol: float = 1e-12) -> np.ndarray:
-    """Completion times of WDEQ on every instance of the batch.
-
-    Vectorized counterpart of :func:`repro.algorithms.wdeq.wdeq_schedule`:
-    at each round the sharing rule of Algorithm 1 fixes constant rates until
-    the first remaining task of each row completes, at which point that row
-    is reshared.  Returns the completion time of every task, shape
-    ``(B, n_max)`` with zeros in the padding slots.
-    """
-    volumes, weights, deltas, mask = batch.volumes, batch.weights, batch.deltas, batch.mask
-    if np.any(mask & (weights <= 0)):
-        raise InvalidInstanceError(
-            "WDEQ requires strictly positive weights; "
-            "use a small positive weight for 'don't care' tasks"
-        )
-    B, N = volumes.shape
-    remaining = np.where(mask, volumes, 0.0)
-    active = mask.copy()
-    completion = np.zeros((B, N))
-    t = np.zeros(B)
-    finish_tol = atol * np.maximum(1.0, volumes)
-    for _ in range(N):
-        live = active.any(axis=1)
-        if not live.any():
-            break
-        alloc = _wdeq_allocation_batch(batch.P, weights, deltas, active, atol)
-        finish_in = np.where(
-            active & (alloc > atol), remaining / np.maximum(alloc, atol), np.inf
-        )
-        dt = finish_in.min(axis=1)
-        if np.any(live & ~np.isfinite(dt)):
-            raise InvalidInstanceError(
-                "WDEQ stalled: some active task receives no processors "
-                "(this requires a zero weight or a zero platform)"
-            )
-        dt = np.where(live, dt, 0.0)
-        t += dt
-        remaining = np.maximum(remaining - alloc * dt[:, None], 0.0)
-        finished = active & (remaining <= finish_tol)
-        none_done = live & ~finished.any(axis=1)
-        if none_done.any():
-            # Numerical corner case (as in the scalar code): force the task
-            # closest to completion out of the active set.
-            closest = np.where(active, remaining, np.inf).argmin(axis=1)
-            rows = np.nonzero(none_done)[0]
-            finished[rows, closest[rows]] = True
-            remaining[rows, closest[rows]] = 0.0
-        completion[finished] = np.broadcast_to(t[:, None], (B, N))[finished]
-        active &= ~finished
-    return completion
-
-
-def wdeq_weighted_completion_batch(
-    batch: PaddedBatch, completion_times: np.ndarray | None = None, atol: float = 1e-12
-) -> np.ndarray:
-    """``sum_i w_i C_i`` of the WDEQ schedule for every row, shape ``(B,)``."""
-    if completion_times is None:
-        completion_times = wdeq_batch(batch, atol=atol)
-    return _row_sums(np.where(batch.mask, batch.weights * completion_times, 0.0))
 
 
 # --------------------------------------------------------------------- #
@@ -206,7 +85,7 @@ class BatchWaterFilling:
 
 
 def water_filling_batch(
-    batch: PaddedBatch,
+    batch: InstanceBatch,
     completion_times: np.ndarray,
     atol: float = 1e-9,
 ) -> BatchWaterFilling:
@@ -348,17 +227,17 @@ def smith_rule_batch(
     v_sorted = np.take_along_axis(v, order, axis=1)
     w_sorted = np.take_along_axis(w, order, axis=1)
     completion = np.cumsum(v_sorted, axis=1) / np.asarray(P, dtype=float)[:, None]
-    return (w_sorted * completion).sum(axis=1)
+    return _row_sums(w_sorted * completion)
 
 
-def height_bound_batch(batch: PaddedBatch, volumes: np.ndarray | None = None) -> np.ndarray:
+def height_bound_batch(batch: InstanceBatch, volumes: np.ndarray | None = None) -> np.ndarray:
     """Vectorized height bound ``H(I) = sum_i w_i V_i / delta_i`` (Definition 6)."""
     v = batch.volumes if volumes is None else volumes
     heights = np.where(batch.mask, v / batch.deltas, 0.0)
-    return (np.where(batch.mask, batch.weights, 0.0) * heights).sum(axis=1)
+    return _row_sums(np.where(batch.mask, batch.weights, 0.0) * heights)
 
 
-def combined_lower_bound_batch(batch: PaddedBatch, num_fractions: int = 5) -> np.ndarray:
+def combined_lower_bound_batch(batch: InstanceBatch, num_fractions: int = 5) -> np.ndarray:
     """Vectorized :func:`repro.core.bounds.combined_lower_bound`, shape ``(B,)``.
 
     Evaluates the squashed-area bound ``A(I)``, the height bound ``H(I)`` and
@@ -380,7 +259,7 @@ def combined_lower_bound_batch(batch: PaddedBatch, num_fractions: int = 5) -> np
 
 
 def lower_bound_batch(
-    batch: PaddedBatch,
+    batch: InstanceBatch,
     method: str = "combined",
     num_fractions: int = 5,
 ) -> np.ndarray:
@@ -397,27 +276,3 @@ def lower_bound_batch(
     if method == "combined":
         return combined_lower_bound_batch(batch, num_fractions=num_fractions)
     raise InvalidInstanceError(f"unknown lower-bound method {method!r}; expected 'combined'")
-
-
-def wdeq_ratio_batch(
-    batch: PaddedBatch,
-    completion_times: np.ndarray | None = None,
-    num_fractions: int = 5,
-    atol: float = 1e-12,
-) -> np.ndarray:
-    """WDEQ value over the combined lower bound for every row, shape ``(B,)``.
-
-    Vectorized counterpart of ``wdeq_ratio(instance, exact=False)``:
-    Theorem 4 guarantees every entry is at most 2.
-    """
-    value = wdeq_weighted_completion_batch(batch, completion_times, atol=atol)
-    reference = combined_lower_bound_batch(batch, num_fractions=num_fractions)
-    return np.where(reference > 0, value / np.where(reference > 0, reference, 1.0), 1.0)
-
-
-def pad_instances(instances: Sequence[Instance]) -> PaddedBatch:
-    """Convenience alias for :meth:`PaddedBatch.from_instances`."""
-    return PaddedBatch.from_instances(instances)
-
-
-__all__.append("pad_instances")

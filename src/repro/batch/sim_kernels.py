@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.batch.kernels import _row_sums, _wdeq_allocation_batch, combined_lower_bound_batch
+from repro.batch.kernels import _row_sums, combined_lower_bound_batch
 from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError, SimulationError
 from repro.simulation.events import (
@@ -112,6 +112,53 @@ class BatchPolicy(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
+
+
+def _wdeq_allocation_batch(
+    P: np.ndarray,
+    weights: np.ndarray,
+    deltas: np.ndarray,
+    active: np.ndarray,
+    atol: float,
+) -> np.ndarray:
+    """Algorithm 1 (the WDEQ sharing rule) applied to every row at once.
+
+    Computes the fixed point of the closed-form
+    :func:`repro.algorithms.wdeq.wdeq_allocation` by rounds, as Algorithm 1
+    is written: repeatedly clamp every active task whose proportional share
+    exceeds its cap, then share the remaining capacity proportionally.  The
+    two agree to rounding, except where several tasks weigh about ``atol``
+    (see there).  Each pass either settles a row
+    (no task capped: the proportional shares are final) or clamps at least
+    one task in every unsettled row, so ``n_max + 1`` passes suffice for the
+    whole batch.
+    """
+    B, N = weights.shape
+    alloc = np.zeros((B, N))
+    act = active.copy()
+    rem_P = np.asarray(P, dtype=float).copy()
+    rem_W = _row_sums(np.where(act, weights, 0.0))
+    for _ in range(N + 1):
+        # A row that stops being live never becomes live again (the
+        # remaining weight and capacity only shrink), so its tasks leave
+        # ``act`` for good.
+        act &= ((rem_W > atol) & (rem_P > atol))[:, None]
+        live = act.any(axis=1)
+        if not live.any():
+            break
+        shares = weights * (rem_P / np.where(live, rem_W, 1.0))[:, None]
+        capped = act & (deltas < shares - atol)
+        capped_rows = capped.any(axis=1)
+        # Rows without a capped task settle: their proportional shares are final.
+        np.copyto(alloc, shares, where=act & ~capped_rows[:, None])
+        if not capped_rows.any():
+            break
+        np.copyto(alloc, deltas, where=capped)
+        rem_P -= _row_sums(np.where(capped, deltas, 0.0))
+        rem_W -= _row_sums(np.where(capped, weights, 0.0))
+        np.maximum(rem_P, 0.0, out=rem_P)
+        act &= ~capped & capped_rows[:, None]
+    return alloc
 
 
 class WdeqBatchPolicy(BatchPolicy):
@@ -419,14 +466,17 @@ def advance_simulation_state(
     record_trace = traces is not None
     if max_events is None:
         max_events = 8 * N + 16
-    if until is None:
-        horizon = np.full(B, np.inf)
-    else:
+    # Without a horizon, or once every task is released, the horizon and
+    # release terms are infinite: they are skipped rather than computed.
+    no_release = np.full(B, np.inf)
+    if until is not None:
         horizon = np.broadcast_to(np.asarray(until, dtype=float), (B,))
 
     iterations = 0
     while True:
-        live = ~(completed | ~mask).all(axis=1) & (t < horizon)
+        live = ~(completed | ~mask).all(axis=1)
+        if until is not None:
+            live &= t < horizon
         if not live.any():
             break
         iterations += 1
@@ -437,8 +487,13 @@ def advance_simulation_state(
             )
         active = released & ~completed & mask & live[:, None]
         has_active = active.any(axis=1)
-        pending = mask & ~released
-        next_release = np.where(pending, releases, np.inf).min(axis=1)
+        releasing = not released.all()
+        if releasing:
+            pending = mask & ~released
+            next_release = np.where(pending, releases, np.inf).min(axis=1)
+            dt_release = np.where(np.isfinite(next_release), next_release - t, np.inf)
+        else:
+            dt_release = no_release
 
         raw = policy.allocate(batch.P, weights, deltas, work_done, t[:, None] - releases, active)
         if np.any(active & (raw < -atol)):
@@ -461,17 +516,21 @@ def advance_simulation_state(
                 active & (rates > atol), remaining / np.maximum(rates, atol), np.inf
             )
         dt_completion = finish_in.min(axis=1)
-        dt_release = np.where(np.isfinite(next_release), next_release - t, np.inf)
-        dt_horizon = np.where(np.isfinite(horizon), horizon - t, np.inf)
         dt = np.minimum(dt_completion, dt_release)
-        stalled = live & has_active & ~np.isfinite(np.minimum(dt, dt_horizon))
+        # Events and the horizon are compared as times, not durations: a
+        # pause at an event time then takes that event's own step, so the
+        # resumed run stays on the one-shot trajectory bit for bit.
+        reaches_event = True
+        if until is not None:
+            reaches_event = t + dt <= horizon
+            dt = np.where(reaches_event, dt, horizon - t)
+        stalled = live & has_active & ~np.isfinite(dt)
         if stalled.any():
             b = int(np.nonzero(stalled)[0][0])
             raise SimulationError(
                 f"policy {policy.name!r} stalled in batch row {b}: "
                 "no active task receives processors"
             )
-        dt = np.minimum(dt, dt_horizon)
         dt = np.where(live, np.maximum(dt, 0.0), 0.0)
 
         if record_trace and traces is not None:
@@ -509,7 +568,7 @@ def advance_simulation_state(
             & has_active
             & ~finished.any(axis=1)
             & (dt_completion <= dt_release)
-            & (dt_completion <= dt_horizon)
+            & reaches_event
         )
         if none_done.any():
             winner = np.where(active, finish_in, np.inf).argmin(axis=1)
@@ -519,14 +578,18 @@ def advance_simulation_state(
         np.copyto(completion_times, np.broadcast_to(t[:, None], (B, N)), where=finished)
         completed |= finished
 
-        newly_released = pending & (releases <= t[:, None] + atol)
-        released |= newly_released
+        if releasing:
+            newly_released = pending & (releases <= t[:, None] + atol)
+            released |= newly_released
 
         if record_trace and traces is not None:
             for b, i in zip(*np.nonzero(finished)):
                 traces[b].record_completion(CompletionEvent(time=float(t[b]), task=int(i)))
-            for b, i in zip(*np.nonzero(newly_released)):
-                traces[b].record_release(ReleaseEvent(time=float(releases[b, i]), task=int(i)))
+            if releasing:
+                for b, i in zip(*np.nonzero(newly_released)):
+                    traces[b].record_release(
+                        ReleaseEvent(time=float(releases[b, i]), task=int(i))
+                    )
 
     return state
 

@@ -69,38 +69,27 @@ def continuous_to_column(
     The completion times of the continuous schedule define the columns; the
     per-column rate of task ``i`` is its average allocation there,
     ``(1 / l_j) * integral over the column of d_i(t) dt``, which by convexity
-    still satisfies both the per-task cap and the platform capacity.
+    still satisfies both the per-task cap and the platform capacity.  The
+    integrals of all tasks over all columns are one product,
+    ``rates @ overlap``, where ``overlap[k, j]`` is the length of interval
+    ``k`` that falls inside column ``j``.
     """
     inst = schedule.instance
-    n = inst.n
     completions = schedule.completion_times()
-    order = sorted(range(n), key=lambda i: (completions[i], i))
-    sorted_completions = np.array([completions[i] for i in order])
-    rates = np.zeros((n, n))
-    prev_boundary = 0.0
-    for j in range(n):
-        boundary = sorted_completions[j]
-        length = boundary - prev_boundary
-        if length > atol:
-            for i in range(n):
-                integral = _integrate_rate(schedule, i, prev_boundary, boundary)
-                rates[i, j] = integral / length
-        prev_boundary = boundary
-    return ColumnSchedule(inst, order, sorted_completions, rates)
-
-
-def _integrate_rate(
-    schedule: ContinuousSchedule, task: int, start: float, end: float
-) -> float:
-    """Integral of ``d_task(t)`` over ``[start, end]``."""
+    order = np.lexsort((np.arange(inst.n), completions))
+    ends = completions[order]
+    starts = np.concatenate(([0.0], ends))[:-1]
     bp = schedule.breakpoints
-    total = 0.0
-    for k in range(schedule.num_intervals):
-        lo = max(start, bp[k])
-        hi = min(end, bp[k + 1])
-        if hi > lo:
-            total += schedule.rates[task, k] * (hi - lo)
-    return total
+    overlap = np.clip(
+        np.minimum(bp[1:, None], ends[None, :]) - np.maximum(bp[:-1, None], starts[None, :]),
+        0.0,
+        None,
+    )
+    lengths = ends - starts
+    wide = lengths > atol
+    rates = np.zeros((inst.n, inst.n))
+    rates[:, wide] = (schedule.rates @ overlap[:, wide]) / lengths[wide]
+    return ColumnSchedule(inst, order, ends, rates)
 
 
 def column_to_processor_assignment(

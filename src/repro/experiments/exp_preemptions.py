@@ -8,7 +8,7 @@ fractional allocation and at most ``3n`` preemptions of the integer
 schedule.
 
 The WDEQ completion times of all instances of a size are computed by one
-:func:`repro.batch.kernels.wdeq_batch` sweep on every backend; the
+:func:`repro.batch.sim_kernels.simulate_batch` run on every backend; the
 per-instance preemption analysis (inherently schedule-structural) then runs
 through ``ctx.map``.
 """
@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.preemptions import preemption_report
+from repro.core.batch import InstanceBatch
 from repro.exec import ExecutionContext
 from repro.experiments.base import ExperimentResult
 from repro.workloads.generators import cluster_instances
@@ -39,7 +40,7 @@ def run(
     ctx: ExecutionContext | None = None,
 ) -> ExperimentResult:
     """Measure preemption counts against the n and 3n bounds."""
-    from repro.batch.kernels import PaddedBatch, wdeq_batch
+    from repro.batch.sim_kernels import WdeqBatchPolicy, simulate_batch
 
     ctx = ctx if ctx is not None else ExecutionContext()
     count = ctx.scale(count, 100)
@@ -47,7 +48,8 @@ def run(
     all_within = True
     for n in sizes:
         instances = list(cluster_instances(n, count, rng=ctx.rng()))
-        completions = wdeq_batch(PaddedBatch.from_instances(instances))
+        batch = InstanceBatch.from_instances(instances)
+        completions = simulate_batch(batch, WdeqBatchPolicy()).completion_times
         reports = ctx.map(
             _report_from_times,
             [(inst, completions[b, : inst.n]) for b, inst in enumerate(instances)],

@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
-from repro.algorithms.wdeq import wdeq_schedule
 from repro.core.batch import InstanceBatch
 from repro.core.instance import Instance
 from repro.exec import ExecutionContext
@@ -74,14 +73,12 @@ def run(
 
     In addition to the per-instance solver timings, the experiment measures
     the batched-execution substrate: for each ``B`` in ``batch_sizes`` it
-    compares ``B`` scalar WDEQ runs against one vectorized
-    :func:`repro.batch.kernels.wdeq_batch` call, ``B`` scalar
-    discrete-event simulations against one
+    compares ``B`` scalar discrete-event simulations of WDEQ against one
     :func:`repro.batch.sim_kernels.simulate_batch` call, and ``B`` scalar
     SciPy solves of the Corollary 1 ordered relaxation (at
     ``lp_batch_task_count`` tasks) against one
     :func:`repro.lp.batch.solve_ordered_relaxation_batch` lockstep solve,
-    reporting the three throughput gains in the summary.  Pass
+    reporting the two throughput gains in the summary.  Pass
     ``batch_sizes=()`` to skip that section.
     """
     ctx = ctx if ctx is not None else ExecutionContext()
@@ -168,33 +165,13 @@ def run(
             "the scenario opts in via params.exact_max_n."
         )
     for B in batch_sizes:
-        from repro.batch.kernels import PaddedBatch, wdeq_batch
         from repro.batch.sim_kernels import WdeqBatchPolicy, simulate_batch
         from repro.simulation.engine import simulate
         from repro.simulation.policies import WdeqPolicy
 
         batch_rng = ctx.rng(1)
         batch_instances = list(cluster_instances(batch_task_count, B, rng=batch_rng))
-        serial_time = _time_call(
-            lambda: [wdeq_schedule(inst) for inst in batch_instances]
-        )
-        padded = PaddedBatch.from_instances(batch_instances)
-        batch_time = _time_call(lambda: wdeq_batch(padded))
-        speedup = serial_time / batch_time if batch_time > 0 else float("inf")
-        rows.append(
-            [
-                f"B={B} x n={batch_task_count}",
-                f"{serial_time * 1e3:.2f} (serial)",
-                f"{batch_time * 1e3:.2f} (batched)",
-                "-",
-                "-",
-                "-",
-                "-",
-                "-",
-            ]
-        )
-        summary[f"wdeq_batch speedup (B={B})"] = f"{speedup:.1f}x"
-
+        padded = InstanceBatch.from_instances(batch_instances)
         sim_serial_time = _time_call(
             lambda: [simulate(inst, WdeqPolicy()) for inst in batch_instances], repeats=1
         )
@@ -229,7 +206,7 @@ def run(
             ],
             repeats=1,
         )
-        lp_padded = PaddedBatch.from_instances(lp_instances)
+        lp_padded = InstanceBatch.from_instances(lp_instances)
         lp_batch_time = _time_call(
             lambda: solve_ordered_relaxation_batch(lp_padded, smith_orders_batch(lp_padded)),
             repeats=1,
@@ -252,8 +229,7 @@ def run(
         notes.append(
             "The B=... rows compare B scalar runs against one vectorized call on the padded "
             "batch (columns 2 and 3 reuse the WDEQ slots: serial total vs batched total); "
-            "the plain rows use the closed-form repro.batch.kernels.wdeq_batch kernel, the "
-            "'(event sim)' rows the batched discrete-event engine "
+            "the '(event sim)' rows time the batched discrete-event engine "
             "repro.batch.sim_kernels.simulate_batch against the scalar "
             "repro.simulation.engine.simulate, and the '(ordered LP)' rows the lockstep "
             "Corollary-1 solver repro.lp.batch.solve_ordered_relaxation_batch against "

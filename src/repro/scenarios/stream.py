@@ -418,10 +418,16 @@ def stream_trace(
                     cut = True
                     break
                 if len(sizes) == chunk_size:
-                    yield _build_chunk(volumes, weights, deltas, releases, sizes, P, emitted)
+                    # Drop the parsed lists before the yield, and the chunk
+                    # after it: a pool forked while the consumer holds the
+                    # chunk would inherit the lists, and the next chunk's
+                    # parse would keep this chunk alive.
+                    chunk = _build_chunk(volumes, weights, deltas, releases, sizes, P, emitted)
                     emitted += len(sizes)
                     volumes, weights, deltas, releases, sizes = [], [], [], [], []
                     group_start = 0
+                    yield chunk
+                    del chunk
             current_key = key
         volumes.append(volume)
         weights.append(weight)
@@ -431,8 +437,10 @@ def stream_trace(
     if not cut and len(volumes) > group_start:
         sizes.append(len(volumes) - group_start)
     if sizes:
-        yield _build_chunk(volumes, weights, deltas, releases, sizes, P, emitted)
+        chunk = _build_chunk(volumes, weights, deltas, releases, sizes, P, emitted)
         emitted += len(sizes)
+        del volumes, weights, deltas, releases, sizes
+        yield chunk
     if emitted == 0:
         raise InvalidInstanceError(f"trace {path!r} contains no tasks")
 

@@ -283,7 +283,6 @@ def advance_simulation_state(
         pending = _NO_IDS if released.all() else (~released).nonzero()[0]
         next_release = float(releases[pending].min()) if pending.size else math.inf
         dt_release = next_release - t
-        dt_horizon = horizon - t
         if ids.size:
             rates = _rates(state, policy, ids, t)
             left = remaining[ids]
@@ -291,7 +290,7 @@ def advance_simulation_state(
                 left, rates, out=np.full(ids.size, math.inf), where=rates > atol
             )
             dt_completion = float(finish_in.min())
-            if not math.isfinite(min(dt_completion, dt_release, dt_horizon)):
+            if not math.isfinite(min(dt_completion, dt_release, horizon - t)):
                 raise SimulationError(
                     f"policy {policy.name!r} stalled: no active task receives processors"
                 )
@@ -302,7 +301,12 @@ def advance_simulation_state(
         else:
             rates = _NO_RATES
             dt_completion = math.inf
-        dt = max(min(dt_completion, dt_release, dt_horizon), 0.0)
+        dt_event = min(dt_completion, dt_release)
+        # The event and the horizon are compared as times, not durations: a
+        # pause at an event time then takes that event's own step, so the
+        # resumed run stays on the one-shot run's trajectory bit for bit.
+        reaches_event = t + dt_event <= horizon
+        dt = max(dt_event if reaches_event else horizon - t, 0.0)
 
         state.num_events += 1
         t += dt
@@ -315,7 +319,7 @@ def advance_simulation_state(
             left = np.maximum(left - progressed, 0.0)
             remaining[ids] = left
             done = left <= state.finish_tol[ids]
-            if not done.any() and dt_completion <= dt_release and dt_completion <= dt_horizon:
+            if not done.any() and dt_completion <= dt_release and reaches_event:
                 # Numerical corner case: the completion was due before the
                 # next release and the horizon but no task crossed the
                 # tolerance, so the task closest to completion is forced out.

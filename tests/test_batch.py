@@ -16,14 +16,9 @@ from repro.algorithms.water_filling import water_filling_levels
 from repro.algorithms.wdeq import wdeq_schedule
 from repro.analysis.ratios import wdeq_ratio
 from repro.batch.cache import ResultCache, cache_key
-from repro.batch.kernels import (
-    PaddedBatch,
-    combined_lower_bound_batch,
-    water_filling_batch,
-    wdeq_batch,
-    wdeq_ratio_batch,
-    wdeq_weighted_completion_batch,
-)
+from repro.batch.kernels import combined_lower_bound_batch, water_filling_batch
+from repro.batch.sim_kernels import WdeqBatchPolicy, policy_ratios_batch, simulate_batch
+from repro.core.batch import InstanceBatch
 from repro.core.bounds import combined_lower_bound, time_leq, times_close
 from repro.core.exceptions import InfeasibleScheduleError, InvalidInstanceError
 from repro.core.instance import Instance, Task
@@ -56,18 +51,23 @@ def instance_batches(draw, max_batch: int = 6):
     return draw(st.lists(instances(), min_size=1, max_size=max_batch))
 
 
+def _wdeq_completions(batch: InstanceBatch) -> np.ndarray:
+    """WDEQ completion times of every row, from the batched event engine."""
+    return simulate_batch(batch, WdeqBatchPolicy()).completion_times
+
+
 # --------------------------------------------------------------------- #
-# PaddedBatch
+# InstanceBatch
 # --------------------------------------------------------------------- #
 
 
-class TestPaddedBatch:
+class TestInstanceBatch:
     def test_shapes_and_mask(self):
         insts = [
             Instance.from_arrays(P=2.0, volumes=[1.0, 2.0, 3.0]),
             Instance.from_arrays(P=1.0, volumes=[1.0]),
         ]
-        batch = PaddedBatch.from_instances(insts)
+        batch = InstanceBatch.from_instances(insts)
         assert batch.batch_size == 2
         assert batch.n_max == 3
         assert list(batch.counts) == [3, 1]
@@ -79,7 +79,7 @@ class TestPaddedBatch:
 
     def test_roundtrip_instance(self):
         inst = next(uniform_instances(4, 1, rng=0))
-        batch = PaddedBatch.from_instances([inst, next(uniform_instances(2, 1, rng=1))])
+        batch = InstanceBatch.from_instances([inst, next(uniform_instances(2, 1, rng=1))])
         back = batch.instance(0)
         np.testing.assert_allclose(back.volumes, inst.volumes)
         np.testing.assert_allclose(back.deltas, inst.deltas)
@@ -87,11 +87,11 @@ class TestPaddedBatch:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidInstanceError):
-            PaddedBatch.from_instances([])
+            InstanceBatch.from_instances([])
 
 
 # --------------------------------------------------------------------- #
-# WDEQ kernel
+# WDEQ on the batched event engine
 # --------------------------------------------------------------------- #
 
 
@@ -99,8 +99,8 @@ class TestWdeqBatch:
     @settings(max_examples=30, deadline=None)
     @given(instance_batches())
     def test_agrees_with_scalar(self, insts):
-        batch = PaddedBatch.from_instances(insts)
-        completions = wdeq_batch(batch)
+        batch = InstanceBatch.from_instances(insts)
+        completions = _wdeq_completions(batch)
         assert completions.shape == (batch.batch_size, batch.n_max)
         for b, inst in enumerate(insts):
             expected = wdeq_schedule(inst).completion_times_by_task()
@@ -112,22 +112,24 @@ class TestWdeqBatch:
 
     def test_single_task_instance(self):
         inst = Instance(P=2.0, tasks=[Task(volume=3.0, weight=1.0, delta=0.5)])
-        batch = PaddedBatch.from_instances([inst])
-        completions = wdeq_batch(batch)
+        completions = _wdeq_completions(InstanceBatch.from_instances([inst]))
         # One task capped at delta=0.5: completes at V / delta = 6.
         np.testing.assert_allclose(completions[0, 0], 6.0)
 
     def test_weighted_objective_matches(self):
         insts = list(cluster_instances(12, 5, rng=np.random.default_rng(2)))
-        batch = PaddedBatch.from_instances(insts)
-        values = wdeq_weighted_completion_batch(batch)
+        batch = InstanceBatch.from_instances(insts)
+        values = simulate_batch(batch, WdeqBatchPolicy()).weighted_completion_times()
         expected = [wdeq_schedule(inst).weighted_completion_time() for inst in insts]
         np.testing.assert_allclose(values, expected, rtol=1e-7)
 
     def test_nonpositive_weights_rejected(self):
         inst = Instance(P=1.0, tasks=[Task(volume=1.0, weight=0.0, delta=0.5)])
+        # Both engines reject a zero weight.
         with pytest.raises(InvalidInstanceError):
-            wdeq_batch(PaddedBatch.from_instances([inst]))
+            simulate_batch(InstanceBatch.from_instances([inst]), WdeqBatchPolicy())
+        with pytest.raises(InvalidInstanceError):
+            wdeq_schedule(inst)
 
 
 # --------------------------------------------------------------------- #
@@ -139,8 +141,8 @@ class TestWaterFillingBatch:
     @settings(max_examples=20, deadline=None)
     @given(instance_batches(max_batch=4))
     def test_agrees_with_scalar_on_wdeq_targets(self, insts):
-        batch = PaddedBatch.from_instances(insts)
-        completions = wdeq_batch(batch)
+        batch = InstanceBatch.from_instances(insts)
+        completions = _wdeq_completions(batch)
         result = water_filling_batch(batch, completions)
         for b, inst in enumerate(insts):
             sched, levels = water_filling_levels(inst, completions[b, : inst.n])
@@ -155,8 +157,8 @@ class TestWaterFillingBatch:
     @settings(max_examples=20, deadline=None)
     @given(instance_batches(max_batch=4))
     def test_volume_conservation_and_caps(self, insts):
-        batch = PaddedBatch.from_instances(insts)
-        completions = wdeq_batch(batch)
+        batch = InstanceBatch.from_instances(insts)
+        completions = _wdeq_completions(batch)
         result = water_filling_batch(batch, completions)
         lengths = np.diff(result.sorted_completion_times, axis=1, prepend=0.0)
         for b, inst in enumerate(insts):
@@ -169,7 +171,7 @@ class TestWaterFillingBatch:
 
     def test_infeasible_targets_raise(self):
         inst = Instance(P=1.0, tasks=[Task(volume=5.0, weight=1.0, delta=1.0)])
-        batch = PaddedBatch.from_instances([inst])
+        batch = InstanceBatch.from_instances([inst])
         with pytest.raises(InfeasibleScheduleError):
             water_filling_batch(batch, np.array([[1.0]]))
 
@@ -183,7 +185,7 @@ class TestBatchBounds:
     @settings(max_examples=30, deadline=None)
     @given(instance_batches())
     def test_combined_lower_bound_agrees(self, insts):
-        batch = PaddedBatch.from_instances(insts)
+        batch = InstanceBatch.from_instances(insts)
         bounds = combined_lower_bound_batch(batch)
         expected = [combined_lower_bound(inst) for inst in insts]
         np.testing.assert_allclose(bounds, expected, rtol=1e-9)
@@ -191,8 +193,8 @@ class TestBatchBounds:
     @settings(max_examples=15, deadline=None)
     @given(instance_batches(max_batch=4))
     def test_wdeq_ratio_agrees_and_below_two(self, insts):
-        batch = PaddedBatch.from_instances(insts)
-        ratios = wdeq_ratio_batch(batch)
+        batch = InstanceBatch.from_instances(insts)
+        ratios = policy_ratios_batch(batch, [WdeqBatchPolicy()])["WDEQ"]
         expected = [wdeq_ratio(inst, exact=False) for inst in insts]
         np.testing.assert_allclose(ratios, expected, rtol=1e-7)
         # Theorem 4: WDEQ is a 2-approximation, and the reference is a lower

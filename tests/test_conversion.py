@@ -13,13 +13,15 @@ from repro.core.conversion import (
     processor_assignment_to_continuous,
 )
 from repro.core.exceptions import InvalidScheduleError
-from repro.core.schedule import ColumnSchedule
+from repro.core.schedule import ColumnSchedule, ContinuousSchedule
 from repro.core.validation import (
     validate_column_schedule,
     validate_continuous_schedule,
     validate_processor_assignment,
 )
 from repro.algorithms.wdeq import wdeq_schedule
+from repro.simulation.engine import simulate
+from repro.simulation.policies import PriorityPolicy
 from tests.conftest import random_instance
 
 
@@ -73,6 +75,50 @@ class TestContinuousToColumn:
             continuous = column_to_continuous(sched)
             column = continuous_to_column(continuous)
             validate_column_schedule(column)
+
+
+    def test_columns_spanning_several_intervals_average_the_rates(self):
+        # Releases under a priority policy reshare between completions, and
+        # the hand-built schedule ends two tasks together, so its middle
+        # column spans two intervals and its last column is empty.
+        released = simulate(
+            Instance(P=2, tasks=[Task(2, 1, 1), Task(3, 2, 2), Task(1, 1, 1.5), Task(2, 3, 1)]),
+            PriorityPolicy([3.0, 2.0, 1.0, 0.0]),
+            release_times=[0.0, 0.5, 1.25, 2.0],
+        ).schedule
+        simultaneous = ContinuousSchedule(
+            Instance(P=2, tasks=[Task(1, 1, 1), Task(2.5, 1, 2), Task(2.5, 1, 2)]),
+            [0.0, 1.0, 2.0, 3.0],
+            np.array([[1.0, 0.0, 0.0], [1.0, 0.5, 1.0], [0.0, 1.5, 1.0]]),
+        )
+        for continuous in (released, simultaneous):
+            column = continuous_to_column(continuous)
+            assert continuous.num_intervals > np.count_nonzero(column.column_lengths)
+            completions = continuous.completion_times()
+            assert list(column.order) == sorted(range(column.n), key=lambda i: (completions[i], i))
+            np.testing.assert_array_equal(column.completion_times, np.sort(completions))
+            # Integrate d_i(t) over every column piece by piece between the
+            # breakpoints and column boundaries that fall inside it.
+            expected = np.zeros((column.n, column.n))
+            start = 0.0
+            for j, end in enumerate(column.completion_times):
+                if end - start > 1e-12:
+                    inside = continuous.breakpoints[
+                        (continuous.breakpoints > start) & (continuous.breakpoints < end)
+                    ]
+                    points = [start, *inside, end]
+                    for i in range(column.n):
+                        area = sum(
+                            continuous.rate_at(i, lo) * (hi - lo)
+                            for lo, hi in zip(points, points[1:])
+                        )
+                        expected[i, j] = area / (end - start)
+                start = end
+            np.testing.assert_allclose(column.rates, expected, rtol=1e-12, atol=1e-12)
+            validate_column_schedule(column)
+        np.testing.assert_allclose(
+            continuous_to_column(simultaneous).rates[:, 1:], [[0, 0], [0.75, 0], [1.25, 0]]
+        )
 
 
 class TestColumnToProcessorAssignment:

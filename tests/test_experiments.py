@@ -92,11 +92,9 @@ class TestExperimentRuns:
             batch_task_count=8,
             lp_batch_task_count=4,
         )
-        assert len(result.rows) == 3
-        assert result.rows[0][0] == "B=16 x n=8"
-        assert result.rows[1][0] == "B=16 x n=8 (event sim)"
-        assert result.rows[2][0] == "B=16 x n=4 (ordered LP)"
-        assert "wdeq_batch speedup (B=16)" in result.summary
+        assert len(result.rows) == 2
+        assert result.rows[0][0] == "B=16 x n=8 (event sim)"
+        assert result.rows[1][0] == "B=16 x n=4 (ordered LP)"
         assert "simulate_batch speedup (B=16)" in result.summary
         assert "lp_batch speedup (B=16)" in result.summary
 

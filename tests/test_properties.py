@@ -31,7 +31,7 @@ from repro.algorithms.optimal import optimal_value
 from repro.algorithms.preemption import assign_processors
 from repro.algorithms.water_filling import water_filling_schedule
 from repro.algorithms.wdeq import wdeq_allocation, wdeq_schedule
-from repro.batch.kernels import _wdeq_allocation_batch
+from repro.batch.sim_kernels import _wdeq_allocation_batch
 
 # ---------------------------------------------------------------------------
 # Strategies

@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ratios import policy_ratios
-from repro.batch.kernels import _row_sums, wdeq_weighted_completion_batch
+from repro.algorithms.greedy import greedy_completion_times_batch
+from repro.batch.kernels import _row_sums, combined_lower_bound_batch, water_filling_batch
 from repro.batch.sim_kernels import (
     BatchPolicy,
     DeqBatchPolicy,
@@ -253,6 +254,18 @@ def _take(batch: InstanceBatch, releases: np.ndarray, rows: list[int]):
     return taken, releases[rows]
 
 
+def _smith_greedy(batch: InstanceBatch) -> np.ndarray:
+    """Algorithm 3 completion times of every row in Smith order, padding placed last.
+
+    The zero-volume padding tasks get meaningless times (hence the silenced
+    warnings); placed last, they cannot move a real task's.
+    """
+    ratios = np.where(batch.mask, batch.volumes / np.where(batch.mask, batch.weights, 1.0), np.inf)
+    orders = np.argsort(ratios, axis=1, kind="stable")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return greedy_completion_times_batch(batch.P, batch.volumes, batch.deltas, orders)
+
+
 class TestPaddingInvariance:
     """A row's results do not depend on its padding width or its batch-mates.
 
@@ -286,9 +299,36 @@ class TestPaddingInvariance:
                     result.weighted_completion_times(), base.weighted_completion_times()[source]
                 )
                 assert np.array_equal(result.makespans(), base.makespans()[source])
-        assert np.array_equal(
-            wdeq_weighted_completion_batch(wide_batch), wdeq_weighted_completion_batch(batch)
-        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(padded_variants())
+    def test_lower_bound_water_filling_and_greedy_keep_every_row_bit_identical(self, case):
+        insts, _, width, rows = case
+        batch = InstanceBatch.from_instances(insts)
+        completions = simulate_batch(batch, WdeqBatchPolicy()).completion_times
+        wide_batch, wide_completions = _widen(batch, completions, width)
+        variants = [
+            (wide_batch, wide_completions, list(range(batch.batch_size))),
+            (*_take(batch, completions, rows), rows),
+            (*_take(wide_batch, wide_completions, rows), rows),
+        ]
+        n = batch.n_max
+        bound = combined_lower_bound_batch(batch)
+        wf = water_filling_batch(batch, completions)
+        greedy = _smith_greedy(batch)
+        for other, other_completions, source in variants:
+            assert np.array_equal(combined_lower_bound_batch(other), bound[source])
+            other_wf = water_filling_batch(other, other_completions)
+            # Real tasks fill the first columns: padding completes last.
+            assert np.array_equal(other_wf.order[:, :n], wf.order[source])
+            assert np.array_equal(other_wf.levels[:, :n], wf.levels[source])
+            assert np.array_equal(other_wf.rates[:, :n, :n], wf.rates[source])
+            assert np.array_equal(
+                other_wf.sorted_completion_times[:, :n], wf.sorted_completion_times[source]
+            )
+            other_greedy = _smith_greedy(other)
+            real = other.mask[:, :n]
+            assert np.array_equal(other_greedy[:, :n][real], greedy[source][real])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -359,6 +399,32 @@ class TestScalarResumableEngine:
         np.testing.assert_allclose(
             state.completion_times, oracle.completion_times[0], rtol=1e-9, atol=1e-12
         )
+
+
+    def test_pause_at_an_event_time_after_an_earlier_pause_keeps_every_bit(self):
+        # Found by the test above: the step ending at the first pause used
+        # to run ``h - t`` instead of its own duration, which moved later
+        # event times by an ulp, so the second pause split a step in two.
+        P = 0.6482175178065115
+        inst = Instance(
+            P=P,
+            tasks=[
+                Task(3.0, 1.0, 0.08247314502676427),
+                Task(0.1875, 1.0, P),
+                Task(3.5, 1.0, P),
+                Task(8.0, 1.0, P),
+                Task(5.625, 1.0, P),
+                Task(1.7501438851835347, 1.0, 0.05493308604865305),
+            ],
+        )
+        releases = [2.803791773573431, 1.0, 0.0, 0.5, 3.5, 0.5]
+        one_shot = engine.init_simulation_state(inst, releases)
+        engine.advance_simulation_state(one_shot, _scalar_policy(inst, "WDEQ"))
+        pauses = [one_shot.intervals[6][0], one_shot.intervals[8][0]]
+        state = self._paused(inst, releases, "WDEQ", pauses)
+        assert state.num_events == one_shot.num_events
+        assert np.array_equal(state.completion_times, one_shot.completion_times)
+        assert np.array_equal(state.remaining, one_shot.remaining)
 
 
 # --------------------------------------------------------------------- #
