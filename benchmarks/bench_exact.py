@@ -15,6 +15,10 @@ measures, on the synthetic cluster workload:
   underestimate: its LPs are smaller than the ``n = 10`` ones), and the
   resulting speedup is recorded in ``derived`` and gated at >= 25x for the
   full configuration;
+* the ``exact-opt`` shape: single ``cluster_instances`` of ``n = 7, 8, 9``
+  tasks at ``P = 128``, one branch-and-bound call per instance (best-of
+  time of the whole set), with the Algorithm 3 kernel calls per instance
+  in ``derived``;
 * a ``B >= 1024`` sweep cell evaluated through the per-instance pickling
   pool (`ExecutionContext.map` over ``Instance`` objects) against the
   zero-copy shared-memory transport of
@@ -39,6 +43,7 @@ from repro.core.batch import InstanceBatch
 from repro.core.bounds import combined_lower_bound
 from repro.exec import ExecutionContext
 from repro.lp.batch import optimal
+from repro.lp.exact import ExactSearchStats, branch_and_bound_optimal_batch
 from repro.workloads.generators import cluster_instances
 
 
@@ -126,6 +131,31 @@ def run_exact_benchmark(
     return benchmarks, derived
 
 
+def run_exact_opt_shape_benchmark(per_size: int, seed: int = 42) -> "tuple[dict, dict]":
+    """Single-instance searches in the ``exact-opt`` shape; see the module docstring."""
+    from _common import best_of
+
+    rng = np.random.default_rng(seed)
+    batches = [
+        InstanceBatch.from_instances(cluster_instances(n, 1, P=128.0, rng=rng))
+        for _ in range(per_size)
+        for n in (7, 8, 9)
+    ]
+
+    def solve_all():
+        return [branch_and_bound_optimal_batch(batch) for batch in batches]
+
+    seconds = best_of(solve_all, 3)
+    stats = ExactSearchStats()
+    for result in solve_all():
+        stats.merge(result.stats)
+    tag = f"P128_n7-9_x{len(batches)}"
+    return (
+        {f"exact_bnb_single_{tag}": seconds},
+        {f"exact_greedy_calls_per_instance_{tag}": stats.greedy_calls / len(batches)},
+    )
+
+
 def run_shm_benchmark(
     cell_size: int, cell_tasks: int, workers: int, seed: int = 9
 ) -> "tuple[dict, dict]":
@@ -180,15 +210,18 @@ def main(argv=None) -> int:
     workers = 2
     if args.smoke:
         batch_size, task_count, single_n, enum_n = 8, 8, 10, 5
+        shape_per_size = 10
         cell_size, cell_tasks = 1024, 16
     else:
         batch_size, task_count, single_n, enum_n = 64, 10, 12, 7
+        shape_per_size = 30
         cell_size, cell_tasks = 4096, 64
     config = {
         "batch_size": batch_size,
         "task_count": task_count,
         "single_n": single_n,
         "enum_n": enum_n,
+        "exact_opt_shape_per_size": shape_per_size,
         "cell_size": cell_size,
         "cell_tasks": cell_tasks,
         "workers": workers,
@@ -202,6 +235,9 @@ def main(argv=None) -> int:
         enum_n=enum_n,
         seed=args.seed,
     )
+    shape_benchmarks, shape_derived = run_exact_opt_shape_benchmark(shape_per_size, seed=args.seed)
+    benchmarks.update(shape_benchmarks)
+    derived.update(shape_derived)
     shm_benchmarks, shm_derived = run_shm_benchmark(cell_size, cell_tasks, workers)
     benchmarks.update(shm_benchmarks)
     derived.update(shm_derived)

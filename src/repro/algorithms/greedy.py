@@ -91,43 +91,64 @@ def greedy_completion_times_batch(
     on ``P`` (scalar or ``(F,)``) processors; ``volumes`` and ``deltas`` are
     ``(n,)``, shared by every row, or ``(F, n)``.  Returns ``(F, n)``
     completion times indexed by task, as :func:`greedy_completion_times`.
+    A zero-volume task (a padding slot) completes at ``t = 0`` and leaves
+    the other tasks' times unchanged, wherever it is placed.
 
     Without release times the free capacity is a non-decreasing step
     function whose breakpoints are ``0`` and the completions placed so far:
     a task takes ``min(delta, free)`` from ``t = 0`` on, which lowers the
     free capacity before its completion only.  After ``j`` placements the
     profile is ``j + 1`` breakpoints, the last step (free ``P``) unbounded.
+
+    The loop runs once per task on arrays of ``F`` rows, so on the small
+    stacks of the exact search (:mod:`repro.lp.exact`) its cost is the
+    fixed cost of each NumPy call, and it makes few: gathers are plain
+    fancy indexing, the per-breakpoint volumes live in one reused buffer,
+    and each placement builds the next profile by slice copies into a
+    second pair of buffers.
     """
     orders = np.asarray(orders, dtype=np.int64)
     F, n = orders.shape
-    v = np.take_along_axis(np.broadcast_to(volumes, (F, n)), orders, axis=1)
-    d = np.take_along_axis(np.broadcast_to(deltas, (F, n)), orders, axis=1)
-    times, free = np.zeros((2, F, n + 1))
+    rows = np.arange(F)
+    gather = rows[:, None]
+    volumes, deltas = np.asarray(volumes), np.asarray(deltas)
+    v = volumes[orders] if volumes.ndim == 1 else volumes[gather, orders]
+    d = deltas[orders] if deltas.ndim == 1 else deltas[gather, orders]
+    # A zero-volume task finishes in step 0 with nothing left to do; its
+    # rate there may be 0, so divide by 1 instead.
+    zero_volume = not (v > 0).all()
+    # The profile of the placed tasks, and the buffers its next version is
+    # built in: each placement writes the other pair and swaps.
+    times, free, next_times, next_free, done = np.zeros((5, F, n + 1))
     free[:, 0] = P
     completions = np.empty((F, n))
-    rows = np.arange(F)
+    positions = np.arange(n)
     for j in range(n):
         t, c = times[:, : j + 1], free[:, : j + 1]
         rate = np.minimum(d[:, j, None], c)
-        # Volume done by each breakpoint t_0 = 0, t_1, ..., t_j.
-        done = np.zeros((F, j + 1))
-        np.cumsum(rate[:, :-1] * np.diff(t, axis=1), axis=1, out=done[:, 1:])
+        # Volume done by each breakpoint t_0 = 0, t_1, ..., t_j (``done[:, 0]``
+        # stays 0).
+        (rate[:, :-1] * (t[:, 1:] - t[:, :-1])).cumsum(axis=1, out=done[:, 1 : j + 1])
         # The step the task finishes in: the last breakpoint it has not
-        # finished by.  That step has a positive rate (``done`` grows on it,
-        # or it is the last step, where the free capacity is ``P``).
-        step = (done < v[:, j, None]).sum(axis=1) - 1
-        finish = t[rows, step] + (v[:, j] - done[rows, step]) / rate[rows, step]
+        # finished by (step 0 for a zero-volume task).  For a positive
+        # volume that step has a positive rate (``done`` grows on it, or it
+        # is the last step, where the free capacity is ``P``).
+        step = (done[:, 1 : j + 1] < v[:, j, None]).sum(axis=1)
+        remaining = v[:, j] - done[rows, step]
+        step_rate = rate[rows, step]
+        if zero_volume:
+            step_rate = np.where(remaining > 0, step_rate, 1.0)
+        finish = t[rows, step] + remaining / step_rate
         completions[rows, orders[:, j]] = finish
         # Insert ``finish`` after breakpoint ``step``: earlier steps lose the
         # task's rate, the split step keeps its free capacity after ``finish``.
-        position = np.arange(j + 2)
-        before = position <= step[:, None]
-        source = np.where(before, position, position - 1)
-        free[:, : j + 2] = np.take_along_axis(c, source, axis=1) - np.where(
-            before, np.take_along_axis(rate, source, axis=1), 0.0
-        )
-        times[:, : j + 2] = np.take_along_axis(t, source, axis=1)
-        times[rows, step + 1] = finish
+        before = positions[: j + 1] <= step[:, None]
+        next_free[:, 1 : j + 2] = c
+        np.copyto(next_free[:, : j + 1], c - rate, where=before)
+        next_times[:, 1 : j + 2] = t
+        np.copyto(next_times[:, : j + 1], t, where=before)
+        next_times[rows, step + 1] = finish
+        times, free, next_times, next_free = next_times, next_free, times, free
     return completions
 
 

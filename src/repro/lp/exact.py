@@ -16,7 +16,9 @@ from the **end**:
 * Incumbents come only from the paper's Algorithm 3
   (:func:`repro.algorithms.greedy.greedy_completion_times_batch`): they
   are seeded with the schedules of a few heuristic orderings and refreshed
-  at each depth by completing every child tail heuristically.
+  at each depth by completing every child tail heuristically.  The seeds
+  and the depth-1 refresh need no incumbent, so they share one kernel
+  call; each deeper depth and the leaves add one.
 * The search is depth-synchronous: each depth expands the whole frontier at
   once and bounds every child with pure array arithmetic — **no LP is
   solved at interior nodes**.  Children whose bound cannot beat their row's
@@ -192,6 +194,13 @@ class ExactSearchStats:
         Always 0: the search certifies no leaf without an LP.  Kept because
         the ``exact-opt`` benchmark reports it, until a benchmark change
         drops that metric.
+    greedy_calls:
+        Calls of the Algorithm 3 kernel
+        (:func:`~repro.algorithms.greedy.greedy_completion_times_batch`):
+        one for the seeds and the depth-1 refresh together, one per deeper
+        refresh, and one for the leaves that survive their floors.
+    greedy_rows:
+        Placement orders those calls evaluated.
     """
 
     lps_solved: int = 0
@@ -200,6 +209,8 @@ class ExactSearchStats:
     frontier_peak: int = 0
     incumbent_updates: int = 0
     floors_certified: int = 0
+    greedy_calls: int = 0
+    greedy_rows: int = 0
 
     def merge(self, other: "ExactSearchStats") -> None:
         """Accumulate another group's counters into this one."""
@@ -209,6 +220,8 @@ class ExactSearchStats:
         self.frontier_peak = max(self.frontier_peak, other.frontier_peak)
         self.incumbent_updates += other.incumbent_updates
         self.floors_certified += other.floors_certified
+        self.greedy_calls += other.greedy_calls
+        self.greedy_rows += other.greedy_rows
 
 
 # --------------------------------------------------------------------- #
@@ -311,8 +324,9 @@ def _masked_smith(
     positive = member & (w > 0)
     ratios = np.where(positive, v / np.where(positive, w, 1.0), np.inf)
     order = np.argsort(ratios, axis=1, kind="stable")
-    v_sorted = np.take_along_axis(v, order, axis=1)
-    w_sorted = np.take_along_axis(w, order, axis=1)
+    gather = np.arange(order.shape[0])[:, None]
+    v_sorted = v[gather, order]
+    w_sorted = w[gather, order]
     completion = np.cumsum(v_sorted, axis=1) / P[:, None] + offset[:, None]
     return (w_sorted * completion).sum(axis=1)
 
@@ -403,7 +417,7 @@ def _tail_node_bounds(
         )
     else:
         front_bound = np.zeros(C)
-    w_t = np.take_along_axis(weights, tail_orders, axis=1)
+    w_t = weights[np.arange(C)[:, None], tail_orders]
     t = _tail_completion_floors(P, volumes, heights, deltas, front, tail_orders, V_S, D_S)
     return front_bound + (w_t * t).sum(axis=1)
 
@@ -439,8 +453,10 @@ def _tail_completion_floors(
     before any LP is solved.
     """
     C, m = tail_orders.shape
-    v_t = np.take_along_axis(volumes, tail_orders, axis=1)
-    d_t = np.take_along_axis(deltas, tail_orders, axis=1)
+    rows = np.arange(C)
+    gather = rows[:, None]
+    v_t = volumes[gather, tail_orders]
+    d_t = deltas[gather, tail_orders]
     cum_v = np.concatenate([V_S[:, None], v_t], axis=1).cumsum(axis=1)
     cum_d = np.concatenate([D_S[:, None], d_t], axis=1).cumsum(axis=1)
     t = np.zeros((C, m))
@@ -452,13 +468,15 @@ def _tail_completion_floors(
             floor = np.maximum(floor, vol / np.maximum(cap, 1e-300))
         t[:, p - 1] = floor
     height_order = np.argsort(-heights, axis=1)
-    v_h = np.take_along_axis(volumes, height_order, axis=1)
-    d_h = np.take_along_axis(deltas, height_order, axis=1)
-    member = front.copy()
-    rows_idx = np.arange(C)
+    v_h = volumes[gather, height_order]
+    d_h = deltas[gather, height_order]
+    # Membership in height order: ``rank[c, i]`` is task ``i``'s position there.
+    member_h = front[gather, height_order]
+    rank = np.empty_like(height_order)
+    rank[gather, height_order] = np.arange(height_order.shape[1])
+    tail_rank = rank[gather, tail_orders]
     for p in range(1, m + 1):
-        member[rows_idx, tail_orders[:, p - 1]] = True
-        member_h = np.take_along_axis(member, height_order, axis=1)
+        member_h[rows, tail_rank[:, p - 1]] = True
         cv = np.cumsum(np.where(member_h, v_h, 0.0), axis=1)
         cd = np.minimum(P[:, None], np.cumsum(np.where(member_h, d_h, 0.0), axis=1))
         ratio = (cv / np.maximum(cd, 1e-300)).max(axis=1)
@@ -516,6 +534,13 @@ def _search_group(
     frontier at once; only the surviving leaves (complete orderings) are
     evaluated exactly, in LP chunks.  Returns
     ``(objectives, orders, stats)`` with ``orders`` of shape ``(R, n)``.
+
+    Incumbents come from Algorithm 3.  The heuristic seeds and the depth-1
+    refresh orders (each task last, the others in Smith order) depend on
+    no incumbent, so one kernel call places both: the seeds fold by
+    per-row argmin, then the refresh values fold like any later refresh.
+    Depth ``m > 1`` refreshes its children in one call, the leaves that
+    survive their floors take one more.
     """
     from repro.algorithms.greedy import greedy_completion_times_batch
 
@@ -525,24 +550,43 @@ def _search_group(
 
     def greedy(rows: np.ndarray, orders: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Algorithm 3 values of placement ``orders`` and each schedule's completion order."""
+        stats.greedy_calls += 1
+        stats.greedy_rows += int(rows.size)
         times = greedy_completion_times_batch(P[rows], volumes[rows], deltas[rows], orders)
         return (weights[rows] * times).sum(axis=1), np.argsort(times, axis=1, kind="stable")
-
-    # Seed incumbents with the Algorithm 3 schedules of heuristic orderings.
-    seeds = _heuristic_orders(volumes, weights, deltas)
-    H = seeds.shape[1]
-    seed_values, seed_completed = greedy(np.repeat(np.arange(R), H), seeds.reshape(R * H, n))
-    best_seed = seed_values.reshape(R, H).argmin(axis=1) + H * np.arange(R)
-    incumbent = seed_values[best_seed]
-    incumbent_order = seed_completed[best_seed]
-
-    def allowance(rows: np.ndarray) -> np.ndarray:
-        inc = incumbent[rows]
-        return inc - _PRUNE_RTOL * np.maximum(1.0, np.abs(inc))
 
     positive = weights > 0
     smith_key = np.where(positive, volumes / np.where(positive, weights, 1.0), np.inf)
     position_index = np.arange(n, dtype=np.int64)
+
+    def completions(rows: np.ndarray, tails: np.ndarray, in_tail: np.ndarray) -> np.ndarray:
+        """Placement orders completing each tail: its front in Smith order, then the tail."""
+        key = smith_key[rows]
+        idx = np.broadcast_to(position_index, key.shape)
+        front = np.lexsort((idx, key, in_tail), axis=1)[:, : n - tails.shape[1]]
+        return np.concatenate([front, tails], axis=1)
+
+    # Seed incumbents with the Algorithm 3 schedules of heuristic orderings.
+    # The depth-1 refresh orders (each task last, the rest in Smith order)
+    # need no incumbent, so they share the seeds' kernel call.
+    seeds = _heuristic_orders(volumes, weights, deltas)
+    H = seeds.shape[1]
+    first_rows = np.repeat(np.arange(R), n)
+    first_last = np.tile(position_index, R)[:, None]
+    values, completed = greedy(
+        np.concatenate([np.repeat(np.arange(R), H), first_rows]),
+        np.concatenate([
+            seeds.reshape(R * H, n),
+            completions(first_rows, first_last, position_index == first_last),
+        ]),
+    )
+    best_seed = values[: R * H].reshape(R, H).argmin(axis=1) + H * np.arange(R)
+    incumbent = values[best_seed]
+    incumbent_order = completed[best_seed]
+
+    def allowance(rows: np.ndarray) -> np.ndarray:
+        inc = incumbent[rows]
+        return inc - _PRUNE_RTOL * np.maximum(1.0, np.abs(inc))
 
     def fold_incumbents(rows: np.ndarray, orders: np.ndarray, values: np.ndarray) -> None:
         """Fold achieved (feasible or exact) values into the incumbents."""
@@ -555,18 +599,7 @@ def _search_group(
                 incumbent_order[r] = orders[members][local_best]
                 stats.incumbent_updates += 1
 
-    def refresh_incumbents(rows: np.ndarray, tails: np.ndarray, in_tail: np.ndarray, m: int) -> None:
-        """Tighten incumbents from heuristic completions of every child tail.
-
-        Each tail is completed with its front in Smith order and placed by
-        Algorithm 3; each greedy value folds into its row's incumbent with
-        the schedule's completion order.
-        """
-        key = smith_key[rows]
-        idx = np.broadcast_to(position_index, key.shape)
-        front = np.lexsort((idx, key, in_tail), axis=1)[:, : n - m]
-        upper, completed = greedy(rows, np.concatenate([front, tails[:, n - m :]], axis=1))
-        fold_incumbents(rows, completed, upper)
+    fold_incumbents(first_rows, completed[R * H :], values[R * H :])
 
     # Root frontier: one empty tail per row.  ``tails[:, n - depth:]`` holds
     # the fixed last completions, in completion order.
@@ -601,7 +634,7 @@ def _search_group(
                 P[rows_l], volumes[rows_l], heights[rows_l], deltas[rows_l],
                 no_front, tails_l, zero, zero,
             )
-            w_ordered = np.take_along_axis(weights[rows_l], tails_l, axis=1)
+            w_ordered = weights[rows_l[:, None], tails_l]
             bound = (w_ordered * floors).sum(axis=1)
             keep = bound < allowance(rows_l)
             stats.pruned += int(np.count_nonzero(~keep))
@@ -636,7 +669,12 @@ def _search_group(
             in_tail,
             child_tails[:, n - depth :],
         )
-        refresh_incumbents(child_rows, child_tails, in_tail, depth)
+        if depth > 1:
+            # Tighten the incumbents from the heuristic completion of every
+            # child tail (depth 1 did so with the seeds).
+            tails = child_tails[:, n - depth :]
+            upper, completed = greedy(child_rows, completions(child_rows, tails, in_tail))
+            fold_incumbents(child_rows, completed, upper)
         keep = bound < allowance(child_rows)
         stats.pruned += int(np.count_nonzero(~keep))
         child_rows, child_masks, child_tails, bound = (

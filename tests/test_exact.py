@@ -37,6 +37,7 @@ from repro.exec.shm import apply_rows, attach_arrays, publish_batch
 from repro.lp.batch import OPTIMAL_METHODS, optimal, solve_ordered_relaxation_batch
 from repro.lp.exact import (
     MAX_BRANCH_AND_BOUND_TASKS,
+    ExactSearchStats,
     _require_optimal,
     _tail_completion_floors,
     branch_and_bound_optimal_batch,
@@ -159,18 +160,39 @@ class TestBranchAndBoundMatchesEnumeration:
         stats = engine.stats
         assert stats.lps_solved == engine.orderings_evaluated > 0
         assert stats.nodes_expanded > 0 and stats.frontier_peak > 0
+        assert stats.greedy_calls >= 1 and stats.greedy_rows >= stats.greedy_calls
+
+    #: sum(delta) <= P: every task runs at its cap from time 0 in every
+    #: schedule, so the Algorithm 3 seed is optimal and the height floors
+    #: prune the whole search before any leaf.
+    CAPS_WITHIN_THE_PLATFORM = dict(
+        P=[6.0],
+        volumes=[[3.0, 1.0, 4.0, 1.5, 5.0, 9.0]],
+        weights=[[2.0, 7.0, 1.0, 8.0, 2.5, 0.5]],
+        deltas=[[1.0, 0.5, 2.0, 0.25, 1.5, 0.75]],
+    )
 
     def test_caps_within_the_platform_need_no_lp(self):
-        # sum(delta) <= P: every task runs at its cap from time 0 in every
-        # schedule, so the Algorithm 3 seed is optimal and the height floors
-        # prune the whole search before any leaf.
-        volumes = np.array([[3.0, 1.0, 4.0, 1.5, 5.0, 9.0]])
-        weights = np.array([[2.0, 7.0, 1.0, 8.0, 2.5, 0.5]])
-        deltas = np.array([[1.0, 0.5, 2.0, 0.25, 1.5, 0.75]])
-        batch = InstanceBatch.from_arrays(P=[6.0], volumes=volumes, weights=weights, deltas=deltas)
+        batch = InstanceBatch.from_arrays(**self.CAPS_WITHIN_THE_PLATFORM)
         engine = branch_and_bound_optimal_batch(batch)
         assert engine.stats.lps_solved == 0
-        assert engine.objectives[0] == pytest.approx((weights * volumes / deltas).sum(), rel=1e-12)
+        expected = (batch.weights * batch.volumes / batch.deltas).sum()
+        assert engine.objectives[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_a_search_ending_at_depth_one_makes_one_greedy_call(self):
+        # The seeds and the depth-1 refresh (each task last) share one
+        # Algorithm 3 kernel call; the root's children are all pruned.
+        batch = InstanceBatch.from_arrays(**self.CAPS_WITHIN_THE_PLATFORM)
+        stats = branch_and_bound_optimal_batch(batch).stats
+        n = batch.n_max
+        assert stats.nodes_expanded == 1 and stats.pruned == n
+        assert stats.greedy_calls == 1
+        assert stats.greedy_rows == 6 + n  # six heuristic seeds, n refresh orders
+
+    def test_merge_sums_the_greedy_counters(self):
+        total = ExactSearchStats(greedy_calls=2, greedy_rows=30, frontier_peak=4)
+        total.merge(ExactSearchStats(greedy_calls=3, greedy_rows=12, frontier_peak=7))
+        assert (total.greedy_calls, total.greedy_rows, total.frontier_peak) == (5, 42, 7)
 
 
 class TestEngineGuardsAndModes:

@@ -87,6 +87,100 @@ class TestGreedyKernel:
         assert greedy_completion_times_batch(1.0, np.zeros(0), np.zeros(0), np.zeros((3, 0))).shape == (3, 0)
 
 
+def _take_along_axis_kernel(P, volumes, deltas, orders):
+    """The Algorithm 3 batch kernel as it was written with ``np.take_along_axis``.
+
+    Kept as a test oracle: the production kernel gathers by fancy indexing
+    and reuses its buffers, and must return the same bits on real tasks.
+    """
+    orders = np.asarray(orders, dtype=np.int64)
+    F, n = orders.shape
+    v = np.take_along_axis(np.broadcast_to(volumes, (F, n)), orders, axis=1)
+    d = np.take_along_axis(np.broadcast_to(deltas, (F, n)), orders, axis=1)
+    times, free = np.zeros((2, F, n + 1))
+    free[:, 0] = P
+    completions = np.empty((F, n))
+    rows = np.arange(F)
+    for j in range(n):
+        t, c = times[:, : j + 1], free[:, : j + 1]
+        rate = np.minimum(d[:, j, None], c)
+        done = np.zeros((F, j + 1))
+        np.cumsum(rate[:, :-1] * np.diff(t, axis=1), axis=1, out=done[:, 1:])
+        step = (done < v[:, j, None]).sum(axis=1) - 1
+        finish = t[rows, step] + (v[:, j] - done[rows, step]) / rate[rows, step]
+        completions[rows, orders[:, j]] = finish
+        position = np.arange(j + 2)
+        before = position <= step[:, None]
+        source = np.where(before, position, position - 1)
+        free[:, : j + 2] = np.take_along_axis(c, source, axis=1) - np.where(
+            before, np.take_along_axis(rate, source, axis=1), 0.0
+        )
+        times[:, : j + 2] = np.take_along_axis(t, source, axis=1)
+        times[rows, step + 1] = finish
+    return completions
+
+
+@st.composite
+def kernel_batches(draw):
+    """``(P, volumes, deltas, orders)``: shared or per-row tasks, scalar or per-row ``P``."""
+    n = draw(st.integers(1, 9))
+    F = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (F, n) if draw(st.booleans()) else (n,)
+    volumes = rng.uniform(0.05, 5.0, shape)
+    deltas = rng.uniform(0.05, 4.0, shape)
+    if draw(st.booleans()):
+        # Integral sizes make simultaneous completions (zero-width steps).
+        volumes, deltas = np.ceil(volumes), np.ceil(deltas)
+    P = rng.uniform(0.5, 8.0, F) if draw(st.booleans()) else float(rng.uniform(0.5, 8.0))
+    orders = np.array([rng.permutation(n) for _ in range(F)])
+    return P, volumes, deltas, orders
+
+
+class TestGreedyKernelBits:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_batches())
+    def test_matches_the_take_along_axis_kernel_bit_for_bit(self, case):
+        P, volumes, deltas, orders = case
+        assert np.array_equal(
+            greedy_completion_times_batch(P, volumes, deltas, orders),
+            _take_along_axis_kernel(P, volumes, deltas, orders),
+        )
+
+    @pytest.mark.parametrize(
+        "order",
+        [[2, 3, 0, 1], [0, 1, 2, 3], [0, 2, 1, 3], [3, 0, 2, 1]],
+        ids=["zeros-first", "zeros-last", "interleaved", "zeros-around"],
+    )
+    def test_zero_volume_tasks_complete_at_zero_without_warnings(self, order):
+        volumes, deltas = np.array([2.0, 1.0, 0.0, 0.0]), np.array([1.0, 2.0, 1.0, 1.0])
+        with np.errstate(all="raise"):
+            times = greedy_completion_times_batch(2.0, volumes, deltas, np.array([order]))[0]
+            real = greedy_completion_times_batch(
+                2.0, volumes[:2], deltas[:2], np.array([[i for i in order if i < 2]])
+            )[0]
+        assert np.array_equal(times, [real[0], real[1], 0.0, 0.0])
+        np.testing.assert_allclose(real, [2.0, 1.0], rtol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_batches(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_zero_volume_slots_leave_real_tasks_bit_identical(self, case, zeros, seed):
+        P, volumes, deltas, orders = case
+        F, n = orders.shape
+        rng = np.random.default_rng(seed)
+        wide_v = np.concatenate([np.broadcast_to(volumes, (F, n)), np.zeros((F, zeros))], axis=1)
+        wide_d = np.concatenate([np.broadcast_to(deltas, (F, n)), np.ones((F, zeros))], axis=1)
+        # Insert the zero slots at random places of every order.
+        wide_orders = np.array([
+            np.insert(row, np.sort(rng.integers(0, n + 1, zeros)), np.arange(n, n + zeros))
+            for row in orders
+        ])
+        with np.errstate(all="raise"):
+            times = greedy_completion_times_batch(P, wide_v, wide_d, wide_orders)
+        assert np.array_equal(times[:, :n], greedy_completion_times_batch(P, volumes, deltas, orders))
+        assert not times[:, n:].any()
+
+
 class TestGreedySchedule:
     def test_schedule_matches_fast_path(self, rng):
         for _ in range(10):

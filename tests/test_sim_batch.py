@@ -257,12 +257,12 @@ def _take(batch: InstanceBatch, releases: np.ndarray, rows: list[int]):
 def _smith_greedy(batch: InstanceBatch) -> np.ndarray:
     """Algorithm 3 completion times of every row in Smith order, padding placed last.
 
-    The zero-volume padding tasks get meaningless times (hence the silenced
-    warnings); placed last, they cannot move a real task's.
+    The zero-volume padding tasks complete at 0, without a floating-point
+    warning.
     """
     ratios = np.where(batch.mask, batch.volumes / np.where(batch.mask, batch.weights, 1.0), np.inf)
     orders = np.argsort(ratios, axis=1, kind="stable")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="raise"):
         return greedy_completion_times_batch(batch.P, batch.volumes, batch.deltas, orders)
 
 
@@ -329,6 +329,7 @@ class TestPaddingInvariance:
             other_greedy = _smith_greedy(other)
             real = other.mask[:, :n]
             assert np.array_equal(other_greedy[:, :n][real], greedy[source][real])
+            assert not other_greedy[~other.mask].any()
 
     @settings(max_examples=40, deadline=None)
     @given(
