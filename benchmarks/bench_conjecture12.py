@@ -1,10 +1,10 @@
-"""Benchmark E1 — best-greedy vs brute-force optimal (Conjecture 12).
+"""Benchmark E1 — best-greedy vs exact optimal (Conjecture 12).
 
 The paper's experiment compares, on random instances of 2-5 tasks, the best
 greedy schedule with the exact optimum.  These benchmarks time the two sides
-of that comparison (the exhaustive greedy search and the ordering-enumeration
-LP optimum) and the full miniature experiment, and assert the conjecture on
-the benchmarked instances.
+of that comparison (the exhaustive greedy search and the branch-and-bound
+optimum of one instance) and the full miniature experiment, and assert the
+conjecture on the benchmarked instances.
 """
 
 from __future__ import annotations
@@ -12,8 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.greedy import best_greedy_schedule
-from repro.algorithms.optimal import optimal_value
+from repro.core.batch import InstanceBatch
 from repro.experiments import run_experiment
+from repro.lp import optimal
+
+
+def _opt(instance):
+    return float(optimal(InstanceBatch.from_instances([instance])).objectives[0])
 
 
 def test_best_greedy_search_n5(benchmark, uniform_instance_n5):
@@ -23,14 +28,14 @@ def test_best_greedy_search_n5(benchmark, uniform_instance_n5):
 
 
 def test_brute_force_optimal_n4(benchmark, uniform_instance_n4):
-    value = benchmark(optimal_value, uniform_instance_n4)
+    value = benchmark(_opt, uniform_instance_n4)
     assert value > 0
 
 
 def test_conjecture12_gap_n4(benchmark, uniform_instance_n4):
     def gap():
         greedy = best_greedy_schedule(uniform_instance_n4).objective
-        return greedy - optimal_value(uniform_instance_n4)
+        return greedy - _opt(uniform_instance_n4)
 
     measured = benchmark(gap)
     assert abs(measured) <= 1e-6

@@ -5,24 +5,27 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.greedy import best_greedy_schedule
-from repro.algorithms.optimal import optimal_schedule
+from repro.core.batch import InstanceBatch
 from repro.experiments import run_experiment
 from repro.experiments.exp_theorem11 import optimal_schedule_structure_ok
+from repro.lp import optimal, solve_ordered_relaxation_batch
 
 
 def test_greedy_equals_optimal_large_delta(benchmark, large_delta_instance_n5):
+    batch = InstanceBatch.from_instances([large_delta_instance_n5])
+
     def compare():
         greedy = best_greedy_schedule(large_delta_instance_n5).objective
-        opt = optimal_schedule(large_delta_instance_n5)
-        return greedy, opt
+        return greedy, float(optimal(batch).objectives[0])
 
     greedy, opt = benchmark(compare)
-    assert greedy == pytest.approx(opt.objective, rel=1e-6)
+    assert greedy == pytest.approx(opt, rel=1e-6)
 
 
 def test_structure_check_on_lp_optimum(benchmark, large_delta_instance_n5):
-    opt = optimal_schedule(large_delta_instance_n5)
-    ok = benchmark(optimal_schedule_structure_ok, opt.schedule)
+    batch = InstanceBatch.from_instances([large_delta_instance_n5])
+    solution = solve_ordered_relaxation_batch(batch, optimal(batch).orders, build_schedules=True)
+    ok = benchmark(optimal_schedule_structure_ok, solution.schedules()[0])
     assert ok
 
 

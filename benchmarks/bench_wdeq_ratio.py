@@ -21,6 +21,7 @@ from repro.batch.sim_kernels import WdeqBatchPolicy, policy_ratios_batch
 from repro.core.batch import InstanceBatch
 from repro.core.bounds import combined_lower_bound
 from repro.experiments import run_experiment
+from repro.experiments.exp_wdeq_ratio import exact_wdeq_ratios
 from repro.simulation.nonclairvoyant import run_wdeq_online
 from repro.workloads.generators import cluster_instances
 
@@ -41,7 +42,7 @@ def test_wdeq_online_simulation_n50(benchmark, cluster_instance_n50):
 
 
 def test_wdeq_ratio_against_lower_bound_n50(benchmark, cluster_instance_n50):
-    ratio = benchmark(wdeq_ratio, cluster_instance_n50, exact=False)
+    ratio = benchmark(wdeq_ratio, cluster_instance_n50)
     assert ratio <= 2.0 + 1e-6
 
 
@@ -51,7 +52,8 @@ def test_combined_lower_bound_n50(benchmark, cluster_instance_n50):
 
 
 def test_wdeq_ratio_exact_small(benchmark, uniform_instance_n4):
-    ratio = benchmark(wdeq_ratio, uniform_instance_n4, exact=True)
+    batch = InstanceBatch.from_instances([uniform_instance_n4])
+    ratio = benchmark(exact_wdeq_ratios, batch)[0]
     assert 1.0 - 1e-9 <= ratio <= 2.0 + 1e-6
 
 
@@ -96,14 +98,14 @@ def run_ratio_benchmark(
         cluster_instances(task_count, batch_size, rng=np.random.default_rng(seed))
     )
     serial_seconds = best_of(
-        lambda: [wdeq_ratio(inst, exact=False) for inst in instances], repeats
+        lambda: [wdeq_ratio(inst) for inst in instances], repeats
     )
     # The batched timing includes the padding step: that is the real cost a
     # caller starting from Instance objects pays.
     batch_seconds = best_of(
         lambda: _wdeq_ratios(InstanceBatch.from_instances(instances)), repeats
     )
-    serial_ratios = np.array([wdeq_ratio(inst, exact=False) for inst in instances])
+    serial_ratios = np.array([wdeq_ratio(inst) for inst in instances])
     batch_ratios = _wdeq_ratios(InstanceBatch.from_instances(instances))
     tag = f"B{batch_size}_n{task_count}"
     benchmarks = {

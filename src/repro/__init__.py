@@ -15,11 +15,11 @@ Public API highlights
     Instance model, schedule representations, objectives, lower bounds,
     fractional/integer conversions and validity checks.
 ``repro.algorithms``
-    WDEQ, DEQ, Water-Filling, greedy scheduling, the brute-force optimal
-    solver and ordering heuristics.
+    WDEQ, DEQ, Water-Filling, greedy scheduling and ordering heuristics.
 ``repro.lp``
     The fixed-ordering linear program of Corollary 1, solved by SciPy/HiGHS
-    or by a self-contained lockstep batched simplex.
+    or by a self-contained lockstep batched simplex, and the exact optimum
+    over orderings (a batched branch-and-bound).
 ``repro.simulation``
     Event-driven non-clairvoyant execution of online policies.
 ``repro.workloads``

@@ -8,8 +8,6 @@ Clairvoyant algorithms
   best-greedy search used in the Conjecture 12 experiments.
 * :mod:`repro.algorithms.greedy_homogeneous` — the closed-form greedy
   recurrence for the homogeneous instances of Section V-B.
-* :mod:`repro.algorithms.optimal` — exact optimum by enumerating orderings
-  and solving the Corollary 1 LP for each.
 * :mod:`repro.algorithms.makespan` / :mod:`repro.algorithms.lateness` —
   polynomial solvers for the ``C_max`` and ``L_max`` objectives mentioned in
   Table I.
@@ -52,7 +50,6 @@ from repro.algorithms.greedy_homogeneous import (
     homogeneous_greedy_value,
     homogeneous_best_order,
 )
-from repro.algorithms.optimal import optimal_schedule, optimal_value
 from repro.algorithms.ordering import ORDERING_HEURISTICS, order_by
 from repro.algorithms.makespan import minimal_makespan, makespan_schedule
 from repro.algorithms.lateness import minimize_max_lateness
@@ -76,8 +73,6 @@ __all__ = [
     "homogeneous_greedy_completion_times",
     "homogeneous_greedy_value",
     "homogeneous_best_order",
-    "optimal_schedule",
-    "optimal_value",
     "ORDERING_HEURISTICS",
     "order_by",
     "minimal_makespan",

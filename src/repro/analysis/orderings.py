@@ -94,8 +94,8 @@ class OrderingStructure:
     ----------
     deltas_sorted:
         Caps sorted in non-increasing order.
-    optimal_value:
-        Best achievable sum of completion times.
+    best_greedy_value:
+        Best sum of completion times over all greedy orders.
     optimal_orders:
         Every order achieving the optimum (within tolerance).
     predicted_orders:
@@ -111,7 +111,7 @@ class OrderingStructure:
     """
 
     deltas_sorted: np.ndarray
-    optimal_value: float
+    best_greedy_value: float
     optimal_orders: list[tuple[int, ...]]
     predicted_orders: list[tuple[int, ...]]
     predictions_optimal: bool
@@ -150,7 +150,7 @@ def optimal_order_structure(
     measured_optimal = all(p in optimal_set for p in measured) if measured else True
     return OrderingStructure(
         deltas_sorted=deltas_sorted,
-        optimal_value=best,
+        best_greedy_value=best,
         optimal_orders=sorted(optimal_orders),
         predicted_orders=predicted,
         predictions_optimal=predictions_optimal,

@@ -657,7 +657,7 @@ def policy_ratios_batch(
     """Objective ratio of every policy against the Lemma 1 lower bound.
 
     The vectorized counterpart of
-    :func:`repro.analysis.ratios.policy_ratios` with ``exact=False``: every
+    :func:`repro.analysis.ratios.policy_ratios`: every
     default policy is executed by :func:`simulate_batch` on the whole batch
     and its ``sum w_i C_i`` is divided by the combined lower bound, giving a
     ``(B,)`` ratio vector per policy name.

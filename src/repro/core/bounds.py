@@ -163,7 +163,7 @@ def combined_lower_bound(instance: Instance, num_fractions: int = 5) -> float:
     the height part) and ``num_fractions`` uniform intermediate splits, and
     returns the maximum.  This is the bound used as the denominator when
     measuring the empirical approximation ratio of WDEQ on instances too
-    large for the exact brute-force optimum (experiment E5).
+    large for the exact optimum (experiment E5).
     """
     if instance.n == 0:
         return 0.0

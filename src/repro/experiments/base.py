@@ -3,19 +3,34 @@
 Experiments return an :class:`ExperimentResult` (a small table plus notes
 and a machine-readable summary) and receive their execution options as one
 :class:`repro.exec.ExecutionContext`; per-instance loops go through
-``ctx.map`` — there is no keyword-argument filtering anywhere (the
-historical ``accepted_kwargs`` signature filter finished its deprecation
-cycle and was removed from :mod:`repro.experiments.registry`).
+``ctx.map`` and batched sweeps through :func:`map_instances` — there is no
+keyword-argument filtering anywhere (the historical ``accepted_kwargs``
+signature filter finished its deprecation cycle and was removed from
+:mod:`repro.experiments.registry`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Iterable, Sequence
 
+from repro.core.batch import InstanceBatch
+from repro.core.instance import Instance
 from repro.viz.tables import format_markdown_table, format_table
 
-__all__ = ["ExperimentResult"]
+__all__ = ["ExperimentResult", "map_instances"]
+
+
+def map_instances(ctx: Any, fn: Callable[[InstanceBatch], Any], instances: Iterable[Instance]) -> list:
+    """``ctx.map_batch(fn, ...)`` over ``instances`` padded into one batch.
+
+    ``fn`` must be row-independent (see
+    :meth:`repro.exec.ExecutionContext.map_batch`); no instances map to ``[]``.
+    """
+    instances = list(instances)
+    if not instances:
+        return []
+    return ctx.map_batch(fn, InstanceBatch.from_instances(instances))
 
 
 @dataclass

@@ -7,9 +7,12 @@ resulting normal form preserves every completion time; Theorem 3 guarantees
 the fractional-to-integer conversion preserves them as well.  The experiment
 measures the largest deviation observed across the whole pipeline.
 
-Each (source, instance) round trip is independent, so they run through
-``ctx.map`` of the :class:`repro.exec.ExecutionContext` and shard over a
-worker pool when the context has one.
+Each (source, instance) round trip is independent, so every ``(source, n)``
+sweep is one :class:`~repro.core.batch.InstanceBatch` mapped through
+``ctx.map_batch`` of the :class:`repro.exec.ExecutionContext`, sharded over
+a worker pool when the context has one.  The optimal completion times come
+from one branch-and-bound call per shard, whose orders are re-solved for
+their LP completion times.
 """
 
 from __future__ import annotations
@@ -20,49 +23,50 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.algorithms.greedy import greedy_completion_times
-from repro.algorithms.optimal import optimal_schedule
 from repro.algorithms.preemption import assign_processors
 from repro.algorithms.water_filling import water_filling_schedule
 from repro.algorithms.wdeq import wdeq_schedule
+from repro.core.batch import InstanceBatch
 from repro.core.instance import Instance
 from repro.core.validation import (
     check_column_schedule,
     check_processor_assignment,
 )
 from repro.exec import ExecutionContext
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, map_instances
+from repro.lp.batch import optimal, solve_ordered_relaxation_batch
 from repro.workloads.generators import cluster_instances, uniform_instances
 
 __all__ = ["run"]
 
 
-def _wdeq_completions(instance: Instance) -> np.ndarray:
-    return wdeq_schedule(instance).completion_times_by_task()
+def _wdeq_completions(batch: InstanceBatch) -> list[np.ndarray]:
+    return [wdeq_schedule(inst).completion_times_by_task() for inst in batch.to_instances()]
 
 
-def _greedy_completions(instance: Instance) -> np.ndarray:
-    return greedy_completion_times(instance, instance.smith_order())
+def _greedy_completions(batch: InstanceBatch) -> list[np.ndarray]:
+    return [greedy_completion_times(inst, inst.smith_order()) for inst in batch.to_instances()]
 
 
-def _optimal_completions(instance: Instance) -> np.ndarray:
-    return optimal_schedule(instance).schedule.completion_times_by_task()
+def _optimal_completions(batch: InstanceBatch) -> list[np.ndarray]:
+    times = solve_ordered_relaxation_batch(batch, optimal(batch).orders).completion_times_by_task()
+    return [times[b, :n] for b, n in enumerate(batch.counts.tolist())]
 
 
-SOURCES: dict[str, Callable[[Instance], np.ndarray]] = {
+#: Per-row completion-time targets of each source, computed for a whole batch.
+SOURCES: dict[str, Callable[[InstanceBatch], list[np.ndarray]]] = {
     "WDEQ": _wdeq_completions,
     "greedy (Smith order)": _greedy_completions,
     "optimal LP": _optimal_completions,
 }
 
 
-def _roundtrip(instance: Instance, source_name: str) -> tuple[float, bool]:
+def _roundtrip(instance: Instance, target: np.ndarray) -> tuple[float, bool]:
     """Normalise one instance's completion times and measure the deviation.
 
-    Module-level (and addressed by source *name*) so it pickles into worker
-    processes.  Returns the largest late-completion deviation and whether
-    both the WF schedule and its integer conversion validate.
+    Returns the largest late-completion deviation and whether both the WF
+    schedule and its integer conversion validate.
     """
-    target = SOURCES[source_name](instance)
     normalised = water_filling_schedule(instance, target)
     wf_completions = normalised.completion_times_by_task()
     # WF may finish a task earlier than its target (never later).
@@ -80,6 +84,16 @@ def _roundtrip(instance: Instance, source_name: str) -> tuple[float, bool]:
     return dev, not violations
 
 
+def _roundtrips(batch: InstanceBatch, source_name: str) -> list[tuple[float, bool]]:
+    """:func:`_roundtrip` of every row against its ``source_name`` targets.
+
+    Module-level (and addressed by source *name*) so it pickles into worker
+    processes; rows are independent, as ``ctx.map_batch`` requires.
+    """
+    targets = SOURCES[source_name](batch)
+    return [_roundtrip(inst, target) for inst, target in zip(batch.to_instances(), targets)]
+
+
 def run(
     small_sizes: Sequence[int] = (3, 4, 5),
     large_sizes: Sequence[int] = (10, 30),
@@ -94,7 +108,7 @@ def run(
     all_valid = True
     for source_name in SOURCES:
         sizes = small_sizes if source_name == "optimal LP" else tuple(small_sizes) + tuple(large_sizes)
-        roundtrip = functools.partial(_roundtrip, source_name=source_name)
+        roundtrips = functools.partial(_roundtrips, source_name=source_name)
         for n in sizes:
             rng = ctx.rng()
             gen = (
@@ -102,7 +116,7 @@ def run(
                 if n <= max(small_sizes)
                 else cluster_instances(n, count, rng=rng)
             )
-            measured = ctx.map(roundtrip, gen)
+            measured = map_instances(ctx, roundtrips, gen)
             max_dev = max((dev for dev, _ in measured), default=0.0)
             valid = sum(int(ok) for _, ok in measured)
             total = len(measured)

@@ -41,7 +41,7 @@ def _structure_flags(deltas: np.ndarray) -> tuple[bool, bool]:
 
 def _greedy_optimum(deltas: np.ndarray) -> float:
     """Best greedy value over all orders of one instance (picklable)."""
-    return optimal_order_structure(deltas).optimal_value
+    return optimal_order_structure(deltas).best_greedy_value
 
 
 def _lp_cross_check(

@@ -46,7 +46,7 @@ TABLE_I_ROWS: list[list[str]] = [
     ["delta_i = P", "V_i !=", "sum w_i C_i", "clairvoyant", "polynomial (Smith [15])", "repro.core.bounds.squashed_area_bound"],
     ["delta_i !=", "V_i !=", "C_max", "clairvoyant", "O(n^2) [10]", "repro.algorithms.makespan"],
     ["delta_i !=", "V_i !=", "L_max", "clairvoyant", "O(n^4 P) [2] / O(n log n) via WF", "repro.algorithms.lateness"],
-    ["delta_i !=", "V_i !=", "sum w_i C_i", "clairvoyant", "NP-complete; LP per ordering", "repro.algorithms.optimal"],
+    ["delta_i !=", "V_i !=", "sum w_i C_i", "clairvoyant", "NP-complete; LP per ordering", "repro.lp.exact"],
 ]
 # fmt: on
 

@@ -3,9 +3,11 @@
 The central entry point is :func:`solve_ordered_relaxation`: given an
 instance and a completion-time ordering, it returns the *optimal* column
 schedule among those whose completion times respect the ordering (Corollary 1
-proves that this is a linear program).  Enumerating orderings and taking the
-best result yields the exact optimum — see
-:func:`repro.algorithms.optimal.optimal_schedule`.
+proves that this is a linear program).  It builds the LP in task space
+(:func:`repro.lp.formulation.build_ordered_lp`), independently of the
+batched position-space tensors, which makes it the scalar reference of
+:func:`repro.lp.batch.solve_ordered_relaxation_batch`.  The exact optimum,
+the best of these LPs over all orderings, is :func:`repro.lp.optimal`.
 """
 
 from __future__ import annotations
@@ -73,8 +75,7 @@ def solve_ordered_relaxation(
     build_schedule:
         When true (default), reconstruct a :class:`ColumnSchedule` from the
         LP solution.  Disable when only the optimal objective value is needed
-        (e.g. inside the brute-force enumeration of all orderings) to avoid
-        the reconstruction overhead.
+        to avoid the reconstruction overhead.
 
     Raises
     ------

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import Instance
-from repro.analysis.conjectures import check_conjecture12, check_conjecture13
+from repro.analysis.conjectures import check_conjecture12_batch, check_conjecture13
 from repro.analysis.orderings import (
     OrderingStructure,
     five_task_condition_holds,
@@ -13,10 +14,14 @@ from repro.analysis.orderings import (
     optimal_order_structure,
     paper_predicted_orders,
 )
-from repro.analysis.ratios import GreedyGap, greedy_vs_optimal, policy_ratios, wdeq_ratio
+from repro.analysis.ratios import policy_ratios, wdeq_ratio
 from repro.analysis.stats import SummaryStats, summarize
+from repro.algorithms.wdeq import wdeq_schedule
+from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError
+from repro.experiments.exp_conjecture12 import FAMILIES
 from tests.conftest import random_instance
+from tests.oracles import bruteforce_opt
 
 
 class TestStats:
@@ -39,49 +44,40 @@ class TestStats:
 
 
 class TestRatios:
-    def test_greedy_gap_properties(self):
-        gap = GreedyGap(best_greedy=2.0, optimal=1.0)
-        assert gap.ratio == 2.0
-        assert gap.relative_gap == 1.0
-        degenerate = GreedyGap(best_greedy=0.0, optimal=0.0)
-        assert degenerate.ratio == 1.0
-
-    def test_greedy_vs_optimal(self, rng):
-        inst = random_instance(rng, n=3, P=1.0)
-        gap = greedy_vs_optimal(inst)
-        assert gap.best_greedy >= gap.optimal - 1e-9
-        assert gap.relative_gap == pytest.approx(0.0, abs=1e-6)
-
     def test_wdeq_ratio_exact_and_bound(self, rng):
         inst = random_instance(rng, n=4, P=2.0)
-        exact = wdeq_ratio(inst, exact=True)
-        bound = wdeq_ratio(inst, exact=False)
+        exact = wdeq_schedule(inst).weighted_completion_time() / bruteforce_opt(inst)
+        bound = wdeq_ratio(inst)
         assert 1.0 - 1e-9 <= exact <= 2.0 + 1e-9
         # The lower bound denominator is smaller than the optimum, so the
         # ratio against it is at least the exact ratio.
         assert bound >= exact - 1e-9
 
-    def test_wdeq_ratio_auto_mode(self, rng):
-        small = random_instance(rng, n=3, P=1.0)
-        large = random_instance(rng, n=12, P=4.0)
-        assert wdeq_ratio(small) <= 2.0 + 1e-9
-        assert wdeq_ratio(large) > 0
-
     def test_policy_ratios_keys(self, rng):
         inst = random_instance(rng, n=4, P=2.0)
-        ratios = policy_ratios(inst, exact=True)
+        ratios = policy_ratios(inst)
         assert "WDEQ" in ratios and "DEQ" in ratios
         assert all(v >= 1.0 - 1e-6 for v in ratios.values())
 
 
 class TestConjecture12:
     def test_holds_on_random_instances(self, rng):
-        for _ in range(5):
-            inst = random_instance(rng, n=3, P=1.0)
-            check = check_conjecture12(inst)
+        insts = [random_instance(rng, n=3, P=1.0) for _ in range(5)]
+        checks = check_conjecture12_batch(InstanceBatch.from_instances(insts))
+        assert len(checks) == len(insts)
+        for check in checks:
             assert check.holds
             assert check.relative_gap == pytest.approx(0.0, abs=1e-6)
             assert check.best_greedy >= check.optimal - 1e-9
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_optimum_matches_the_highs_oracle(self, family, n):
+        insts = list(FAMILIES[family](n, 3, rng=np.random.default_rng(40 + n)))
+        checks = check_conjecture12_batch(InstanceBatch.from_instances(insts))
+        for inst, check in zip(insts, checks):
+            assert check.optimal == pytest.approx(bruteforce_opt(inst), rel=1e-9)
+            assert check.holds
 
 
 class TestConjecture13:
@@ -161,4 +157,4 @@ class TestOrderingStructure:
 
     def test_empty_structure(self):
         structure = optimal_order_structure([])
-        assert structure.optimal_value == 0.0
+        assert structure.best_greedy_value == 0.0

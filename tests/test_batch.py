@@ -195,7 +195,7 @@ class TestBatchBounds:
     def test_wdeq_ratio_agrees_and_below_two(self, insts):
         batch = InstanceBatch.from_instances(insts)
         ratios = policy_ratios_batch(batch, [WdeqBatchPolicy()])["WDEQ"]
-        expected = [wdeq_ratio(inst, exact=False) for inst in insts]
+        expected = [wdeq_ratio(inst) for inst in insts]
         np.testing.assert_allclose(ratios, expected, rtol=1e-7)
         # Theorem 4: WDEQ is a 2-approximation, and the reference is a lower
         # bound, so the measured ratio can only be *smaller*.
@@ -275,11 +275,11 @@ class TestExperimentIntegration:
     def test_cache_key_stable_for_partials(self):
         import functools
 
-        from repro.analysis.conjectures import check_conjecture12
+        from repro.analysis.conjectures import check_conjecture12_batch
 
-        a = cache_key(functools.partial(check_conjecture12, tolerance=1e-6), 0, {})
-        b = cache_key(functools.partial(check_conjecture12, tolerance=1e-6), 0, {})
-        c = cache_key(functools.partial(check_conjecture12, tolerance=1e-3), 0, {})
+        a = cache_key(functools.partial(check_conjecture12_batch, tolerance=1e-6), 0, {})
+        b = cache_key(functools.partial(check_conjecture12_batch, tolerance=1e-6), 0, {})
+        c = cache_key(functools.partial(check_conjecture12_batch, tolerance=1e-3), 0, {})
         assert a == b
         assert a != c
 

@@ -14,7 +14,7 @@ from repro.core.bounds import (
     squashed_area_bound,
 )
 from repro.core.exceptions import InvalidInstanceError
-from repro.algorithms.optimal import optimal_value
+from tests.oracles import bruteforce_opt
 from tests.conftest import random_instance
 
 
@@ -47,7 +47,7 @@ class TestSquashedArea:
         # With delta_i = P the problem reduces to single-machine WSPT, whose
         # optimum is exactly the squashed area bound.
         assert squashed_area_bound(uncapped_instance) == pytest.approx(
-            optimal_value(uncapped_instance), rel=1e-6
+            bruteforce_opt(uncapped_instance), rel=1e-6
         )
 
     def test_empty_instance(self):
@@ -64,7 +64,7 @@ class TestHeightBound:
 
     def test_equals_optimal_for_single_task(self):
         inst = Instance(P=4, tasks=[Task(volume=6, weight=2, delta=3)])
-        assert height_bound(inst) == pytest.approx(optimal_value(inst))
+        assert height_bound(inst) == pytest.approx(bruteforce_opt(inst))
 
 
 class TestMixedBound:
@@ -88,7 +88,7 @@ class TestMixedBound:
     def test_is_lower_bound_on_random_instances(self, rng):
         for _ in range(10):
             inst = random_instance(rng, n=3)
-            opt = optimal_value(inst)
+            opt = bruteforce_opt(inst)
             for frac in (0.0, 0.3, 0.7, 1.0):
                 bound = mixed_lower_bound(inst, np.full(inst.n, frac))
                 assert bound <= opt * (1 + 1e-6) + 1e-9
@@ -103,7 +103,7 @@ class TestCombinedBound:
     def test_still_a_lower_bound(self, rng):
         for _ in range(10):
             inst = random_instance(rng, n=4)
-            assert combined_lower_bound(inst) <= optimal_value(inst) * (1 + 1e-6) + 1e-9
+            assert combined_lower_bound(inst) <= bruteforce_opt(inst) * (1 + 1e-6) + 1e-9
 
     def test_empty_instance(self):
         assert combined_lower_bound(Instance(P=1, tasks=[])) == 0.0

@@ -25,7 +25,6 @@ from repro.algorithms.greedy_homogeneous import (
     homogeneous_greedy_completion_times,
     homogeneous_instance,
 )
-from repro.algorithms.optimal import optimal_value
 from repro.batch.kernels import combined_lower_bound_batch
 from repro.core.batch import InstanceBatch
 from repro.core.bounds import times_close
@@ -47,6 +46,7 @@ from repro.lp.interface import solve_ordered_relaxation
 from repro.lp.simplex import _INFEAS_TOL, _primal_residual, solve_linear_program_batch
 from repro.workloads import generators
 from repro.workloads.generators import cluster_instances, uniform_instances
+from tests.oracles import bruteforce_opt
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -97,7 +97,7 @@ class TestBranchAndBoundMatchesEnumeration:
     def test_matches_scalar_bruteforce(self, inst):
         batch = InstanceBatch.from_instances([inst])
         engine = branch_and_bound_optimal_batch(batch)
-        assert engine.objectives[0] == pytest.approx(optimal_value(inst), rel=1e-6, abs=1e-8)
+        assert engine.objectives[0] == pytest.approx(bruteforce_opt(inst), rel=1e-6, abs=1e-8)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_up_to_seven_tasks(self, n):
@@ -238,6 +238,30 @@ class TestEngineGuardsAndModes:
         np.testing.assert_allclose(exact, reference, rtol=1e-6, atol=1e-8)
         combined = combined_lower_bound_batch(batch)
         assert np.all(combined <= exact + 1e-6 * np.maximum(1.0, exact))
+
+
+class TestOptimalSchedules:
+    """What E4 and E9 take from the engine: OPT and an optimal schedule."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_optimum_matches_the_highs_oracle(self, n):
+        insts = list(generators.large_delta_instances(n, 4, P=1.0, rng=60 + n))
+        result = optimal(InstanceBatch.from_instances(insts))
+        for inst, value in zip(insts, result.objectives):
+            assert value == pytest.approx(bruteforce_opt(inst), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_resolved_orders_reproduce_the_objectives(self, n):
+        # The contract E4 and E9 rely on: the LP of each returned order,
+        # re-solved with its rates, is an optimal schedule.
+        insts = list(generators.large_delta_instances(n, 4, P=1.0, rng=70 + n))
+        insts += list(uniform_instances(n, 4, rng=80 + n))
+        batch = InstanceBatch.from_instances(insts)
+        result = optimal(batch)
+        solution = solve_ordered_relaxation_batch(batch, result.orders, build_schedules=True)
+        values = [schedule.weighted_completion_time() for schedule in solution.schedules(insts)]
+        np.testing.assert_allclose(values, result.objectives, rtol=1e-9)
+        np.testing.assert_allclose(solution.objectives, result.objectives, rtol=1e-9)
 
 
 # --------------------------------------------------------------------- #

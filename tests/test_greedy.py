@@ -21,7 +21,7 @@ from repro.algorithms.greedy import (
     greedy_schedule,
     local_search_greedy_schedule,
 )
-from repro.algorithms.optimal import optimal_value
+from tests.oracles import bruteforce_opt
 from repro.lp.exact import permutation_table
 from repro.workloads import generators
 from tests.conftest import random_instance
@@ -216,14 +216,14 @@ class TestBestGreedy:
             n = int(rng.integers(2, 5))
             inst = random_instance(rng, n=n, P=1.0)
             greedy = best_greedy_schedule(inst)
-            opt = optimal_value(inst)
+            opt = bruteforce_opt(inst)
             assert greedy.objective == pytest.approx(opt, rel=1e-6, abs=1e-9)
 
     def test_best_greedy_never_below_optimal(self, rng):
         for _ in range(10):
             inst = random_instance(rng, n=4, P=2.0)
             greedy = best_greedy_schedule(inst)
-            assert greedy.objective >= optimal_value(inst) - 1e-7
+            assert greedy.objective >= bruteforce_opt(inst) - 1e-7
 
     def test_schedule_materialisation(self, small_instance):
         result = best_greedy_schedule(small_instance)

@@ -7,7 +7,6 @@ import pytest
 
 from repro import Instance, Task
 from repro.algorithms.greedy import best_greedy_schedule
-from repro.algorithms.optimal import optimal_schedule
 from repro.algorithms.preemption import assign_processors
 from repro.algorithms.water_filling import water_filling_schedule
 from repro.algorithms.wdeq import wdeq_schedule
@@ -23,6 +22,7 @@ from repro.lp.batch import optimal
 from repro.simulation.nonclairvoyant import run_wdeq_online
 from repro.viz.gantt import render_allocation_chart, render_processor_gantt
 from repro.workloads.generators import cluster_instances, uniform_instances
+from tests.oracles import bruteforce_opt
 
 
 class TestFullPipeline:
@@ -52,7 +52,7 @@ class TestFullPipeline:
         """optimal <= greedy <= WDEQ, and WDEQ <= 2 optimal (Theorem 4)."""
         for seed in range(3):
             instance = next(uniform_instances(4, 1, rng=seed))
-            opt = optimal_schedule(instance).objective
+            opt = bruteforce_opt(instance)
             greedy = best_greedy_schedule(instance).objective
             wdeq = wdeq_schedule(instance).weighted_completion_time()
             assert opt <= greedy + 1e-9
@@ -105,7 +105,7 @@ class TestCrossSolverAgreement:
         from repro.workloads.generators import large_delta_instances
 
         for instance in large_delta_instances(4, 3, P=1.0, rng=11):
-            opt_scipy = optimal_schedule(instance).objective
+            opt_scipy = bruteforce_opt(instance)
             batch = InstanceBatch.from_instances([instance])
             opt_simplex = optimal(batch, method="enumerate").objectives[0]
             greedy = best_greedy_schedule(instance).objective
@@ -120,7 +120,7 @@ class TestCrossSolverAgreement:
             P=1,
             tasks=[Task(3, 1, 1), Task(1, 2, 1), Task(2, 1, 1)],
         )
-        assert optimal_schedule(instance).objective == pytest.approx(
+        assert bruteforce_opt(instance) == pytest.approx(
             squashed_area_bound(instance), rel=1e-6
         )
         assert best_greedy_schedule(instance).objective == pytest.approx(

@@ -13,7 +13,7 @@ Every vectorized path is pinned against its scalar reference:
   Hypothesis-generated ragged padded batches, including degenerate
   orderings far from optimal and single-task rows;
 * :func:`repro.lp.optimal` against the brute-force
-  :func:`repro.algorithms.optimal.optimal_value`.
+  :func:`tests.oracles.bruteforce_opt`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.optimal import optimal_value
+from tests.oracles import bruteforce_opt
 from repro.batch.kernels import combined_lower_bound_batch, lower_bound_batch
 from repro.core.batch import InstanceBatch
 from repro.core.bounds import time_leq, times_close
@@ -495,7 +495,7 @@ class TestOptimal:
         batch = InstanceBatch.from_instances(insts)
         result = optimal(batch)
         for b, inst in enumerate(insts):
-            ref = optimal_value(inst)
+            ref = bruteforce_opt(inst)
             assert times_close(result.objectives[b], ref, rtol=1e-6, atol=1e-8)
 
     def test_best_orders_achieve_the_optimum(self):

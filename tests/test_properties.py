@@ -27,7 +27,7 @@ from repro.core.validation import (
 from repro.algorithms.greedy import best_greedy_schedule, greedy_completion_times
 from repro.algorithms.greedy_homogeneous import homogeneous_greedy_value
 from repro.algorithms.makespan import minimal_makespan
-from repro.algorithms.optimal import optimal_value
+from tests.oracles import bruteforce_opt
 from repro.algorithms.preemption import assign_processors
 from repro.algorithms.water_filling import water_filling_schedule
 from repro.algorithms.wdeq import wdeq_allocation, wdeq_schedule
@@ -232,7 +232,7 @@ def test_integer_conversion_valid(instance):
 @COMMON_SETTINGS
 @given(instance=instances(max_tasks=4))
 def test_lower_bounds_below_optimum(instance):
-    opt = optimal_value(instance)
+    opt = bruteforce_opt(instance)
     assert squashed_area_bound(instance) <= opt * (1 + 1e-6) + 1e-9
     assert height_bound(instance) <= opt * (1 + 1e-6) + 1e-9
     assert combined_lower_bound(instance) <= opt * (1 + 1e-6) + 1e-9
@@ -241,7 +241,7 @@ def test_lower_bounds_below_optimum(instance):
 @COMMON_SETTINGS
 @given(instance=instances(max_tasks=4))
 def test_wdeq_two_approximation(instance):
-    ratio = wdeq_schedule(instance).weighted_completion_time() / optimal_value(instance)
+    ratio = wdeq_schedule(instance).weighted_completion_time() / bruteforce_opt(instance)
     assert ratio <= 2.0 + 1e-6
 
 
@@ -249,7 +249,7 @@ def test_wdeq_two_approximation(instance):
 @given(instance=instances(max_tasks=4))
 def test_best_greedy_matches_optimum_conjecture12(instance):
     greedy = best_greedy_schedule(instance).objective
-    opt = optimal_value(instance)
+    opt = bruteforce_opt(instance)
     assert greedy <= opt * (1 + 1e-5) + 1e-7
     assert greedy >= opt - 1e-7
 

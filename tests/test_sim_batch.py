@@ -188,7 +188,7 @@ class TestSimulateBatchEquivalence:
         batch = InstanceBatch.from_instances(insts)
         batched = policy_ratios_batch(batch)
         for b, inst in enumerate(insts):
-            scalar = policy_ratios(inst, exact=False)
+            scalar = policy_ratios(inst)
             assert set(batched) == set(scalar)
             for name, ratios in batched.items():
                 assert ratios[b] == pytest.approx(scalar[name], rel=1e-7)

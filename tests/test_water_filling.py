@@ -15,7 +15,7 @@ from repro.algorithms.water_filling import (
 )
 from repro.algorithms.wdeq import wdeq_schedule
 from repro.algorithms.greedy import greedy_completion_times
-from repro.algorithms.optimal import optimal_schedule
+from tests.oracles import bruteforce_schedule
 from tests.conftest import random_instance
 
 
@@ -148,7 +148,7 @@ class TestWaterFillingCorrectness:
             elif source == "greedy":
                 targets = greedy_completion_times(inst, inst.smith_order())
             else:
-                targets = optimal_schedule(inst).schedule.completion_times_by_task()
+                targets = bruteforce_schedule(inst).completion_times_by_task()
             sched = water_filling_schedule(inst, targets)
             validate_column_schedule(sched)
             np.testing.assert_allclose(

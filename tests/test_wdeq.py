@@ -9,7 +9,7 @@ from repro import Instance, Task
 from repro.core.bounds import combined_lower_bound
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.validation import validate_column_schedule
-from repro.algorithms.optimal import optimal_value
+from tests.oracles import bruteforce_opt
 from repro.algorithms.wdeq import (
     deq_schedule,
     wdeq_allocation,
@@ -97,7 +97,7 @@ class TestWdeqSchedule:
         for _ in range(15):
             n = int(rng.integers(2, 6))
             inst = random_instance(rng, n=n, P=1.0)
-            ratio = wdeq_schedule(inst).weighted_completion_time() / optimal_value(inst)
+            ratio = wdeq_schedule(inst).weighted_completion_time() / bruteforce_opt(inst)
             assert ratio <= 2.0 + 1e-6
 
     def test_two_approximation_against_lower_bound_larger_instances(self, rng):
