@@ -12,9 +12,9 @@ RSS (``resource.getrusage``) is attributable to exactly one workload:
   traces: wall-clock seconds land in ``benchmarks`` (compared against the
   committed baseline by ``compare_baseline.py``), rows/s and peak RSS in
   ``derived``.
-* **In-memory replay** (the legacy :func:`repro.scenarios.families.load_trace`
-  path: every row becomes a ``Task`` object before anything simulates) of the
-  same traces, for the memory contrast.
+* **In-memory replay** (the same ``replay_stream`` call with one chunk that
+  holds the whole trace, so every instance is in memory at once) of the same
+  traces, for the memory contrast.
 
 Two gates make the tentpole claim enforceable:
 
@@ -36,7 +36,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -73,7 +72,13 @@ def generate_trace(path: str, rows: int, seed: int, release_rate: float = 1.0) -
     )
 
 
-def measure(mode: str, trace: str, chunk_size: int) -> dict:
+def data_rows(path: str) -> int:
+    """The number of data rows of a CSV trace: an upper bound on its instances."""
+    with open(path, encoding="utf-8") as handle:
+        return sum(1 for _ in handle) - 1
+
+
+def measure(trace: str, chunk_size: int) -> dict:
     """Run one replay in a fresh interpreter; returns its timing + peak RSS.
 
     A subprocess per measurement is what makes ``ru_maxrss`` meaningful: the
@@ -82,26 +87,10 @@ def measure(mode: str, trace: str, chunk_size: int) -> dict:
     """
     code = (
         "import json, resource, sys, time\n"
-        "mode, trace, chunk = sys.argv[1], sys.argv[2], int(sys.argv[3])\n"
+        "trace, chunk = sys.argv[1], int(sys.argv[2])\n"
         "start = time.perf_counter()\n"
-        "if mode == 'streamed':\n"
-        "    from repro.scenarios.stream import replay_stream\n"
-        "    per_policy, total = replay_stream(\n"
-        "        trace, 8.0, chunk_size=chunk, policies=('WDEQ',))\n"
-        "else:\n"
-        "    import numpy as np\n"
-        "    from repro.batch.kernels import combined_lower_bound_batch\n"
-        "    from repro.core.batch import InstanceBatch\n"
-        "    from repro.scenarios.families import load_trace\n"
-        "    from repro.scenarios.stream import _simulate_rows\n"
-        "    instances, releases = load_trace(trace, 8.0)\n"
-        "    batch = InstanceBatch.from_instances(instances)\n"
-        "    extra = {'bounds': combined_lower_bound_batch(batch)}\n"
-        "    if releases is not None:\n"
-        "        extra['releases'] = releases\n"
-        "    triples = _simulate_rows('WDEQ', batch, extra)\n"
-        "    total = batch.batch_size\n"
-        "    per_policy = {'WDEQ': {'mean_ratio': float(np.mean([t[0] for t in triples]))}}\n"
+        "from repro.scenarios.stream import replay_stream\n"
+        "per_policy, total = replay_stream(trace, 8.0, chunk_size=chunk, policies=('WDEQ',))\n"
         "seconds = time.perf_counter() - start\n"
         "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "peak_mb = rss / 1e6 if sys.platform == 'darwin' else rss / 1024.0\n"
@@ -109,7 +98,7 @@ def measure(mode: str, trace: str, chunk_size: int) -> dict:
         "                  'mean_ratio': per_policy['WDEQ']['mean_ratio']}))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code, mode, trace, str(chunk_size)],
+        [sys.executable, "-c", code, trace, str(chunk_size)],
         check=True,
         env=_subprocess_env(),
         capture_output=True,
@@ -127,10 +116,11 @@ def run_trace_benchmark(
     generate_trace(small, small_rows, seed)
     generate_trace(big, big_rows, seed + 1)
 
-    streamed_small = measure("streamed", small, chunk_size)
-    streamed_big = measure("streamed", big, chunk_size)
-    inmemory_small = measure("inmemory", small, chunk_size)
-    inmemory_big = measure("inmemory", big, chunk_size)
+    streamed_small = measure(small, chunk_size)
+    streamed_big = measure(big, chunk_size)
+    # One chunk of at least the trace's instance count holds the whole trace.
+    inmemory_small = measure(small, data_rows(small))
+    inmemory_big = measure(big, data_rows(big))
 
     benchmarks = {
         "trace_streamed_small_seconds": streamed_small["seconds"],
@@ -198,22 +188,16 @@ def test_streamed_replay(benchmark, small_trace):
 
 
 def test_streamed_matches_inmemory(small_trace):
-    from repro.batch.kernels import combined_lower_bound_batch
-    from repro.core.batch import InstanceBatch
-    from repro.scenarios.families import load_trace
-    from repro.scenarios.stream import _simulate_rows, replay_stream
+    """100-instance chunks fold to the metrics of one whole-trace chunk."""
+    from repro.scenarios.stream import replay_stream
 
     per_policy, total = replay_stream(small_trace, 8.0, chunk_size=100, policies=("WDEQ",))
-    instances, releases = load_trace(small_trace, 8.0)
-    batch = InstanceBatch.from_instances(instances)
-    extra = {"bounds": combined_lower_bound_batch(batch)}
-    if releases is not None:
-        extra["releases"] = releases
-    triples = _simulate_rows("WDEQ", batch, extra)
-    assert total == batch.batch_size
-    ratios = np.array([t[0] for t in triples])
-    assert per_policy["WDEQ"]["mean_ratio"] == pytest.approx(ratios.mean(), rel=1e-9)
-    assert per_policy["WDEQ"]["max_ratio"] == pytest.approx(ratios.max(), rel=1e-12)
+    whole, whole_total = replay_stream(
+        small_trace, 8.0, chunk_size=data_rows(small_trace), policies=("WDEQ",)
+    )
+    assert total == whole_total
+    for name, value in whole["WDEQ"].items():
+        assert per_policy["WDEQ"][name] == pytest.approx(value, rel=1e-9)
 
 
 # --------------------------------------------------------------------- #

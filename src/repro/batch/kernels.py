@@ -23,11 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.batch import InstanceBatch
-from repro.core.exceptions import (
-    InfeasibleScheduleError,
-    InvalidInstanceError,
-    InvalidScheduleError,
-)
+from repro.core.exceptions import InfeasibleScheduleError, InvalidScheduleError
 
 __all__ = [
     "BatchWaterFilling",
@@ -258,21 +254,9 @@ def combined_lower_bound_batch(batch: InstanceBatch, num_fractions: int = 5) -> 
     return np.max(np.stack(candidates, axis=0), axis=0)
 
 
-def lower_bound_batch(
-    batch: InstanceBatch,
-    method: str = "combined",
-    num_fractions: int = 5,
-) -> np.ndarray:
-    """Per-row lower bounds on the optimal weighted completion time, shape ``(B,)``.
-
-    The only method is ``"combined"``: the closed-form Lemma 1 bound of
-    :func:`combined_lower_bound_batch` — cheap, valid at any size, and what
-    the empirical-ratio experiments use as the denominator.  Exact optima
-    have their own entry point, :func:`repro.lp.optimal`; they dominate
-    this bound, so ``repro.lp.optimal(batch).objectives >=
-    lower_bound_batch(batch)`` up to tolerance — asserted by the
-    differential tests.
-    """
-    if method == "combined":
-        return combined_lower_bound_batch(batch, num_fractions=num_fractions)
-    raise InvalidInstanceError(f"unknown lower-bound method {method!r}; expected 'combined'")
+#: The facade name (``repro.lower_bound_batch``) of the Lemma 1 bound.  Exact
+#: optima have their own entry point, :func:`repro.lp.optimal`; they dominate
+#: this bound, so ``repro.lp.optimal(batch).objectives >=
+#: lower_bound_batch(batch)`` up to tolerance — asserted by the differential
+#: tests.
+lower_bound_batch = combined_lower_bound_batch

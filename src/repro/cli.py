@@ -149,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "trace_replay specs only: stream the trace in N-instance chunks "
-            "(sets params.chunk_size — O(chunk) memory instead of loading the "
-            "trace whole; 0 forces the in-memory path)"
+            "trace_replay specs only: read the trace in N-instance chunks "
+            "(sets params.chunk_size, default 4096; peak memory grows with N, "
+            "never with the trace)"
         ),
     )
     sweep_parser.add_argument(
@@ -557,19 +557,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
         if trace is not None:
             overrides["trace"] = os.path.abspath(trace)
         if stream_chunk is not None:
-            if stream_chunk < 0:
-                _usage_error(args, f"--stream-chunk must be >= 0, got {stream_chunk}")
-            # 0 drops back to the in-memory path (chunk_size must be a
-            # positive int or absent per ScenarioSpec.validate).
-            overrides["chunk_size"] = stream_chunk if stream_chunk > 0 else None
-        from repro.scenarios import ScenarioSpec
-
-        params = {**dict(spec.params), **overrides}
-        # Rebuild (rather than with_overrides, which merges) so
-        # --stream-chunk 0 genuinely removes an existing chunk_size.
-        spec = ScenarioSpec.from_dict(
-            {**spec.to_dict(), "params": {k: v for k, v in params.items() if v is not None}}
-        )
+            if stream_chunk <= 0:
+                _usage_error(args, f"--stream-chunk must be positive, got {stream_chunk}")
+            overrides["chunk_size"] = stream_chunk
+        spec = spec.with_overrides(params=overrides)
     count = getattr(args, "count", None)
     if count is not None:
         if count <= 0:

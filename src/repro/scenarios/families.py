@@ -1,4 +1,4 @@
-"""Scenario families: arrival processes, weight reshaping, trace replay.
+"""Scenario families: arrival processes, weight reshaping, a cell's chunks.
 
 The generators in :mod:`repro.workloads.generators` produce the paper's
 *clairvoyant-release* setting — every task available at time zero.  The
@@ -9,19 +9,19 @@ scenario engine sweeps:
   every task: a plain Poisson job stream, or *bursty* Poisson arrivals where
   whole groups of tasks land together — the arrival pattern of gang-submitted
   array jobs that stresses an online policy far more than a smooth stream;
-* **weight reshaping** (:func:`redraw_weights`) replaces the generated
+* **weight reshaping** (:func:`draw_weights`) replaces the generated
   weights with heavy-tailed (Pareto) or log-normal draws, modelling the
-  few-very-important-jobs priority distributions seen in production traces;
-* **trace replay** (:func:`load_trace`) reads tasks (and optional release
-  times) from a CSV or JSONL file, so a recorded workload can be replayed
-  through every policy and backend.  The reader is the strictly validating,
-  chunked streamer of :mod:`repro.scenarios.stream`; ``load_trace`` is its
-  in-memory convenience wrapper.
+  few-very-important-jobs priority distributions seen in production traces.
+
+:func:`cell_chunks` puts a grid cell's workload together: the instances of
+a generator, or of a recorded CSV/JSONL trace read by the strictly
+validating, chunked streamer of :mod:`repro.scenarios.stream`, with the
+cell's weights and arrivals applied chunk by chunk.  Every ``policies``
+cell, and :func:`repro.scenarios.stream.replay_stream`, folds these chunks.
 
 All functions draw from an explicit :class:`numpy.random.Generator`, so a
-scenario cell is reproducible on every backend: the instances and release
-times are materialised once (identically) and only *execution* differs
-between the serial engine and :func:`repro.batch.sim_kernels.simulate_batch`.
+scenario cell is reproducible on every backend: the chunks are the same
+wherever they are simulated.
 
 Examples
 --------
@@ -37,14 +37,19 @@ Examples
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Iterable, Mapping
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
+from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError
-from repro.core.instance import Instance, Task
+from repro.core.instance import Instance
 
-__all__ = ["draw_release_times", "redraw_weights", "load_trace", "workload_generator", "build_cell_workload"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scenarios.stream import TraceChunk
+
+__all__ = ["draw_release_times", "draw_weights", "workload_generator", "cell_chunks"]
 
 #: Smallest weight/volume kept after redistribution (mirrors
 #: :data:`repro.workloads.generators.MIN_VALUE`).
@@ -115,10 +120,8 @@ def draw_release_times(
 # --------------------------------------------------------------------- #
 
 
-def redraw_weights(
-    instances: list[Instance], weight: Mapping[str, Any], rng: np.random.Generator
-) -> list[Instance]:
-    """Replace every task weight with a draw from the requested distribution.
+def draw_weights(weight: Mapping[str, Any], n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``n`` task weights from the distribution ``weight`` names.
 
     Supported ``weight["dist"]`` values:
 
@@ -130,81 +133,42 @@ def redraw_weights(
         ``LogNormal(mu, sigma)`` with ``mu`` default 0.0, ``sigma`` default
         1.0.
 
-    Volumes and caps are untouched, so the reshaped family remains a valid
-    instance of the model; weights are floored at ``MIN_VALUE``.
+    The draws are floored at ``MIN_VALUE``.  The scenario sweeps redraw
+    every instance's weights with it, one call per instance in row order,
+    and the service load generator draws each client's weights with it.
     """
     dist = weight.get("dist")
-    if dist is None:
-        return instances
-    reshaped = []
-    for inst in instances:
-        n = inst.n
-        if dist == "pareto":
-            alpha = float(weight.get("alpha", 1.5))
-            if alpha <= 0:
-                raise InvalidInstanceError(f"pareto alpha must be positive, got {alpha}")
-            scale = float(weight.get("scale", 1.0))
-            draws = scale * (1.0 + rng.pareto(alpha, size=n))
-        elif dist == "lognormal":
-            mu = float(weight.get("mu", 0.0))
-            sigma = float(weight.get("sigma", 1.0))
-            draws = rng.lognormal(mean=mu, sigma=sigma, size=n)
-        else:
-            raise InvalidInstanceError(f"unknown weight distribution {dist!r}")
-        draws = np.maximum(draws, MIN_VALUE)
-        reshaped.append(
-            Instance(
-                P=inst.P,
-                tasks=[
-                    Task(volume=t.volume, weight=float(w), delta=t.delta, name=t.name)
-                    for t, w in zip(inst.tasks, draws)
-                ],
-            )
-        )
-    return reshaped
+    if dist == "pareto":
+        alpha = float(weight.get("alpha", 1.5))
+        if alpha <= 0:
+            raise InvalidInstanceError(f"pareto alpha must be positive, got {alpha}")
+        scale = float(weight.get("scale", 1.0))
+        draws = scale * (1.0 + rng.pareto(alpha, size=n))
+    elif dist == "lognormal":
+        mu = float(weight.get("mu", 0.0))
+        sigma = float(weight.get("sigma", 1.0))
+        draws = rng.lognormal(mean=mu, sigma=sigma, size=n)
+    else:
+        raise InvalidInstanceError(f"unknown weight distribution {dist!r}")
+    return np.maximum(draws, MIN_VALUE)
 
 
-# --------------------------------------------------------------------- #
-# Trace replay
-# --------------------------------------------------------------------- #
+def _redraw_weights(
+    batch: InstanceBatch, weight: Mapping[str, Any], rng: np.random.Generator
+) -> InstanceBatch:
+    """``batch`` with every row's weights replaced by :func:`draw_weights`.
 
-
-def load_trace(
-    path: str | os.PathLike,
-    P: float,
-    max_instances: int | None = None,
-    fmt: str = "auto",
-) -> tuple[list[Instance], np.ndarray | None]:
-    """Read instances (and optional release times) from a CSV or JSONL trace.
-
-    The file needs the columns/keys ``instance``, ``volume``, ``weight`` and
-    ``delta``; an optional ``release`` column carries per-task release times.
-    Rows sharing an ``instance`` value form one instance (rows must be
-    grouped, i.e. consecutive — a reappearing key raises), and every
-    instance runs on a platform of size ``P``.
-
-    This is the in-memory convenience wrapper over the streaming reader
-    :func:`repro.scenarios.stream.stream_trace`, and shares its strict
-    validation: empty/missing ``release`` cells raise (they are never
-    zero-filled), non-positive fields raise, and a ``delta`` above ``P`` is
-    clamped with a warning naming the first offending row.
-    ``max_instances`` stops *reading* after that many instances.
-
-    Returns ``(instances, releases)`` where ``releases`` is a dense
-    ``(B, n_max)`` matrix aligned with the padded batch convention (zero on
-    padding slots), or ``None`` when the trace has no ``release`` column.
+    Volumes and caps are untouched, so the reshaped family remains a valid
+    instance of the model.
     """
-    from repro.scenarios.stream import stream_trace
-
-    chunks = list(
-        stream_trace(path, P, chunk_size=None, max_instances=max_instances, fmt=fmt)
-    )
-    chunk = chunks[0]  # chunk_size=None packs the whole trace into one chunk
-    return chunk.batch.to_instances(), chunk.releases
+    weights = np.zeros_like(batch.weights)
+    for b, n in enumerate(batch.counts.tolist()):
+        weights[b, :n] = draw_weights(weight, n, rng)
+    return replace(batch, weights=weights)
 
 
 # --------------------------------------------------------------------- #
-# Putting a cell's workload together
+# A cell's workload, chunk by chunk
 # --------------------------------------------------------------------- #
 
 
@@ -220,73 +184,83 @@ def workload_generator(name: str) -> Callable[..., Iterable[Instance]]:
     return getattr(generators, name)
 
 
-def build_cell_workload(
+def cell_chunks(
     generator: str,
     gen_kwargs: Mapping[str, Any],
-    count: int,
+    count: int | None,
     arrival: Mapping[str, Any],
     weight: Mapping[str, Any],
     seed: int,
-) -> tuple[list[Instance], np.ndarray | None]:
-    """Materialise one grid cell's instances and release times.
+) -> Iterator[TraceChunk]:
+    """Yield one grid cell's workload as :class:`~repro.scenarios.stream.TraceChunk` s.
 
-    Resolves ``generator`` (a name in :mod:`repro.workloads.generators`, or
-    ``"trace_replay"``), draws ``count`` instances from a
-    ``default_rng(seed)`` stream, applies the weight redistribution and the
-    arrival process.  The result is identical on every backend — this is the
-    single source of truth every backend's sweep shares.
+    ``generator`` is a ``*_instances`` family of
+    :mod:`repro.workloads.generators`, whose ``count`` instances come as one
+    chunk, or ``"trace_replay"``, whose first ``count`` instances (all of
+    them for ``None``) come as the ``stream_trace`` chunks of
+    ``params.chunk_size`` instances (default
+    :data:`~repro.scenarios.stream.DEFAULT_CHUNK_SIZE`).  One
+    ``default_rng(seed)`` draws, in order, the synthetic instances, then per
+    chunk the ``weight`` redistribution (:func:`draw_weights`, row by row)
+    and the ``arrival`` release times (zero on padding slots).
+
+    Synthetic arrivals are drawn over the whole chunk, so a trace cell with
+    one raises on its second chunk: the draws would depend on where the
+    chunks are cut.  A trace with a ``release`` column fixes every arrival,
+    and only the ``"trace"`` process (or none) may go with it.  The chunks
+    are the same on every backend: this is the one source of every
+    ``policies`` cell.
     """
+    # Looked up per call, so a patched ``stream.stream_trace`` takes effect.
+    from repro.scenarios import stream
+
     rng = np.random.default_rng(seed)
+    process = arrival.get("process") if arrival else None
+    synthetic = process not in (None, "none", "trace")
+    kwargs = dict(gen_kwargs)
+    chunks: Iterator[TraceChunk]
     if generator == "trace_replay":
-        kwargs = dict(gen_kwargs)
-        trace = kwargs.pop("trace")
+        trace = os.fspath(kwargs.pop("trace"))
         P = float(kwargs.pop("P", 1.0))
-        # chunk_size routes the cell to the streaming replay path of the
-        # runner; when the in-memory path runs anyway (direct calls, tests)
-        # it only controls reader batching, which is invisible here.
-        kwargs.pop("chunk_size", None)
+        chunk_size = int(kwargs.pop("chunk_size", None) or stream.DEFAULT_CHUNK_SIZE)
         fmt = str(kwargs.pop("format", "auto"))
         if kwargs:
             raise InvalidInstanceError(
                 "trace_replay accepts only 'trace', 'P', 'chunk_size' and "
                 f"'format' parameters, got {sorted(kwargs)}"
             )
-        instances, releases = load_trace(trace, P=P, max_instances=count, fmt=fmt)
-        process = arrival.get("process") if arrival else None
-        if releases is not None:
-            if process not in (None, "none", "trace"):
-                # Mirror of the draw_release_times 'trace' guard: the trace
-                # already fixes every arrival, so a synthetic process in the
-                # spec can only mean a misconfigured sweep — failing beats
-                # silently ignoring it.
-                raise InvalidInstanceError(
-                    f"trace {os.fspath(trace)!r} supplies release times; "
-                    f"arrival process {process!r} conflicts — drop the "
-                    "arrivals table or declare process = 'trace'"
-                )
-        elif process == "trace":
-            raise InvalidInstanceError(
-                f"arrival process 'trace' requires a 'release' column in "
-                f"trace {os.fspath(trace)!r}"
-            )
+        chunks = stream.stream_trace(trace, P, chunk_size=chunk_size, max_instances=count, fmt=fmt)
     else:
         factory = workload_generator(generator)
-        kwargs = dict(gen_kwargs)
         n = int(kwargs.pop("n", 8))
-        instances = list(factory(n, count, rng=rng, **kwargs))
-        releases = None
-    if weight:
-        instances = redraw_weights(instances, weight, rng)
-    if arrival and releases is None:
-        n_max = max(inst.n for inst in instances)
-        full = draw_release_times(arrival, len(instances), n_max, rng)
-        releases = full
-    if releases is not None:
-        # Align to the padded-batch convention: zero outside each row's tasks.
-        n_max = max(inst.n for inst in instances)
-        aligned = np.zeros((len(instances), n_max))
-        for b, inst in enumerate(instances):
-            n = inst.n
-            aligned[b, :n] = releases[b, :n]
-        releases = aligned
-    return instances, releases
+        batch = InstanceBatch.from_instances(factory(n, count, rng=rng, **kwargs))
+        chunks = iter([stream.TraceChunk(batch=batch, releases=None, start=0)])
+    for chunk in chunks:
+        releases = chunk.releases
+        if releases is not None and synthetic:
+            # The trace already fixes every arrival, so a synthetic process
+            # in the spec can only mean a misconfigured sweep — failing
+            # beats silently ignoring it.
+            raise InvalidInstanceError(
+                f"trace {trace!r} supplies release times; arrival process "
+                f"{process!r} conflicts — drop the arrivals table or declare "
+                "process = 'trace'"
+            )
+        if releases is None and process == "trace" and generator == "trace_replay":
+            raise InvalidInstanceError(
+                f"arrival process 'trace' requires a 'release' column in trace {trace!r}"
+            )
+        if synthetic and chunk.start > 0:
+            raise InvalidInstanceError(
+                f"synthetic arrivals (process {process!r}) are drawn over the "
+                f"whole workload, but trace {trace!r} does not fit in one "
+                "chunk: raise params.chunk_size to at least the instance count, "
+                "or replay a trace with a 'release' column"
+            )
+        batch = chunk.batch
+        if weight.get("dist") is not None:
+            batch = _redraw_weights(batch, weight, rng)
+        if releases is None and process not in (None, "none"):
+            drawn = draw_release_times(arrival, batch.batch_size, batch.n_max, rng)
+            releases = np.where(batch.mask, drawn, 0.0)
+        yield replace(chunk, batch=batch, releases=releases)

@@ -7,14 +7,16 @@ whole cells over local worker nodes — and evaluates each cell with the
 pipeline the spec names:
 
 ``policies``
-    Materialise the cell's instances / release times once
-    (:func:`repro.scenarios.families.build_cell_workload`) as one
-    ``InstanceBatch``, then run each selected online policy as one
-    :func:`repro.batch.sim_kernels.simulate_batch` call against the batched
-    Lemma 1 bound.  The pipeline is the same on every backend, so a sweep
-    writes the same records wherever its cells run; ``tests/test_scenarios.py``
-    checks every committed spec against a per-instance recomputation with
-    the scalar engine (:func:`repro.simulation.engine.simulate`).
+    Fold the cell's chunks (:func:`repro.scenarios.families.cell_chunks`:
+    one ``InstanceBatch`` for a generator, ``params.chunk_size``-instance
+    slices for a trace) through :func:`repro.scenarios.stream.replay_chunks`,
+    which runs each selected online policy with
+    :func:`repro.batch.sim_kernels.simulate_batch` against the batched
+    Lemma 1 bound and folds the values into online accumulators.  The
+    pipeline is the same on every backend, so a sweep writes the same
+    records wherever its cells run; ``tests/test_scenarios.py`` checks every
+    committed spec against a per-instance recomputation with the scalar
+    engine (:func:`repro.simulation.engine.simulate`).
 ``bandwidth``
     The master–worker transfer-strategy comparison of experiment E8.
 ``solver-timing``
@@ -57,82 +59,13 @@ __all__ = ["SweepRunner", "SweepResult", "run_cell"]
 
 
 def _policies_cell(spec: ScenarioSpec, cell: ScenarioCell) -> list[dict[str, Any]]:
-    """Evaluate one ``policies`` cell: one batch, one ``simulate_batch`` per policy."""
-    from repro.batch.kernels import combined_lower_bound_batch
-    from repro.batch.sim_kernels import default_batch_policies, simulate_batch
-    from repro.core.batch import InstanceBatch
-    from repro.scenarios.families import build_cell_workload
+    """Evaluate one ``policies`` cell: the streamed fold over the cell's chunks."""
+    from repro.scenarios.families import cell_chunks
+    from repro.scenarios.stream import replay_chunks
 
     gen_kwargs, count, arrival, weight = split_cell_params(spec, cell)
-    if spec.generator == "trace_replay" and int(gen_kwargs.get("chunk_size") or 0) > 0:
-        return _streamed_trace_cell(spec, cell, gen_kwargs, count, arrival, weight)
-    instances, releases = build_cell_workload(
-        spec.generator, gen_kwargs, count, arrival, weight, cell.seed
-    )
-    batch = InstanceBatch.from_instances(instances)
-    policies = [
-        p for p in default_batch_policies(batch) if not spec.policies or p.name in spec.policies
-    ]
-    bounds = combined_lower_bound_batch(batch)
-    safe = np.where(bounds > 0, bounds, 1.0)
-    per_policy: dict[str, dict[str, float]] = {}
-    for policy in policies:
-        result = simulate_batch(batch, policy, release_times=releases)
-        objectives = result.weighted_completion_times()
-        ratios = np.where(bounds > 0, objectives / safe, 1.0)
-        per_policy[policy.name] = {
-            "mean_ratio": float(ratios.mean()),
-            "max_ratio": float(ratios.max()),
-            "mean_objective": float(objectives.mean()),
-            "mean_makespan": float(result.makespans().mean()),
-        }
-    return [
-        _record(spec, cell, label, len(instances), metrics)
-        for label, metrics in per_policy.items()
-    ]
-
-
-def _streamed_trace_cell(
-    spec: ScenarioSpec,
-    cell: ScenarioCell,
-    gen_kwargs: Mapping[str, Any],
-    count: int,
-    arrival: Mapping[str, Any],
-    weight: Mapping[str, Any],
-) -> list[dict[str, Any]]:
-    """Evaluate a ``trace_replay`` cell without materialising the trace.
-
-    Taken whenever the cell carries a positive ``chunk_size`` parameter: the
-    trace streams through :func:`repro.scenarios.stream.replay_stream` in
-    ``chunk_size``-instance batches and online accumulators produce the same
-    metrics — up to floating-point reassociation — as the in-memory path on
-    the same ``count``-instance prefix.  Peak memory is O(chunk), so a
-    million-row trace replays in a bounded footprint on every backend.
-    """
-    from repro.core.exceptions import InvalidInstanceError
-    from repro.scenarios.stream import replay_stream
-
-    kwargs = dict(gen_kwargs)
-    trace = kwargs.pop("trace")
-    P = float(kwargs.pop("P", 1.0))
-    chunk_size = int(kwargs.pop("chunk_size"))
-    fmt = str(kwargs.pop("format", "auto"))
-    if kwargs:
-        raise InvalidInstanceError(
-            "trace_replay accepts only 'trace', 'P', 'chunk_size' and "
-            f"'format' parameters, got {sorted(kwargs)}"
-        )
-    per_policy, total = replay_stream(
-        trace,
-        P,
-        chunk_size=chunk_size,
-        policies=spec.policies,
-        max_instances=count,
-        fmt=fmt,
-        weight=weight or None,
-        arrival=arrival or None,
-        seed=cell.seed,
-    )
+    chunks = cell_chunks(spec.generator, gen_kwargs, count, arrival, weight, cell.seed)
+    per_policy, total = replay_chunks(chunks, spec.policies)
     return [
         _record(spec, cell, label, total, metrics)
         for label, metrics in per_policy.items()
@@ -182,14 +115,13 @@ def _solver_timing_cell(spec: ScenarioSpec, cell: ScenarioCell) -> list[dict[str
     from repro.algorithms.makespan import minimal_makespan
     from repro.algorithms.water_filling import water_filling_schedule
     from repro.algorithms.wdeq import wdeq_schedule
-    from repro.scenarios.families import build_cell_workload
+    from repro.scenarios.families import cell_chunks
 
     gen_kwargs, count, _, _ = split_cell_params(spec, cell)
     repeats = int(gen_kwargs.pop("repeats", 3))
     lp_max_n = int(gen_kwargs.pop("lp_max_n", 0))
     exact_max_n = int(gen_kwargs.pop("exact_max_n", 0))
-    instances, _ = build_cell_workload(spec.generator, gen_kwargs, 1, {}, {}, cell.seed)
-    inst = instances[0]
+    inst = next(cell_chunks(spec.generator, gen_kwargs, 1, {}, {}, cell.seed)).batch.instance(0)
     order = inst.smith_order()
     completions = wdeq_schedule(inst).completion_times_by_task()
 

@@ -103,8 +103,9 @@ class ScenarioSpec:
     generator:
         Name of a generator in :mod:`repro.workloads.generators` (e.g.
         ``"cluster_instances"``) or the special family ``"trace_replay"``
-        (tasks read from a CSV file, see
-        :func:`repro.scenarios.families.load_trace`).
+        (tasks read from a CSV/JSONL file in ``params.chunk_size``-instance
+        chunks, default 4096, see
+        :func:`repro.scenarios.families.cell_chunks`).
     description:
         One-line human-readable description.
     pipeline:

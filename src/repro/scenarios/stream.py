@@ -1,14 +1,11 @@
-"""Streaming trace ingestion: validated `InstanceBatch` chunks from disk.
+"""Streamed replay: validated `InstanceBatch` chunks from disk, folded online.
 
-:func:`repro.scenarios.families.load_trace` materialises a whole trace as
-Python lists before the first instance is usable — fine for the 43-row sample
-trace, hopeless for the million-row production traces the ROADMAP targets.
-This module is the scaling tier underneath it: a trace is read **row by row**
-(:func:`iter_trace_rows`), grouped into instances, and yielded as padded
-:class:`~repro.core.batch.InstanceBatch` chunks of a configurable size
-(:func:`stream_trace`) — peak memory is ``O(chunk_size)``, never
-``O(trace)``, and ``max_instances`` stops *reading* early instead of
-truncating after the fact.
+A trace is read **row by row** (:func:`iter_trace_rows`), grouped into
+instances, and yielded as padded :class:`~repro.core.batch.InstanceBatch`
+chunks of a configurable size (:func:`stream_trace`) — peak memory is
+``O(chunk_size)``, never ``O(trace)``, so million-row production traces
+replay in a bounded footprint, and ``max_instances`` stops *reading* early
+instead of truncating after the fact.
 
 Two trace formats share one validation path:
 
@@ -37,14 +34,15 @@ must be positive and finite.
 plus the task count of each instance, and fills every padded array of the
 chunk with one scatter.
 
-On top of the reader, :func:`replay_stream` runs the whole ``policies``
-pipeline online: it computes each chunk's Lemma 1 lower bounds once, ships
-them to every policy next to the release times, and per-chunk
+:func:`replay_chunks` is the ``policies`` pipeline of every sweep cell:
+it folds a cell's chunks (:func:`repro.scenarios.families.cell_chunks`)
+online.  It computes each chunk's Lemma 1 lower bounds once, ships them to
+every policy next to the release times, and per-chunk
 :func:`repro.batch.sim_kernels.simulate_batch` calls feed
 :class:`StreamingMoments` accumulators (Chan's parallel mean/variance
-update), so the final metrics match the in-memory path up to floating-point
-reassociation without ever holding more than one chunk.  Chunks can
-optionally be dispatched through
+update), so it never holds more than one chunk; a one-chunk cell's metrics
+are those of the chunk's values.  :func:`replay_stream` is the same fold
+over a trace file.  Chunks can optionally be dispatched through
 :meth:`repro.exec.ExecutionContext.map_batch`, riding the local worker
 nodes and the shared-memory transport unchanged.
 
@@ -75,7 +73,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -92,6 +90,7 @@ __all__ = [
     "StreamingMoments",
     "iter_trace_rows",
     "stream_trace",
+    "replay_chunks",
     "replay_stream",
 ]
 
@@ -100,9 +99,6 @@ REQUIRED_COLUMNS = ("instance", "volume", "weight", "delta")
 
 #: Default number of instances per streamed chunk.
 DEFAULT_CHUNK_SIZE = 4096
-
-#: Smallest redrawn weight (mirrors :data:`repro.scenarios.families.MIN_VALUE`).
-_MIN_VALUE = 1e-3
 
 
 def _row_error(path: str, row_number: int, message: str) -> InvalidInstanceError:
@@ -349,7 +345,7 @@ def _build_chunk(
 def stream_trace(
     path: str | os.PathLike,
     P: float,
-    chunk_size: int | None = DEFAULT_CHUNK_SIZE,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     max_instances: int | None = None,
     fmt: str = "auto",
 ) -> Iterator[TraceChunk]:
@@ -361,18 +357,17 @@ def stream_trace(
     A ``delta`` above ``P`` is clamped to ``P`` with a single warning per
     file naming the first offending data row.  ``max_instances`` stops
     **reading** after that many complete groups — the remainder of the file
-    is never parsed — and ``chunk_size=None`` packs everything into one
-    chunk (the in-memory :func:`repro.scenarios.families.load_trace` path).
+    is never parsed.
 
     Raises :class:`~repro.core.exceptions.InvalidInstanceError` for a
-    non-positive or non-finite ``P`` and a non-positive ``chunk_size`` or
-    ``max_instances``.
+    non-positive or non-finite ``P``, a missing or non-positive
+    ``chunk_size`` and a non-positive ``max_instances``.
 
     Peak memory is ``O(chunk_size x n_max_of_chunk)`` plus the set of seen
     instance keys; the full trace is never materialised.
     """
     path = os.fspath(path)
-    if chunk_size is not None and chunk_size <= 0:
+    if chunk_size is None or chunk_size <= 0:
         raise InvalidInstanceError(f"chunk_size must be positive, got {chunk_size}")
     if max_instances is not None and max_instances <= 0:
         raise InvalidInstanceError(f"max_instances must be positive, got {max_instances}")
@@ -477,11 +472,16 @@ class StreamingMoments:
             return
         batch_mean = float(values.mean())
         batch_m2 = float(((values - batch_mean) ** 2).sum())
-        total = self.count + n
-        delta = batch_mean - self.mean
-        self.m2 += batch_m2 + delta * delta * self.count * n / total
-        self.mean += delta * n / total
-        self.count = total
+        if self.count == 0:
+            # Taken as they are, so a one-chunk fold is the plain mean by
+            # construction rather than through ``0 + mean * n / n``.
+            self.mean, self.m2 = batch_mean, batch_m2
+        else:
+            total = self.count + n
+            delta = batch_mean - self.mean
+            self.m2 += batch_m2 + delta * delta * self.count * n / total
+            self.mean += delta * n / total
+        self.count += n
         self.max = max(self.max, float(values.max()))
         self.min = min(self.min, float(values.min()))
 
@@ -515,45 +515,6 @@ class StreamingMoments:
 # --------------------------------------------------------------------- #
 # Streamed policy replay
 # --------------------------------------------------------------------- #
-
-
-def _redraw_weights_batch(
-    batch: InstanceBatch, weight: Mapping[str, Any], rng: np.random.Generator
-) -> InstanceBatch:
-    """Array-level twin of :func:`repro.scenarios.families.redraw_weights`.
-
-    Draws per instance (``size=n``, in row order) from the same generator
-    stream, so a streamed replay redraws *identical* weights to the
-    in-memory path as long as one ``rng`` threads through the chunks.
-    """
-    dist = weight.get("dist")
-    if dist is None:
-        return batch
-    counts = batch.counts
-    new_weights = np.zeros_like(batch.weights)
-    for b in range(batch.batch_size):
-        n = int(counts[b])
-        if dist == "pareto":
-            alpha = float(weight.get("alpha", 1.5))
-            if alpha <= 0:
-                raise InvalidInstanceError(f"pareto alpha must be positive, got {alpha}")
-            scale = float(weight.get("scale", 1.0))
-            draws = scale * (1.0 + rng.pareto(alpha, size=n))
-        elif dist == "lognormal":
-            mu = float(weight.get("mu", 0.0))
-            sigma = float(weight.get("sigma", 1.0))
-            draws = rng.lognormal(mean=mu, sigma=sigma, size=n)
-        else:
-            raise InvalidInstanceError(f"unknown weight distribution {dist!r}")
-        new_weights[b, :n] = np.maximum(draws, _MIN_VALUE)
-    return InstanceBatch(
-        P=batch.P,
-        volumes=batch.volumes,
-        weights=new_weights,
-        deltas=batch.deltas,
-        mask=batch.mask,
-        names=batch.names,
-    )
 
 
 def _simulate_rows(
@@ -668,35 +629,20 @@ def _policy_rows(
         yield name, values
 
 
-def replay_stream(
-    trace: str | os.PathLike,
-    P: float,
-    *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+def replay_chunks(
+    chunks: Iterable[TraceChunk],
     policies: tuple[str, ...] = (),
-    max_instances: int | None = None,
-    fmt: str = "auto",
-    weight: Mapping[str, Any] | None = None,
-    arrival: Mapping[str, Any] | None = None,
-    seed: int = 0,
     ctx: "ExecutionContext | None" = None,
     on_chunk: Callable[[TraceChunk, dict[str, dict[str, float]]], None] | None = None,
 ) -> tuple[dict[str, dict[str, float]], int]:
-    """Replay a trace through the online policies without loading it whole.
+    """Simulate every chunk with the online policies and fold the values.
 
-    Streams the trace in ``chunk_size``-instance slices, simulates each
-    chunk with every requested policy (``policies`` empty means the full
-    default line-up) and folds per-row ratios / objectives / makespans into
-    :class:`StreamingMoments`.  Returns ``(per_policy_metrics, total)`` with
-    the same metric names — and, up to floating-point reassociation, the
-    same values — as the in-memory ``policies`` pipeline on the same prefix.
-
-    ``weight`` applies the redistribution of
-    :func:`repro.scenarios.families.redraw_weights` chunk-by-chunk from one
-    ``default_rng(seed)`` stream (identical draws to the in-memory path).
-    ``arrival`` may only name the ``"trace"`` process (release times must
-    come from the trace itself): synthetic arrivals draw from a
-    ``(count, n_max)`` matrix whose shape a stream cannot know upfront.
+    Each chunk is simulated with every requested policy (``policies`` empty
+    means the full default line-up) and its per-row ratios / objectives /
+    makespans are folded into :class:`StreamingMoments`.  Returns
+    ``(per_policy_metrics, total)``: ``mean_ratio``, ``max_ratio``,
+    ``mean_objective`` and ``mean_makespan`` per policy, over ``total``
+    instances.
 
     The Lemma 1 lower bound that scores every policy is computed once per
     chunk, in the calling process, and shipped to each policy's run as the
@@ -705,42 +651,18 @@ def replay_stream(
     process-pool and shared-memory transports apply per chunk, unchanged.
     The rows go out width-sorted and each slice is simulated trimmed to
     its widest row (see :func:`_dispatch_order` and
-    :func:`_simulate_rows`); the results are folded in trace order, so
+    :func:`_simulate_rows`); the results are folded in row order, so
     the metrics are the same bits with or without ``ctx``.  ``on_chunk`` is
     called after each chunk with the chunk and its *chunk-local* metrics
     (what :func:`repro.scenarios.store.merge_records` aggregates back into
     the exact stream totals).
     """
-    process = (arrival or {}).get("process")
-    if process not in (None, "none", "trace"):
-        raise InvalidInstanceError(
-            f"streaming trace replay cannot draw synthetic arrivals "
-            f"(process {process!r}): release times must come from the trace "
-            "itself, or drop params.chunk_size to use the in-memory path"
-        )
     from repro.batch.sim_kernels import default_batch_policies
 
-    rng = np.random.default_rng(seed)
     accumulators: dict[str, dict[str, StreamingMoments]] = {}
     total = 0
-    first_chunk = True
-    for chunk in stream_trace(
-        trace, P, chunk_size=chunk_size, max_instances=max_instances, fmt=fmt
-    ):
-        if first_chunk:
-            first_chunk = False
-            if chunk.releases is not None and process not in (None, "none", "trace"):
-                raise InvalidInstanceError(  # pragma: no cover - guarded above
-                    f"trace supplies release times; arrival process {process!r} conflicts"
-                )
-            if chunk.releases is None and process == "trace":
-                raise InvalidInstanceError(
-                    f"arrival process 'trace' requires a 'release' column in "
-                    f"trace {os.fspath(trace)!r}"
-                )
+    for chunk in chunks:
         batch = chunk.batch
-        if weight:
-            batch = _redraw_weights_batch(batch, weight, rng)
         names = [
             p.name
             for p in default_batch_policies(batch)
@@ -776,3 +698,36 @@ def replay_stream(
         for name, acc in accumulators.items()
     }
     return per_policy, total
+
+
+def replay_stream(
+    trace: str | os.PathLike,
+    P: float,
+    *,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    policies: tuple[str, ...] = (),
+    max_instances: int | None = None,
+    fmt: str = "auto",
+    weight: Mapping[str, Any] | None = None,
+    arrival: Mapping[str, Any] | None = None,
+    seed: int = 0,
+    ctx: "ExecutionContext | None" = None,
+    on_chunk: Callable[[TraceChunk, dict[str, dict[str, float]]], None] | None = None,
+) -> tuple[dict[str, dict[str, float]], int]:
+    """Replay a trace through the online policies without loading it whole.
+
+    :func:`replay_chunks` over the ``trace_replay`` chunks of
+    :func:`repro.scenarios.families.cell_chunks`: the trace streams in
+    ``chunk_size``-instance slices (at most ``max_instances`` instances),
+    with the ``weight`` redistribution and the ``arrival`` process of a
+    sweep cell drawn from one ``default_rng(seed)`` stream.  Synthetic
+    arrivals need the trace to fit in one chunk.  Returns
+    ``(per_policy_metrics, total)``, the values a ``trace_replay`` sweep
+    cell with the same parameters records; ``ctx`` and ``on_chunk`` are
+    those of :func:`replay_chunks`.
+    """
+    from repro.scenarios.families import cell_chunks
+
+    params = {"trace": trace, "P": P, "chunk_size": chunk_size, "format": fmt}
+    chunks = cell_chunks("trace_replay", params, max_instances, arrival or {}, weight or {}, seed)
+    return replay_chunks(chunks, policies, ctx, on_chunk)

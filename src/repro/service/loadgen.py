@@ -4,9 +4,9 @@ The load generator replays the :mod:`repro.scenarios` arrival families
 against a running service: each simulated client draws its submission
 offsets from :func:`repro.scenarios.families.draw_release_times` (plain
 ``poisson`` or gang-submitted ``bursty-poisson`` streams) and its task
-weights optionally from the heavy-tailed families of
-:func:`repro.scenarios.families.redraw_weights` (``pareto`` /
-``lognormal``), then submits over one NDJSON connection, mixing in share
+weights optionally from the heavy-tailed draw of
+:func:`repro.scenarios.families.draw_weights` (``pareto`` /
+``lognormal``, with its default parameters), then submits over one NDJSON connection, mixing in share
 queries and cancellations at configurable ratios.
 
 Every request is timed individually; :class:`LoadReport` aggregates
@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from repro.api import CancelTask, ErrorReply, QueryShare, SubmitTask
-from repro.scenarios.families import draw_release_times
+from repro.scenarios.families import draw_release_times, draw_weights
 from repro.service.client import ServiceClient, ServiceUnavailable
 
 __all__ = ["LoadgenConfig", "LoadReport", "run_loadgen", "run_loadgen_async"]
@@ -139,13 +139,11 @@ def _draw_offsets(config: LoadgenConfig, rng: np.random.Generator) -> np.ndarray
 
 
 def _draw_weights(config: LoadgenConfig, rng: np.random.Generator) -> np.ndarray:
-    """Task weights, optionally heavy-tailed (matching scenarios families)."""
+    """Task weights: all ones, or the scenario families' heavy-tailed draw."""
     n = config.tasks_per_client
-    if config.weight_dist == "pareto":
-        return np.maximum(1.0 + rng.pareto(1.5, size=n), 1e-3)
-    if config.weight_dist == "lognormal":
-        return np.maximum(rng.lognormal(mean=0.0, sigma=1.0, size=n), 1e-3)
-    return np.ones(n)
+    if config.weight_dist == "constant":
+        return np.ones(n)
+    return draw_weights({"dist": config.weight_dist}, n, rng)
 
 
 class _Collector:

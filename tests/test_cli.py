@@ -88,7 +88,8 @@ class TestUsageErrors:
             (["sweep", "no/such/spec.toml"], "cannot read spec 'no/such/spec.toml'"),
             (["sweep", "no-such-scenario"], "unknown scenario 'no-such-scenario'"),
             (["sweep", "bursty-poisson", "--count", "0"], "--count must be positive, got 0"),
-            (["sweep", TRACE_STREAM_SPEC, "--stream-chunk", "-1"], "--stream-chunk must be >= 0, got -1"),
+            (["sweep", TRACE_STREAM_SPEC, "--stream-chunk", "-1"], "--stream-chunk must be positive, got -1"),
+            (["sweep", TRACE_STREAM_SPEC, "--stream-chunk", "0"], "--stream-chunk must be positive, got 0"),
             (["sweep", "bursty-poisson", "--trace", "t.csv"], "apply only to trace_replay specs"),
             (["loadgen", "--chaos-kill-after", "1"], "--chaos-kill-after requires --spawn-server"),
         ],
@@ -98,6 +99,7 @@ class TestUsageErrors:
             "unknown-scenario",
             "count-zero",
             "negative-stream-chunk",
+            "zero-stream-chunk",
             "trace-on-synthetic-spec",
             "chaos-without-spawn-server",
         ],

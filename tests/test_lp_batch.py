@@ -532,15 +532,10 @@ class TestLowerBoundBatch:
     @given(instance_batches(max_batch=3))
     def test_exact_dominates_combined(self, insts):
         batch = InstanceBatch.from_instances(insts)
-        combined = lower_bound_batch(batch, method="combined")
+        combined = lower_bound_batch(batch)
         exact = optimal(batch).objectives
         np.testing.assert_allclose(combined, combined_lower_bound_batch(batch))
         assert np.all(time_leq(combined, exact, rtol=1e-6, atol=1e-8))
-
-    def test_unknown_method(self):
-        batch = InstanceBatch.from_instances([Instance.from_arrays(P=1.0, volumes=[1.0])])
-        with pytest.raises(InvalidInstanceError):
-            lower_bound_batch(batch, method="bogus")
 
 
 # --------------------------------------------------------------------- #

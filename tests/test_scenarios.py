@@ -32,7 +32,7 @@ from repro.scenarios import (
     load_records,
     summary_table,
 )
-from repro.scenarios.families import build_cell_workload, draw_release_times, load_trace
+from repro.scenarios.families import cell_chunks, draw_release_times
 from repro.scenarios.grid import split_cell_params
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -202,41 +202,54 @@ class TestFamilies:
         assert draw_release_times({"process": "none"}, 2, 3, np.random.default_rng(0)) is None
 
     def test_heavy_tailed_generator_weights(self):
-        instances, releases = build_cell_workload(
+        [chunk] = cell_chunks(
             "heavy_tailed_instances", {"n": 6, "P": 16.0, "alpha": 1.5}, 4, {}, {}, seed=0
         )
-        assert releases is None
-        assert len(instances) == 4
-        assert all(w >= 1.0 for inst in instances for w in inst.weights)
+        assert chunk.releases is None
+        assert chunk.batch.batch_size == 4
+        assert np.all(chunk.batch.weights >= 1.0)
 
     def test_weight_redistribution_applies(self):
-        plain, _ = build_cell_workload("uniform_instances", {"n": 5}, 3, {}, {}, seed=1)
-        pareto, _ = build_cell_workload(
+        [plain] = cell_chunks("uniform_instances", {"n": 5}, 3, {}, {}, seed=1)
+        [pareto] = cell_chunks(
             "uniform_instances", {"n": 5}, 3, {}, {"dist": "pareto", "alpha": 1.2}, seed=1
         )
         # Same volumes/caps (same stream), different weights.
-        assert np.allclose(plain[0].volumes, pareto[0].volumes)
-        assert not np.allclose(plain[0].weights, pareto[0].weights)
-        assert all(w >= 1.0 for w in pareto[0].weights)
+        assert np.allclose(plain.batch.volumes, pareto.batch.volumes)
+        assert not np.allclose(plain.batch.weights, pareto.batch.weights)
+        assert np.all(pareto.batch.weights >= 1.0)
+
+    @pytest.mark.parametrize("dist", ["pareto", "lognormal"])
+    def test_load_generator_weights_are_the_family_draw(self, dist):
+        """The service load generator draws with ``draw_weights``; the
+        closed formula it used to inline pins those bits."""
+        from repro.service.loadgen import LoadgenConfig, _draw_weights
+
+        rng = np.random.default_rng(7)
+        if dist == "pareto":
+            want = np.maximum(1.0 + rng.pareto(1.5, size=50), 1e-3)
+        else:
+            want = np.maximum(rng.lognormal(mean=0.0, sigma=1.0, size=50), 1e-3)
+        config = LoadgenConfig(weight_dist=dist, tasks_per_client=50)
+        assert _draw_weights(config, np.random.default_rng(7)).tobytes() == want.tobytes()
 
     def test_trace_round_trip(self):
-        instances, releases = load_trace(SCENARIO_DIR / "traces" / "sample_trace.csv", P=8.0)
-        assert len(instances) == 8
-        assert releases is not None and releases.shape[0] == 8
+        trace = {"trace": str(SCENARIO_DIR / "traces" / "sample_trace.csv"), "P": 8.0}
+        [chunk] = cell_chunks("trace_replay", trace, None, {}, {}, seed=0)
+        assert chunk.batch.batch_size == 8
+        assert chunk.releases is not None and chunk.releases.shape[0] == 8
         # Releases on padding slots are zero (padded-batch convention).
-        for b, inst in enumerate(instances):
-            n = inst.n
-            assert np.all(releases[b, n:] == 0.0)
+        assert np.all(chunk.releases[~chunk.batch.mask] == 0.0)
 
     def test_unknown_generator_raises(self):
         from repro.core.exceptions import InvalidInstanceError
 
         with pytest.raises(InvalidInstanceError, match="unknown workload generator"):
-            build_cell_workload("no_such_generator", {}, 2, {}, {}, seed=0)
+            list(cell_chunks("no_such_generator", {}, 2, {}, {}, seed=0))
         # The spec and the runner share one rule: a public generator that
         # yields caps, not instances, is no family.
         with pytest.raises(InvalidInstanceError, match="unknown workload generator"):
-            build_cell_workload("homogeneous_halfdelta_deltas", {}, 2, {}, {}, seed=0)
+            list(cell_chunks("homogeneous_halfdelta_deltas", {}, 2, {}, {}, seed=0))
 
 
 def _scalar_engine_records(spec: ScenarioSpec, seed: int) -> dict:
@@ -250,24 +263,25 @@ def _scalar_engine_records(spec: ScenarioSpec, seed: int) -> dict:
     expected = {}
     for cell in expand_grid(spec, base_seed=seed):
         gen_kwargs, count, arrival, weight = split_cell_params(spec, cell)
-        instances, releases = build_cell_workload(
-            spec.generator, gen_kwargs, count, arrival, weight, cell.seed
-        )
         values: dict[str, list[tuple[float, float, float]]] = {}
-        for b, inst in enumerate(instances):
-            bound = combined_lower_bound(inst)
-            row_releases = releases[b, : inst.n] if releases is not None else None
-            for policy in default_policies(inst):
-                if spec.policies and policy.name not in spec.policies:
-                    continue
-                result = simulate(inst, policy, release_times=row_releases)
-                objective = result.weighted_completion_time()
-                ratio = objective / bound if bound > 0 else 1.0
-                values.setdefault(policy.name, []).append((ratio, objective, result.makespan()))
+        instances = 0
+        for chunk in cell_chunks(spec.generator, gen_kwargs, count, arrival, weight, cell.seed):
+            releases = chunk.releases
+            for b, inst in enumerate(chunk.batch.to_instances()):
+                instances += 1
+                bound = combined_lower_bound(inst)
+                row_releases = releases[b, : inst.n] if releases is not None else None
+                for policy in default_policies(inst):
+                    if spec.policies and policy.name not in spec.policies:
+                        continue
+                    result = simulate(inst, policy, release_times=row_releases)
+                    objective = result.weighted_completion_time()
+                    ratio = objective / bound if bound > 0 else 1.0
+                    values.setdefault(policy.name, []).append((ratio, objective, result.makespan()))
         for name, triples in values.items():
             ratios, objectives, makespans = (np.array(column) for column in zip(*triples))
             expected[(cell.index, name)] = (
-                len(instances),
+                instances,
                 {
                     "mean_ratio": float(ratios.mean()),
                     "max_ratio": float(ratios.max()),

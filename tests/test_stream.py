@@ -2,8 +2,8 @@
 
 Covers the four silent-corruption bugfixes of the trace loader (empty
 ``release`` cells, reappearing instance keys, silent ``delta`` clamping,
-ignored arrival processes), the chunked reader's equivalence with the
-in-memory path (including a Hypothesis round-trip property over ragged
+ignored arrival processes), the chunked reader's equivalence with one
+whole-trace chunk (including a Hypothesis round-trip property over ragged
 traces in both formats), the streamed ``policies`` pipeline
 (:func:`repro.scenarios.stream.replay_stream`), and the append/merge
 aggregation of :mod:`repro.scenarios.store`.
@@ -30,9 +30,10 @@ from repro.exec import ExecutionContext
 from repro.exec.cluster import assign_cells
 from repro.exec.context import CHUNKS_PER_WORKER, chunk_ranges
 from repro.scenarios import ResultsStore, ScenarioSpec, SweepRunner, merge_records
-from repro.scenarios.families import build_cell_workload, load_trace
+from repro.scenarios.families import cell_chunks, draw_release_times, draw_weights
 from repro.scenarios.store import summary_table
 from repro.scenarios.stream import (
+    DEFAULT_CHUNK_SIZE,
     StreamingMoments,
     iter_trace_rows,
     replay_stream,
@@ -56,15 +57,25 @@ def write_jsonl(path, rows):
     return path
 
 
-@pytest.fixture(scope="module")
-def ragged_trace(tmp_path_factory):
-    """A ``tools/gen_trace.py`` trace: 120 instances of 1-12 tasks, with releases."""
+def _gen_trace(path, release_rate):
+    """A ``tools/gen_trace.py`` trace: 120 instances of 1-12 tasks."""
     spec = importlib.util.spec_from_file_location("gen_trace", REPO_ROOT / "tools" / "gen_trace.py")
     gen_trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen_trace)
-    path = tmp_path_factory.mktemp("ragged") / "trace.csv"
-    gen_trace.generate(str(path), "csv", None, 120, (1, 12), 8.0, 1.0, 5)
+    gen_trace.generate(str(path), "csv", None, 120, (1, 12), 8.0, release_rate, 5)
     return path
+
+
+@pytest.fixture(scope="module")
+def ragged_trace(tmp_path_factory):
+    """A generated trace of 120 ragged instances, with releases."""
+    return _gen_trace(tmp_path_factory.mktemp("ragged") / "trace.csv", 1.0)
+
+
+@pytest.fixture(scope="module")
+def releaseless_trace(tmp_path_factory):
+    """A generated trace of 120 ragged instances, without a release column."""
+    return _gen_trace(tmp_path_factory.mktemp("releaseless") / "trace.csv", 0.0)
 
 
 # --------------------------------------------------------------------- #
@@ -80,7 +91,7 @@ class TestValidation:
             ["a,1.0,1.0,2.0,0.5", "a,1.0,1.0,2.0,", "b,1.0,1.0,2.0,0.7"],
         )
         with pytest.raises(InvalidInstanceError, match=r"data row 2.*release"):
-            load_trace(trace, P=8.0)
+            list(stream_trace(trace, P=8.0))
 
     def test_missing_jsonl_release_raises_naming_row(self, tmp_path):
         trace = write_jsonl(
@@ -91,7 +102,7 @@ class TestValidation:
             ],
         )
         with pytest.raises(InvalidInstanceError, match=r"data row 2.*release"):
-            load_trace(trace, P=8.0)
+            list(stream_trace(trace, P=8.0))
 
     def test_reappearing_instance_key_raises(self, tmp_path):
         """Bugfix 2: non-consecutive rows of one key used to split silently."""
@@ -104,13 +115,13 @@ class TestValidation:
             ],
         )
         with pytest.raises(InvalidInstanceError, match=r"data row 3.*'a' reappears"):
-            load_trace(trace, P=8.0)
+            list(stream_trace(trace, P=8.0))
 
     def test_nonpositive_delta_raises(self, tmp_path):
         """Bugfix 3a: delta must be positive (0 used to clamp to min(0, P))."""
         trace = write_csv(tmp_path / "t.csv", ["a,1.0,1.0,0.0,0.1"])
         with pytest.raises(InvalidInstanceError, match=r"data row 1.*delta must be positive"):
-            load_trace(trace, P=8.0)
+            list(stream_trace(trace, P=8.0))
 
     def test_delta_clamp_warns_once_with_row_number(self, tmp_path):
         """Bugfix 3b: delta > P still clamps, but loudly (one warning/file)."""
@@ -119,8 +130,8 @@ class TestValidation:
             ["a,1.0,1.0,9.5,0.1", "a,1.0,1.0,12.0,0.2", "b,1.0,1.0,2.0,0.3"],
         )
         with pytest.warns(UserWarning, match=r"delta=9.5 exceeds P=8.0 first at data row 1"):
-            instances, _ = load_trace(trace, P=8.0)
-        assert [t.delta for t in instances[0].tasks] == [8.0, 8.0]
+            [chunk] = stream_trace(trace, P=8.0)
+        assert [t.delta for t in chunk.batch.instance(0).tasks] == [8.0, 8.0]
 
     def test_committed_sample_trace_is_clean(self):
         """The shipped trace must not trip any of the new validation."""
@@ -128,46 +139,29 @@ class TestValidation:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            instances, releases = load_trace(SAMPLE_TRACE, P=8.0)
-        assert len(instances) == 8 and releases is not None
+            [chunk] = stream_trace(SAMPLE_TRACE, P=8.0)
+        assert chunk.batch.batch_size == 8 and chunk.releases is not None
 
     def test_arrival_conflicting_with_trace_releases_raises(self, tmp_path):
         """Bugfix 4: a synthetic arrival on a release-carrying trace used to
         be silently ignored — the trace's releases won unannounced."""
+        params = {"trace": str(SAMPLE_TRACE), "P": 8.0}
+        poisson = {"process": "poisson", "rate": 1.0}
         with pytest.raises(InvalidInstanceError, match="supplies release times.*conflicts"):
-            build_cell_workload(
-                "trace_replay",
-                {"trace": str(SAMPLE_TRACE), "P": 8.0},
-                4,
-                {"process": "poisson", "rate": 1.0},
-                {},
-                seed=0,
-            )
+            list(cell_chunks("trace_replay", params, 4, poisson, {}, seed=0))
 
     def test_arrival_trace_process_accepted_with_releases(self):
-        instances, releases = build_cell_workload(
-            "trace_replay",
-            {"trace": str(SAMPLE_TRACE), "P": 8.0},
-            4,
-            {"process": "trace"},
-            {},
-            seed=0,
-        )
-        assert releases is not None and len(instances) == 4
+        params = {"trace": str(SAMPLE_TRACE), "P": 8.0}
+        [chunk] = cell_chunks("trace_replay", params, 4, {"process": "trace"}, {}, seed=0)
+        assert chunk.releases is not None and chunk.batch.batch_size == 4
 
     def test_arrival_trace_process_without_release_column_raises(self, tmp_path):
         trace = write_csv(
             tmp_path / "t.csv", ["a,1.0,1.0,2.0"], header="instance,volume,weight,delta"
         )
+        params = {"trace": str(trace), "P": 8.0}
         with pytest.raises(InvalidInstanceError, match="requires a 'release' column"):
-            build_cell_workload(
-                "trace_replay",
-                {"trace": str(trace), "P": 8.0},
-                4,
-                {"process": "trace"},
-                {},
-                seed=0,
-            )
+            list(cell_chunks("trace_replay", params, 4, {"process": "trace"}, {}, seed=0))
 
     def test_synthetic_arrival_still_works_without_release_column(self, tmp_path):
         trace = write_csv(
@@ -175,15 +169,40 @@ class TestValidation:
             ["a,1.0,1.0,2.0", "b,2.0,1.0,2.0"],
             header="instance,volume,weight,delta",
         )
-        instances, releases = build_cell_workload(
-            "trace_replay",
-            {"trace": str(trace), "P": 8.0},
-            2,
+        params = {"trace": str(trace), "P": 8.0}
+        poisson = {"process": "poisson", "rate": 2.0}
+        [chunk] = cell_chunks("trace_replay", params, 2, poisson, {}, seed=0)
+        assert chunk.releases is not None and chunk.releases.shape == (2, 1)
+
+    @pytest.mark.parametrize(
+        "arrival",
+        [
             {"process": "poisson", "rate": 2.0},
-            {},
-            seed=0,
-        )
-        assert releases is not None and releases.shape == (2, 1)
+            {"process": "bursty-poisson", "rate": 0.5, "burst_size": 2, "spread": 0.1},
+        ],
+    )
+    def test_synthetic_arrivals_on_a_one_chunk_trace_are_one_draw(self, releaseless_trace, arrival):
+        """A release-less trace that fits in one chunk gets the releases of
+        one ``(count, n_max)`` draw, after the weight redraw, zero on padding."""
+        weight = {"dist": "lognormal"}
+        params = {"trace": str(releaseless_trace), "P": 8.0}
+        [chunk] = cell_chunks("trace_replay", params, None, arrival, weight, seed=4)
+        [raw] = stream_trace(releaseless_trace, 8.0)
+        rng = np.random.default_rng(4)
+        for b, n in enumerate(raw.batch.counts.tolist()):
+            assert chunk.batch.weights[b, :n].tobytes() == draw_weights(weight, n, rng).tobytes()
+        drawn = draw_release_times(arrival, raw.batch.batch_size, raw.batch.n_max, rng)
+        assert chunk.releases.tobytes() == np.where(raw.batch.mask, drawn, 0.0).tobytes()
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 50])
+    def test_chunk_cuts_do_not_move_the_redrawn_weights(self, ragged_trace, chunk_size):
+        def weights(size):
+            params = {"trace": str(ragged_trace), "P": 8.0, "chunk_size": size}
+            chunks = cell_chunks("trace_replay", params, None, {}, {"dist": "pareto"}, seed=2)
+            return np.concatenate([c.batch.weights[c.batch.mask] for c in chunks])
+
+        assert weights(chunk_size).tobytes() == weights(DEFAULT_CHUNK_SIZE).tobytes()
+
 
     @pytest.mark.parametrize(
         "row, message",
@@ -208,7 +227,7 @@ class TestValidation:
     def test_empty_trace_raises(self, tmp_path):
         trace = write_csv(tmp_path / "t.csv", [])
         with pytest.raises(InvalidInstanceError, match="contains no tasks"):
-            load_trace(trace, P=8.0)
+            list(stream_trace(trace, P=8.0))
 
     def test_unknown_format_raises(self, tmp_path):
         with pytest.raises(InvalidInstanceError, match="unknown trace format"):
@@ -223,13 +242,13 @@ class TestValidation:
             ],
         )
         with pytest.raises(InvalidInstanceError, match=r"data row 2.*unexpected 'release'"):
-            load_trace(trace, P=8.0)
+            list(stream_trace(trace, P=8.0))
 
     def test_invalid_json_raises_naming_row(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"instance": "a", "volume": 1.0, "weight": 1, "delta": 1}\nnot json\n')
         with pytest.raises(InvalidInstanceError, match=r"data row 2"):
-            load_trace(path, P=8.0)
+            list(stream_trace(path, P=8.0))
 
     def test_max_instances_stops_reading_before_bad_rows(self, tmp_path):
         """Early stop is real: corruption after the cut is never parsed."""
@@ -237,10 +256,10 @@ class TestValidation:
             tmp_path / "t.csv",
             ["a,1.0,1.0,2.0,0.1", "b,1.0,1.0,2.0,0.2", "c,bad,1.0,2.0,0.3"],
         )
-        instances, _ = load_trace(trace, P=8.0, max_instances=1)
-        assert len(instances) == 1
+        [chunk] = stream_trace(trace, P=8.0, max_instances=1)
+        assert chunk.batch.batch_size == 1
         with pytest.raises(InvalidInstanceError, match="data row 3"):
-            load_trace(trace, P=8.0)
+            list(stream_trace(trace, P=8.0))
 
 
 # --------------------------------------------------------------------- #
@@ -317,6 +336,12 @@ class TestReader:
         with pytest.raises(InvalidInstanceError, match="platform size P must be positive and finite"):
             list(stream_trace(SAMPLE_TRACE, P))
 
+    @pytest.mark.parametrize("chunk_size", [None, 0, -2])
+    def test_stream_trace_rejects_missing_or_nonpositive_chunk_size(self, chunk_size):
+        """There is no whole-trace mode: every replay reads bounded chunks."""
+        with pytest.raises(InvalidInstanceError, match="chunk_size must be positive"):
+            list(stream_trace(SAMPLE_TRACE, 8.0, chunk_size=chunk_size))
+
     @pytest.mark.parametrize("max_instances", [0, -3])
     def test_stream_trace_rejects_nonpositive_max_instances(self, max_instances):
         """``max_instances=0`` used to fail with a misleading "contains no tasks"."""
@@ -366,7 +391,7 @@ class TestChunkBuild:
 
 
 # --------------------------------------------------------------------- #
-# Streamed chunks == in-memory load (including the Hypothesis property)
+# Streamed chunks == one whole-trace chunk (including the Hypothesis property)
 # --------------------------------------------------------------------- #
 
 
@@ -410,9 +435,8 @@ class TestRoundTrip:
     @given(groups=trace_instances(), with_release=st.booleans(),
            chunk_size=st.sampled_from([1, 2, 3, 1000]))
     def test_streamed_chunks_equal_inmemory_load(self, groups, with_release, chunk_size):
-        """Synthesized trace -> streamed chunks -> to_instances equals the
-        in-memory load_trace result, for ragged rows, both formats, any
-        chunk size."""
+        """Synthesized trace -> streamed chunks -> to_instances equals one
+        whole-trace chunk, for ragged rows, both formats, any chunk size."""
         import tempfile
 
         csv_rows, jsonl_rows = _groups_to_rows(groups, with_release)
@@ -421,7 +445,8 @@ class TestRoundTrip:
             tmp = pathlib.Path(tmp)
             write_csv(tmp / "t.csv", csv_rows, header=header)
             write_jsonl(tmp / "t.jsonl", jsonl_rows)
-            expected_instances, expected_releases = load_trace(tmp / "t.csv", P=8.0)
+            [whole] = stream_trace(tmp / "t.csv", P=8.0, chunk_size=DEFAULT_CHUNK_SIZE)
+            expected_instances, expected_releases = whole.batch.to_instances(), whole.releases
             for name in ("t.csv", "t.jsonl"):
                 chunks = list(stream_trace(tmp / name, P=8.0, chunk_size=chunk_size))
                 instances = [i for c in chunks for i in c.batch.to_instances()]
@@ -450,10 +475,10 @@ class TestRoundTrip:
         csv_rows, jsonl_rows = _groups_to_rows(groups, with_release=True)
         write_csv(tmp_path / "t.csv", csv_rows)
         write_jsonl(tmp_path / "t.jsonl", jsonl_rows)
-        from_csv = load_trace(tmp_path / "t.csv", P=8.0)
-        from_jsonl = load_trace(tmp_path / "t.jsonl", P=8.0)
-        assert from_csv[0] == from_jsonl[0]
-        assert np.array_equal(from_csv[1], from_jsonl[1])
+        [from_csv] = stream_trace(tmp_path / "t.csv", P=8.0)
+        [from_jsonl] = stream_trace(tmp_path / "t.jsonl", P=8.0)
+        assert from_csv.batch.to_instances() == from_jsonl.batch.to_instances()
+        assert np.array_equal(from_csv.releases, from_jsonl.releases)
 
     def test_format_sniffing_without_extension(self, tmp_path):
         _, jsonl_rows = _groups_to_rows(
@@ -462,8 +487,8 @@ class TestRoundTrip:
             with_release=True,
         )
         trace = write_jsonl(tmp_path / "trace.dat", jsonl_rows)
-        instances, _ = load_trace(trace, P=8.0)
-        assert len(instances) == 1
+        [chunk] = stream_trace(trace, P=8.0)
+        assert chunk.batch.batch_size == 1
 
 
 # --------------------------------------------------------------------- #
@@ -491,6 +516,18 @@ class TestStreamingMoments:
         assert math.isclose(chunked.mean, array.mean(), rel_tol=1e-9, abs_tol=1e-6)
         assert chunked.max == array.max() and chunked.min == array.min()
         assert math.isclose(chunked.std, float(array.std()), rel_tol=1e-6, abs_tol=1e-6)
+
+    def test_first_update_takes_the_batch_moments_as_they_are(self):
+        """One chunk folds to its own mean and m2 bit for bit, so a
+        one-chunk cell records the plain mean of its values."""
+        rng = np.random.default_rng(11)
+        for n in range(1, 200):
+            values = rng.lognormal(size=n)
+            moments = StreamingMoments()
+            moments.update(values)
+            assert moments.mean == float(values.mean())
+            assert moments.m2 == float(((values - values.mean()) ** 2).sum())
+            assert moments.count == n
 
     def test_merge_matches_sequential_update(self):
         rng = np.random.default_rng(3)
@@ -528,17 +565,17 @@ def _records_close(a, b, rtol=1e-6):
 
 class TestReplayStream:
     def test_matches_inmemory_sweep_on_truncated_prefix(self):
-        """The acceptance bar: a streamed sweep's summary table is
-        tolerance-identical to the in-memory path on the same prefix."""
+        """A chunked sweep's summary table is tolerance-identical to the
+        one-chunk sweep on the same prefix (the fold only reassociates)."""
         spec = ScenarioSpec.from_toml(SCENARIO_DIR / "trace_replay.toml").with_overrides(count=5)
         streamed_spec = spec.with_overrides(params={"chunk_size": 2})
         with ExecutionContext(seed=3, backend="vectorized") as ctx:
-            in_memory = SweepRunner(spec, ctx).run()
+            one_chunk = SweepRunner(spec, ctx).run()
         with ExecutionContext(seed=3, backend="vectorized") as ctx:
             streamed = SweepRunner(streamed_spec, ctx).run()
-        assert summary_table(in_memory.records, spec.metrics)[0] == \
+        assert summary_table(one_chunk.records, spec.metrics)[0] == \
             summary_table(streamed.records, spec.metrics)[0]
-        _records_close(streamed.records, in_memory.records)
+        _records_close(streamed.records, one_chunk.records)
 
     def test_streamed_spec_serial_equals_vectorized(self):
         spec = ScenarioSpec.from_toml(SCENARIO_DIR / "trace_stream.toml").with_overrides(count=6)
@@ -554,19 +591,27 @@ class TestReplayStream:
         )
         streamed_spec = spec.with_overrides(params={"chunk_size": 3})
         with ExecutionContext(seed=9, backend="vectorized") as ctx:
-            in_memory = SweepRunner(spec, ctx).run()
+            one_chunk = SweepRunner(spec, ctx).run()
         with ExecutionContext(seed=9, backend="vectorized") as ctx:
             streamed = SweepRunner(streamed_spec, ctx).run()
         # The chunk-by-chunk redraw threads one rng through the chunks, so
         # the drawn weights (not just their statistics) are identical.
-        _records_close(streamed.records, in_memory.records)
+        _records_close(streamed.records, one_chunk.records)
 
-    def test_synthetic_arrival_rejected_in_streaming_mode(self):
-        with pytest.raises(InvalidInstanceError, match="synthetic arrivals"):
-            replay_stream(
-                SAMPLE_TRACE, 8.0, chunk_size=2,
-                arrival={"process": "poisson", "rate": 1.0},
-            )
+    def test_synthetic_arrival_rejected_in_streaming_mode(self, tmp_path):
+        """Synthetic arrivals are one draw over the whole workload, so a
+        release-less trace that spans two chunks raises instead of drawing
+        releases that depend on where the chunks are cut."""
+        trace = write_csv(
+            tmp_path / "t.csv",
+            ["a,1.0,1.0,2.0", "b,2.0,1.0,2.0", "c,1.5,1.0,4.0"],
+            header="instance,volume,weight,delta",
+        )
+        arrival = {"process": "poisson", "rate": 1.0}
+        with pytest.raises(InvalidInstanceError, match="synthetic arrivals.*chunk_size"):
+            replay_stream(trace, 8.0, chunk_size=2, arrival=arrival)
+        _, total = replay_stream(trace, 8.0, chunk_size=3, arrival=arrival)
+        assert total == 3
 
     def test_map_batch_context_path_matches_inprocess(self):
         direct, total_direct = replay_stream(SAMPLE_TRACE, 8.0, chunk_size=3)
@@ -808,15 +853,3 @@ class TestSpecAndCli:
             main(["sweep", "e5-policy-comparison", "--stream-chunk", "64"])
         assert exc.value.code == 2
         assert "apply only to trace_replay specs" in capsys.readouterr().err
-
-    def test_cli_stream_chunk_zero_forces_inmemory(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            [
-                "sweep", str(SCENARIO_DIR / "trace_stream.toml"),
-                "--stream-chunk", "0",
-            ]
-        )
-        assert code == 0
-        assert "record(s)" in capsys.readouterr().out
