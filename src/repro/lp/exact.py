@@ -4,8 +4,13 @@ The exact optimum of MWCT-CB-F is ``min over orderings pi of LP(I, pi)``
 (Corollary 1).  The historical path enumerates all ``n!`` orderings — which
 caps the exact experiments at toy sizes.  This module replaces the
 enumeration with a bitmask-keyed branch-and-bound that fixes the ordering
-from the **end**:
+from the **end**, after settling in closed form the rows that need none:
 
+* Rows whose caps fit the platform (``sum(delta) <= P``, an exact test)
+  need no search.  Every task can run at its cap from ``t = 0``, which
+  meets the height floor ``C_i >= V_i / delta_i`` of Lemma 1 for every task
+  at once, so ``OPT = sum w_i V_i / delta_i`` and the tasks complete in
+  height order.  Only the other rows enter the search below.
 * A search node fixes the *last* ``m`` completions (the ordered tail),
   keyed by the tail's task bitmask.  Branching from the end is what makes
   the bounds bite: the largest completion times carry the dominant
@@ -122,9 +127,17 @@ _LP_CHUNK = 64
 #: (:func:`solve_ordered_lps`).  The lockstep kernel amortises the Python
 #: interpreter across a stack, which wins while the tableaus are small: on
 #: stacks of 8 and 64 ``cluster_instances`` LPs (2 CPUs) it beats per-LP
-#: HiGHS 3-31x at 3-5 tasks and 1.1-2.1x at 7-8 tasks.  Past 8 tasks its
-#: dense Bland pivoting loses (HiGHS 1.3x faster at 9 tasks, 2x at 10, 4x at
-#: 12), so larger stacks go to one HiGHS call per LP on the same tensors.
+#: HiGHS 3-31x at 3-5 tasks and 1.1-2.1x at 7-8 tasks.  At 9 tasks it still
+#: wins on the leaf stacks the search makes: on the 16 ``n = 9`` stacks of
+#: the ``exact-opt`` instances (``P = 128``, 222 LPs, 1 to 64 per stack) it
+#: took 0.44 s against 0.52 s, and HiGHS was faster only on single-LP
+#: stacks (0.62-0.69x of the lockstep time; 0.97-1.12x at 2 LPs, 1.08-1.62x
+#: from 4).  Past 9 tasks its dense pivoting loses: HiGHS took 0.72x of the
+#: lockstep time on the 2 118 leaf LPs of ``cluster_instances`` at ``B =
+#: 64, n = 10`` and 0.44x on the 90 of one ``n = 12`` instance.  Stacks
+#: above this size go to one HiGHS call per LP on the same tensors; by the
+#: ``n = 9`` figures a threshold of 9 would be faster, but it has not been
+#: raised yet.
 _LOCKSTEP_MAX_TASKS = 8
 
 #: Relative pruning margin: nodes are discarded only when their lower bound
@@ -201,6 +214,11 @@ class ExactSearchStats:
         refresh, and one for the leaves that survive their floors.
     greedy_rows:
         Placement orders those calls evaluated.
+
+    Rows whose caps fit the platform are settled in closed form before the
+    search and add nothing to any counter: no node, greedy call or LP.  So
+    ``pruned`` is, by design, ``n`` lower per such row than a search of it
+    would count (its depth-1 children, which the height floors prune).
     """
 
     lps_solved: int = 0
@@ -700,7 +718,9 @@ def branch_and_bound_optimal_batch(
     replacement for its ``n!`` enumeration (``method="enumerate"``):
     identical objectives — property-tested for every ``n <= 7``
     batch Hypothesis finds — at a small fraction of the LP count, raising
-    the practical exact ceiling from ``n = 7`` to ``n ~ 14``.
+    the practical exact ceiling from ``n = 7`` to ``n ~ 14``.  Rows with
+    ``sum(delta) <= P`` take their heights ``V / delta`` as completion
+    times, in closed form; only the others are searched.
 
     Parameters
     ----------
@@ -726,26 +746,34 @@ def branch_and_bound_optimal_batch(
     from repro.lp.batch import BatchedOptimalResult
 
     counts = np.asarray(batch.counts, dtype=int)
-    if np.any(counts > max_tasks):
+    if (counts > max_tasks).any():
         raise InvalidInstanceError(
             f"branch-and-bound exact optimum is limited to {max_tasks} tasks per row "
             f"(got {int(counts.max())}); raise max_tasks deliberately if needed"
         )
     B, N = batch.batch_size, batch.n_max
+    P = np.asarray(batch.P, dtype=float)
+    masked = [np.where(batch.mask, a, 0.0) for a in (batch.volumes, batch.weights, batch.deltas)]
     objectives = np.zeros(B)
-    orders = np.broadcast_to(np.arange(N, dtype=np.int64), (B, N)).copy()
+    orders = np.tile(np.arange(N, dtype=np.int64), (B, 1))
     stats = ExactSearchStats()
-    for n in sorted(set(int(c) for c in counts)):
-        rows = np.nonzero(counts == n)[0]
-        if n == 0:
+    for n in sorted(set(counts.tolist()) - {0}):
+        # Real tasks are a row's first ``n`` slots, so every sum below runs
+        # over the row's own tasks alone, whatever the batch's padding.
+        group = np.nonzero(counts == n)[0]
+        volumes, weights, deltas = (a[group, :n] for a in masked)
+        # Caps within the platform: every task runs at its cap from t = 0,
+        # which meets every height floor C_i >= V_i / delta_i at once, so
+        # the heights are an optimal schedule and need no search.
+        fits = deltas.sum(axis=1) <= P[group]
+        heights = volumes[fits] / deltas[fits]
+        objectives[group[fits]] = (weights[fits] * heights).sum(axis=1)
+        orders[group[fits], :n] = np.argsort(heights, axis=1, kind="stable")
+        if fits.all():
             continue
+        rows = group[~fits]
         group_values, group_orders, group_stats = _search_group(
-            np.asarray(batch.P, dtype=float)[rows],
-            np.where(batch.mask, batch.volumes, 0.0)[rows, :n],
-            np.where(batch.mask, batch.weights, 0.0)[rows, :n],
-            batch.deltas[rows, :n],
-            ctx,
-            chunk_size,
+            P[rows], volumes[~fits], weights[~fits], deltas[~fits], ctx, chunk_size
         )
         stats.merge(group_stats)
         objectives[rows] = group_values

@@ -36,6 +36,7 @@ Examples
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
@@ -205,8 +206,9 @@ def cell_chunks(
     and the ``arrival`` release times (zero on padding slots).
 
     Synthetic arrivals are drawn over the whole chunk, so a trace cell with
-    one raises on its second chunk: the draws would depend on where the
-    chunks are cut.  A trace with a ``release`` column fixes every arrival,
+    one reads a chunk ahead and raises, before yielding any chunk, when the
+    trace needs a second: the draws would depend on where the chunks are
+    cut.  A trace with a ``release`` column fixes every arrival,
     and only the ``"trace"`` process (or none) may go with it.  The chunks
     are the same on every backend: this is the one source of every
     ``policies`` cell.
@@ -230,6 +232,19 @@ def cell_chunks(
                 f"'format' parameters, got {sorted(kwargs)}"
             )
         chunks = stream.stream_trace(trace, P, chunk_size=chunk_size, max_instances=count, fmt=fmt)
+        if synthetic:
+            # Read one chunk ahead, so a trace that needs a second chunk
+            # raises before any chunk is simulated.  A first chunk with
+            # releases raises its own conflict in the loop below.
+            head = list(itertools.islice(chunks, 2))
+            if len(head) > 1 and head[0].releases is None:
+                raise InvalidInstanceError(
+                    f"synthetic arrivals (process {process!r}) are drawn over the "
+                    f"whole workload, but trace {trace!r} does not fit in one "
+                    "chunk: raise params.chunk_size to at least the instance count, "
+                    "or replay a trace with a 'release' column"
+                )
+            chunks = itertools.chain(head, chunks)
     else:
         factory = workload_generator(generator)
         n = int(kwargs.pop("n", 8))
@@ -249,13 +264,6 @@ def cell_chunks(
         if releases is None and process == "trace" and generator == "trace_replay":
             raise InvalidInstanceError(
                 f"arrival process 'trace' requires a 'release' column in trace {trace!r}"
-            )
-        if synthetic and chunk.start > 0:
-            raise InvalidInstanceError(
-                f"synthetic arrivals (process {process!r}) are drawn over the "
-                f"whole workload, but trace {trace!r} does not fit in one "
-                "chunk: raise params.chunk_size to at least the instance count, "
-                "or replay a trace with a 'release' column"
             )
         batch = chunk.batch
         if weight.get("dist") is not None:

@@ -162,9 +162,8 @@ class TestBranchAndBoundMatchesEnumeration:
         assert stats.nodes_expanded > 0 and stats.frontier_peak > 0
         assert stats.greedy_calls >= 1 and stats.greedy_rows >= stats.greedy_calls
 
-    #: sum(delta) <= P: every task runs at its cap from time 0 in every
-    #: schedule, so the Algorithm 3 seed is optimal and the height floors
-    #: prune the whole search before any leaf.
+    #: sum(delta) <= P: every task runs at its cap from time 0, which meets
+    #: every height floor at once, so the row is settled in closed form.
     CAPS_WITHIN_THE_PLATFORM = dict(
         P=[6.0],
         volumes=[[3.0, 1.0, 4.0, 1.5, 5.0, 9.0]],
@@ -172,22 +171,90 @@ class TestBranchAndBoundMatchesEnumeration:
         deltas=[[1.0, 0.5, 2.0, 0.25, 1.5, 0.75]],
     )
 
+    #: Every cap equals P (sum(delta) = nP > P), so the row is searched.
+    #: Without caps the platform is one machine of speed P, where Smith's
+    #: rule is optimal and the depth-1 bounds (the front's Smith bound plus
+    #: V/P for the last task) are exact: every child of the root is pruned.
+    UNCAPPED = dict(
+        P=[2.0],
+        volumes=[[3.0, 1.0, 4.0, 1.5, 5.0, 9.0]],
+        weights=[[2.0, 7.0, 1.0, 8.0, 2.5, 0.5]],
+        deltas=[[2.0] * 6],
+    )
+
     def test_caps_within_the_platform_need_no_lp(self):
         batch = InstanceBatch.from_arrays(**self.CAPS_WITHIN_THE_PLATFORM)
         engine = branch_and_bound_optimal_batch(batch)
         assert engine.stats.lps_solved == 0
-        expected = (batch.weights * batch.volumes / batch.deltas).sum()
-        assert engine.objectives[0] == pytest.approx(expected, rel=1e-12)
+        assert engine.stats.greedy_calls == 0 and engine.stats.nodes_expanded == 0
+        heights = batch.volumes / batch.deltas
+        assert engine.objectives[0] == pytest.approx((batch.weights * heights).sum(), rel=1e-12)
+        assert engine.orders[0].tolist() == np.argsort(heights[0], kind="stable").tolist()
 
     def test_a_search_ending_at_depth_one_makes_one_greedy_call(self):
         # The seeds and the depth-1 refresh (each task last) share one
         # Algorithm 3 kernel call; the root's children are all pruned.
-        batch = InstanceBatch.from_arrays(**self.CAPS_WITHIN_THE_PLATFORM)
+        batch = InstanceBatch.from_arrays(**self.UNCAPPED)
+        assert batch.deltas.sum() > batch.P[0]
         stats = branch_and_bound_optimal_batch(batch).stats
         n = batch.n_max
         assert stats.nodes_expanded == 1 and stats.pruned == n
         assert stats.greedy_calls == 1
         assert stats.greedy_rows == 6 + n  # six heuristic seeds, n refresh orders
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_caps_within_the_platform_match_enumeration_and_bruteforce(self, data):
+        # Caps are multiples of P/64, so their sums are exact and the
+        # boundary sum(delta) == P is drawn as often as the rows below it.
+        rows = data.draw(st.integers(1, 3))
+        n_max = data.draw(st.integers(1, 6))
+        P = np.array([data.draw(st.integers(1, 16)) / 4.0 for _ in range(rows)])
+        volumes, weights, deltas = (np.zeros((rows, n_max)) for _ in range(3))
+        mask = np.zeros((rows, n_max), dtype=bool)
+        for r in range(rows):
+            n = data.draw(st.integers(1, n_max))
+            parts = data.draw(st.lists(st.integers(1, 64 // n_max), min_size=n, max_size=n))
+            if data.draw(st.booleans()):
+                parts[-1] = 64 - sum(parts[:-1])  # sum(delta) == P exactly
+            deltas[r, :n] = P[r] * np.array(parts) / 64.0
+            volumes[r, :n] = data.draw(
+                st.lists(st.floats(0.05, 10.0, **finite) | st.just(0.0), min_size=n, max_size=n)
+            )
+            weights[r, :n] = data.draw(
+                st.lists(st.floats(0.05, 10.0, **finite) | st.just(0.0), min_size=n, max_size=n)
+            )
+            mask[r, :n] = True
+        batch = InstanceBatch.from_arrays(P=P, volumes=volumes, weights=weights, deltas=deltas, mask=mask)
+        assert np.all(np.where(mask, deltas, 0.0).sum(axis=1) <= P)
+        engine = branch_and_bound_optimal_batch(batch)
+        assert engine.stats == ExactSearchStats()  # no row was searched
+        reference = optimal(batch, method="enumerate")
+        assert np.all(times_close(engine.objectives, reference.objectives, rtol=1e-9, atol=1e-9))
+        for r in range(rows):
+            n = int(mask[r].sum())
+            # The task-space oracle needs positive volumes; n <= 4 keeps it fast.
+            if n <= 4 and np.all(volumes[r, :n] > 0):
+                value = bruteforce_opt(batch.instance(r))
+                assert engine.objectives[r] == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+    def test_mixed_batch_equals_each_row_alone(self):
+        # Rows settled in closed form and searched rows side by side: each
+        # row's answer is its own, and the search sees only its rows.
+        within = list(cluster_instances(6, 6, P=128.0, rng=np.random.default_rng(5)))
+        searched = list(uniform_instances(5, 4, rng=np.random.default_rng(5)))
+        insts = [inst for pair in zip(within, searched) for inst in pair] + within[4:]
+        fits = [sum(t.delta for t in inst.tasks) <= inst.P for inst in insts]
+        assert any(fits) and not all(fits)
+        mixed = branch_and_bound_optimal_batch(InstanceBatch.from_instances(insts))
+        for b, inst in enumerate(insts):
+            alone = branch_and_bound_optimal_batch(InstanceBatch.from_instances([inst]))
+            assert mixed.objectives[b] == alone.objectives[0]
+            assert mixed.orders[b, : inst.n].tolist() == alone.orders[0, : inst.n].tolist()
+        searched_only = [inst for inst, fit in zip(insts, fits) if not fit]
+        assert mixed.stats == branch_and_bound_optimal_batch(
+            InstanceBatch.from_instances(searched_only)
+        ).stats
 
     def test_merge_sums_the_greedy_counters(self):
         total = ExactSearchStats(greedy_calls=2, greedy_rows=30, frontier_peak=4)

@@ -598,20 +598,36 @@ class TestReplayStream:
         # the drawn weights (not just their statistics) are identical.
         _records_close(streamed.records, one_chunk.records)
 
-    def test_synthetic_arrival_rejected_in_streaming_mode(self, tmp_path):
+    def test_synthetic_arrival_rejected_in_streaming_mode(self, tmp_path, monkeypatch):
         """Synthetic arrivals are one draw over the whole workload, so a
         release-less trace that spans two chunks raises instead of drawing
-        releases that depend on where the chunks are cut."""
+        releases that depend on where the chunks are cut — before the first
+        chunk is simulated."""
+        from repro.batch import sim_kernels
+
         trace = write_csv(
             tmp_path / "t.csv",
             ["a,1.0,1.0,2.0", "b,2.0,1.0,2.0", "c,1.5,1.0,4.0"],
             header="instance,volume,weight,delta",
         )
+        simulated = []
+        original = sim_kernels.simulate_batch
+
+        def counting(*args, **kwargs):
+            simulated.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sim_kernels, "simulate_batch", counting)
+        folded = []
         arrival = {"process": "poisson", "rate": 1.0}
         with pytest.raises(InvalidInstanceError, match="synthetic arrivals.*chunk_size"):
-            replay_stream(trace, 8.0, chunk_size=2, arrival=arrival)
+            replay_stream(
+                trace, 8.0, chunk_size=2, arrival=arrival,
+                on_chunk=lambda chunk, metrics: folded.append(chunk),
+            )
+        assert folded == [] and simulated == []
         _, total = replay_stream(trace, 8.0, chunk_size=3, arrival=arrival)
-        assert total == 3
+        assert total == 3 and simulated
 
     def test_map_batch_context_path_matches_inprocess(self):
         direct, total_direct = replay_stream(SAMPLE_TRACE, 8.0, chunk_size=3)
