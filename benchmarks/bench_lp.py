@@ -16,6 +16,16 @@ The default task count is small on purpose: the batched solver exists for
 the *ordering* workloads (E1-E3 enumerate permutations of n <= 5; the
 lockstep tableau grows as O(n^4) per problem), not to race HiGHS on a single
 large LP — ``bench_scaling.py`` covers that regime.
+
+The ``lp_{lockstep,block_highs}_n{6,7}_K{1,64}`` rows time both solvers of
+the size rule on the same stacks of ``K`` LPs, at the rule's threshold
+``_LOCKSTEP_MAX_TASKS = 6`` and one task above it, so each solver keeps a
+measured reason to exist.  The LPs are those of ``cluster_instances``'
+optimal orders: near-optimal orders are what the exact search's surviving
+leaves solve, and they take the lockstep kernel fewer pivots than arbitrary
+orders do (on Smith-order stacks block HiGHS already wins at 6 tasks).  The
+``lockstep_over_block_highs_*`` ratios read above 1 where block HiGHS is
+the faster solver.
 """
 
 from __future__ import annotations
@@ -24,9 +34,12 @@ import numpy as np
 import pytest
 
 from repro.core.batch import InstanceBatch
-from repro.lp.batch import optimal, smith_orders_batch, solve_ordered_relaxation_batch
+from repro.lp.batch import build_ordered_lp_batch, optimal, smith_orders_batch, solve_ordered_relaxation_batch
+from repro.lp.exact import _LOCKSTEP_MAX_TASKS
 from repro.lp.interface import solve_ordered_relaxation
-from repro.workloads.generators import uniform_instances
+from repro.lp.scipy_backend import solve_block_diagonal
+from repro.lp.simplex import solve_linear_program_batch
+from repro.workloads.generators import cluster_instances, uniform_instances
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +144,24 @@ def run_lp_benchmark(
     return benchmarks, derived
 
 
+def run_threshold_benchmark(seed: int = 13, repeats: int = 3) -> tuple[dict, dict]:
+    """Lockstep against block HiGHS at the size rule's threshold and one task above."""
+    from _common import best_of
+
+    benchmarks, derived = {}, {}
+    for n in (_LOCKSTEP_MAX_TASKS, _LOCKSTEP_MAX_TASKS + 1):
+        batch = InstanceBatch.from_instances(list(cluster_instances(n, 64, rng=np.random.default_rng(seed))))
+        lp = build_ordered_lp_batch(batch, optimal(batch).orders)
+        for K in (1, 64):
+            tensors = (lp.c[:K], lp.A_ub[:K], lp.b_ub[:K], lp.A_eq[:K], lp.b_eq[:K])
+            lockstep = best_of(lambda: solve_linear_program_batch(*tensors), repeats)
+            block = best_of(lambda: solve_block_diagonal(*tensors), repeats)
+            benchmarks[f"lp_lockstep_n{n}_K{K}"] = lockstep
+            benchmarks[f"lp_block_highs_n{n}_K{K}"] = block
+            derived[f"lockstep_over_block_highs_n{n}_K{K}"] = lockstep / max(block, 1e-12)
+    return benchmarks, derived
+
+
 def main(argv=None) -> int:
     import argparse
 
@@ -159,6 +190,9 @@ def main(argv=None) -> int:
     benchmarks, derived = run_lp_benchmark(
         batch_size=batch_size, task_count=task_count, seed=args.seed, repeats=args.repeats
     )
+    threshold_benchmarks, threshold_derived = run_threshold_benchmark(seed=args.seed, repeats=args.repeats)
+    benchmarks.update(threshold_benchmarks)
+    derived.update(threshold_derived)
     write_payload("lp", config, benchmarks, derived, args.output)
     for name, seconds in sorted(benchmarks.items()):
         print(f"  {name}: {seconds * 1e3:.2f} ms")

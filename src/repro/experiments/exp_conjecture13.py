@@ -183,7 +183,7 @@ def run(
         summary["LP values reversal-symmetric"] = lp_holds
         notes.append(
             "The '(LP values)' rows check the symmetry for the exact optimal-for-order values "
-            "of the Corollary 1 LP (the lockstep kernel up to 8 tasks, HiGHS above), not "
+            "of the Corollary 1 LP (the lockstep kernel up to 6 tasks, HiGHS above), not "
             "just the greedy recurrence."
         )
         engine_rows, engine_match = _exact_engine_cross_check(ctx, lp_sizes, lp_count)

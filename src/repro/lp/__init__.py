@@ -5,8 +5,11 @@ is fixed, the optimal malleable schedule is the solution of a linear program.
 This subpackage provides
 
 * :mod:`repro.lp.formulation` — construction of that LP in matrix form,
-* :mod:`repro.lp.scipy_backend` — :func:`~repro.lp.scipy_backend.solve_with_scipy`,
-  the one call into :func:`scipy.optimize.linprog` (HiGHS),
+* :mod:`repro.lp.scipy_backend` — the one call into HiGHS
+  (:func:`scipy.optimize.milp` without integrality):
+  :func:`~repro.lp.scipy_backend.solve_block_diagonal` solves a stack of
+  LPs as one block-diagonal LP, :func:`~repro.lp.scipy_backend.solve_with_scipy`
+  is its one-LP case,
 * :mod:`repro.lp.simplex` — the in-repo dense two-phase simplex, a lockstep
   batched kernel (:func:`~repro.lp.simplex.solve_linear_program_batch`)
   that solves many same-shape LPs at once and is cross-checked against
@@ -22,7 +25,7 @@ This subpackage provides
   ordering enumeration behind :func:`~repro.lp.batch.optimal`) and the one
   solver rule every batched solve goes through,
   :func:`~repro.lp.exact.solve_ordered_lps`: the problem size picks the
-  lockstep kernel (at most 8 tasks) or one HiGHS call per LP.
+  lockstep kernel (at most 6 tasks) or one block-diagonal HiGHS solve.
 
 Exact optima have a single entry point, :func:`repro.lp.optimal`, with
 ``method`` drawn from :data:`repro.lp.OPTIMAL_METHODS`

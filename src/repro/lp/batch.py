@@ -15,8 +15,9 @@ for a whole :class:`~repro.core.batch.InstanceBatch`:
 * **Solving** — the tensors go to the one ordered-LP solver rule,
   :func:`repro.lp.exact.solve_ordered_lps`: the lockstep dense simplex
   kernel :func:`repro.lp.simplex.solve_linear_program_batch` up to
-  ``_LOCKSTEP_MAX_TASKS = 8`` padded tasks, one HiGHS call per row above
-  (sharded over :meth:`repro.exec.ExecutionContext.map` when a context is
+  ``_LOCKSTEP_MAX_TASKS = 6`` padded tasks, one block-diagonal HiGHS solve
+  of the whole stack above (one per shard of
+  :meth:`repro.exec.ExecutionContext.map` when an off-process context is
   given).  Times and rates are read back from the solution vectors through
   :class:`BatchedOrderedLP` whichever solver ran.
 
@@ -282,7 +283,8 @@ class BatchedOrderedSolution:
         padding slots at zero in :meth:`completion_times_by_task`.
     statuses, iterations:
         Per-problem solver status (always ``"optimal"`` for this LP) and
-        iteration counts (lockstep pivots, or HiGHS iterations).
+        iteration counts: lockstep pivots, or 0 for rows of a block HiGHS
+        solve (which reports no iteration count).
     lp:
         The batched LP tensors that were solved (``None`` on the deprecated
         task-space ``backend="scipy"`` path).
@@ -356,8 +358,8 @@ def solve_ordered_relaxation_batch(
 
     The padded tensors are assembled once (:func:`build_ordered_lp_batch`)
     and solved by :func:`repro.lp.exact.solve_ordered_lps`: the batch's
-    padded task count picks the lockstep kernel (at most 8 tasks) or one
-    HiGHS call per row.
+    padded task count picks the lockstep kernel (at most 6 tasks) or one
+    block-diagonal HiGHS solve of all rows.
 
     Parameters
     ----------
@@ -511,9 +513,9 @@ def optimal(
         LP solved.
 
     Both methods solve their LPs through
-    :func:`repro.lp.exact.solve_ordered_lps` (the lockstep kernel up to 8
-    tasks, HiGHS above); ``ctx`` shards the HiGHS solves of an off-process
-    context over its workers.
+    :func:`repro.lp.exact.solve_ordered_lps` (the lockstep kernel up to 6
+    tasks, one block-diagonal HiGHS solve per stack above); ``ctx`` shards
+    the HiGHS stacks of an off-process context over its workers.
     ``chunk_size`` is the LPs per solve; left ``None``, each method takes
     its own default (64 for branch-and-bound, whose leaf chunks prune each
     other, 1024 for enumeration).  ``max_tasks`` guards the exponential

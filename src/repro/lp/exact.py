@@ -49,15 +49,18 @@ Every exact LP of the package — the leaves here, and every row of
 rule, :func:`solve_ordered_lps`: the problem size picks the solver.  A
 stack of at most :data:`_LOCKSTEP_MAX_TASKS` tasks goes through one lockstep
 solve (:func:`repro.lp.simplex.solve_linear_program_batch`); a larger one
-through one HiGHS call per LP on the same assembled tensors, sharded over
-``ctx.map`` when an execution context is given.
+through one block-diagonal HiGHS solve of the whole stack
+(:func:`repro.lp.scipy_backend.solve_block_diagonal`), one per shard when an
+off-process execution context is given.
 
 Against the ``n!`` enumeration this drops the LP count by three to five
-orders of magnitude (a few hundred LPs instead of 3.6M at ``n = 10``) and
-raises the practical exact ceiling from ``n = 7`` to ``n ~ 12-14`` on
-realistic workloads.  Worst-case behaviour is still exponential: instances
-whose cap spread makes many orderings near-ties (for example one task with
-``delta ~ 0`` dominating the horizon) can leave large leaf bands.
+orders of magnitude (a few hundred LPs instead of 3.6M at ``n = 10``).  On
+``cluster_instances`` that raises the practical exact ceiling from ``n = 7``
+to ``n ~ 12-14``; other families are harder: a ``uniform_instances`` row
+at ``n = 9`` averages about 12 s.  Worst-case behaviour is still
+exponential: instances whose cap spread makes many orderings near-ties (for
+example one task with ``delta ~ 0`` dominating the horizon) can leave large
+leaf bands.
 
 No dominance
 ------------
@@ -94,7 +97,7 @@ import numpy as np
 
 from repro.core.batch import InstanceBatch
 from repro.core.exceptions import InvalidInstanceError, SolverError
-from repro.lp.scipy_backend import LinearProgramResult, solve_with_scipy
+from repro.lp.scipy_backend import solve_block_diagonal
 from repro.lp.simplex import BatchLinearProgramResult, solve_linear_program_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,36 +112,45 @@ __all__ = [
     "solve_ordered_lps",
 ]
 
-#: Guard on the practical exact ceiling.  Branch-and-bound routinely solves
-#: ``n = 12 .. 14`` in seconds where enumeration would need ``10^8+`` LPs,
-#: but the worst case is still exponential, hence a deliberate opt-out.
+#: Guard on the practical exact ceiling.  Branch-and-bound solves
+#: ``cluster_instances`` rows of ``n = 12 .. 14`` in seconds where
+#: enumeration would need ``10^8+`` LPs, but other families reach seconds
+#: much sooner (a ``uniform_instances`` row at ``n = 9`` averages about 12 s)
+#: and the worst case is exponential, hence a deliberate opt-out.
 MAX_BRANCH_AND_BOUND_TASKS = 14
 
 #: LPs per :func:`solve_ordered_lps` call.  Leaves are solved in
 #: ascending-bound chunks of this size and each chunk's values prune the
-#: rest, so a small chunk proves a row sooner; it also bounds the dense
-#: tableau memory.  On ``cluster_instances`` (2 CPUs) 64 instead of 1024 cut
-#: the LPs 3 207 -> 2 118 at ``B = 64, n = 10`` and 262 -> 90 on one
-#: ``n = 12`` instance, and lockstep stacks ran no slower (16 uniform
-#: ``n = 7`` instances: 3.0 s against 3.8 s).
+#: rest, so a small chunk proves a row sooner.  It also bounds a lockstep
+#: stack's dense tableau memory and the size of a block-diagonal HiGHS LP,
+#: whose cost per block grows with the block count (``uniform_instances``
+#: at ``n = 10``: 1.0 ms per LP in a 64-LP block, 2.1 ms in a 1 024-LP one).
+#: On ``cluster_instances`` (2 CPUs) 64 instead of 1024 cut the LPs
+#: 3 207 -> 2 118 at ``B = 64, n = 10`` and 262 -> 90 on one ``n = 12``
+#: instance.
 _LP_CHUNK = 64
 
 #: Largest task count solved with the lockstep dense simplex
-#: (:func:`solve_ordered_lps`).  The lockstep kernel amortises the Python
-#: interpreter across a stack, which wins while the tableaus are small: on
-#: stacks of 8 and 64 ``cluster_instances`` LPs (2 CPUs) it beats per-LP
-#: HiGHS 3-31x at 3-5 tasks and 1.1-2.1x at 7-8 tasks.  At 9 tasks it still
-#: wins on the leaf stacks the search makes: on the 16 ``n = 9`` stacks of
-#: the ``exact-opt`` instances (``P = 128``, 222 LPs, 1 to 64 per stack) it
-#: took 0.44 s against 0.52 s, and HiGHS was faster only on single-LP
-#: stacks (0.62-0.69x of the lockstep time; 0.97-1.12x at 2 LPs, 1.08-1.62x
-#: from 4).  Past 9 tasks its dense pivoting loses: HiGHS took 0.72x of the
-#: lockstep time on the 2 118 leaf LPs of ``cluster_instances`` at ``B =
-#: 64, n = 10`` and 0.44x on the 90 of one ``n = 12`` instance.  Stacks
-#: above this size go to one HiGHS call per LP on the same tensors; by the
-#: ``n = 9`` figures a threshold of 9 would be faster, but it has not been
-#: raised yet.
-_LOCKSTEP_MAX_TASKS = 8
+#: (:func:`solve_ordered_lps`); larger stacks take one block-diagonal HiGHS
+#: solve.  Both amortise a per-call cost across the stack: the lockstep
+#: kernel the interpreter, the block solve HiGHS's set-up.  On stacks of 1,
+#: 8 and 64 leaf LPs captured from ``cluster_instances`` searches (``P = 64``
+#: and ``128``, 2 CPUs), lockstep took 1.55 / 0.37 / 0.16 ms per LP at 5
+#: tasks against 1.33 / 0.45 / 0.30 for block HiGHS, 1.98 / 0.45 / 0.35
+#: against 1.37 / 0.46 / 0.46 at 6 tasks, and 2.86 / 0.76 / 0.67 against
+#: 1.55 / 0.56 / 0.57 at 7 tasks, and the gap widens with ``n`` (1.8
+#: against 1.0 ms per LP on 64 LPs at 9 tasks).  Most leaf stacks hold one
+#: or two LPs, where block HiGHS wins from 6 tasks on; the lockstep kernel
+#: keeps 6 for its large stacks.  ``benchmarks/bench_lp.py`` keeps rows at 6
+#: and 7 tasks; on 64 optimal-order LPs there the lockstep kernel can still
+#: match block HiGHS at 7 tasks.
+_LOCKSTEP_MAX_TASKS = 6
+
+#: Rows searched together by :func:`branch_and_bound_optimal_batch`.  The
+#: search's arrays grow with its rows (every live tail of every row), so a
+#: task-count group is searched in blocks of this many rows; the rows are
+#: independent, so blocks change no row's result.
+_SEARCH_ROW_BLOCK = 1024
 
 #: Relative pruning margin: nodes are discarded only when their lower bound
 #: cannot improve the incumbent by more than this relative amount, keeping
@@ -247,11 +259,6 @@ class ExactSearchStats:
 # --------------------------------------------------------------------- #
 
 
-def _solve_with_highs(tensors: "tuple[np.ndarray, ...]") -> LinearProgramResult:
-    """One HiGHS solve of ``(c, A_ub, b_ub, A_eq, b_eq)``; module-level so it pickles."""
-    return solve_with_scipy(*tensors)
-
-
 def solve_ordered_lps(
     lp: "BatchedOrderedLP", ctx: "ExecutionContext | None" = None
 ) -> BatchLinearProgramResult:
@@ -260,8 +267,9 @@ def solve_ordered_lps(
     The one solver rule of the LP layer: LPs of at most
     :data:`_LOCKSTEP_MAX_TASKS` tasks go through one lockstep solve
     (:func:`repro.lp.simplex.solve_linear_program_batch`), larger ones
-    through one HiGHS call per LP (:func:`_solve_with_highs_stack`).  Both
-    return the full variable vectors, so callers read times and rates back
+    through one block-diagonal HiGHS solve of the stack
+    (:func:`_solve_with_highs_stack`).  Both return the full variable
+    vectors, so callers read times and rates back
     through :meth:`~repro.lp.batch.BatchedOrderedLP.extract_completion_times`
     and :meth:`~repro.lp.batch.BatchedOrderedLP.extract_rates` whichever
     solver ran.
@@ -282,15 +290,19 @@ def solve_ordered_lps(
 def _solve_with_highs_stack(
     lp: "BatchedOrderedLP", ctx: "ExecutionContext | None"
 ) -> BatchLinearProgramResult:
-    """One HiGHS solve per LP of the stack, sharded over ``ctx.map`` when given."""
-    stack = [(lp.c[i], lp.A_ub[i], lp.b_ub[i], lp.A_eq[i], lp.b_eq[i]) for i in range(lp.c.shape[0])]
-    solved = ctx.map(_solve_with_highs, stack) if ctx is not None else list(map(_solve_with_highs, stack))
-    return BatchLinearProgramResult(
-        x=np.array([r.x for r in solved]).reshape(len(solved), lp.num_variables),
-        objectives=np.array([r.objective for r in solved], dtype=float),
-        statuses=np.array([r.status for r in solved], dtype=object),
-        iterations=np.array([r.iterations for r in solved], dtype=np.int64),
-    )
+    """One block-diagonal HiGHS solve of the stack, one per shard over an off-process ``ctx``."""
+    tensors = (lp.c, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq)
+    if ctx is None or not ctx.off_process:
+        return solve_block_diagonal(*tensors)
+    from repro.exec.context import chunk_ranges
+
+    shards = [tuple(t[lo:hi] for t in tensors) for lo, hi in chunk_ranges(lp.c.shape[0], ctx.cluster().live_workers())]
+    return BatchLinearProgramResult.concatenate(ctx.map(_solve_shard, shards))
+
+
+def _solve_shard(tensors: "tuple[np.ndarray, ...]") -> BatchLinearProgramResult:
+    """:func:`solve_block_diagonal` of one shard; module-level so it pickles."""
+    return solve_block_diagonal(*tensors)
 
 
 def _require_optimal(result: BatchLinearProgramResult) -> BatchLinearProgramResult:
@@ -471,34 +483,31 @@ def _tail_completion_floors(
     before any LP is solved.
     """
     C, m = tail_orders.shape
-    rows = np.arange(C)
-    gather = rows[:, None]
+    gather = np.arange(C)[:, None]
     v_t = volumes[gather, tail_orders]
     d_t = deltas[gather, tail_orders]
     cum_v = np.concatenate([V_S[:, None], v_t], axis=1).cumsum(axis=1)
     cum_d = np.concatenate([D_S[:, None], d_t], axis=1).cumsum(axis=1)
-    t = np.zeros((C, m))
-    for p in range(1, m + 1):
-        floor = np.zeros(C)
-        for start in range(p + 1):
-            vol = cum_v[:, p] - (cum_v[:, start - 1] if start else 0.0)
-            cap = np.minimum(P, cum_d[:, p] - (cum_d[:, start - 1] if start else 0.0))
-            floor = np.maximum(floor, vol / np.maximum(cap, 1e-300))
-        t[:, p - 1] = floor
+    # Windows ``start .. p`` of the pseudo positions (0 = the front), as a
+    # ``(C, p, start)`` grid: ``before[:, start]`` is what precedes ``start``.
+    before_v = np.concatenate([np.zeros((C, 1)), cum_v[:, :-1]], axis=1)
+    before_d = np.concatenate([np.zeros((C, 1)), cum_d[:, :-1]], axis=1)
+    vol = cum_v[:, 1:, None] - before_v[:, None, :]
+    cap = np.minimum(P[:, None, None], cum_d[:, 1:, None] - before_d[:, None, :])
+    window = np.arange(m + 1) <= np.arange(1, m + 1)[:, None]
+    t = np.divide(vol, np.maximum(cap, 1e-300), out=np.zeros_like(vol), where=window).max(axis=2)
     height_order = np.argsort(-heights, axis=1)
     v_h = volumes[gather, height_order]
     d_h = deltas[gather, height_order]
-    # Membership in height order: ``rank[c, i]`` is task ``i``'s position there.
-    member_h = front[gather, height_order]
-    rank = np.empty_like(height_order)
-    rank[gather, height_order] = np.arange(height_order.shape[1])
-    tail_rank = rank[gather, tail_orders]
-    for p in range(1, m + 1):
-        member_h[rows, tail_rank[:, p - 1]] = True
-        cv = np.cumsum(np.where(member_h, v_h, 0.0), axis=1)
-        cd = np.minimum(P[:, None], np.cumsum(np.where(member_h, d_h, 0.0), axis=1))
-        ratio = (cv / np.maximum(cd, 1e-300)).max(axis=1)
-        t[:, p - 1] = np.maximum(t[:, p - 1], ratio)
+    # Membership in height order after each tail position ``p``: the front,
+    # plus the tail tasks placed at positions ``<= p``.
+    slot = np.full(height_order.shape, m)
+    slot[gather, tail_orders] = np.arange(m)
+    slot_h = slot[gather, height_order]
+    member_h = front[gather, height_order][:, None, :] | (slot_h[:, None, :] <= np.arange(m)[:, None])
+    cv = np.cumsum(np.where(member_h, v_h[:, None, :], 0.0), axis=2)
+    cd = np.minimum(P[:, None, None], np.cumsum(np.where(member_h, d_h[:, None, :], 0.0), axis=2))
+    t = np.maximum(t, (cv / np.maximum(cd, 1e-300)).max(axis=2))
     return np.maximum.accumulate(t, axis=1)
 
 
@@ -718,9 +727,10 @@ def branch_and_bound_optimal_batch(
     replacement for its ``n!`` enumeration (``method="enumerate"``):
     identical objectives — property-tested for every ``n <= 7``
     batch Hypothesis finds — at a small fraction of the LP count, raising
-    the practical exact ceiling from ``n = 7`` to ``n ~ 14``.  Rows with
-    ``sum(delta) <= P`` take their heights ``V / delta`` as completion
-    times, in closed form; only the others are searched.
+    the practical exact ceiling on ``cluster_instances`` from ``n = 7`` to
+    ``n ~ 14``.  Rows with ``sum(delta) <= P`` take their heights ``V /
+    delta`` as completion times, in closed form; only the others are
+    searched, in blocks of :data:`_SEARCH_ROW_BLOCK` rows per task count.
 
     Parameters
     ----------
@@ -729,8 +739,8 @@ def branch_and_bound_optimal_batch(
         grouped by task count so each group's orderings share an LP shape.
     ctx:
         Optional :class:`~repro.exec.ExecutionContext`: the leaf LPs are
-        solved by :func:`solve_ordered_lps`, whose HiGHS solves (above
-        :data:`_LOCKSTEP_MAX_TASKS` tasks) shard over ``ctx.map``.
+        solved by :func:`solve_ordered_lps`, whose block HiGHS solves
+        (above :data:`_LOCKSTEP_MAX_TASKS` tasks) shard over ``ctx.map``.
     max_tasks:
         Guard on the exponential worst case (default
         :data:`MAX_BRANCH_AND_BOUND_TASKS`).
@@ -771,13 +781,16 @@ def branch_and_bound_optimal_batch(
         orders[group[fits], :n] = np.argsort(heights, axis=1, kind="stable")
         if fits.all():
             continue
-        rows = group[~fits]
-        group_values, group_orders, group_stats = _search_group(
-            P[rows], volumes[~fits], weights[~fits], deltas[~fits], ctx, chunk_size
-        )
-        stats.merge(group_stats)
-        objectives[rows] = group_values
-        orders[rows, :n] = group_orders
+        searched = np.nonzero(~fits)[0]
+        for start in range(0, searched.size, _SEARCH_ROW_BLOCK):
+            local = searched[start : start + _SEARCH_ROW_BLOCK]
+            rows = group[local]
+            block_values, block_orders, block_stats = _search_group(
+                P[rows], volumes[local], weights[local], deltas[local], ctx, chunk_size
+            )
+            stats.merge(block_stats)
+            objectives[rows] = block_values
+            orders[rows, :n] = block_orders
     return BatchedOptimalResult(
         objectives=objectives, orders=orders, orderings_evaluated=stats.lps_solved, stats=stats
     )

@@ -80,6 +80,12 @@ class BatchLinearProgramResult:
         """True when every problem of the batch reached optimality."""
         return bool(np.all(self.statuses == "optimal"))
 
+    @classmethod
+    def concatenate(cls, parts: "list[BatchLinearProgramResult]") -> "BatchLinearProgramResult":
+        """The results of consecutive sub-stacks as one result, problem order kept."""
+        fields = ("x", "objectives", "statuses", "iterations")
+        return cls(*(np.concatenate([getattr(part, f) for part in parts]) for f in fields))
+
 
 def _exact_reduced_costs(cost: np.ndarray, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Reduced costs ``c - c_B B^{-1} A`` for every problem of a compacted batch."""

@@ -46,7 +46,7 @@ from repro.lp.interface import solve_ordered_relaxation
 from repro.lp.simplex import _INFEAS_TOL, _primal_residual, solve_linear_program_batch
 from repro.workloads import generators
 from repro.workloads.generators import cluster_instances, uniform_instances
-from tests.oracles import bruteforce_opt
+from tests.oracles import bruteforce_opt, tail_completion_floors_loop
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -256,6 +256,25 @@ class TestBranchAndBoundMatchesEnumeration:
             InstanceBatch.from_instances(searched_only)
         ).stats
 
+    def test_row_blocks_equal_each_row_alone(self, monkeypatch):
+        # Groups larger than a row block are searched block by block; the
+        # rows are independent, so every row's answer is its own.
+        from repro.lp import exact
+
+        rng = np.random.default_rng(8)
+        insts = [
+            inst
+            for n in (3, 6, 5, 6, 4, 6, 5)
+            for inst in (*uniform_instances(n, 2, rng=rng), *cluster_instances(n, 1, P=128.0, rng=rng))
+        ]
+        batch = InstanceBatch.from_instances(insts)
+        monkeypatch.setattr(exact, "_SEARCH_ROW_BLOCK", 3)
+        blocked = branch_and_bound_optimal_batch(batch)
+        for b, inst in enumerate(insts):
+            alone = branch_and_bound_optimal_batch(InstanceBatch.from_instances([inst]))
+            assert blocked.objectives[b] == alone.objectives[0]
+            assert blocked.orders[b, : inst.n].tolist() == alone.orders[0, : inst.n].tolist()
+
     def test_merge_sums_the_greedy_counters(self):
         total = ExactSearchStats(greedy_calls=2, greedy_rows=30, frontier_peak=4)
         total.merge(ExactSearchStats(greedy_calls=3, greedy_rows=12, frontier_peak=7))
@@ -362,6 +381,42 @@ class TestBoundsBracketTheLP:
         lp = solve_ordered_relaxation(inst, np.argsort(times, kind="stable"), build_schedule=False)
         upper = float(inst.weights @ times)
         assert upper >= lp.objective - 1e-7 * max(1.0, lp.objective)
+
+
+@st.composite
+def tail_floor_inputs(draw):
+    """Arguments of ``_tail_completion_floors``: ``C`` rows of ``n`` slots, tails of ``m``."""
+    C = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, n))
+    empty_front = draw(st.booleans())
+    # Small integer grids make tied heights and zero volumes common.
+    def grid(cell):
+        rows = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=C, max_size=C)
+        return np.array(draw(rows), dtype=float).reshape(C, n)
+
+    volumes = grid(st.integers(0, 4))
+    deltas = grid(st.integers(1, 4))
+    P = np.array(draw(st.lists(st.sampled_from([1.0, 2.5, 4.0, 16.0]), min_size=C, max_size=C)))
+    tails = np.array([draw(st.permutations(range(n)))[:m] for _ in range(C)], dtype=np.int64).reshape(C, m)
+    front = np.ones((C, n), dtype=bool)
+    front[np.arange(C)[:, None], tails] = False
+    if empty_front:
+        front[:] = False  # the leaf call: no front, zero front volume and caps
+    V_S = np.where(front, volumes, 0.0).sum(axis=1)
+    D_S = np.where(front, deltas, 0.0).sum(axis=1)
+    return P, volumes, volumes / deltas, deltas, front, tails, V_S, D_S
+
+
+class TestTailFloorsMatchTheLoopOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(tail_floor_inputs())
+    def test_bit_identical(self, args):
+        P, volumes, heights, deltas, front, tails, V_S, D_S = args
+        floors = _tail_completion_floors(P, volumes, heights, deltas, front, tails, V_S, D_S)
+        reference = tail_completion_floors_loop(P, volumes, heights, deltas, front.copy(), tails, V_S, D_S)
+        assert floors.shape == tails.shape
+        assert np.array_equal(floors, reference)
 
 
 # --------------------------------------------------------------------- #

@@ -581,7 +581,7 @@ class TestContextDispatch:
 
 
 # --------------------------------------------------------------------- #
-# The size rule: lockstep up to 8 tasks, HiGHS above
+# The size rule: lockstep up to _LOCKSTEP_MAX_TASKS tasks, block HiGHS above
 # --------------------------------------------------------------------- #
 
 
@@ -609,10 +609,13 @@ class TestSizeRule:
             np.testing.assert_allclose(solution.objectives[b], ref.objective, rtol=1e-9)
             np.testing.assert_allclose(by_task[b, : inst.n], ref_by_task, rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize(("n", "lockstep_calls"), [(8, 1), (9, 0)])
-    def test_solver_switches_above_eight_tasks(self, monkeypatch, n, lockstep_calls):
+    @pytest.mark.parametrize(
+        ("above", "lockstep_calls"), [(0, 1), (1, 0)], ids=["at-threshold", "above-threshold"]
+    )
+    def test_solver_switches_above_the_lockstep_threshold(self, monkeypatch, above, lockstep_calls):
         from repro.lp import exact
 
+        n = exact._LOCKSTEP_MAX_TASKS + above
         calls = []
 
         def counting(*tensors):
@@ -635,3 +638,64 @@ class TestSizeRule:
             assert times_close(
                 schedule.weighted_completion_time(), solution.objectives[b], rtol=1e-9, atol=1e-9
             )
+
+
+# --------------------------------------------------------------------- #
+# Block-diagonal HiGHS: one solve per stack
+# --------------------------------------------------------------------- #
+
+
+def _highs_stack(sizes, seed: int):
+    """Ordered LPs of ``cluster_instances`` rows of ``sizes`` tasks, random orders, one stack."""
+    rng = np.random.default_rng(seed)
+    insts = [next(cluster_instances(n, 1, rng=rng)) for n in sizes]
+    batch = InstanceBatch.from_instances(insts)
+    orders = [list(rng.permutation(inst.n)) for inst in insts]
+    return build_ordered_lp_batch(batch, orders)
+
+
+class TestBlockDiagonalHighs:
+    @pytest.mark.parametrize(
+        "sizes",
+        [[7] * 5, [7, 9, 12, 10, 8, 11], [12, 12, 7]],
+        ids=["n7", "mixed-7-to-12", "n12-padded"],
+    )
+    def test_blocks_match_per_lp_highs(self, sizes):
+        from repro.lp.exact import _LOCKSTEP_MAX_TASKS, solve_ordered_lps
+        from repro.lp.scipy_backend import solve_with_scipy
+        from repro.lp.simplex import _INFEAS_TOL, _primal_residual
+
+        assert min(sizes) > _LOCKSTEP_MAX_TASKS  # every stack takes the block solve
+        lp = _highs_stack(sizes, seed=len(sizes))
+        solved = solve_ordered_lps(lp)
+        tensors = (lp.c, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq)
+        for k in range(len(sizes)):
+            alone = solve_with_scipy(*(t[k] for t in tensors))
+            assert solved.objectives[k] == pytest.approx(alone.objective, rel=1e-9)
+        A = np.concatenate([lp.A_ub, lp.A_eq], axis=1)
+        b = np.concatenate([lp.b_ub, lp.b_eq], axis=1)
+        assert np.all(_primal_residual(A, b, solved.x, lp.A_ub.shape[1]) <= _INFEAS_TOL)
+        assert np.all(solved.x >= -1e-9)
+        np.testing.assert_allclose(
+            np.einsum("kv,kv->k", lp.c, solved.x), solved.objectives, rtol=1e-12
+        )
+
+    def test_sharded_solve_equals_serial(self):
+        from repro.lp.exact import solve_ordered_lps
+
+        lp = _highs_stack([8, 9, 7, 10, 8, 9, 7], seed=3)
+        serial = solve_ordered_lps(lp)
+        with ExecutionContext(seed=0, backend="process-pool", workers=2) as ctx:
+            sharded = solve_ordered_lps(lp, ctx)
+            assert ctx.last_submission_count > 1
+        np.testing.assert_allclose(sharded.objectives, serial.objectives, rtol=1e-9)
+        assert sharded.x.shape == serial.x.shape
+
+    @pytest.mark.parametrize("bad", [0, 3, 5])
+    def test_forged_non_optimal_row_is_named(self, bad):
+        from repro.lp.exact import solve_ordered_lps
+
+        lp = _highs_stack([8, 9, 7, 10, 8, 9], seed=4)
+        lp.b_eq[bad, 0] = -1.0  # a volume no non-negative area can sum to
+        with pytest.raises(SolverError, match=f"'infeasible' for batch row {bad}$"):
+            solve_ordered_lps(lp)

@@ -50,7 +50,7 @@ PAGES: dict[str, tuple[str, str, list[str]]] = {
         "floors and exact LPs on the surviving leaves replace the `n!` "
         "ordering enumeration behind `repro.lp.optimal`.  Also home of the "
         "one ordered-LP solver rule, `solve_ordered_lps`: the lockstep "
-        "kernel up to 8 tasks, one HiGHS call per LP above.",
+        "kernel up to 6 tasks, one block-diagonal HiGHS solve per stack above.",
         ["repro.lp.exact"],
     ),
     "facade.md": (
@@ -94,8 +94,8 @@ PAGES: dict[str, tuple[str, str, list[str]]] = {
         "The Corollary 1 linear-programming layer: the fixed-ordering "
         "formulation and its scalar HiGHS reference solve, and the batched "
         "subsystem that assembles a whole `InstanceBatch` of LPs and solves "
-        "them by one size rule — the in-repo lockstep simplex kernel up to 8 "
-        "tasks, one HiGHS call per LP above.",
+        "them by one size rule — the in-repo lockstep simplex kernel up to 6 "
+        "tasks, one block-diagonal HiGHS solve per stack above.",
         ["repro.lp.formulation", "repro.lp.interface", "repro.lp.batch",
          "repro.lp.simplex", "repro.lp.scipy_backend"],
     ),
